@@ -13,10 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,37 +31,32 @@ from .renewal import (build_renewal, classify_regime, dp_distribution,
 from .simulate import Model, estimate_survival, simulate
 from .rng import stream
 
-_DEFAULTS = {
-    "nu": 1.0, "theta": 1.0, "delta": 1.0,
-    "kappa0": 1.0, "kappa1": 0.5, "kappa2": 1.0,
-    "seed": 0, "threads": None, "reps": 100_000, "horizon": 50,
-    "nmax": 1000, "cap": 10 ** 9, "M": 4096,
-    "model": "stopped", "law": "offspring",
-    "theorem": "balanced_strong", "s_grid": "0.5,1,2",
-    "n_grid": "1000,10000", "format": None, "out": None,
-}
-_TYPES = {
-    "nu": float, "theta": float, "delta": float,
-    "kappa0": float, "kappa1": float, "kappa2": float,
-    "seed": int, "threads": int, "reps": int, "horizon": int,
-    "nmax": int, "cap": int, "M": int,
-    "model": str, "law": str, "theorem": str,
-    "s_grid": str, "n_grid": str, "format": str, "out": str,
+# every option: its type, or its tuple of allowed values, and its default.
+# Only options whose default is None accept the value "none".
+_OPTIONS = {
+    "nu": (float, 1.0), "theta": (float, 1.0), "delta": (float, 1.0),
+    "kappa0": (float, 1.0), "kappa1": (float, 0.5), "kappa2": (float, 1.0),
+    "seed": (int, 0), "threads": (int, None), "reps": (int, 100_000),
+    "horizon": (int, 50), "nmax": (int, 1000), "cap": (int, 10 ** 9),
+    "M": (int, 4096),
+    "model": (tuple(m.value for m in Model), "stopped"),
+    "law": (("offspring", "immigration", "initial"), "offspring"),
+    "theorem": (("heavy_immigration", "balanced_strong", "balanced_weak"),
+                "balanced_strong"),
+    "s_grid": (str, "0.5,1,2"), "n_grid": (str, "1000,10000"),
+    "format": (("csv", "report"), None), "out": (str, None),
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     command: str
     values: dict
 
     @property
     def params(self) -> LawParams:
-        return LawParams(nu=self.values["nu"], theta=self.values["theta"],
-                         delta=self.values["delta"],
-                         kappa0=self.values["kappa0"],
-                         kappa1=self.values["kappa1"],
-                         kappa2=self.values["kappa2"])
+        return LawParams(**{f.name: self.values[f.name]
+                            for f in dataclasses.fields(LawParams)})
 
     def __getattr__(self, name):
         try:
@@ -84,16 +79,30 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _config_value(key: str, raw: str):
+    kind, default = _OPTIONS[key]
+    if raw == "none":
+        if default is not None:
+            raise ValueError(f"config key {key} cannot be none")
+        return None
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(f"config key {key} must be one of "
+                             f"{', '.join(kind)}, got {raw!r}")
+        return raw
+    return kind(raw)
+
+
 def _resolve(command: str, cli: dict, config_path: str | None) -> RunConfig:
     file_vals = _read_config(config_path) if config_path else {}
     file_vals.pop("command", None)     # informational echo in manifests
     values = {}
-    for key, default in _DEFAULTS.items():
+    for key, (_kind, default) in _OPTIONS.items():
         raw = file_vals.pop(key, None)
         if cli.get(key) is not None:
             values[key] = cli[key]
         elif raw is not None:
-            values[key] = None if raw == "none" else _TYPES[key](raw)
+            values[key] = _config_value(key, raw)
         else:
             values[key] = default
     if file_vals:
@@ -146,8 +155,8 @@ def _parse_grid(spec: str, cast):
 def cmd_validate(cfg: RunConfig) -> list[str]:
     p = cfg.params       # raises on invalid input before we get here
     rep = classify_regime(p)
-    lines = [f"{k}: {_fmt(getattr(p, k))}"
-             for k in ("nu", "theta", "delta", "kappa0", "kappa1", "kappa2")]
+    lines = [f"{f.name}: {_fmt(getattr(p, f.name))}"
+             for f in dataclasses.fields(p)]
     lines += [f"sigma: {_fmt(rep.sigma)}",
               f"regime: {rep.regime_id}",
               f"offspring_mean: {_fmt(1.0)}",
@@ -159,8 +168,6 @@ def cmd_pmf(cfg: RunConfig) -> list[str]:
     p = cfg.params
     table = {"offspring": offspring_pmf, "immigration": immigration_pmf,
              "initial": initial_pmf}
-    if cfg.law not in table:
-        raise ValueError(f"--law must be one of {sorted(table)}")
     pmf = table[cfg.law](p, cfg.nmax)
     lines = [f"# truncation_mass={_fmt(pmf.truncation_mass)}", "k,p"]
     lines += [f"{k},{_fmt(float(v))}" for k, v in enumerate(pmf.probs)]
@@ -301,24 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
                  "limits", "verify"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        for key in ("nu", "theta", "delta", "kappa0", "kappa1", "kappa2"):
-            sp.add_argument(f"--{key}", type=float, default=None)
-        for key, cast in (("seed", int), ("threads", int), ("reps", int),
-                          ("horizon", int), ("nmax", int), ("cap", int),
-                          ("M", int)):
-            sp.add_argument(f"--{key}", type=cast, default=None)
-        sp.add_argument("--model", choices=[m.value for m in Model],
-                        default=None)
-        sp.add_argument("--law",
-                        choices=["offspring", "immigration", "initial"],
-                        default=None)
-        sp.add_argument("--theorem",
-                        choices=["heavy_immigration", "balanced_strong",
-                                 "balanced_weak"], default=None)
-        sp.add_argument("--s-grid", dest="s_grid", default=None)
-        sp.add_argument("--n-grid", dest="n_grid", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=["csv", "report"], default=None)
+        for key, (kind, _default) in _OPTIONS.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(kind, tuple):
+                sp.add_argument(flag, dest=key, choices=kind, default=None)
+            else:
+                sp.add_argument(flag, dest=key, type=kind, default=None)
     return parser
 
 
@@ -346,9 +341,8 @@ def _reformat(lines: list[str], natural: str, wanted: str | None) -> list[str]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cli_vals = {k: getattr(args, k, None) for k in _DEFAULTS}
     try:
-        cfg = _resolve(args.command, cli_vals, args.config)
+        cfg = _resolve(args.command, vars(args), args.config)
         if args.command == "verify":
             lines, ok = cmd_verify(cfg)
             _write_out(cfg, lines)

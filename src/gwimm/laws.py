@@ -13,7 +13,9 @@ to rely on "1 minus a sum of floats".
 
 from __future__ import annotations
 
+import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,7 +31,7 @@ _TABLE_CAP = 1 << 17
 _SIBUYA_TABLE = 1024
 
 _HUGE = 1 << 62          # sentinel for astronomically large integer draws
-_LGAMMA_LIMIT = 1e5      # above this, lgamma differences lose to Stirling
+_LGAMMA_LIMIT = 1e3      # above this, lgamma differences lose to Stirling
 _SEED_DIRECT = 1e12      # above this, walk steps fall under float resolution
 _POISSON_LAM_MAX = 1e17  # generator-safe Poisson mean
 
@@ -40,7 +42,8 @@ class LawParams:
 
     Admissible ranges
     -----------------
-    nu, theta, delta : (0, 1]
+    nu, theta        : (0, 1]
+    delta            : [smallest normal float, 1]
     kappa0           : (0, 1]
     kappa1           : (0, 1/(1+nu)]   (else the offspring weights are no pmf)
     kappa2           : (0, inf)
@@ -58,6 +61,10 @@ class LawParams:
             v = float(getattr(self, name))
             if not 0.0 < v <= 1.0:
                 raise OutOfRangeError(name, f"0 < {name} <= 1", v)
+        # initial-law weights are of order delta: subnormal ones underflow
+        if self.delta < sys.float_info.min:
+            raise OutOfRangeError("delta", "delta >= smallest normal float",
+                                  self.delta)
         if not 0.0 < self.kappa0 <= 1.0:
             raise OutOfRangeError("kappa0", "0 < kappa0 <= 1", self.kappa0)
         if not self.kappa2 > 0.0:
@@ -66,6 +73,15 @@ class LawParams:
             raise OutOfRangeError("kappa1", "kappa1 > 0", self.kappa1)
         if self.kappa1 * (1.0 + self.nu) > 1.0:
             raise NonPmfError("kappa1", "kappa1 <= 1/(1+nu)", self.kappa1)
+
+
+class Model(str, enum.Enum):
+    """The three dynamics: unstopped Z, Z stopped at its first zero, and
+    the chain gated on a positive offspring sum (see gwimm.simulate)."""
+
+    UNSTOPPED_Z = "z"
+    STOPPED_Z = "stopped"
+    GATED_W = "gated"
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +221,49 @@ def offspring_mean_tail(params: LawParams, n: int) -> float:
 
 
 @lru_cache(maxsize=64)
-def _offspring_table(nu: float, kappa1: float):
-    table = offspring_pmf(LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
-                          _TABLE_CAP).probs
-    cum = cumsum_extended(table)
-    stop = int(np.searchsorted(cum, _TABLE_QUANTILE)) + 1
-    stop = min(stop, len(cum))
-    n = stop - 1
-    if n >= 2:
-        tail = table[n] * (n - 1.0 - nu) / (1.0 + nu)
-    else:
-        # the quantile rule never stops this early, but keep it correct
-        tail = 1.0 - kappa1 if n == 0 else kappa1 * nu
-    return cum[:stop], tail
+def _inverse_cdf_table(pmf, params: LawParams, nmax: int):
+    """Cumulative table of `pmf` up to the _TABLE_QUANTILE, with the exact
+    mass beyond its last entry."""
+    table = pmf(params, nmax)
+    cum = cumsum_extended(table.probs)
+    stop = min(int(np.searchsorted(cum, _TABLE_QUANTILE)) + 1, len(cum))
+    if stop <= nmax:
+        # a shorter table is a prefix of the longer one, bit for bit
+        table = pmf(params, stop - 1)
+    return cum[:stop], table.truncation_mass
 
 
-@lru_cache(maxsize=64)
-def _sibuya_table(delta: float):
-    # pmf of the Sibuya(delta) law on {1, 2, ...}
-    probs = np.zeros(_SIBUYA_TABLE)
-    probs[0] = delta
-    k = np.arange(1.0, _SIBUYA_TABLE)
-    probs[1:] = delta * np.cumprod((k - delta) / (k + 1.0))
-    cum = cumsum_extended(probs)
-    stop = int(np.searchsorted(cum, _TABLE_QUANTILE)) + 1
-    stop = min(stop, len(cum))
-    n = stop  # table covers values 1..stop
-    tail = probs[stop - 1] * (n - delta) / delta
-    return cum[:stop], tail
+def _draw(table, tail_value, rng: np.random.Generator,
+          size: int) -> np.ndarray:
+    """Inverse-cdf draws from `table`; a draw beyond its last entry is
+    resolved exactly by `tail_value(v, lo)`, the smallest n >= lo with
+    P(X > n) < v."""
+    cum, tail = table
+    u = rng.random(size)
+    x = np.searchsorted(cum, u, side="right")
+    over = np.nonzero(x == len(cum))[0]
+    if over.size:
+        if tail <= 0.0:
+            x[over] = len(cum) - 1
+        else:
+            for i in over:
+                x[i] = tail_value(1.0 - u[i], len(cum))
+    return x
 
 
 def _log_ratio_gamma(log_amp: float, a: float, n: float) -> float:
     """log of S(n) = exp(log_amp) * Gamma(n+a) / Gamma(n+1).
 
-    lgamma differences cancel catastrophically once their magnitude passes
-    ~1e16*eps of the result, so beyond _LGAMMA_LIMIT we switch to the
-    two-term Stirling form, which is the more accurate of the two there.
+    An lgamma difference is off by about one ulp of lgamma(n), 1e-12 at
+    n = 1e3 and growing with n, so beyond _LGAMMA_LIMIT we use the Stirling
+    series of the ratio (DLMF 5.11.8) through its n**-3 term, whose
+    remainder is below n**-4 / 4: both are good to ~1e-12 in log S.
     """
     if n <= _LGAMMA_LIMIT:
         return log_amp + math.lgamma(n + a) - math.lgamma(n + 1.0)
-    am1 = a - 1.0
-    return log_amp + am1 * math.log(n) + math.log1p(am1 * a / (2.0 * n))
+    b = a * (a - 1.0)
+    return (log_amp + (a - 1.0) * math.log(n) + b / (2.0 * n)
+            - b * (a - 0.5) / (6.0 * n * n) + b * b / (12.0 * n ** 3))
 
 
 def _tail_inverse(log_amp: float, a: float, v: float, lo: int) -> int:
@@ -292,18 +310,12 @@ def _sibuya_tail_value(delta: float, v: float, lo: int) -> int:
 def sample_offspring(params: LawParams, rng: np.random.Generator,
                      size: int) -> np.ndarray:
     """Exact offspring draws (int64; values above 2**62 are clipped)."""
-    cum, tail = _offspring_table(params.nu, params.kappa1)
-    u = rng.random(size)
-    x = np.searchsorted(cum, u, side="right")
-    over = np.nonzero(x == len(cum))[0]
-    if over.size:
-        if tail <= 0.0:
-            x[over] = len(cum) - 1
-        else:
-            for i in over:
-                x[i] = _offspring_tail_value(params.nu, params.kappa1,
-                                             1.0 - u[i], len(cum))
-    return x
+    nu, k1 = params.nu, params.kappa1
+    table = _inverse_cdf_table(offspring_pmf,
+                               LawParams(nu, 1.0, 1.0, 1.0, k1, 1.0),
+                               _TABLE_CAP)
+    return _draw(table, lambda v, lo: _offspring_tail_value(nu, k1, v, lo),
+                 rng, size)
 
 
 def sample_initial(params: LawParams, rng: np.random.Generator,
@@ -321,17 +333,12 @@ def sample_initial(params: LawParams, rng: np.random.Generator,
 def sample_sibuya(delta: float, rng: np.random.Generator,
                   size: int) -> np.ndarray:
     """Draws with P(X > n) = prod_{j<=n} (1 - delta/j) on {1, 2, ...}."""
-    cum, tail = _sibuya_table(delta)
-    u = rng.random(size)
-    x = np.searchsorted(cum, u, side="right") + 1
-    over = np.nonzero(x == len(cum) + 1)[0]
-    if over.size:
-        if tail <= 0.0:
-            x[over] = len(cum)
-        else:
-            for i in over:
-                x[i] = _sibuya_tail_value(delta, 1.0 - u[i], len(cum) + 1)
-    return x
+    # Sibuya(delta) is the initial law with kappa0 = 1 (empty zero atom)
+    table = _inverse_cdf_table(initial_pmf,
+                               LawParams(1.0, 1.0, delta, 1.0, 0.5, 1.0),
+                               _SIBUYA_TABLE)
+    return _draw(table, lambda v, lo: _sibuya_tail_value(delta, v, lo),
+                 rng, size)
 
 
 def sample_immigration(params: LawParams, rng: np.random.Generator,

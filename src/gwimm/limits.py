@@ -19,11 +19,12 @@ import numpy as np
 from .errors import (MissingConstantError, MissingRenewalError,
                      TolUnreachableError, WrongRegimeError)
 from .laws import LawParams
-from .pgf import gamma_sequences, h_n, q_iterate, q_last
+from .pgf import gamma_sequences, h_n, q_last, theta_sums, theta_tail_bounds
 from .renewal import RenewalTable, build_renewal, classify_regime, fit_tail
 from ._num import fsum, gauss_legendre_panels
 
 _BOUNDARY_TOL = 1e-9
+_STATIONARY_CHUNK = 1 << 16     # q-trajectory terms per pass
 
 
 def _sigma(params: LawParams) -> float:
@@ -42,6 +43,16 @@ def _require_heavy(params: LawParams) -> None:
             f"needs theta < nu, got theta={params.theta}, nu={params.nu}")
 
 
+def _scaled_point(params: LawParams, s: float, n: int, scaling: str) -> float:
+    """t = exp(-s q_n(0)) for "by_qn", t = exp(-s n^{-1/theta}) for
+    "by_n_inv_theta"."""
+    if scaling == "by_qn":
+        return math.exp(-s * q_last(params, 0.0, n))
+    if scaling == "by_n_inv_theta":
+        return math.exp(-s * n ** (-1.0 / params.theta))
+    raise ValueError("scaling must be 'by_qn' or 'by_n_inv_theta'")
+
+
 # ---------------------------------------------------------------------------
 # uniform gamma limits and Laplace limits of the unstopped process
 
@@ -56,8 +67,7 @@ def gamma_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     _require_balanced(params)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    s = math.exp(-t * float(q_last(params, 0.0, n)))
-    seq = gamma_sequences(params, s, n)
+    seq = gamma_sequences(params, _scaled_point(params, t, n, "by_qn"), n)
     k = np.arange(n + 1, dtype=float)
     pref = (1.0 + (k / n) * t ** params.nu) ** _sigma(params)
     return float(np.max(np.abs(pref * np.exp(seq.log_gamma0) - 1.0)))
@@ -69,8 +79,8 @@ def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     _require_heavy(params)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    s = math.exp(-t * n ** (-1.0 / params.theta))
-    seq = gamma_sequences(params, s, n)
+    seq = gamma_sequences(
+        params, _scaled_point(params, t, n, "by_n_inv_theta"), n)
     k = np.arange(n + 1, dtype=float)
     expo = params.kappa2 * t ** params.theta * k / n
     return float(np.max(np.abs(np.exp(expo + seq.log_gamma0) - 1.0)))
@@ -81,9 +91,8 @@ def laplace_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     _require_balanced(params)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    s = math.exp(-t * float(q_last(params, 0.0, n)))
     limit = (1.0 + t ** params.nu) ** (-_sigma(params))
-    return abs(h_n(params, s, n) - limit)
+    return abs(h_n(params, _scaled_point(params, t, n, "by_qn"), n) - limit)
 
 
 def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
@@ -91,8 +100,8 @@ def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     _require_heavy(params)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    s = math.exp(-t * n ** (-1.0 / params.theta))
     limit = math.exp(-params.kappa2 * t ** params.theta)
+    s = _scaled_point(params, t, n, "by_n_inv_theta")
     return abs(h_n(params, s, n) - limit)
 
 
@@ -118,24 +127,23 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
         raise ValueError("s must lie in [0, 1]")
     if s == 1.0:
         return 1.0
-    k1, k2 = params.kappa1, params.kappa2
-    q = 1.0 - s
-    total = 0.0
-    j = 0
+    # first j whose enclosure is within tol; chunks keep memory bounded
+    q0, head, j0 = 1.0 - s, 0.0, 0
     while True:
-        # remainder bracket for sum_{i >= j} q_i^theta, q_j = current q
-        cj = (1.0 - k1 * q ** nu) ** (-nu - 1.0)
-        lo = q ** (th - nu) / (k1 * cj * (th - nu))
-        hi = q ** th + q ** (th - nu) / (k1 * (th - nu))
-        if k2 * (hi - lo) <= tol:
-            return math.exp(-k2 * (total + 0.5 * (lo + hi)))
-        if j >= max_iter:
+        n = min(_STATIONARY_CHUNK, max_iter - j0)
+        q, _, S = theta_sums(params, q0, n)
+        lo, hi = theta_tail_bounds(params, q)
+        width = params.kappa2 * (hi - lo)
+        tight = np.nonzero(width <= tol)[0]
+        if tight.size:
+            j = int(tight[0])
+            return math.exp(-params.kappa2
+                            * (float(head + S[j]) + 0.5 * (lo[j] + hi[j])))
+        if j0 + n >= max_iter:
             raise TolUnreachableError(
-                f"enclosure width {k2 * (hi - lo):.2e} > tol {tol:.1e} "
+                f"enclosure width {width[-1]:.2e} > tol {tol:.1e} "
                 f"after {max_iter} terms")
-        total += q ** th
-        q -= k1 * q ** (1.0 + nu)
-        j += 1
+        head, q0, j0 = head + S[n], float(q[n]), j0 + n
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +168,7 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
         raise ValueError("n must be >= 1")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    if scaling == "by_qn":
-        t = math.exp(-s * float(q_last(params, 0.0, n)))
-    elif scaling == "by_n_inv_theta":
-        t = math.exp(-s * n ** (-1.0 / params.theta))
-    else:
-        raise ValueError("scaling must be 'by_qn' or 'by_n_inv_theta'")
+    t = _scaled_point(params, s, n, scaling)
     if table is None:
         table = build_renewal(params, n)
     if table.params != params:
@@ -173,14 +176,13 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
     if len(table.u) < n + 1:
         raise MissingRenewalError(
             f"renewal table of length {len(table.u)} < n+1 = {n + 1}")
-    q = q_iterate(params, t, n).q
-    seq = gamma_sequences(params, t, n)
-    g0 = np.exp(seq.log_gamma0)
+    q, _, S = theta_sums(params, 1.0 - t, n)
+    g0 = np.exp((-params.kappa2 * S[:-1]).astype(float))    # gamma_k^(0)(t)
     # conditioning on a positive start strips the kappa0 atom: the initial
     # transform becomes 1 - (1-x)^delta, so no kappa0 appears here
     xi1 = g0[n] * q[n] ** params.delta / table.u[n]
     w = g0[:-1] * (-np.expm1(-params.kappa2 * q[:-1] ** params.theta))
-    xi2 = fsum(table.u[n - 1::-1] * w / table.u[n]) if n > 0 else 0.0
+    xi2 = fsum(table.u[n - 1::-1] * w / table.u[n])
     return 1.0 - xi1 - xi2
 
 
@@ -231,26 +233,24 @@ def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
         raise WrongRegimeError(f"lambda limit needs sigma < 1, got {sg}")
     rho = params.delta / params.nu
     sn = s ** params.nu
-    if sg >= 1.0 - rho - _BOUNDARY_TOL:
-        # integrand (1-x)^{sigma-1} (1+s^nu x)^{-sigma-1}; y = (1-x)^sigma
-        def f(y):
-            x = 1.0 - y ** (1.0 / sg)
-            return (1.0 + sn * x) ** (-sg - 1.0)
-
-        integral = gauss_legendre_panels(f, 0.0, 1.0, geometric_from=0.5) / sg
-        return 1.0 - sg * sn * integral
-    if K5 is None:
+    weak = sg < 1.0 - rho - _BOUNDARY_TOL
+    if weak and K5 is None:
         raise MissingConstantError(
             "sigma < 1 - delta/nu: pass the fitted tail constant K5")
-    c = 1.0 - rho
+    # integrand (1-x)^{c-1} (1+s^nu x)^{-sigma-1}, c = 1 - delta/nu on the
+    # defective branch and c = sigma on the other; y = (1-x)^c
+    c = 1.0 - rho if weak else sg
 
     def f(y):
         x = 1.0 - y ** (1.0 / c)
         return (1.0 + sn * x) ** (-sg - 1.0)
 
     integral = gauss_legendre_panels(f, 0.0, 1.0, geometric_from=0.5) / c
-    atom = (params.kappa0 / K5) * (1.0 / (params.kappa1 * params.nu)) ** rho \
-        * s ** params.delta * (1.0 + sn) ** (-sg - rho)
+    atom = 0.0
+    if weak:
+        atom = ((params.kappa0 / K5)
+                * (1.0 / (params.kappa1 * params.nu)) ** rho
+                * s ** params.delta * (1.0 + sn) ** (-sg - rho))
     return 1.0 - atom - sg * sn * integral
 
 

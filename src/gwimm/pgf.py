@@ -6,12 +6,15 @@ F(s) = s + kappa1*(1-s)**(1+nu) rewrites exactly as
     q_{j+1} = q_j * (1 - kappa1 * q_j**nu),
 
 which involves no subtraction of nearly equal quantities even as F_j(t) -> 1.
-The survival-decay diagnostics and the log-domain immigration products
-gamma_k below all feed off this single recursion.
+`_q_steps` takes this step for both `q_iterate` and `q_last`.  On top of it,
+`theta_sums` accumulates S_k = sum_{j<k} q_j**theta, the exponent of every
+immigration product gamma_k^(0), and `theta_tail_bounds` encloses the rest
+of that sum when theta > nu; the renewal and limit code use these two.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -44,35 +47,33 @@ class QTrajectory:
         return self.params.kappa1 * nu - (inv[1:] - inv[:-1])
 
 
+def _q_steps(params: LawParams, q, n: int):
+    """Yield q_0 = q, q_1, ..., q_n; a scalar q runs on Python floats."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    nu, k1 = params.nu, params.kappa1
+    if np.ndim(q) == 0:
+        q = float(q)
+    yield q
+    for _ in range(n):
+        q = q * (1.0 - k1 * q ** nu)
+        yield q
+
+
 def q_iterate(params: LawParams, t, n: int) -> QTrajectory:
     """Iterate the composition n times from t, storing the whole trajectory.
 
     `t` may be a scalar or a 1-d grid in [0, 1]; the recursion is elementwise.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    t_arr = np.asarray(t, dtype=float)
-    q = np.empty((n + 1,) + t_arr.shape)
-    q[0] = 1.0 - t_arr
-    nu, k1 = params.nu, params.kappa1
-    for j in range(n):
-        qj = q[j]
-        q[j + 1] = qj * (1.0 - k1 * qj ** nu)
-    return QTrajectory(params=params, t=t, q=q)
+    steps = _q_steps(params, 1.0 - np.asarray(t, dtype=float), n)
+    row = np.dtype((float, np.shape(t)))
+    return QTrajectory(params=params, t=t, q=np.fromiter(steps, dtype=row))
 
 
 def q_last(params: LawParams, t, n: int):
     """q_n = 1 - F_n(t) without storing the trajectory (O(1) memory)."""
-    nu, k1 = params.nu, params.kappa1
-    if np.ndim(t) == 0:
-        q = 1.0 - float(t)
-        for _ in range(n):
-            q -= k1 * q ** (1.0 + nu)
-        return q
-    q = 1.0 - np.asarray(t, dtype=float)
-    for _ in range(n):
-        q = q * (1.0 - k1 * q ** nu)
-    return q
+    steps = _q_steps(params, 1.0 - np.asarray(t, dtype=float), n)
+    return collections.deque(steps, maxlen=1)[0]
 
 
 def rate_gap(params: LawParams, t, n: int):
@@ -129,6 +130,34 @@ def step_gap_envelope(params: LawParams, t):
     return k1 * nu - diff / qf ** (2.0 * nu)
 
 
+def theta_sums(params: LawParams, q0: float, n: int):
+    """q_j, q_j**theta and S_k = sum_{j<k} q_j**theta along the trajectory
+    from q_0 = q0 (that is, from t = 1 - q0).
+
+    Returns (q, qt, S): q (float64) and qt for j = 0..n, and S for
+    k = 0..n+1 with S_0 = 0.  qt and S are in extended precision, which
+    keeps S accurate to ~1e-15 relative at n = 1e6.
+    """
+    q = np.fromiter(_q_steps(params, q0, n), dtype=float)
+    qt = q.astype(np.longdouble) ** np.longdouble(params.theta)
+    S = np.concatenate((np.zeros(1, dtype=np.longdouble), np.cumsum(qt)))
+    return q, qt, S
+
+
+def theta_tail_bounds(params: LawParams, q):
+    """Enclosure (lo, hi) of sum_{i>=j} q_i**theta given q_j = q, theta > nu.
+
+    The increments of q**-nu lie between kappa1*nu and kappa1*nu*C with
+    C = (1 - kappa1*q**nu)**(-nu-1), so comparing the sum with integrals
+    of x**(theta/nu - 1) gives both bounds.
+    """
+    nu, th, k1 = params.nu, params.theta, params.kappa1
+    c = (1.0 - k1 * q ** nu) ** (-nu - 1.0)
+    lo = q ** (th - nu) / (k1 * c * (th - nu))
+    hi = q ** th + q ** (th - nu) / (k1 * (th - nu))
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class GammaSequence:
     """Immigration survival products along the q-trajectory.
@@ -144,11 +173,8 @@ class GammaSequence:
 
 def gamma_sequences(params: LawParams, s: float, n: int) -> GammaSequence:
     """Both gamma sequences at a point s in [0, 1], log-domain throughout."""
-    q = q_iterate(params, s, n).q
-    partial = np.cumsum(q[:-1].astype(np.longdouble) ** params.theta) \
-        if n > 0 else np.empty(0, dtype=np.longdouble)
-    log_gamma0 = np.concatenate(
-        ([0.0], (-params.kappa2 * partial).astype(float)))
+    q, _, S = theta_sums(params, 1.0 - s, n)
+    log_gamma0 = (-params.kappa2 * S[:-1]).astype(float)
     gamma = (1.0 - params.kappa0 * q ** params.delta) * np.exp(log_gamma0)
     return GammaSequence(s=s, log_gamma0=log_gamma0, gamma=gamma)
 
@@ -158,11 +184,7 @@ def h_n(params: LawParams, s: float, n: int) -> float:
 
     H_n(s) = (1 - kappa0*q_n(s)**delta) * exp(-kappa2 * sum_{j<n} q_j(s)**theta).
     """
-    q = q_iterate(params, s, n).q
-    acc = float(np.sum(q[:-1].astype(np.longdouble) ** params.theta)) \
-        if n > 0 else 0.0
-    return float((1.0 - params.kappa0 * q[-1] ** params.delta)
-                 * math.exp(-params.kappa2 * acc))
+    return float(gamma_sequences(params, s, n).gamma[n])
 
 
 def laplace_zn(params: LawParams, lam: float, n: int) -> float:

@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import (CapTooSmallError, InsufficientLengthError,
                      WrongRegimeError)
-from .laws import LawParams, immigration_pmf, initial_pmf, offspring_pmf
-from .pgf import q_iterate
+from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
+                   offspring_pmf)
+from .pgf import theta_sums, theta_tail_bounds
 from ._num import fsum, poly_mul_trunc, series_inverse
-from .simulate import Model
 
 _DIRECT_LIMIT = 10 ** 4      # direct O(n^2) convolution up to here, FFT beyond
 _ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
@@ -56,12 +56,11 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    q = q_iterate(params, 0.0, n_max).q.astype(np.longdouble)
-    qt = q ** np.longdouble(params.theta)
-    partial = np.concatenate(([np.longdouble(0.0)], np.cumsum(qt)))
-    g0 = np.exp(-np.longdouble(params.kappa2) * partial[:-1])
+    q, qt, S = theta_sums(params, 1.0, n_max)
+    g0 = np.exp(-np.longdouble(params.kappa2) * S[:-1])
     a = g0 * (-np.expm1(-np.longdouble(params.kappa2) * qt))
-    d = np.longdouble(params.kappa0) * g0 * q ** np.longdouble(params.delta)
+    d = (np.longdouble(params.kappa0) * g0
+         * q.astype(np.longdouble) ** np.longdouble(params.delta))
 
     if n_max <= _DIRECT_LIMIT:
         u = np.empty(n_max + 1, dtype=np.longdouble)
@@ -197,10 +196,8 @@ def u_exact_dp(params: LawParams, model, n: int, M: int = 4096,
     Returns [1 - pi_n(0) - lost_n, 1 - pi_n(0)]; the width never exceeds
     the truncated mass.
     """
-    dist = dp_distribution(params, model, n, M, tol=tol,
-                           init=_conditioned_init(params, M))
-    p0 = float(dist.pi[n, 0])
-    return 1.0 - p0 - float(dist.lost_mass[n]), 1.0 - p0
+    lo, hi, _ = u_dp_curve(params, model, n, M, tol)
+    return float(lo[n]), float(hi[n])
 
 
 def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,
@@ -352,10 +349,8 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     the tail sum of q_j^theta.
     """
     nu, th = params.nu, params.theta
-    q = q_iterate(params, 0.0, n_max).q.astype(np.longdouble)
-    partial = np.concatenate(([np.longdouble(0.0)],
-                              np.cumsum(q ** np.longdouble(th))))
-    neglog = float(params.kappa2) * partial[:-1]      # -log gamma0_n at n
+    q, _, S = theta_sums(params, 1.0, n_max)
+    neglog = float(params.kappa2) * S[:-1]      # -log gamma0_n at n
 
     ns = np.unique(np.geomspace(max(10, n_max // 10), n_max, 200).astype(int))
     if th < nu and abs(th - nu) > 1e-9:
@@ -372,13 +367,9 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
         return GammaReport("power", float(scaled[-1]), drift=drift)
     # theta > nu: gamma0 converges to c0 > 0
     J = n_max
-    S = float(neglog[J]) / params.kappa2
-    qJ = float(q[J])
-    CJ = (1.0 - params.kappa1 * qJ ** nu) ** (-nu - 1.0)
-    lo_tail = qJ ** (th - nu) / (params.kappa1 * CJ * (th - nu))
-    hi_tail = qJ ** th + qJ ** (th - nu) / (params.kappa1 * (th - nu))
-    interval = (math.exp(-params.kappa2 * (S + hi_tail)),
-                math.exp(-params.kappa2 * (S + lo_tail)))
+    lo_tail, hi_tail = theta_tail_bounds(params, float(q[J]))
+    interval = (math.exp(-params.kappa2 * (float(S[J]) + hi_tail)),
+                math.exp(-params.kappa2 * (float(S[J]) + lo_tail)))
     x = ns.astype(float) ** (1.0 - th / nu)
     intercept = float(np.polyfit(x, neglog[ns].astype(float), 1)[1])
     est = math.exp(-intercept)

@@ -14,27 +14,20 @@ master seed no matter how many worker threads participate.
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateConditioningError
-from .laws import (LawParams, sample_immigration, sample_initial,
+from .laws import (LawParams, Model, sample_immigration, sample_initial,
                    sample_offspring)
 from .rng import stream
 
 BLOCK = 8192
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 DEFAULT_CAP = 10 ** 9
-
-
-class Model(str, enum.Enum):
-    UNSTOPPED_Z = "z"
-    STOPPED_Z = "stopped"
-    GATED_W = "gated"
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,6 @@ class BatchStats:
     survival_counts: np.ndarray        # replicates with X_n > 0, per generation
     censored: int = 0
     censored_counts: np.ndarray | None = None       # cap-censored by gen n
-    scaled_laplace_sums: np.ndarray | None = None   # [sum, sum of squares]
-    laplace_survivors: int = 0
 
     def survival(self) -> np.ndarray:
         return self.survival_counts / self.reps
@@ -102,59 +93,62 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     return sums
 
 
+def _next_generation(params: LawParams, model: Model, cap: int,
+                     rng: np.random.Generator, vals: np.ndarray,
+                     frozen: np.ndarray) -> None:
+    """Advance every active replicate one generation, in place."""
+    if model is Model.UNSTOPPED_Z:
+        active = ~frozen
+    else:
+        active = (vals > 0) & ~frozen
+    idx = np.nonzero(active)[0]
+    if not idx.size:
+        return
+    pops = vals[idx]
+    lam = np.zeros(idx.size, dtype=np.int64)
+    has_kids = pops > 0
+    if np.any(has_kids):
+        lam[has_kids] = _offspring_sums(params, rng, pops[has_kids])
+    if model is Model.GATED_W:
+        nxt = np.zeros(idx.size, dtype=np.int64)
+        g = np.nonzero(lam > 0)[0]
+        if g.size:
+            nxt[g] = lam[g] + sample_immigration(params, rng, g.size)
+    else:
+        nxt = lam + sample_immigration(params, rng, idx.size)
+    vals[idx] = nxt
+    frozen[idx[nxt > cap]] = True
+
+
 def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
                   rng: np.random.Generator, size: int, scale: float | None):
-    """Run one block of replicates; returns per-generation positive counts,
-    never-hit-zero counts, the censored total, and optional Laplace sums
-    over survivors at the final generation."""
+    """Run one block of replicates; returns the (3, horizon+1) counts of
+    replicates positive, never zero so far, and cap-censored per generation,
+    and the sums [sum, sum of squares] of exp(-scale * X) over the final
+    survivors (None without `scale`)."""
     vals = sample_initial(params, rng, size)
     frozen = vals > cap                          # cap-censored, kept as-is
-    ever_zero = vals == 0
-    pos_counts = np.empty(horizon + 1, dtype=np.int64)
-    life_counts = np.empty(horizon + 1, dtype=np.int64)
-    cens_counts = np.zeros(horizon + 1, dtype=np.int64)
-    cens_counts[0] = np.count_nonzero(frozen)
-    pos_counts[0] = np.count_nonzero(vals > 0)
-    life_counts[0] = size - np.count_nonzero(ever_zero)
-    for n in range(1, horizon + 1):
-        if model is Model.UNSTOPPED_Z:
-            active = ~frozen
-        else:
-            active = (vals > 0) & ~frozen
-        idx = np.nonzero(active)[0]
-        if idx.size:
-            pops = vals[idx]
-            lam = np.zeros(idx.size, dtype=np.int64)
-            has_kids = pops > 0
-            if np.any(has_kids):
-                lam[has_kids] = _offspring_sums(params, rng, pops[has_kids])
-            if model is Model.GATED_W:
-                nxt = np.zeros(idx.size, dtype=np.int64)
-                g = np.nonzero(lam > 0)[0]
-                if g.size:
-                    nxt[g] = lam[g] + sample_immigration(params, rng, g.size)
-            else:
-                nxt = lam + sample_immigration(params, rng, idx.size)
-            vals[idx] = nxt
-            over = idx[nxt > cap]
-            frozen[over] = True
+    ever_zero = np.zeros(size, dtype=bool)
+    counts = np.empty((3, horizon + 1), dtype=np.int64)
+    for n in range(horizon + 1):
+        if n:
+            _next_generation(params, model, cap, rng, vals, frozen)
         ever_zero |= vals == 0
-        pos_counts[n] = np.count_nonzero(vals > 0)
-        life_counts[n] = size - np.count_nonzero(ever_zero)
-        cens_counts[n] = np.count_nonzero(frozen)
+        counts[:, n] = (np.count_nonzero(vals > 0),
+                        size - np.count_nonzero(ever_zero),
+                        np.count_nonzero(frozen))
     lap = None
-    survivors = 0
     if scale is not None:
-        alive = vals > 0
-        survivors = int(np.count_nonzero(alive))
-        contrib = np.exp(-scale * vals[alive].astype(float))
+        contrib = np.exp(-scale * vals[vals > 0].astype(float))
         lap = np.array([contrib.sum(), np.square(contrib).sum()])
-    return pos_counts, life_counts, cens_counts, lap, survivors
+    return counts, lap
 
 
 def _run_batch(params: LawParams, model, horizon: int, reps: int, seed: int,
                threads: int | None, cap: int = DEFAULT_CAP,
                scale: float | None = None):
+    """Counts of `_evolve_block` summed over the blocks, and the Laplace
+    sums added exactly (None without `scale`)."""
     model = Model(model)
     nblocks = (reps + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
@@ -169,16 +163,11 @@ def _run_batch(params: LawParams, model, horizon: int, reps: int, seed: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, range(nblocks)))
 
-    pos = np.sum([r[0] for r in results], axis=0)
-    life = np.sum([r[1] for r in results], axis=0)
-    cens = np.sum([r[2] for r in results], axis=0)
+    counts = np.sum([r[0] for r in results], axis=0)
     lap = None
-    survivors = 0
     if scale is not None:
-        lap = np.array([math.fsum(r[3][0] for r in results),
-                        math.fsum(r[3][1] for r in results)])
-        survivors = sum(r[4] for r in results)
-    return pos, life, cens, lap, survivors
+        lap = np.array([math.fsum(r[1][i] for r in results) for i in (0, 1)])
+    return counts, lap
 
 
 def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
@@ -189,30 +178,30 @@ def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
     model = Model(model)
     if rng is None:
         rng = stream(0, 0)
-    vals = np.zeros(horizon + 1, dtype=np.int64)
-    vals[0] = sample_initial(params, rng, 1)[0]
-    censoring = None
-    if vals[0] > cap:
-        return Trajectory(values=vals[:1], life=None, model=model,
-                          censoring="cap")
-    for n in range(1, horizon + 1):
-        w = int(vals[n - 1])
-        if model is not Model.UNSTOPPED_Z and w == 0:
-            break
-        lam = int(_offspring_sums(params, rng, np.array([w]))[0]) if w else 0
-        if model is Model.GATED_W and lam == 0:
-            vals[n] = 0
-        else:
-            vals[n] = lam + int(sample_immigration(params, rng, 1)[0])
-        if vals[n] > cap:
-            censoring = "cap"
-            vals = vals[:n + 1]
-            break
+    # a path absorbed at zero draws nothing more; a capped one stops
+    cur = sample_initial(params, rng, 1)
+    frozen = cur > cap
+    path = [int(cur[0])]
+    while len(path) <= horizon and not frozen[0]:
+        _next_generation(params, model, cap, rng, cur, frozen)
+        path.append(int(cur[0]))
+    vals = np.array(path, dtype=np.int64)
+    censoring = "cap" if frozen[0] else None
     zeros = np.nonzero(vals == 0)[0]
     life = int(zeros[0]) if zeros.size else None
     if life is None and censoring is None:
         censoring = "horizon"
     return Trajectory(values=vals, life=life, model=model, censoring=censoring)
+
+
+def _batch_stats(params: LawParams, model, horizon: int, reps: int,
+                 seed: int, threads: int | None, cap: int,
+                 row: int) -> BatchStats:
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    counts, _ = _run_batch(params, model, horizon, reps, seed, threads, cap)
+    return BatchStats(reps=reps, seed=seed, survival_counts=counts[row],
+                      censored=int(counts[2, -1]), censored_counts=counts[2])
 
 
 def estimate_survival(params: LawParams, model, horizon: int, reps: int,
@@ -224,12 +213,7 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
     population above `cap` dies within a desk-scale horizon is negligible;
     the censored count is reported so the bias is visible).
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    pos, _life, cens, _l, _s = _run_batch(
-        params, model, horizon, reps, seed, threads, cap)
-    return BatchStats(reps=reps, seed=seed, survival_counts=pos,
-                      censored=int(cens[-1]), censored_counts=cens)
+    return _batch_stats(params, model, horizon, reps, seed, threads, cap, 0)
 
 
 def sample_life_period(params: LawParams, model, reps: int, horizon: int,
@@ -240,12 +224,7 @@ def sample_life_period(params: LawParams, model, reps: int, horizon: int,
     For the absorbing variants this coincides with estimate_survival;
     for UNSTOPPED_Z it differs (the process can revive after a zero).
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    _pos, life, cens, _l, _s = _run_batch(
-        params, model, horizon, reps, seed, threads, cap)
-    return BatchStats(reps=reps, seed=seed, survival_counts=life,
-                      censored=int(cens[-1]), censored_counts=cens)
+    return _batch_stats(params, model, horizon, reps, seed, threads, cap, 1)
 
 
 @dataclass(frozen=True)
@@ -265,8 +244,9 @@ def conditional_laplace_mc(params: LawParams, model, n: int, scale: float,
         raise ValueError("n must be >= 1")
     if scale < 0.0:
         raise ValueError("scale must be nonnegative")
-    _pos, _life, cens, lap, survivors = _run_batch(
-        params, model, n, reps, seed, threads, cap, scale=scale)
+    counts, lap = _run_batch(params, model, n, reps, seed, threads, cap,
+                             scale=scale)
+    survivors = int(counts[0, -1])
     if survivors == 0:
         raise DegenerateConditioningError(
             f"no replicate of {reps} survived to generation {n}")
@@ -274,4 +254,4 @@ def conditional_laplace_mc(params: LawParams, model, n: int, scale: float,
     var = max(lap[1] / survivors - mean * mean, 0.0)
     se = math.sqrt(var / survivors)
     return LaplaceEstimate(value=mean, se=se, survivors=survivors,
-                           censored=int(cens[-1]))
+                           censored=int(counts[2, -1]))

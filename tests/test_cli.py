@@ -1,10 +1,21 @@
 """Command-line surface: resolution order, manifests, determinism, formats."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gwimm.cli import main
+
+try:
+    import tomllib
+except ModuleNotFoundError:           # Python 3.10
+    tomllib = pytest.importorskip("tomli")
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def run(argv, capsys):
@@ -150,9 +161,48 @@ def test_verify_passes_and_is_thread_invariant(tmp_path, capsys):
     assert "FAIL" not in text.replace("result: PASS", "")
 
 
-def test_console_entry_point():
-    proc = subprocess.run(["gwimm", "validate", "--kappa2", "0.5"],
+def _run_launcher(launcher, argv):
+    """Run `launcher` (a list of python arguments) with src importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *launcher, *argv], env=env,
                           capture_output=True, text=True)
+
+
+def test_console_entry_point():
+    # run the `gwimm` target declared in [project.scripts] the way an
+    # installed console script does: sys.exit(<func>())
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gwimm"]
+    module, func = target.split(":")
+    shim = f"import sys; from {module} import {func}; sys.exit({func}())"
+    proc = _run_launcher(["-c", shim], ["validate", "--kappa2", "0.5"])
     assert proc.returncode == 0
     assert "regime: R2" in proc.stdout
     assert "command=validate" in proc.stderr    # manifest echo on stderr
+
+
+def test_module_entry_point():
+    proc = _run_launcher(["-m", "gwimm"], ["validate", "--kappa2", "0.5"])
+    assert proc.returncode == 0
+    assert "regime: R2" in proc.stdout
+
+
+@pytest.mark.parametrize("command,line", [
+    ("verify", "seed = none"),
+    ("survival", "M = none"),
+    ("validate", "kappa1 = none"),
+    ("validate", "format = xml"),
+    ("pmf", "law = bogus"),
+    ("survival", "model = unstopped"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    rc, out, err = run([command, "--config", str(cfgfile)], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gwimm: error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,17 +1,20 @@
 """Law tables and samplers against independent series/transform oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gwimm.errors import DegenerateThetaError, NonPmfError, OutOfRangeError
 from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         initial_pgf, initial_pmf, offspring_mean_tail,
                         offspring_pgf, offspring_pmf, sample_immigration,
                         sample_initial, sample_offspring, sample_sibuya,
-                        stable_positive, _offspring_tail_value,
-                        _sibuya_tail_value)
+                        stable_positive, _SIBUYA_TABLE, _TABLE_CAP,
+                        _inverse_cdf_table, _log_ratio_gamma,
+                        _offspring_tail_value, _sibuya_tail_value)
 from gwimm.rng import stream
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
@@ -232,6 +235,53 @@ def test_tail_inverse_against_brute_walk():
     assert got == brute
 
 
+def offspring_sf(nu: float, kappa1: float, n: int) -> float:
+    """Closed-form P(X > n) of the offspring law; for n >= 1 by the Gamma
+    route of the tail sampler."""
+    if n == 0:
+        return 1.0 - kappa1
+    if nu == 1.0:                 # three-point law on {0, 1, 2}
+        return kappa1 if n == 1 else 0.0
+    log_amp = math.log(kappa1) + math.log(nu) - math.lgamma(1.0 - nu)
+    return math.exp(_log_ratio_gamma(log_amp, -nu, n))
+
+
+def sibuya_sf(delta: float, n: int) -> float:
+    """Closed-form P(X > n) of the Sibuya law, n >= 1."""
+    if delta == 1.0:              # unit mass at 1
+        return 0.0
+    return math.exp(_log_ratio_gamma(-math.lgamma(1.0 - delta),
+                                     1.0 - delta, n))
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=UNIT, frac=UNIT,
+       delta=st.floats(min_value=sys.float_info.min, max_value=1.0))
+def test_sampler_tables_account_for_all_mass(nu, frac, delta):
+    # both inverse-cdf tables, built as the samplers build them: the tail
+    # mass closes the table to 1 and equals the closed form at its end
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 > 0.0 and kappa1 * (1.0 + nu) <= 1.0)
+    tables = [
+        (_inverse_cdf_table(offspring_pmf,
+                            LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
+                            _TABLE_CAP),
+         lambda n: offspring_sf(nu, kappa1, n)),
+        (_inverse_cdf_table(initial_pmf,
+                            LawParams(1.0, 1.0, delta, 1.0, 0.5, 1.0),
+                            _SIBUYA_TABLE),
+         lambda n: sibuya_sf(delta, n)),
+    ]
+    for (cum, tail), sf in tables:
+        assert abs(cum[-1] + tail - 1.0) <= 1e-13
+        # a subnormal value carries no relative precision
+        assert tail == pytest.approx(sf(len(cum) - 1), rel=1e-10,
+                                     abs=sys.float_info.min)
+
+
 def test_sampler_reproducibility():
     p = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.5, kappa1=0.5,
                   kappa2=1.0)
@@ -286,6 +336,9 @@ def test_params_validation_taxonomy():
                   kappa2=0.0)
     with pytest.raises(NonPmfError):
         LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.6,
+                  kappa2=1.0)
+    with pytest.raises(OutOfRangeError):     # subnormal: weights underflow
+        LawParams(nu=1.0, theta=1.0, delta=5e-324, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
     # boundary kappa1 = 1/(1+nu) is admissible (offspring atom p1 = 0)
     p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,

@@ -18,7 +18,7 @@ HEAVY = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
 
 
 def test_q_hand_iteration():
-    # q_{j+1} = q_j - kappa1*q_j^(1+nu) from q_0 = 1:
+    # q_{j+1} = q_j * (1 - kappa1*q_j^nu) from q_0 = 1:
     # 1, 1/2, 3/8, 39/128 for nu = 1, kappa1 = 1/2
     q = q_iterate(CANON, 0.0, 3).q
     assert q[0] == 1.0
@@ -44,6 +44,23 @@ def test_q_vector_agrees_with_scalars():
     for i, t in enumerate(ts):
         assert traj.q[5, i] == pytest.approx(q_last(HEAVY, float(t), 5),
                                              rel=1e-14)
+
+
+FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
+                       kappa1=0.55, kappa2=0.3)
+
+
+@pytest.mark.parametrize("params", [CANON, HEAVY, FRACTIONAL])
+@pytest.mark.parametrize("n", [10, 1000, 20000])
+def test_q_last_is_bitwise_last_of_q_iterate(params, n):
+    # one q step for both: scalar against scalar and grid against grid
+    # (not scalar against grid: vector pow may differ from scalar pow by
+    # an ulp)
+    for t in (0.0, 0.3, 0.97):
+        assert q_last(params, t, n) == q_iterate(params, t, n).q[-1]
+    grid = np.array([0.0, 0.3, 0.97])
+    assert np.array_equal(q_last(params, grid, n),
+                          q_iterate(params, grid, n).q[-1])
 
 
 def test_q_monotone_and_positive():

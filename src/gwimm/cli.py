@@ -257,6 +257,14 @@ def _verify_checks(cfg: RunConfig):
     lo, hi, _ = u_dp_curve(canon, "stopped", 25, M=512)
     inside = bool(np.all((rt.u[:26] >= lo - 1e-9) & (rt.u[:26] <= hi + 1e-9)))
     yield "dp_bracket_contains_renewal", inside, _fmt(float(hi[25] - lo[25]))
+    frac = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5,
+                     kappa1=0.5, kappa2=0.3)
+    u = build_renewal(frac, 20).u
+    lo, hi, dist = u_dp_curve(frac, "stopped", 20, M=1024)
+    pad = 1e-9 + dist.alias_bound
+    inside = bool(np.all((u >= lo - pad) & (u <= hi + pad)))
+    yield ("dp_fractional_bracket", dist.alias_bound > 0.0 and inside,
+           _fmt(dist.alias_bound))
 
     q3 = float(q_last(canon, 0.0, 3))
     yield "q_iteration_pin", abs(q3 - 0.3046875) < 1e-15, _fmt(q3)

@@ -152,22 +152,23 @@ def initial_pmf(params: LawParams, nmax: int) -> PmfTable:
     """Initial-size law: an atom 1-kappa0 at zero plus a scaled Sibuya law.
 
     Built from g_1 = kappa0*delta and the ratio g_{k+1}/g_k = (k-delta)/(k+1);
-    the mass above nmax is g_nmax * (nmax-delta)/delta exactly.
+    the mass above nmax is kappa0 * (nmax-delta) * prod_{j<nmax}
+    (j-delta)/(j+1) exactly.  This form carries no factor delta, so it
+    keeps full relative accuracy where delta is so small that the g_k
+    are subnormal; there it rounds to about kappa0, and it is capped at
+    kappa0, which the exact mass never exceeds.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     d, k0 = params.delta, params.kappa0
     probs = np.zeros(nmax + 1)
     probs[0] = 1.0 - k0
-    if nmax >= 1:
-        probs[1] = k0 * d
-    if nmax >= 2:
-        k = np.arange(1.0, nmax)
-        probs[2:] = probs[1] * np.cumprod((k - d) / (k + 1.0))
     if nmax == 0:
-        tail = k0
-    else:
-        tail = probs[nmax] * (nmax - d) / d
+        return PmfTable(probs=probs, truncation_mass=k0)
+    k = np.arange(1.0, nmax)
+    ratio = np.cumprod(np.concatenate(([1.0], (k - d) / (k + 1.0))))
+    probs[1:] = k0 * d * ratio
+    tail = min(k0, k0 * (nmax - d) * ratio[-1])
     return PmfTable(probs=probs, truncation_mass=tail)
 
 

@@ -32,6 +32,8 @@ from ._num import fsum, poly_mul_trunc, series_inverse
 
 _DIRECT_LIMIT = 10 ** 4      # direct O(n^2) convolution up to here, FFT beyond
 _ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
+_BABY_STEPS = 16             # powers Fz^1..Fz^b in the DP table; divides every M
+_GIANT_CHUNK = 8             # block polynomials formed per matrix product
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +106,16 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     """Generation-by-generation law of the chosen model on states {0..M}.
 
     Each step evaluates the one-step transform at the roots of unity of a
-    ring of size 4M: spectra of the truncated offspring and immigration
-    laws are combined by a Horner pass over the states (O(M^2) work per
-    step), then inverted.  Mass that escapes the truncation is tracked in
+    ring of size 4M, then inverts it.  The offspring part
+    sum_{w=1..M} pi[w] * Fz^w is evaluated by baby and giant steps
+    (Paterson & Stockmeyer 1973): a table of the powers Fz^1..Fz^b,
+    b = 16, is built once per call; one real matrix product of the states
+    (as M/b rows of b) with that table gives the M/b block polynomials;
+    a Horner pass in Fz^b over the blocks, top down, combines them.  The
+    product is formed 8 blocks at a time into a reused buffer, so it
+    never holds all M/b rows: at M = 4096 the table takes 2 MiB and the
+    buffer 1 MiB.  Each step does O(M^2) work, almost all of it in the
+    matrix product.  Mass that escapes the truncation is tracked in
     lost_mass, so [sum pi, sum pi + lost] brackets the true probability.
 
     For nu = 1 the step polynomial has degree at most 3M < 4M, so the
@@ -147,13 +156,25 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
             logF = _log_poly_at(np.log(fo.probs), logx)
             logB = _log_poly_at(np.log(bo.probs), logx)
 
+    powers = np.empty((_BABY_STEPS, len(Fz)), dtype=complex)
+    powers[0] = Fz
+    for j in range(1, _BABY_STEPS):
+        np.multiply(powers[j - 1], Fz, out=powers[j])
+    giant = powers[-1]
+    table = powers.view(float)                 # (b, 2 * (2M + 1)) real
+    blocks = M // _BABY_STEPS
+    buf = np.empty((min(_GIANT_CHUNK, blocks), table.shape[1]))
+
     p0pow = params.kappa1 ** np.arange(1.0, M + 1)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
+        coef = cur[1:].reshape(blocks, _BABY_STEPS)
         acc = np.zeros(len(Fz), dtype=complex)
-        for w in range(M, 0, -1):
-            acc += cur[w]
-            acc *= Fz
+        for top in range(blocks, 0, -len(buf)):   # len(buf) divides blocks
+            np.matmul(coef[top - len(buf):top], table, out=buf)
+            for row in buf.view(complex)[::-1]:
+                acc *= giant
+                acc += row
         if model is Model.STOPPED_Z:
             spec = Bz * acc
             atom = cur[0]
@@ -181,14 +202,6 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
                           alias_bound=alias)
 
 
-def _conditioned_init(params: LawParams, M: int) -> tuple[np.ndarray, float]:
-    g = initial_pmf(params, M)
-    pi0 = g.probs.copy()
-    pi0[0] = 0.0
-    pi0 /= params.kappa0
-    return pi0, g.truncation_mass / params.kappa0
-
-
 def u_exact_dp(params: LawParams, model, n: int, M: int = 4096,
                tol: float = 1e-3) -> tuple[float, float]:
     """Rigorous bracket for P(alive at generation n | positive start).
@@ -203,8 +216,12 @@ def u_exact_dp(params: LawParams, model, n: int, M: int = 4096,
 def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,
                tol: float = 1e-3) -> tuple[np.ndarray, np.ndarray, DpDistribution]:
     """Per-generation survival brackets (lo, hi) from one conditioned DP run."""
+    # given a positive start the initial law is Sibuya(delta), the
+    # kappa0 = 1 initial law; building it directly, not as the kappa0 law
+    # divided by kappa0, keeps it exact when kappa0 is tiny
+    g = initial_pmf(dataclasses.replace(params, kappa0=1.0), M)
     dist = dp_distribution(params, model, n, M, tol=tol,
-                           init=_conditioned_init(params, M))
+                           init=(g.probs, g.truncation_mass))
     hi = 1.0 - dist.pi[:, 0]
     lo = hi - dist.lost_mass
     return lo, hi, dist

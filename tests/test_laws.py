@@ -120,6 +120,16 @@ def test_initial_mass_accounting(nmax):
         pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("nmax", [4096, 10 ** 6])
+def test_initial_tail_keeps_accuracy_at_smallest_normal_delta(nmax):
+    # the weights g_n are subnormal here, but the mass above nmax is
+    # kappa0 * prod_{j<=nmax} (1 - delta/j), which equals kappa0 in floats
+    p = LawParams(nu=1.0, theta=1.0, delta=sys.float_info.min, kappa0=0.5,
+                  kappa1=0.5, kappa2=1.0)
+    assert initial_pmf(p, nmax).truncation_mass == \
+        pytest.approx(0.5, rel=1e-13)
+
+
 def test_offspring_tail_closed_form():
     # mass beyond n has survival form kappa1*nu*Gamma(n-nu)/(Gamma(1-nu)*
     # Gamma(n+1)); the table reaches it through the ratio recurrence instead

@@ -2,15 +2,18 @@
 
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 ren = importlib.import_module("gwimm.renewal")
 
 from gwimm.errors import (CapTooSmallError, InsufficientLengthError,
                           WrongRegimeError)
-from gwimm.laws import LawParams, immigration_pmf, offspring_pmf
+from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
+                        offspring_pmf)
 from gwimm.pgf import gamma_sequences
 from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
@@ -112,6 +115,98 @@ def test_dp_bracket_fractional_nu():
     pad = 1e-9 + dist.alias_bound
     for n in range(21):
         assert lo[n] - pad <= rt.u[n] <= hi[n] + pad
+
+
+def _per_state_dp(params, model, n, M, tol):
+    """Reference DP: the same recursion with acc(z) = sum_w pi[w] Fz^w
+    evaluated by a Horner pass over the states, one state at a time.
+    Returns (pi, lost_mass, alias_bound)."""
+    ring = 4 * M
+    fo, bo = offspring_pmf(params, M), immigration_pmf(params, M)
+    Fz = np.fft.rfft(fo.probs, n=ring)
+    Bz = np.fft.rfft(bo.probs, n=ring)
+    g = initial_pmf(params, M)
+    pi = np.zeros((n + 1, M + 1))
+    lost = np.zeros(n + 1)
+    pi[0], lost[0] = g.probs, g.truncation_mass
+    logx = math.log1p(ren._ALIAS_EXPONENT / ring)
+    with np.errstate(divide="ignore"):
+        logF = ren._log_poly_at(np.log(fo.probs), logx)
+        logB = ren._log_poly_at(np.log(bo.probs), logx)
+    alias = 0.0
+    for gen in range(1, n + 1):
+        cur = pi[gen - 1]
+        acc = np.zeros(len(Fz), dtype=complex)
+        for w in range(M, 0, -1):
+            acc += cur[w]
+            acc *= Fz
+        P0 = float(np.dot(cur[1:], params.kappa1 ** np.arange(1.0, M + 1)))
+        spec, atom = {"stopped": (Bz * acc, cur[0]),
+                      "z": (Bz * (acc + cur[0]), 0.0),
+                      "gated": (Bz * (acc - P0), cur[0] + P0)}[model]
+        out = np.fft.irfft(spec, n=ring)[:M + 1]
+        np.clip(out, 0.0, None, out=out)
+        out[0] += atom
+        pi[gen] = out
+        lost[gen] = max(lost[gen - 1], 1.0 - math.fsum(out.tolist()))
+        if params.nu < 1.0:
+            with np.errstate(divide="ignore"):
+                logS = ren._log_poly_at(np.log(cur), logF)
+            alias += math.exp(logB + logS - ring * logx)
+        if lost[gen] > tol:
+            raise CapTooSmallError(gen, lost[gen], tol)
+    return pi, lost, alias
+
+
+@pytest.mark.parametrize("M", [64, 512])
+@pytest.mark.parametrize("params", [CANON, FRAC], ids=["canon", "frac"])
+@pytest.mark.parametrize("model", ["stopped", "z", "gated"])
+def test_dp_step_matches_per_state_horner(model, params, M):
+    # tol = 1 keeps FRAC's heavy tails from stopping the run at M = 64
+    dist = dp_distribution(params, model, 12, M=M, tol=1.0)
+    pi, lost, alias = _per_state_dp(params, model, 12, M, tol=1.0)
+    assert np.max(np.abs(dist.pi - pi)) <= 1e-13
+    assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
+    assert dist.alias_bound == pytest.approx(alias, rel=1e-12, abs=0.0)
+    again = dp_distribution(params, model, 12, M=M, tol=1.0)
+    assert again.pi.tobytes() == dist.pi.tobytes()
+
+
+def test_dp_cap_too_small_at_reference_generation():
+    heavy = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
+                      kappa2=1.0)
+    with pytest.raises(CapTooSmallError) as ref:
+        _per_state_dp(heavy, "stopped", 30, 64, tol=1e-3)
+    with pytest.raises(CapTooSmallError) as info:
+        dp_distribution(heavy, "stopped", 30, M=64)
+    assert info.value.generation == ref.value.generation
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nu=UNIT, theta=UNIT,
+       delta=st.floats(min_value=sys.float_info.min, max_value=1.0),
+       kappa0=UNIT, frac=UNIT,
+       kappa2=st.floats(min_value=0.0, max_value=8.0, exclude_min=True))
+# the initial tail mass rounded above kappa0 (a lost mass > tol = 1)
+@example(nu=1.0, theta=1.0, delta=1.2065227197986961e-209, kappa0=1.0,
+         frac=1.0, kappa2=1.0)
+# kappa0 subnormal: the initial law divided by kappa0 was a unit atom
+@example(nu=1.0, theta=1.0, delta=0.75, kappa0=5e-324, frac=1.0, kappa2=1.0)
+def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
+                                                frac, kappa2):
+    # tol = 1 lets heavy tails widen the bracket instead of raising
+    # CapTooSmallError at this small M; the bracket stays rigorous
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 > 0.0)
+    p = LawParams(nu=nu, theta=theta, delta=delta, kappa0=kappa0,
+                  kappa1=kappa1, kappa2=kappa2)
+    u = build_renewal(p, 10).u
+    lo, hi, dist = u_dp_curve(p, "stopped", 10, M=256, tol=1.0)
+    pad = 1e-9 + dist.alias_bound
+    assert np.all(lo - pad <= u) and np.all(u <= hi + pad)
 
 
 def test_dp_unstopped_matches_transform_atom():

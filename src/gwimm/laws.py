@@ -234,21 +234,31 @@ def _inverse_cdf_table(pmf, params: LawParams, nmax: int):
     return cum[:stop], table.truncation_mass
 
 
-def _draw(table, tail_value, rng: np.random.Generator,
-          size: int) -> np.ndarray:
-    """Inverse-cdf draws from `table`; a draw beyond its last entry is
-    resolved exactly by `tail_value(v, lo)`, the smallest n >= lo with
-    P(X > n) < v."""
+def _draw(table, tail_value, rng: np.random.Generator, size: int,
+          lowest: int = 0) -> np.ndarray:
+    """Inverse-cdf draws from `table`, conditioned on X >= `lowest` (at
+    most the table length); a draw beyond its last entry is resolved
+    exactly by `tail_value(v, lo)`, the smallest n >= lo with P(X > n) < v.
+
+    The conditioning maps u into [cum[lowest-1], 1).  Its complement
+    v = 1 - u, uniform on (0, P(X >= lowest)], is formed directly, so the
+    tail walk keeps the relative precision of v.
+    """
     cum, tail = table
     u = rng.random(size)
+    if lowest:
+        c = cum[lowest - 1]
+        v = (1.0 - c) * (1.0 - u)
+        u = np.maximum(1.0 - v, c)
     x = np.searchsorted(cum, u, side="right")
     over = np.nonzero(x == len(cum))[0]
     if over.size:
         if tail <= 0.0:
             x[over] = len(cum) - 1
         else:
-            for i in over:
-                x[i] = tail_value(1.0 - u[i], len(cum))
+            vo = v[over] if lowest else 1.0 - u[over]
+            for i, vi in zip(over, vo.tolist()):
+                x[i] = tail_value(vi, len(cum))
     return x
 
 
@@ -308,15 +318,41 @@ def _sibuya_tail_value(delta: float, v: float, lo: int) -> int:
     return _tail_inverse(-math.lgamma(1.0 - delta), 1.0 - delta, v, lo)
 
 
+def _offspring_table(nu: float, kappa1: float):
+    # one cached table per (nu, kappa1), shared by the sampler and the split
+    return _inverse_cdf_table(offspring_pmf,
+                              LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
+                              _TABLE_CAP)
+
+
 def sample_offspring(params: LawParams, rng: np.random.Generator,
-                     size: int) -> np.ndarray:
-    """Exact offspring draws (int64; values above 2**62 are clipped)."""
+                     size: int, lowest: int = 0) -> np.ndarray:
+    """Exact offspring draws (int64; values above 2**62 are clipped),
+    conditioned on X >= `lowest`.  `lowest` may not exceed the cell count
+    of `offspring_split`, which caps it at the inverse-cdf table length."""
     nu, k1 = params.nu, params.kappa1
-    table = _inverse_cdf_table(offspring_pmf,
-                               LawParams(nu, 1.0, 1.0, 1.0, k1, 1.0),
-                               _TABLE_CAP)
+    table = _offspring_table(nu, k1)
+    if not 0 <= lowest <= len(table[0]):
+        raise ValueError(f"lowest={lowest} outside [0, {len(table[0])}]")
     return _draw(table, lambda v, lo: _offspring_tail_value(nu, k1, v, lo),
-                 rng, size)
+                 rng, size, lowest)
+
+
+@lru_cache(maxsize=64)
+def offspring_split(params: LawParams, cells: int) -> np.ndarray:
+    """Cell probabilities p_0, ..., p_{k-1}, P(X >= k) of the offspring law
+    (cached, read-only).
+
+    k is `cells`, or the length of the sampler's inverse-cdf table where
+    that is shorter (a tiny kappa1 or nu near 1 puts the 1 - 1e-12
+    quantile below `cells`), so `sample_offspring(..., lowest=k)` can
+    draw the tail cell.  The last entry is the exact closed-form tail mass.
+    """
+    k = min(cells, len(_offspring_table(params.nu, params.kappa1)[0]))
+    head = offspring_pmf(params, k - 1)
+    pvals = np.append(head.probs, head.truncation_mass)
+    pvals.flags.writeable = False
+    return pvals
 
 
 def sample_initial(params: LawParams, rng: np.random.Generator,

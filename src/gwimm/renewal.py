@@ -75,7 +75,11 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
         e[0] = 1.0
         e[1:] = -a[:-1].astype(float)
         r = series_inverse(e, n_max + 1)
-        u64 = poly_mul_trunc(d.astype(float) / params.kappa0, r, n_max + 1)
+        # d / kappa0 divided in extended precision and rounded once, so
+        # a subnormal kappa0 costs no digits; float64 output, no temporary
+        dk = np.divide(d, params.kappa0, out=np.empty(n_max + 1),
+                       casting="unsafe")
+        u64 = poly_mul_trunc(dk, r, n_max + 1)
     return RenewalTable(params=params, gamma0=g0.astype(float),
                         a=a.astype(float), d=d.astype(float), u=u64)
 

@@ -206,3 +206,14 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, line):
     assert err.startswith("gwimm: error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["survival", "simulate"])
+@pytest.mark.parametrize("cap", ["0", "9223372036854775807"])
+def test_bad_cap_exits_2(capsys, command, cap):
+    rc, out, err = run([command, "--cap", cap, "--horizon", "2",
+                        "--M", "256", "--reps", "10"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gwimm: error: cap=")
+    assert err.count("\n") == 1

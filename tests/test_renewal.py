@@ -1,5 +1,6 @@
 """Renewal system, truncated-state distributions, regime classification."""
 
+import dataclasses
 import importlib
 import math
 import sys
@@ -69,6 +70,16 @@ def test_direct_and_series_inverse_routes_agree(monkeypatch):
     monkeypatch.setattr(ren, "_DIRECT_LIMIT", 32)
     fft = build_renewal(FRAC, 700).u
     assert np.max(np.abs(ref - fft)) < 1e-11
+
+
+def test_series_inverse_route_with_subnormal_kappa0():
+    # u does not depend on kappa0: above n = 10^4 the d / kappa0 quotient
+    # must be formed before rounding, or a subnormal d loses its digits
+    p = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=1.0, kappa1=0.5,
+                  kappa2=0.7)
+    ref = build_renewal(p, 20_000).u
+    tiny = build_renewal(dataclasses.replace(p, kappa0=1e-310), 20_000).u
+    assert np.max(np.abs(tiny - ref) / ref) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,16 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 # gwimm re-exports the simulate() function, so grab the module explicitly
 sim = importlib.import_module("gwimm.simulate")
-from gwimm.errors import DegenerateConditioningError
-from gwimm.laws import (LawParams, initial_pgf, offspring_pmf)
+from gwimm.errors import DegenerateConditioningError, OutOfRangeError
+from gwimm.laws import (LawParams, initial_pgf, offspring_pmf,
+                        offspring_split, sample_offspring)
 from gwimm.pgf import h_n
 from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
@@ -66,6 +68,14 @@ def test_thread_count_does_not_change_counts():
     b = estimate_survival(CANON, "stopped", 10, 50_000, seed=5, threads=3)
     assert np.array_equal(a.survival_counts, b.survival_counts)
     assert np.array_equal(a.censored_counts, b.censored_counts)
+    # nu < 1: the head/tail split and its chunked tail draws
+    a = estimate_survival(MIXED, "z", 10, 50_000, seed=5, threads=1,
+                          cap=10_000)
+    b = estimate_survival(MIXED, "z", 10, 50_000, seed=5, threads=3,
+                          cap=10_000)
+    assert np.array_equal(a.survival_counts, b.survival_counts)
+    assert np.array_equal(a.censored_counts, b.censored_counts)
+    assert a.censored > 0
 
 
 def test_thread_count_does_not_change_laplace_bits():
@@ -101,6 +111,34 @@ def test_life_period_below_survival_when_unstopped():
     assert b.survival_counts[12] < a.survival_counts[12]
 
 
+def convolution_power(base: np.ndarray, w: int, nmax: int) -> np.ndarray:
+    """Law of the sum of w iid draws from `base` on {0, ..., nmax}; exact
+    there as long as `base` holds the law on {0, ..., nmax}."""
+    out = np.zeros(nmax + 1)
+    out[0] = 1.0
+    while w:
+        if w & 1:
+            out = np.convolve(out, base)[:nmax + 1]
+        base = np.convolve(base, base)[:nmax + 1]
+        w >>= 1
+    return out
+
+
+def assert_cells_match(draws: np.ndarray, law: np.ndarray, label) -> None:
+    """Every cell with at least 10 expected hits, and the lump of all
+    other values, within 4 sigma of the exact law (exact on its whole
+    range, which must reach past the checked cells)."""
+    n = len(draws)
+    cells = np.nonzero(law * n >= 10.0)[0]
+    assert cells.size and cells[-1] < len(law) - 1, label
+    freq = np.bincount(draws[draws <= cells[-1]], minlength=cells[-1] + 1)
+    probs = np.append(law[cells], 1.0 - law[cells].sum())
+    hits = np.append(freq[cells], n - freq[cells].sum())
+    se = np.sqrt(probs * (1.0 - probs) / n)
+    gap = np.abs(hits / n - probs)
+    assert np.all(gap < 4.0 * se + 1e-12), (label, float(np.max(gap / se)))
+
+
 def test_multinomial_split_matches_convolved_law():
     # nu = 1 path sums w = 3 offspring through a binomial split; the law
     # must match the three-fold convolution of (k1, 1-2k1, k1)
@@ -113,16 +151,85 @@ def test_multinomial_split_matches_convolved_law():
         freq = np.mean(draws == k)
         se = math.sqrt(law[k] * (1.0 - law[k]) / 200_000)
         assert abs(freq - law[k]) < 4.0 * se
-
-
-def test_chunked_path_is_chunk_size_invariant(monkeypatch):
+    # nu < 1: one multinomial over the head cells and the tail cell, then
+    # per-individual tail draws.  Mixed population sizes in one call; the
+    # tail cell is filled in ~0.1% of the rows for w = 1, ~4% for w = 50
+    # and ~1/3 for w = 500.  The oracle is the w-fold convolution of the
+    # offspring law
     p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
-    pops = np.array([4, 1, 30, 2, 11, 7])
+    sizes, n = (1, 3, 50, 500), 50_000
+    draws = sim._offspring_sums(p, stream(19, 0), np.repeat(sizes, n))
+    nmax = 4000
+    base = offspring_pmf(p, nmax).probs
+    for i, w in enumerate(sizes):
+        row = draws[i * n:(i + 1) * n]
+        assert np.all(row >= 0)
+        assert_cells_match(row, convolution_power(base, w, nmax), w)
+
+
+def test_tail_draws_follow_the_conditional_law():
+    # X | X >= K: every draw at least K, frequencies p_k / P(X >= K)
+    for nu in (0.5, 0.95):
+        p = LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                      kappa2=1.0)
+        pvals = offspring_split(p, sim._SPLIT_CELLS)
+        k = len(pvals) - 1
+        assert k == sim._SPLIT_CELLS
+        draws = sample_offspring(p, stream(23, 0), 200_000, lowest=k)
+        assert draws.min() >= k
+        law = offspring_pmf(p, 5000).probs.copy()
+        law[:k] = 0.0
+        assert_cells_match(draws, law / pvals[-1], nu)
+
+
+def test_split_cells_stop_at_the_table_length():
+    # a tiny kappa1 puts the sampler table's 1 - 1e-12 quantile at 1, so
+    # the split keeps two head cells; the tail cell is still exact
+    p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=1e-13,
+                  kappa2=1.0)
+    pvals = offspring_split(p, sim._SPLIT_CELLS)
+    assert len(pvals) == 3
+    assert pvals[-1] == pytest.approx(p.kappa1 * p.nu, rel=1e-15)
+    draws = sample_offspring(p, stream(29, 0), 10_000, lowest=2)
+    assert draws.min() >= 2
+    with pytest.raises(ValueError):
+        sample_offspring(p, stream(29, 0), 1, lowest=3)
+    sums = sim._offspring_sums(p, stream(29, 1), np.full(1000, 100))
+    assert np.all(sums >= 0)
+
+
+def test_tail_path_is_chunk_size_invariant(monkeypatch):
+    # populations large enough that their tail cells hold many more
+    # individuals than one chunk, so the tail spans several chunks
+    p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    pops = np.array([40_000, 1, 300_000, 2, 110_000, 7, 90_000])
+    tails = stream(2, 0).multinomial(
+        pops, offspring_split(p, sim._SPLIT_CELLS))[:, -1]
+    assert tails.sum() > 20 * 7 and np.count_nonzero(tails) >= 4
     ref = sim._offspring_sums(p, stream(2, 0), pops)
     monkeypatch.setattr(sim, "_CHUNK", 7)
     small = sim._offspring_sums(p, stream(2, 0), pops)
     assert np.array_equal(ref, small)
+
+
+def test_huge_population_keeps_memory_bounded(monkeypatch):
+    # 10^9 individuals at nu = 1/2: the tail cell holds ~10^6 of them,
+    # drawn in chunks of 2^16, so the peak allocation stays a few chunks
+    p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    monkeypatch.setattr(sim, "_CHUNK", 1 << 16)
+    tracemalloc.start()
+    try:
+        total = sim._offspring_sums(p, stream(37, 0),
+                                    np.array([10 ** 9]))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * (1 << 16)
+    # mean 1 per individual; the fluctuations are of order 10^6
+    assert abs(total - 10 ** 9) < 10 ** 8
 
 
 def test_model_ordering_in_positivity():
@@ -200,3 +307,23 @@ def test_input_validation():
         simulate(CANON, "not-a-model", 3)
     with pytest.raises(ValueError):
         conditional_laplace_mc(CANON, "z", 2, -1.0, reps=10, seed=0)
+
+
+@pytest.mark.parametrize("cap", [0, -5, sim.MAX_CAP + 1, 2 ** 63 - 1])
+def test_cap_is_validated_by_every_entry_point(cap):
+    # cap 0 would freeze every replicate; a cap near 2**63 lets the int64
+    # offspring sums wrap
+    calls = [
+        lambda: simulate(CANON, "stopped", 3, cap=cap),
+        lambda: estimate_survival(CANON, "stopped", 3, 10, seed=0, cap=cap),
+        lambda: sample_life_period(CANON, "z", 10, 3, seed=0, cap=cap),
+        lambda: conditional_laplace_mc(CANON, "z", 2, 1.0, reps=10, seed=0,
+                                       cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRangeError, match="cap"):
+            call()
+    # the bounds themselves are admissible
+    for ok in (1, sim.MAX_CAP):
+        assert estimate_survival(CANON, "stopped", 3, 10, seed=0,
+                                 cap=ok).reps == 10

@@ -199,6 +199,16 @@ def test_split_cells_stop_at_the_table_length():
     assert np.all(sums >= 0)
 
 
+def test_chunked_path_is_chunk_size_invariant(monkeypatch):
+    p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    pops = np.array([4, 1, 30, 2, 11, 7])
+    ref = sim._offspring_sums(p, stream(2, 0), pops)
+    monkeypatch.setattr(sim, "_CHUNK", 7)
+    small = sim._offspring_sums(p, stream(2, 0), pops)
+    assert np.array_equal(ref, small)
+
+
 def test_tail_path_is_chunk_size_invariant(monkeypatch):
     # populations large enough that their tail cells hold many more
     # individuals than one chunk, so the tail spans several chunks

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._num import cumsum_extended, fsum
+from ._num import cumsum_extended, fsum, ratio_cumprod
 from .errors import DegenerateThetaError, NonPmfError, OutOfRangeError
 
 # inverse-cdf tables stop at this quantile or this many entries, whichever
@@ -46,7 +46,7 @@ class LawParams:
     delta            : [smallest normal float, 1]
     kappa0           : (0, 1]
     kappa1           : (0, 1/(1+nu)]   (else the offspring weights are no pmf)
-    kappa2           : (0, inf)
+    kappa2           : (0, inf), finite
     """
 
     nu: float
@@ -67,8 +67,8 @@ class LawParams:
                                   self.delta)
         if not 0.0 < self.kappa0 <= 1.0:
             raise OutOfRangeError("kappa0", "0 < kappa0 <= 1", self.kappa0)
-        if not self.kappa2 > 0.0:
-            raise OutOfRangeError("kappa2", "kappa2 > 0", self.kappa2)
+        if not 0.0 < self.kappa2 < math.inf:
+            raise OutOfRangeError("kappa2", "0 < kappa2 < inf", self.kappa2)
         if not self.kappa1 > 0.0:
             raise OutOfRangeError("kappa1", "kappa1 > 0", self.kappa1)
         if self.kappa1 * (1.0 + self.nu) > 1.0:
@@ -137,8 +137,8 @@ def offspring_pmf(params: LawParams, nmax: int) -> PmfTable:
     if nmax >= 2:
         probs[2] = k1 * (1.0 + nu) * nu / 2.0
     if nmax >= 3:
-        k = np.arange(2.0, nmax)
-        probs[3:] = probs[2] * np.cumprod((k - 1.0 - nu) / (k + 1.0))
+        probs[3:] = probs[2] * ratio_cumprod(1.0 + np.longdouble(nu), 2,
+                                             nmax)
     if nmax == 0:
         tail = 1.0 - k1
     elif nmax == 1:
@@ -165,10 +165,9 @@ def initial_pmf(params: LawParams, nmax: int) -> PmfTable:
     probs[0] = 1.0 - k0
     if nmax == 0:
         return PmfTable(probs=probs, truncation_mass=k0)
-    k = np.arange(1.0, nmax)
-    ratio = np.cumprod(np.concatenate(([1.0], (k - d) / (k + 1.0))))
-    probs[1:] = k0 * d * ratio
-    tail = min(k0, k0 * (nmax - d) * ratio[-1])
+    ratio = np.concatenate(([1.0], ratio_cumprod(d, 1, nmax)))
+    probs[1:] = np.longdouble(k0) * d * ratio
+    tail = min(k0, float(k0 * (nmax - np.longdouble(d)) * ratio[-1]))
     return PmfTable(probs=probs, truncation_mass=tail)
 
 
@@ -189,8 +188,7 @@ def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
         c = np.zeros(nmax + 1)
         c[1] = k2 * th
         if nmax >= 2:
-            k = np.arange(1.0, nmax)
-            c[2:] = c[1] * np.cumprod((k - th) / (k + 1.0))
+            c[2:] = c[1] * ratio_cumprod(th, 1, nmax)
         kc = c * np.arange(nmax + 1.0)
         for n in range(1, nmax + 1):
             b[n] = np.dot(kc[1:n + 1], b[n - 1::-1]) / n

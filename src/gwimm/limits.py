@@ -294,19 +294,20 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
     scaling, limit_fn = _SWEEPS[theorem_id]
+    table = build_renewal(params, int(n_grid[-1]))
     if theorem_id == "balanced_weak":
         needs_k5 = _sigma(params) < 1.0 - params.delta / params.nu \
             - _BOUNDARY_TOL
         if needs_k5 and K5 is None:
-            rep = fit_tail(build_renewal(params, 10 ** 5).u,
-                           classify_regime(params))
+            fit_u = (table.u if len(table.u) == 10 ** 5 + 1
+                     else build_renewal(params, 10 ** 5).u)
+            rep = fit_tail(fit_u, classify_regime(params))
             # K5 is the constant of the unconditional survival kappa0*u_n,
             # so the kappa0 in the atom of lambda_limit cancels against it
             K5 = params.kappa0 * rep.constants["K"]
         limit = np.array([lambda_limit(params, s, K5) for s in s_grid])
     else:
         limit = np.array([limit_fn(params, float(s)) for s in s_grid])
-    table = build_renewal(params, int(n_grid[-1]))
     computed = np.empty((len(n_grid), len(s_grid)))
     for i, n in enumerate(n_grid):
         for j, s in enumerate(s_grid):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import LawParams
+from ._num import ext_power
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def theta_sums(params: LawParams, q0: float, n: int):
     keeps S accurate to ~1e-15 relative at n = 1e6.
     """
     q = np.fromiter(_q_steps(params, q0, n), dtype=float)
-    qt = q.astype(np.longdouble) ** np.longdouble(params.theta)
+    qt = ext_power(q, params.theta)
     S = np.concatenate((np.zeros(1, dtype=np.longdouble), np.cumsum(qt)))
     return q, qt, S
 

@@ -28,7 +28,7 @@ from .errors import (CapTooSmallError, InsufficientLengthError,
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
 from .pgf import theta_sums, theta_tail_bounds
-from ._num import fsum, poly_mul_trunc, series_inverse
+from ._num import ext_power, fsum, round_to_float64, series_quotient
 
 _DIRECT_LIMIT = 10 ** 4      # direct O(n^2) convolution up to here, FFT beyond
 _ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
@@ -52,17 +52,19 @@ class RenewalTable:
 def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     """Tabulate gamma0, a, d and the survival sequence u up to n_max.
 
-    Construction runs in extended precision; the recurrence is solved by
-    direct convolution up to n = 10^4 and through a Newton series inverse
-    of 1 - A(x) beyond that.
+    The weights are built in extended precision and rounded once to
+    float64.  Up to n = 10^4 the recurrence is solved by direct
+    convolution in extended precision.  Beyond that u is the series
+    quotient (d/kappa0)(x) / (1 - x*A(x)) in float64, by a Newton inverse
+    of 1 - x*A(x) to half the FFT size and one fused Karp-Markstein step
+    (`series_quotient`).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     q, qt, S = theta_sums(params, 1.0, n_max)
     g0 = np.exp(-np.longdouble(params.kappa2) * S[:-1])
     a = g0 * (-np.expm1(-np.longdouble(params.kappa2) * qt))
-    d = (np.longdouble(params.kappa0) * g0
-         * q.astype(np.longdouble) ** np.longdouble(params.delta))
+    d = np.longdouble(params.kappa0) * g0 * ext_power(q, params.delta)
 
     if n_max <= _DIRECT_LIMIT:
         u = np.empty(n_max + 1, dtype=np.longdouble)
@@ -70,18 +72,18 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
         for k in range(1, n_max + 1):
             u[k] = d[k] / params.kappa0 + np.dot(a[:k], u[k - 1::-1])
         u64 = u.astype(float)
+        a64 = round_to_float64(a)
     else:
+        # d / kappa0 is divided in extended precision and rounded once,
+        # before d itself is rounded, so a subnormal kappa0 costs no digits
+        dk = round_to_float64(d, params.kappa0)
+        a64 = round_to_float64(a)
         e = np.empty(n_max + 1)
         e[0] = 1.0
-        e[1:] = -a[:-1].astype(float)
-        r = series_inverse(e, n_max + 1)
-        # d / kappa0 divided in extended precision and rounded once, so
-        # a subnormal kappa0 costs no digits; float64 output, no temporary
-        dk = np.divide(d, params.kappa0, out=np.empty(n_max + 1),
-                       casting="unsafe")
-        u64 = poly_mul_trunc(dk, r, n_max + 1)
-    return RenewalTable(params=params, gamma0=g0.astype(float),
-                        a=a.astype(float), d=d.astype(float), u=u64)
+        e[1:] = -a64[:-1]
+        u64 = series_quotient(dk, e, n_max + 1)
+    return RenewalTable(params=params, gamma0=round_to_float64(g0), a=a64,
+                        d=round_to_float64(d), u=u64)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +262,9 @@ def classify_regime(params: LawParams, tol: float = 1e-9,
     rho = dl / nu
 
     def close(x: float, y: float) -> bool:
-        return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+        # an overflowed sigma is far from every boundary, not close to it
+        return (math.isfinite(x) and math.isfinite(y)
+                and abs(x - y) <= tol * max(1.0, abs(x), abs(y)))
 
     if assume is not None:
         if assume == "R2":

@@ -38,6 +38,14 @@ def test_validate_rejects_bad_params(capsys):
     assert "gwimm: error:" in err
 
 
+def test_validate_rejects_infinite_kappa2(capsys):
+    rc, out, err = run(["validate", "--kappa2", "inf"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gwimm: error: kappa2=inf")
+    assert err.count("\n") == 1
+
+
 def test_pmf_offspring_rows(tmp_path, capsys):
     out = tmp_path / "pmf.csv"
     rc, _, _ = run(["pmf", "--law", "offspring", "--nmax", "4",

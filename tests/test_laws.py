@@ -130,6 +130,21 @@ def test_initial_tail_keeps_accuracy_at_smallest_normal_delta(nmax):
         pytest.approx(0.5, rel=1e-13)
 
 
+@pytest.mark.parametrize("nmax", [10 ** 5, 10 ** 6])
+def test_initial_tail_against_mpmath(nmax):
+    # mass above nmax is kappa0 * Gamma(nmax+1-delta) / (Gamma(1-delta) *
+    # Gamma(nmax+1)); 10^6 ratio products keep it to ~1e-14 relative
+    mpmath = pytest.importorskip("mpmath")
+    p = LawParams(nu=1.0, theta=1.0, delta=0.4, kappa0=0.7, kappa1=0.5,
+                  kappa2=1.0)
+    d, k0 = mpmath.mpf(p.delta), mpmath.mpf(p.kappa0)
+    with mpmath.workdps(30):
+        ref = k0 * mpmath.gamma(nmax + 1 - d) / (mpmath.gamma(1 - d)
+                                                  * mpmath.gamma(nmax + 1))
+        tail = initial_pmf(p, nmax).truncation_mass
+        assert float(abs(tail - ref) / ref) < 1e-13
+
+
 def test_offspring_tail_closed_form():
     # mass beyond n has survival form kappa1*nu*Gamma(n-nu)/(Gamma(1-nu)*
     # Gamma(n+1)); the table reaches it through the ratio recurrence instead
@@ -344,6 +359,9 @@ def test_params_validation_taxonomy():
     with pytest.raises(OutOfRangeError):
         LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=0.0)
+    with pytest.raises(OutOfRangeError):
+        LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=math.inf)
     with pytest.raises(NonPmfError):
         LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.6,
                   kappa2=1.0)

@@ -226,6 +226,22 @@ def test_sweep_weak_branch_no_constant_needed():
     assert np.allclose(chk.limit, [1.0 / 1.5, 0.5], rtol=1e-12)
 
 
+def test_sweep_weak_branch_builds_one_renewal_table(monkeypatch):
+    # K5 is fitted on a length-10^5 table; a grid ending at 10^5 reuses it
+    built = []
+
+    def counting_build(params, n_max):
+        built.append(n_max)
+        return build_renewal(params, n_max)
+
+    monkeypatch.setattr("gwimm.limits.build_renewal", counting_build)
+    p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
+                  kappa2=0.25)
+    chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 5])
+    assert built == [10 ** 5]
+    assert np.all(np.isfinite(chk.limit))
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         convergence_sweep(CANON, "balanced_strong", [1.0, 0.5], [10, 100])

@@ -72,6 +72,19 @@ def test_direct_and_series_inverse_routes_agree(monkeypatch):
     assert np.max(np.abs(ref - fft)) < 1e-11
 
 
+@pytest.mark.parametrize("n, bound", [(4095, 3e-13), (16383, 1.5e-12)])
+def test_fft_route_on_ill_conditioned_r0(monkeypatch, n, bound):
+    # R0: gamma0 -> 0, so 1 - x*A(x) vanishes at x = 1 and the inverse
+    # does not decay; the FFT route's error grows along the series
+    p = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    monkeypatch.setattr(ren, "_DIRECT_LIMIT", n)
+    ref = build_renewal(p, n).u
+    monkeypatch.setattr(ren, "_DIRECT_LIMIT", 32)
+    fft = build_renewal(p, n).u
+    assert np.max(np.abs(fft - ref) / ref) < bound
+
+
 def test_series_inverse_route_with_subnormal_kappa0():
     # u does not depend on kappa0: above n = 10^4 the d / kappa0 quotient
     # must be formed before rounding, or a subnormal d loses its digits
@@ -268,6 +281,9 @@ def law(nu, th, dl, k0, k1, k2):
     (law(1.0, 1.0, 0.8, 0.6, 0.5, 0.05), "R5", 0.8, "none"),
     (law(0.95, 1.0, 0.9, 0.5, 0.5, 0.3), "R6", 0.9 / 0.95, "none"),
     (law(0.5, 1.0, 0.5, 0.5, 0.5, 0.5), "UNCOVERED", None, "none"),
+    # sigma = kappa2/(kappa1*nu) overflows to inf: far above 1, not near it
+    (law(1.0, 1.0, 1.0, 1.0, 0.5, 1e308), "R1", 0.0, "none"),
+    (law(0.5, 0.5, 1.0, 1.0, 1e-300, 1e10), "R1", 0.0, "none"),
 ])
 def test_classifier_table(params, rid, alpha, corr):
     rep = classify_regime(params)

@@ -46,6 +46,7 @@ class LawParams:
     delta            : [smallest normal float, 1]
     kappa0           : (0, 1]
     kappa1           : (0, 1/(1+nu)]   (else the offspring weights are no pmf)
+                       and kappa1*nu >= smallest normal float
     kappa2           : (0, inf), finite
     """
 
@@ -71,6 +72,12 @@ class LawParams:
             raise OutOfRangeError("kappa2", "0 < kappa2 < inf", self.kappa2)
         if not self.kappa1 > 0.0:
             raise OutOfRangeError("kappa1", "kappa1 > 0", self.kappa1)
+        # kappa1*nu scales the offspring tail and divides the regime's
+        # sigma: a subnormal product underflows in both
+        if self.kappa1 * self.nu < sys.float_info.min:
+            raise OutOfRangeError("kappa1",
+                                  "kappa1*nu >= smallest normal float",
+                                  self.kappa1)
         if self.kappa1 * (1.0 + self.nu) > 1.0:
             raise NonPmfError("kappa1", "kappa1 <= 1/(1+nu)", self.kappa1)
 

@@ -1,11 +1,14 @@
 """Command-line surface: resolution order, manifests, determinism, formats."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwimm.cli import main
 
@@ -44,6 +47,47 @@ def test_validate_rejects_infinite_kappa2(capsys):
     assert out == ""
     assert err.startswith("gwimm: error: kappa2=inf")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "regime"])
+def test_underflowing_kappa1_nu_is_rejected(command, capsys):
+    # kappa1*nu = 0 in float64 used to divide by zero in classify_regime
+    rc, out, err = run([command, "--kappa1", "5e-324", "--nu", "0.5"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gwimm: error: kappa1=5e-324")
+    assert err.count("\n") == 1
+
+
+# the closed unit interval: 0, subnormals, the smallest normal float, 1
+CLOSED_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["validate", "regime"]),
+       nmax=st.sampled_from([1, 10, 1000]),
+       nu=CLOSED_UNIT, theta=CLOSED_UNIT, delta=CLOSED_UNIT,
+       kappa0=CLOSED_UNIT, frac=CLOSED_UNIT,
+       kappa2=st.floats(min_value=0.0, max_value=1e300))
+@example(command="validate", nmax=1, nu=0.5, theta=1.0, delta=1.0,
+         kappa0=1.0, frac=5e-324, kappa2=1.0)
+@example(command="regime", nmax=1000, nu=0.5, theta=1.0, delta=1.0,
+         kappa0=1.0, frac=5e-324, kappa2=1.0)
+def test_no_traceback_over_the_box(command, nmax, nu, theta, delta, kappa0,
+                                   frac, kappa2):
+    # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
+    # must end in exit 2 with one line, never in an exception
+    argv = [command, "--nmax", str(nmax)]
+    for key, val in (("nu", nu), ("theta", theta), ("delta", delta),
+                     ("kappa0", kappa0), ("kappa1", frac / (1.0 + nu)),
+                     ("kappa2", kappa2)):
+        argv += ["--" + key, repr(val)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), argv
+    if rc == 2:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
 
 
 def test_pmf_offspring_rows(tmp_path, capsys):

@@ -289,7 +289,7 @@ def test_sampler_tables_account_for_all_mass(nu, frac, delta):
     # both inverse-cdf tables, built as the samplers build them: the tail
     # mass closes the table to 1 and equals the closed form at its end
     kappa1 = frac / (1.0 + nu)
-    assume(kappa1 > 0.0 and kappa1 * (1.0 + nu) <= 1.0)
+    assume(kappa1 * nu >= sys.float_info.min and kappa1 * (1.0 + nu) <= 1.0)
     tables = [
         (_inverse_cdf_table(offspring_pmf,
                             LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
@@ -368,6 +368,14 @@ def test_params_validation_taxonomy():
     with pytest.raises(OutOfRangeError):     # subnormal: weights underflow
         LawParams(nu=1.0, theta=1.0, delta=5e-324, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
+    # kappa1*nu below the smallest normal float: zero or subnormal, so the
+    # regime's sigma and the offspring tail would divide by or log it
+    for nu, kappa1 in ((0.5, 5e-324), (1.0, 1e-308), (1e-300, 1e-9)):
+        with pytest.raises(OutOfRangeError, match="kappa1"):
+            LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=kappa1,
+                      kappa2=1.0)
+    LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0,
+              kappa1=sys.float_info.min, kappa2=1.0)
     # boundary kappa1 = 1/(1+nu) is admissible (offspring atom p1 = 0)
     p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)

@@ -224,7 +224,7 @@ def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
     # tol = 1 lets heavy tails widen the bracket instead of raising
     # CapTooSmallError at this small M; the bracket stays rigorous
     kappa1 = frac / (1.0 + nu)
-    assume(kappa1 > 0.0)
+    assume(kappa1 * nu >= sys.float_info.min)
     p = LawParams(nu=nu, theta=theta, delta=delta, kappa0=kappa0,
                   kappa1=kappa1, kappa2=kappa2)
     u = build_renewal(p, 10).u

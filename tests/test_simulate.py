@@ -3,6 +3,7 @@
 import importlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 sim = importlib.import_module("gwimm.simulate")
 from gwimm.errors import DegenerateConditioningError, OutOfRangeError
 from gwimm.laws import (LawParams, initial_pgf, offspring_pmf,
-                        offspring_split, sample_offspring)
+                        offspring_split, sample_initial, sample_offspring)
 from gwimm.pgf import h_n
 from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
@@ -166,6 +167,135 @@ def test_multinomial_split_matches_convolved_law():
         row = draws[i * n:(i + 1) * n]
         assert np.all(row >= 0)
         assert_cells_match(row, convolution_power(base, w, nmax), w)
+
+
+def exact_sum_cdf(one, k1, w):
+    """cdf at 0, ..., 2w-1 of a sum of w nu = 1 offspring, in the number
+    type of `one`: the weights T_k of (a + b*s + a*s**2)**w, a = k1,
+    b = 1 - 2*k1, follow (k+1)*a*T_{k+1} = b*(w-k)*T_k + a*(2w-k+1)*T_{k-1}
+    (from P*Q' = w*P'*Q), a sum of nonnegative terms up to k = w, and
+    T_{2w-k} = T_k."""
+    a = one * k1
+    b = one - 2 * a
+    t, prev = [a ** w], one * 0
+    for k in range(w):
+        t_next = (b * (w - k) * t[-1] + a * (2 * w - k + 1) * prev) \
+            / (a * (k + 1))
+        prev = t[-1]
+        t.append(t_next)
+    t += t[-2::-1]
+    cdf, acc = [], one * 0
+    for tk in t[:-1]:
+        acc += tk
+        cdf.append(acc)
+    return cdf
+
+
+@pytest.mark.parametrize("k1", [0.3, 0.5, 0.1, 2.0 ** -40, 5e-324])
+def test_sum_table_rows_are_the_exact_cdf(k1):
+    # every implied cdf value c_k / 2**53 (2**53 past a trimmed row) lies
+    # within 2**-52 of the exact cdf; a float64 k1 is a dyadic rational,
+    # so Fraction is exact, and 60 digits leave ~1e-58 at w = W
+    mpmath = pytest.importorskip("mpmath")
+    keys, offs, _ = sim._sum_table(k1)
+    for w in (1, 2, 3, 17, 64, sim._SUM_ROWS):
+        row = (keys[offs[w]:offs[w + 1]] - (w << 53)).tolist()
+        assert len(row) <= 2 * w and row == sorted(row), w
+        row += [1 << 53] * (2 * w - len(row))
+        if w <= 64:
+            cdf = exact_sum_cdf(Fraction(1), Fraction(k1), w)
+            gaps = [abs(Fraction(c, 1 << 53) - f) for c, f in zip(row, cdf)]
+            assert max(gaps) <= Fraction(1, 1 << 52), (k1, w)
+        else:
+            with mpmath.workdps(60):
+                cdf = exact_sum_cdf(mpmath.mpf(1), mpmath.mpf(k1), w)
+                gaps = [abs(mpmath.mpf(c) / 2 ** 53 - f)
+                        for c, f in zip(row, cdf)]
+                assert max(gaps) <= mpmath.mpf(2) ** -52, (k1, w)
+
+
+class FixedUniforms:
+    """Stands in for a Generator: `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("k1", [0.3, 0.5])
+def test_guide_matches_searchsorted_everywhere(k1):
+    # U at every key and its neighbours, at both ends of every bucket,
+    # and at 10**6 random points, in every row: the guide answers exactly
+    # where it answers, and `_table_sums` gives the searchsorted count
+    keys, offs, guide = sim._sum_table(k1)
+    bits, top = sim._GUIDE_BITS, (1 << 53) - 1
+    width = 1 << (53 - bits)
+    ends = np.concatenate([np.arange(1 << bits) * width,
+                           np.arange(1, (1 << bits) + 1) * width - 1])
+    ws, us = [], []
+    for w in range(1, sim._SUM_ROWS + 1):
+        c = keys[offs[w]:offs[w + 1]] - (w << 53)
+        u = np.clip(np.concatenate([c - 1, c, c + 1, ends]), 0, top)
+        ws.append(np.full(len(u), w))
+        us.append(u)
+    gen = np.random.default_rng(11)
+    ws.append(gen.integers(1, sim._SUM_ROWS + 1, 10 ** 6))
+    us.append(gen.integers(0, 1 << 53, 10 ** 6))
+    w, u = np.concatenate(ws), np.concatenate(us)
+    want = np.searchsorted(keys, (w << 53) + u, side="right") - offs[w]
+    hint = guide[(w << bits) + (u >> (53 - bits))]
+    assert np.all((hint < 0) | (hint == want))
+    assert 0.5 < np.mean(hint >= 0) < 1.0
+    got = sim._table_sums(k1, FixedUniforms(u / 2.0 ** 53), w)
+    assert np.array_equal(got, want)
+
+
+def test_guide_row_at_bucket_edges():
+    # keys on the first and last U of buckets, twice on one U, and none
+    # in most buckets: the guide answers exactly where it answers
+    width = 1 << (53 - sim._GUIDE_BITS)
+    c = np.array([0, 5, width - 1, width - 1, width, 3 * width - 1,
+                  7 * width + 3, 9 * width, 10 * width - 1], dtype=np.int64)
+    row = sim._guide_row(c)
+    u = np.clip(np.concatenate([c - 1, c, c + 1,
+                                np.arange(12) * width,
+                                np.arange(1, 13) * width - 1]), 0, None)
+    want = np.searchsorted(c, u, side="right")
+    hint = row[u // width]
+    assert np.all((hint < 0) | (hint == want))
+    assert list(row[:12]) == [-1, 5, -1, 6, 6, 6, 6, -1, 7, -1, 9, 9]
+
+
+@pytest.mark.parametrize("k1", [0.3, 0.5])
+def test_nu1_sums_match_convolved_law_across_the_table_edge(k1):
+    # one call mixes table rows (w <= W) and the binomial split (w > W)
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=k1,
+                  kappa2=1.0)
+    big = sim._SUM_ROWS
+    sizes, n = (1, 3, big, big + 1, 5000), 50_000
+    draws = sim._offspring_sums(p, stream(43, 0), np.repeat(sizes, n))
+    base = offspring_pmf(p, 2).probs
+    for i, w in enumerate(sizes):
+        nmax = min(2 * w, w + 600) + 1
+        law = convolution_power(np.pad(base, (0, nmax - 2)), w, nmax)
+        assert_cells_match(draws[i * n:(i + 1) * n], law, (k1, w))
+
+
+def test_thread_count_does_not_change_counts_across_the_table_edge():
+    # nu = 1 under a heavy initial law: populations on both sides of W
+    p = LawParams(nu=1.0, theta=1.0, delta=0.3, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    assert np.any(sample_initial(p, stream(5, 0), sim.BLOCK)
+                  > sim._SUM_ROWS)
+    kw = dict(seed=5, cap=10 ** 6)
+    a = estimate_survival(p, "stopped", 10, 20_000, threads=1, **kw)
+    b = estimate_survival(p, "stopped", 10, 20_000, threads=3, **kw)
+    assert np.array_equal(a.survival_counts, b.survival_counts)
+    assert np.array_equal(a.censored_counts, b.censored_counts)
+    assert a.censored > 0
 
 
 def test_tail_draws_follow_the_conditional_law():

@@ -143,22 +143,17 @@ def series_quotient(d: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def gauss_legendre_panels(f, a: float, b: float, *, order: int = 24,
-                          geometric_from: float | None = None,
-                          panels: int = 32) -> float:
-    """Integrate f on [a, b] with composite Gauss-Legendre panels.
+def gauss_legendre_panels(f, a: float, b: float) -> float:
+    """Integrate f on [a, b] with composite 24-point Gauss-Legendre panels.
 
-    When `geometric_from` is given, panel widths shrink geometrically toward
-    `a` starting from that fraction of the interval, which resolves mild
-    derivative singularities at the left endpoint without adaptivity.
+    The 32 panel widths halve toward `a` from half the interval on, which
+    resolves mild derivative singularities at the left endpoint without
+    adaptivity.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    if geometric_from is None:
-        edges = np.linspace(a, b, panels + 1)
-    else:
-        # [a, a+h], [a+h, a+2h], ... with h halving toward a
-        fracs = geometric_from * 0.5 ** np.arange(panels - 1, 0, -1)
-        edges = np.concatenate(([a], a + (b - a) * fracs, [b]))
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    # [a, a+h], [a+h, a+2h], ... with h halving toward a
+    fracs = 0.5 * 0.5 ** np.arange(31, 0, -1)
+    edges = np.concatenate(([a], a + (b - a) * fracs, [b]))
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)

@@ -185,17 +185,22 @@ def cmd_simulate(cfg: RunConfig) -> list[str]:
 
 
 def cmd_survival(cfg: RunConfig) -> list[str]:
+    # every column is P(X_n > 0 | X_0 > 0) under cfg.model: the Monte Carlo
+    # starts from the kappa0 = 1 law, as the DP does; the renewal route
+    # exists for the stopped chain only and reads nan for other models
     p = cfg.params
-    rt = build_renewal(p, cfg.horizon)
-    lo, hi, _dist = u_dp_curve(p, "stopped", cfg.horizon, M=cfg.M)
-    bs = estimate_survival(p, cfg.model, cfg.horizon, cfg.reps, cfg.seed,
+    u = (build_renewal(p, cfg.horizon).u if cfg.model == "stopped"
+         else np.full(cfg.horizon + 1, math.nan))
+    lo, hi, _dist = u_dp_curve(p, cfg.model, cfg.horizon, M=cfg.M)
+    bs = estimate_survival(dataclasses.replace(p, kappa0=1.0), cfg.model,
+                           cfg.horizon, cfg.reps, cfg.seed,
                            threads=cfg.threads, cap=cfg.cap)
     uhat = bs.survival()
     se = bs.survival_se()
     lines = ["n,u_renewal,dp_lower,dp_upper,u_mc,mc_se,censored"]
     for n in range(cfg.horizon + 1):
         lines.append(",".join([
-            str(n), _fmt(float(rt.u[n])), _fmt(float(lo[n])),
+            str(n), _fmt(float(u[n])), _fmt(float(lo[n])),
             _fmt(float(hi[n])), _fmt(float(uhat[n])), _fmt(float(se[n])),
             str(int(bs.censored_counts[n]))]))
     return lines

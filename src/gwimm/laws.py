@@ -29,11 +29,16 @@ from .errors import DegenerateThetaError, NonPmfError, OutOfRangeError
 _TABLE_QUANTILE = 1.0 - 1e-12
 _TABLE_CAP = 1 << 17
 _SIBUYA_TABLE = 1024
+_ONE = 1 << 53           # rng.random draws are multiples of 1 / _ONE
+_GUIDE_BITS = 10         # B: guide buckets per table row, 2**B of them
 
 _HUGE = 1 << 62          # sentinel for astronomically large integer draws
 _LGAMMA_LIMIT = 1e3      # above this, lgamma differences lose to Stirling
 _SEED_DIRECT = 1e12      # above this, walk steps fall under float resolution
+_LOG_SEED_MAX = 64.0     # seed exponent clamp: exp(64) is past _HUGE, finite
 _POISSON_LAM_MAX = 1e17  # generator-safe Poisson mean
+_LOG_POISSON_LAM_MAX = math.log(_POISSON_LAM_MAX)
+_THETA_MIN = 1e-300      # below, the stable variates' logs may overflow
 
 
 @dataclass(frozen=True)
@@ -221,22 +226,88 @@ def offspring_mean_tail(params: LawParams, n: int) -> float:
 # ---------------------------------------------------------------------------
 # samplers
 #
-# Strategy: inverse cdf against a cached cumulative table; the rare draws
-# falling beyond the table are resolved exactly by inverting the closed-form
-# survival function (lgamma anchor + integer walk with exact local ratios).
+# Strategy: inverse cdf by one integer-key lookup (`_key_table`, `_lookup`);
+# the rare draws beyond the table are resolved exactly by inverting the
+# closed-form survival function (lgamma anchor + walk with exact ratios).
+
+
+def _key_table(cdfs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse-cdf table (read-only `keys`, `offs`, `guide`) of the sorted
+    cdf rows F_r (float64 or long double), the kernel of every sampler.
+
+    Row r's keys are the integers c_k = ceil(F_r(k) * 2**53) below 2**53.
+    For an integer U in [0, 2**53) the count of keys <= U is the least k
+    with U / 2**53 < F_r(k): the inverse cdf at u = U / 2**53, and for a
+    float64 cdf the count of F_r(k) <= u.  The rows sit in one sorted
+    int64 array as (r << 53) + c_k, row r at offs[r]:offs[r+1] (r < 1024),
+    so one `searchsorted` serves any mix of rows.  guide[(r << B) + b],
+    B = _GUIDE_BITS, is `_guide_row` of row r.
+    """
+    small = max(map(len, cdfs)) < 1 << 15     # int16 guides use less cache
+    guide = np.empty((len(cdfs), 1 << _GUIDE_BITS),
+                     dtype=np.int16 if small else np.int32)
+    rows, offs = [], [0]
+    for r, cdf in enumerate(cdfs):
+        c = np.ceil(np.asarray(cdf) * _ONE)   # sorted: keep the keys < 2**53
+        c = c[:np.searchsorted(c, _ONE)].astype(np.int64)
+        guide[r] = _guide_row(c)
+        offs.append(offs[-1] + len(c))
+        c += r << 53
+        rows.append(c)
+    table = (np.concatenate(rows), np.array(offs, dtype=np.int64),
+             guide.ravel())
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _guide_row(c: np.ndarray) -> np.ndarray:
+    """For each bucket b of the U in [0, 2**53) that share their top
+    _GUIDE_BITS bits, the count of the sorted keys `c` that are <= U,
+    or -1 where that count is not the same for the whole bucket.
+
+    The count is nondecreasing in U, so it is constant on a bucket
+    exactly when the bucket's first and last U give the same count; both
+    are counted on the integer keys, so no rounding enters."""
+    width = 1 << (53 - _GUIDE_BITS)
+    firsts = np.arange(1 << _GUIDE_BITS, dtype=np.int64) * width
+    lo = np.searchsorted(c, firsts, side="right")
+    hi = np.searchsorted(c, firsts + (width - 1), side="right")
+    return np.where(lo == hi, lo, -1)
+
+
+def _uniform_keys(rng: np.random.Generator, size: int) -> np.ndarray:
+    """`rng.random` draws u as the integers u * 2**53 (exact)."""
+    return (rng.random(size) * _ONE).astype(np.int64)
+
+
+def _lookup(table, rows, k: np.ndarray) -> np.ndarray:
+    """Inverse cdf of the `_key_table` row(s) `rows` (an int or an int64
+    array) at the integer uniforms `k` in [0, 2**53) (`_uniform_keys`).
+    Only the draws in a guide bucket that holds a step of the cdf go on
+    to `searchsorted` (Chen & Asau 1974)."""
+    keys, offs, guide = table
+    x = guide[(rows << _GUIDE_BITS) + (k >> (53 - _GUIDE_BITS))]
+    amb = np.nonzero(x < 0)[0]
+    x = x.astype(np.int64)
+    if amb.size:
+        r = rows[amb] if np.ndim(rows) else rows
+        x[amb] = np.searchsorted(keys, (r << 53) + k[amb],
+                                 side="right") - offs[r]
+    return x
 
 
 @lru_cache(maxsize=64)
 def _inverse_cdf_table(pmf, params: LawParams, nmax: int):
-    """Cumulative table of `pmf` up to the _TABLE_QUANTILE, with the exact
-    mass beyond its last entry."""
+    """Cumulative table of `pmf` up to the _TABLE_QUANTILE, the exact
+    mass beyond its last entry, and its `_key_table`."""
     table = pmf(params, nmax)
     cum = cumsum_extended(table.probs)
     stop = min(int(np.searchsorted(cum, _TABLE_QUANTILE)) + 1, len(cum))
     if stop <= nmax:
         # a shorter table is a prefix of the longer one, bit for bit
         table = pmf(params, stop - 1)
-    return cum[:stop], table.truncation_mass
+    return cum[:stop], table.truncation_mass, _key_table([cum[:stop]])
 
 
 def _draw(table, tail_value, rng: np.random.Generator, size: int,
@@ -247,23 +318,29 @@ def _draw(table, tail_value, rng: np.random.Generator, size: int,
 
     The conditioning maps u into [cum[lowest-1], 1).  Its complement
     v = 1 - u, uniform on (0, P(X >= lowest)], is formed directly, so the
-    tail walk keeps the relative precision of v.
+    tail walk keeps the relative precision of v.  1 - v is on the 2**-53
+    grid (exact where v >= 1/2, rounded onto the grid of [1/2, 1] below),
+    so its key is exact.  The key of 1 - v = 1 is looked up as 2**53 - 1,
+    beyond every cdf value below 1.
     """
-    cum, tail = table
-    u = rng.random(size)
+    cum, tail, keyed = table
+    n = len(cum)
     if lowest:
         c = cum[lowest - 1]
-        v = (1.0 - c) * (1.0 - u)
-        u = np.maximum(1.0 - v, c)
-    x = np.searchsorted(cum, u, side="right")
-    over = np.nonzero(x == len(cum))[0]
+        v = (1.0 - c) * (1.0 - rng.random(size))
+        k = np.clip(((1.0 - v) * _ONE).astype(np.int64),
+                    math.ceil(c * _ONE), _ONE - 1)
+    else:
+        k = _uniform_keys(rng, size)
+    x = _lookup(keyed, 0, k)
+    over = np.nonzero(x == n)[0]
     if over.size:
         if tail <= 0.0:
-            x[over] = len(cum) - 1
+            x[over] = n - 1
         else:
-            vo = v[over] if lowest else 1.0 - u[over]
+            vo = v[over] if lowest else 1.0 - k[over] / _ONE
             for i, vi in zip(over, vo.tolist()):
-                x[i] = tail_value(vi, len(cum))
+                x[i] = tail_value(vi, n)
     return x
 
 
@@ -292,7 +369,7 @@ def _tail_inverse(log_amp: float, a: float, v: float, lo: int) -> int:
     there a +-1 refinement is below float64 resolution anyway.
     """
     log_v = math.log(v)
-    seed = math.exp((log_v - log_amp) / (a - 1.0))
+    seed = math.exp(min((log_v - log_amp) / (a - 1.0), _LOG_SEED_MAX))
     if seed > _SEED_DIRECT:
         return int(min(seed, float(_HUGE)))
     n = max(int(seed), lo)
@@ -319,15 +396,20 @@ def _offspring_tail_value(nu: float, kappa1: float, v: float, lo: int) -> int:
 
 
 def _sibuya_tail_value(delta: float, v: float, lo: int) -> int:
-    # P(X > n) = Gamma(n+1-delta)/(Gamma(1-delta)*Gamma(n+1))
+    # P(X > n) = Gamma(n+1-delta)/(Gamma(1-delta)*Gamma(n+1)), about
+    # n**-delta.  Where 1 - delta rounds to 1 (delta < 2**-53), the root
+    # v**(-1/delta) is past the 2**62 sentinel unless 1 - v < 43*delta
+    if 1.0 - delta == 1.0:
+        return _HUGE
     return _tail_inverse(-math.lgamma(1.0 - delta), 1.0 - delta, v, lo)
 
 
 def _offspring_table(nu: float, kappa1: float):
-    # one cached table per (nu, kappa1), shared by the sampler and the split
+    # one cached table per (nu, kappa1), shared by the sampler and the
+    # split; at nu = 1 the law lives on {0, 1, 2}
     return _inverse_cdf_table(offspring_pmf,
                               LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
-                              _TABLE_CAP)
+                              2 if nu == 1.0 else _TABLE_CAP)
 
 
 def sample_offspring(params: LawParams, rng: np.random.Generator,
@@ -393,15 +475,37 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
     """
     if params.theta == 1.0:
         return rng.poisson(params.kappa2, size)
-    lam = params.kappa2 ** (1.0 / params.theta) * stable_positive(
-        params.theta, rng, size)
+    if params.theta < _THETA_MIN:
+        # log(kappa2**(1/theta) * S) = (log(kappa2/w) + O(theta)) / theta:
+        # the mean is 0 for w > kappa2 and past the cap otherwise, up to
+        # an event of probability O(theta)
+        w = rng.standard_exponential(size)
+        return np.where(w > params.kappa2, 0,
+                        rng.poisson(_POISSON_LAM_MAX, size))
+    log_s = stable_positive(params.theta, rng, size, log=True)
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    try:
+        scale = params.kappa2 ** (1.0 / params.theta)
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        s = np.exp(log_s)
+        lam = scale * s
+        # where a small theta sends a factor out of the normal floats,
+        # the mean is formed from the logs
+        odd = ~((s >= tiny) & (s <= huge) & (tiny <= scale <= huge))
+        lam[odd] = np.exp(np.minimum(
+            math.log(params.kappa2) / params.theta + log_s[odd],
+            _LOG_POISSON_LAM_MAX))
     np.minimum(lam, _POISSON_LAM_MAX, out=lam)
     return rng.poisson(lam)
 
 
 def stable_positive(theta: float, rng: np.random.Generator,
-                    size: int) -> np.ndarray:
-    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta).
+                    size: int, log: bool = False) -> np.ndarray:
+    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta),
+    or with `log` their logarithms, which for theta >= 1e-300 stay finite
+    where S leaves the float range.
 
     Uses the product representation on (0, pi) x Exp(1):
 
@@ -423,4 +527,4 @@ def stable_positive(theta: float, rng: np.random.Generator,
              + r * np.log(np.sin((1.0 - theta) * u))
              - np.log(np.sin(u)) / theta
              - r * np.log(w))
-    return np.exp(log_x)
+    return log_x if log else np.exp(log_x)

@@ -245,7 +245,7 @@ def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
         x = 1.0 - y ** (1.0 / c)
         return (1.0 + sn * x) ** (-sg - 1.0)
 
-    integral = gauss_legendre_panels(f, 0.0, 1.0, geometric_from=0.5) / c
+    integral = gauss_legendre_panels(f, 0.0, 1.0) / c
     atom = 0.0
     if weak:
         atom = ((params.kappa0 / K5)

@@ -8,11 +8,6 @@ previous generation and Y_n the immigration draw:
     GATED_W     : X_n = L_n + Y_n if L_n > 0, else 0; absorbing
 
 L_n is drawn without visiting every individual (see `_offspring_sums`).
-At nu = 1 a population of at most _SUM_ROWS individuals takes its sum
-from one uniform and a cached inverse-cdf table of the w-fold sum, and a
-larger one from two binomials.  At nu < 1 one multinomial splits each
-population over the first offspring cells and a tail cell, and only the
-individuals in the tail cell get their own draws.
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
@@ -30,16 +25,14 @@ import numpy as np
 
 from .errors import DegenerateConditioningError, OutOfRangeError
 from .laws import (LawParams, Model, offspring_split, sample_immigration,
-                   sample_initial, sample_offspring)
+                   sample_initial, sample_offspring, _key_table, _lookup,
+                   _uniform_keys)
 from .rng import stream
 
 BLOCK = 8192
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
-_SUM_ROWS = 256          # W: nu = 1 populations up to W sum by table lookup;
-                         # W <= 1023 keeps the keys (w << 53) + c in int64
-_GUIDE_BITS = 10         # B: guide buckets per table row, 2**B of them
-_ONE = 1 << 53           # rng.random draws are multiples of 1 / _ONE
+_SUM_ROWS = 256          # W: nu = 1 populations up to W sum by table lookup
 DEFAULT_CAP = 10 ** 9
 # largest cap: populations, offspring sums and immigrant counts of a
 # replicate below it stay far from the int64 limit 2**63
@@ -82,15 +75,14 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
                     pops: np.ndarray) -> np.ndarray:
     """Summed offspring for each population in `pops` (entries >= 1).
 
-    nu = 1: a population w <= _SUM_ROWS draws its sum by inverting the
-    exact cdf of a sum of w offspring with one uniform (`_table_sums`);
-    a larger one draws its cell counts with two binomials.
-
-    nu < 1: one multinomial per population draws the counts of the cells
-    0, ..., K-1 and of a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
-    binomials, Devroye 1986, XI.1, vectorised over the replicates), and
-    only the individuals in the tail cell are drawn one by one, from
-    X | X >= K, in bounded chunks.  The splits give exactly the law of
+    At nu = 1 a population w <= _SUM_ROWS draws its sum by inverting the
+    exact cdf of a sum of w offspring with one uniform (`_table_sums`).
+    Every other population takes one multinomial over the cells
+    0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
+    binomials, Devroye 1986, XI.1, vectorised over the replicates; at
+    nu = 1 the cells are kappa1, 1 - 2*kappa1, kappa1 and an empty tail),
+    and only the individuals in the tail cell are drawn one by one, from
+    X | X >= K, in bounded chunks.  The split gives exactly the law of
     per-individual draws, and the table gives it on a 2**-53 grid.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
@@ -100,14 +92,19 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     Near the default cap 1e9 the tail draws dominate instead, and K = 32
     halves the time of K = 16 there.
     """
-    if params.nu == 1.0:
-        big = pops > _SUM_ROWS
-        if not big.any():
-            return _table_sums(params.kappa1, rng, pops)
-        sums = np.empty_like(pops)
-        sums[~big] = _table_sums(params.kappa1, rng, pops[~big])
-        sums[big] = _split_sums(params.kappa1, rng, pops[big])
-        return sums
+    if params.nu != 1.0:
+        return _split_cell_sums(params, rng, pops)
+    big = pops > _SUM_ROWS
+    if not big.any():
+        return _table_sums(params.kappa1, rng, pops)
+    sums = np.empty_like(pops)
+    sums[~big] = _table_sums(params.kappa1, rng, pops[~big])
+    sums[big] = _split_cell_sums(params, rng, pops[big])
+    return sums
+
+
+def _split_cell_sums(params: LawParams, rng: np.random.Generator,
+                     pops: np.ndarray) -> np.ndarray:
     pvals = offspring_split(params, _SPLIT_CELLS)
     k = len(pvals) - 1
     counts = rng.multinomial(pops, pvals)
@@ -118,38 +115,18 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     return sums
 
 
-def _split_sums(kappa1: float, rng: np.random.Generator,
-                pops: np.ndarray) -> np.ndarray:
-    """nu = 1 sums from the counts of the cells 2 and 1: two binomials,
-    one where the cell 1 is empty (kappa1 = 1/2)."""
-    p1 = 1.0 - 2.0 * kappa1
-    n2 = rng.binomial(pops, kappa1)
-    if p1 == 0.0:
-        return 2 * n2
-    return 2 * n2 + rng.binomial(pops - n2, p1 / (1.0 - kappa1))
-
-
 @lru_cache(maxsize=8)
 def _sum_table(kappa1: float):
-    """Inverse-cdf table of the nu = 1 offspring sums L_w, w = 1..W,
-    W = _SUM_ROWS (cached, read-only arrays `keys`, `offs`, `guide`).
+    """`laws._key_table` of the nu = 1 offspring sums L_w, w = 1..W,
+    W = _SUM_ROWS, in row w (row 0 is empty).
 
     Row w is the law of a sum of w offspring, the w-th convolution power
     of (kappa1, 1 - 2*kappa1, kappa1) in long double, summed into its cdf
-    F_w.  Its keys are the integers c_k = ceil(F_w(k) * 2**53) below 2**53
-    (k < 2w, so c_2w = 2**53 is implied).  For an integer U in
-    [0, 2**53), the count of keys <= U is the least k with U < c_k, that
-    is with U / 2**53 < F_w(k): the inverse cdf at u = U / 2**53.  The
-    rows sit in one sorted int64 array as (w << 53) + c_k, row w at
-    offs[w]:offs[w+1], so one `searchsorted` serves any mix of rows.
-
-    guide[(w << B) + b], B = _GUIDE_BITS, is `_guide_row` of row w.
+    at 0, ..., 2w-1 (F_w(2w) = 1 is implied).
     """
     k1 = np.longdouble(kappa1)
     p1 = 1 - 2 * k1
-    one = np.longdouble(_ONE)
-    guide = np.full((_SUM_ROWS + 1, 1 << _GUIDE_BITS), -1, dtype=np.int16)
-    rows, offs = [], np.zeros(_SUM_ROWS + 2, dtype=np.int64)
+    cdfs = [[]]
     law = np.ones(1, dtype=np.longdouble)
     for w in range(1, _SUM_ROWS + 1):
         nxt = np.zeros(2 * w + 1, dtype=np.longdouble)
@@ -157,51 +134,14 @@ def _sum_table(kappa1: float):
         nxt[1:-1] += p1 * law
         nxt[2:] += k1 * law
         law = nxt
-        c = np.ceil(np.cumsum(law[:-1]) * one)
-        c = c[c < one].astype(np.int64)       # a prefix: the cdf is sorted
-        guide[w] = _guide_row(c)
-        offs[w + 1] = offs[w] + len(c)
-        rows.append((w << 53) + c)
-    keys = np.concatenate(rows)
-    guide = guide.ravel()
-    for a in (keys, offs, guide):
-        a.flags.writeable = False
-    return keys, offs, guide
-
-
-def _guide_row(c: np.ndarray) -> np.ndarray:
-    """For each bucket b of the U in [0, 2**53) that share their top
-    _GUIDE_BITS bits, the count of the sorted keys `c` that are <= U,
-    or -1 where that count is not the same for the whole bucket.
-
-    The count is nondecreasing in U, so it is constant on a bucket
-    exactly when the bucket's first and last U give the same count; both
-    are counted on the integer keys, so no rounding enters."""
-    width = 1 << (53 - _GUIDE_BITS)
-    firsts = np.arange(1 << _GUIDE_BITS, dtype=np.int64) * width
-    lo = np.searchsorted(c, firsts, side="right")
-    hi = np.searchsorted(c, firsts + (width - 1), side="right")
-    return np.where(lo == hi, lo, -1)
+        cdfs.append(np.cumsum(law[:-1]))
+    return _key_table(cdfs)
 
 
 def _table_sums(kappa1: float, rng: np.random.Generator,
                 pops: np.ndarray) -> np.ndarray:
-    """nu = 1 sums for populations 1 <= w <= W, one uniform each, exact
-    in law up to the 2**-53 grid of `_sum_table`'s cdf keys.  Only the
-    draws in a guide bucket that holds a step of the cdf go on to
-    `searchsorted`: 0.6% of them in the Monte Carlo of regime R3."""
-    keys, offs, guide = _sum_table(kappa1)
-    u = rng.random(len(pops))
-    # floor(u * 2**B) is the top B bits of U = u * 2**53, both exact
-    x = guide[(pops << _GUIDE_BITS)
-              + (u * (1 << _GUIDE_BITS)).astype(np.int64)].astype(np.int64)
-    amb = np.nonzero(x < 0)[0]
-    if amb.size:
-        w = pops[amb]
-        x[amb] = np.searchsorted(
-            keys, (w << 53) + (u[amb] * _ONE).astype(np.int64),
-            side="right") - offs[w]
-    return x
+    """nu = 1 sums for populations 1 <= w <= W, one uniform each."""
+    return _lookup(_sum_table(kappa1), pops, _uniform_keys(rng, len(pops)))
 
 
 def _tail_sums(params: LawParams, rng: np.random.Generator,

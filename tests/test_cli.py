@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -63,21 +64,41 @@ def test_underflowing_kappa1_nu_is_rejected(command, capsys):
 CLOSED_UNIT = st.floats(min_value=0.0, max_value=1.0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(command=st.sampled_from(["validate", "regime"]),
+# tiny run sizes, so every subcommand runs quickly anywhere in the box
+SIZE_ARGS = {
+    "validate": [], "regime": [], "pmf": [],
+    "simulate": ["--horizon", "3", "--cap", "1000"],
+    "survival": ["--horizon", "2", "--reps", "64", "--M", "16",
+                 "--cap", "1000"],
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(command=st.sampled_from(sorted(SIZE_ARGS)),
+       model=st.sampled_from(["z", "stopped", "gated"]),
        nmax=st.sampled_from([1, 10, 1000]),
        nu=CLOSED_UNIT, theta=CLOSED_UNIT, delta=CLOSED_UNIT,
        kappa0=CLOSED_UNIT, frac=CLOSED_UNIT,
        kappa2=st.floats(min_value=0.0, max_value=1e300))
-@example(command="validate", nmax=1, nu=0.5, theta=1.0, delta=1.0,
-         kappa0=1.0, frac=5e-324, kappa2=1.0)
-@example(command="regime", nmax=1000, nu=0.5, theta=1.0, delta=1.0,
-         kappa0=1.0, frac=5e-324, kappa2=1.0)
-def test_no_traceback_over_the_box(command, nmax, nu, theta, delta, kappa0,
-                                   frac, kappa2):
+@example(command="validate", model="stopped", nmax=1, nu=0.5, theta=1.0,
+         delta=1.0, kappa0=1.0, frac=5e-324, kappa2=1.0)
+@example(command="regime", model="stopped", nmax=1000, nu=0.5, theta=1.0,
+         delta=1.0, kappa0=1.0, frac=5e-324, kappa2=1.0)
+# a Sibuya draw far in the tail used to overflow math.exp
+@example(command="simulate", model="stopped", nmax=1000, nu=1.0,
+         theta=1.0, delta=0.001, kappa0=1.0, frac=1.0, kappa2=1.0)
+# kappa2**(1/theta) used to overflow the immigration mixture's scale
+@example(command="simulate", model="z", nmax=1, nu=1.0, theta=0.5,
+         delta=1.0, kappa0=1.0, frac=1.0, kappa2=1.3407807929942597e+154)
+# 1 - delta rounds to 1: the Sibuya tail walk used to divide by zero
+@example(command="simulate", model="z", nmax=1, nu=1.0, theta=1.0,
+         delta=1.1754943508222875e-38, kappa0=1.0, frac=1.0, kappa2=1.0)
+def test_no_traceback_over_the_box(command, model, nmax, nu, theta, delta,
+                                   kappa0, frac, kappa2):
     # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
     # must end in exit 2 with one line, never in an exception
-    argv = [command, "--nmax", str(nmax)]
+    argv = [command, "--nmax", str(nmax), "--model", model,
+            *SIZE_ARGS[command]]
     for key, val in (("nu", nu), ("theta", theta), ("delta", delta),
                      ("kappa0", kappa0), ("kappa1", frac / (1.0 + nu)),
                      ("kappa2", kappa2)):
@@ -165,6 +186,38 @@ def test_survival_table_consistency(tmp_path, capsys):
         n, ur, lo, hi, umc, se, cens = ln.split(",")
         assert float(lo) - 1e-9 <= float(ur) <= float(hi) + 1e-9
         assert abs(float(umc) - float(ur)) < 5.0 * max(float(se), 1e-12)
+
+
+@pytest.mark.parametrize("extra", [["--kappa0", "0.5"],
+                                   ["--model", "gated"],
+                                   ["--model", "z", "--kappa0", "0.3"]])
+def test_survival_columns_measure_one_quantity(extra, capsys):
+    # every column is P(X_n > 0 | X_0 > 0) under the chosen model: the
+    # Monte Carlo lies within 5 se of the DP bracket, and the renewal
+    # route, which only the stopped chain has, reads nan elsewhere
+    rc, out, _ = run(["survival", "--horizon", "3", "--reps", "20000",
+                      "--M", "256", *extra], capsys)
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,u_renewal,dp_lower,dp_upper,u_mc,mc_se,censored"
+    stopped = "--model" not in extra
+    for ln in lines[1:]:
+        n, ur, lo, hi, umc, se, _ = (float(x) for x in ln.split(","))
+        slack = 5.0 * se + 1e-9
+        assert float(lo) - slack <= umc <= float(hi) + slack, ln
+        if stopped:
+            assert lo - 1e-9 <= ur <= hi + 1e-9
+        else:
+            assert math.isnan(ur)
+
+
+def test_simulate_far_sibuya_tail_exits_0(capsys):
+    # the initial draw's tail walk used to overflow math.exp here
+    rc, out, err = run(["simulate", "--delta", "0.001", "--horizon", "3",
+                        "--seed", "1"], capsys)
+    assert rc == 0 and "Error" not in err
+    assert out.splitlines()[:3] == ["# life=none", "# censoring=cap",
+                                    "n,value"]
 
 
 def test_regime_fit_appears_above_length_threshold(capsys):

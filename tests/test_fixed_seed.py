@@ -1,0 +1,99 @@
+"""Fixed-seed digests of the Monte Carlo engine and the samplers.
+
+Each digest is the first 16 hex digits of the SHA-256 of the int64 bytes
+of an output.  They pin the exact draws, so a change of the sampling
+kernels that keeps every law but moves a draw shows up here.  The nu = 1
+cases keep every population at or below 256, the range of the sum table;
+larger ones take the multinomial split.
+"""
+
+import hashlib
+import importlib
+
+import numpy as np
+import pytest
+
+from gwimm.laws import LawParams, sample_offspring, sample_sibuya
+from gwimm.rng import stream
+from gwimm.simulate import conditional_laplace_mc, estimate_survival
+
+sim = importlib.import_module("gwimm.simulate")
+
+MIXED = LawParams(0.5, 0.5, 0.5, 0.8, 0.5, 0.7)
+HALF = LawParams(0.5, 1.0, 0.7, 0.9, 0.4, 0.5)     # nu < 1, theta = 1
+R3 = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)
+
+
+def digest(a) -> str:
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def survival_digest(params, model, horizon, **kw) -> str:
+    bs = estimate_survival(params, model, horizon, 20_000, seed=7, **kw)
+    return digest(np.concatenate([bs.survival_counts, bs.censored_counts]))
+
+
+@pytest.mark.parametrize("params, model, want", [
+    (MIXED, "z", "abfcbf511c9f0f1b"),
+    (MIXED, "stopped", "d4e8b1a880385036"),
+    (MIXED, "gated", "a481cded1a3652d8"),
+    (HALF, "z", "403df10bdab603c7"),
+    (HALF, "stopped", "d47f67a0ddea5204"),
+    (HALF, "gated", "285640dc0fb8ff86"),
+])
+def test_survival_counts_digest(params, model, want):
+    assert survival_digest(params, model, 10, cap=10 ** 4) == want
+
+
+def test_r3_survival_counts_digest():
+    assert survival_digest(R3, "stopped", 30) == "306eb4e8125aecab"
+
+
+def test_conditional_laplace_mc_digest():
+    est = conditional_laplace_mc(MIXED, "stopped", 5, 0.1, 20_000, seed=3,
+                                 cap=10 ** 4)
+    assert (est.value.hex(), est.se.hex(), est.survivors, est.censored) == (
+        "0x1.b80c164bced96p-3", "0x1.51e0310064bd3p-9", 11691, 333)
+
+
+@pytest.mark.parametrize("nu, kappa1, lowest, want", [
+    (0.5, 0.5, 0, "a83756af9d8d6ae5"),
+    (0.5, 0.5, 1, "e606f4142ae8171d"),
+    (0.5, 0.5, 2, "f997b4838586bb44"),
+    (0.5, 0.5, 32, "ff0c1bde302f1f14"),
+    (0.95, 0.5, 0, "9080d5ca59039c62"),
+    (0.95, 0.5, 1, "5c79a10e836d1740"),
+    (0.95, 0.5, 2, "f7a7300535d7e6f3"),
+    (0.95, 0.5, 32, "f8710b0aa4284f5d"),
+    (0.3, 0.1, 0, "bf5a526a9b9ffddc"),
+    (0.3, 0.1, 1, "e2f503ea325fd7a4"),
+    (0.3, 0.1, 2, "d9ef6e838d6364fa"),
+    (0.3, 0.1, 32, "0abf39516e6b9e71"),
+    (0.999999, 1e-6, 0, "b7725ede84151c53"),
+    (0.999999, 1e-6, 1, "b7725ede84151c53"),
+    (0.999999, 1e-6, 2, "128c8574bb9b6ebe"),
+    (1.0, 0.3, 0, "0ee0c8f9c20ce1cb"),
+    (1.0, 0.3, 1, "52bddedd3e468d1f"),
+    (1.0, 0.3, 2, "128c8574bb9b6ebe"),
+])
+def test_sample_offspring_digest(nu, kappa1, lowest, want):
+    p = LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0)
+    draws = sample_offspring(p, stream(5, lowest), 50_000, lowest=lowest)
+    assert digest(draws) == want
+
+
+@pytest.mark.parametrize("delta, want", [
+    (0.05, "05f762775e27caab"),
+    (0.5, "bffee29cbd4b92e8"),
+    (1.0, "b7725ede84151c53"),
+])
+def test_sample_sibuya_digest(delta, want):
+    assert digest(sample_sibuya(delta, stream(9, 0), 50_000)) == want
+
+
+def test_nu1_table_sums_digest():
+    p = LawParams(1.0, 1.0, 1.0, 1.0, 0.3, 1.0)
+    pops = np.arange(1, 257).repeat(50)
+    assert digest(sim._offspring_sums(p, stream(4, 0), pops)) \
+        == "0b73ea1ee5dce33b"

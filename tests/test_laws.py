@@ -120,6 +120,28 @@ def test_initial_mass_accounting(nmax):
         pytest.approx(1.0, abs=1e-13)
 
 
+@settings(max_examples=60, deadline=None)
+@given(nu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       theta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       delta=st.floats(min_value=sys.float_info.min, max_value=1.0),
+       kappa0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       kappa2=st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
+def test_pmf_tables_account_for_all_mass_over_the_box(nu, theta, delta,
+                                                      kappa0, frac, kappa2):
+    # every admissible law, at several truncation points: no negative
+    # weight, and the weights and the tail mass close to 1
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 * nu >= sys.float_info.min)
+    p = LawParams(nu, theta, delta, kappa0, kappa1, kappa2)
+    for pmf in (offspring_pmf, initial_pmf, immigration_pmf):
+        for nmax in (0, 1, 2, 9, 200):
+            t = pmf(p, nmax)
+            assert np.all(t.probs >= 0.0) and t.truncation_mass >= 0.0
+            assert abs(math.fsum(t.probs.tolist()) + t.truncation_mass
+                       - 1.0) <= 1e-12, (pmf.__name__, nmax)
+
+
 @pytest.mark.parametrize("nmax", [4096, 10 ** 6])
 def test_initial_tail_keeps_accuracy_at_smallest_normal_delta(nmax):
     # the weights g_n are subnormal here, but the mass above nmax is
@@ -242,6 +264,16 @@ def test_sibuya_survival_function():
         assert abs(freq - surv) < 4.0 * math.sqrt(surv * (1 - surv) / n)
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.001, 1e-17, sys.float_info.min])
+def test_sibuya_far_tail_stays_in_range(delta):
+    # 1 - delta near 1 puts the tail walk's seed exponent -log(v)/delta
+    # past exp's range: the draw is the 2**62 sentinel, not an
+    # OverflowError (1e-17 and below: 1 - delta rounds to 1)
+    draws = sample_sibuya(delta, stream(2, 0), 200_000)
+    assert draws.min() >= 1 and draws.max() == 2 ** 62
+    assert _sibuya_tail_value(delta, 1e-300, 1024) == 2 ** 62
+
+
 def test_tail_inverse_against_brute_walk():
     # smallest n with S(n) < v, against a direct product walk
     delta, v = 0.5, 0.01
@@ -300,7 +332,7 @@ def test_sampler_tables_account_for_all_mass(nu, frac, delta):
                             _SIBUYA_TABLE),
          lambda n: sibuya_sf(delta, n)),
     ]
-    for (cum, tail), sf in tables:
+    for (cum, tail, _), sf in tables:
         assert abs(cum[-1] + tail - 1.0) <= 1e-13
         # a subnormal value carries no relative precision
         assert tail == pytest.approx(sf(len(cum) - 1), rel=1e-10,
@@ -330,6 +362,22 @@ def test_stable_laplace_transform():
             z = (v.mean() - math.exp(-lam ** theta)) \
                 / (v.std(ddof=1) / math.sqrt(n))
             assert abs(z) < 4.0
+
+
+@pytest.mark.parametrize("theta, kappa2",
+                         [(0.02, 0.5), (0.01, 1e-4), (1e-5, 2.0),
+                          (1e-305, 0.7), (5e-324, 1.5)])
+def test_immigration_at_small_theta(theta, kappa2):
+    # kappa2**(1/theta) and S leave the float range; P(Y = 0) = exp(-kappa2)
+    # still holds for the mixture formed from their logs, and for its
+    # limit where the logs themselves overflow
+    p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    n = 200_000
+    y = sample_immigration(p, stream(31, 0), n)
+    q = math.exp(-kappa2)
+    assert abs(np.mean(y == 0) - q) < 4.0 * math.sqrt(q * (1 - q) / n)
+    assert y.min() >= 0
 
 
 def test_stable_rejects_degenerate_and_bad_theta():

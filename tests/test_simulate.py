@@ -10,6 +10,7 @@ import pytest
 
 # gwimm re-exports the simulate() function, so grab the module explicitly
 sim = importlib.import_module("gwimm.simulate")
+laws = importlib.import_module("gwimm.laws")
 from gwimm.errors import DegenerateConditioningError, OutOfRangeError
 from gwimm.laws import (LawParams, initial_pgf, offspring_pmf,
                         offspring_split, sample_initial, sample_offspring)
@@ -141,7 +142,7 @@ def assert_cells_match(draws: np.ndarray, law: np.ndarray, label) -> None:
 
 
 def test_multinomial_split_matches_convolved_law():
-    # nu = 1 path sums w = 3 offspring through a binomial split; the law
+    # nu = 1 path sums w = 3 offspring through the sum table; the law
     # must match the three-fold convolution of (k1, 1-2k1, k1)
     p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.3,
                   kappa2=1.0)
@@ -231,7 +232,7 @@ def test_guide_matches_searchsorted_everywhere(k1):
     # and at 10**6 random points, in every row: the guide answers exactly
     # where it answers, and `_table_sums` gives the searchsorted count
     keys, offs, guide = sim._sum_table(k1)
-    bits, top = sim._GUIDE_BITS, (1 << 53) - 1
+    bits, top = laws._GUIDE_BITS, (1 << 53) - 1
     width = 1 << (53 - bits)
     ends = np.concatenate([np.arange(1 << bits) * width,
                            np.arange(1, (1 << bits) + 1) * width - 1])
@@ -256,10 +257,10 @@ def test_guide_matches_searchsorted_everywhere(k1):
 def test_guide_row_at_bucket_edges():
     # keys on the first and last U of buckets, twice on one U, and none
     # in most buckets: the guide answers exactly where it answers
-    width = 1 << (53 - sim._GUIDE_BITS)
+    width = 1 << (53 - laws._GUIDE_BITS)
     c = np.array([0, 5, width - 1, width - 1, width, 3 * width - 1,
                   7 * width + 3, 9 * width, 10 * width - 1], dtype=np.int64)
-    row = sim._guide_row(c)
+    row = laws._guide_row(c)
     u = np.clip(np.concatenate([c - 1, c, c + 1,
                                 np.arange(12) * width,
                                 np.arange(1, 13) * width - 1]), 0, None)
@@ -271,7 +272,7 @@ def test_guide_row_at_bucket_edges():
 
 @pytest.mark.parametrize("k1", [0.3, 0.5])
 def test_nu1_sums_match_convolved_law_across_the_table_edge(k1):
-    # one call mixes table rows (w <= W) and the binomial split (w > W)
+    # one call mixes table rows (w <= W) and the multinomial split (w > W)
     p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=k1,
                   kappa2=1.0)
     big = sim._SUM_ROWS

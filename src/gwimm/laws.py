@@ -276,14 +276,10 @@ def _guide_row(c: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
-def _uniform_keys(rng: np.random.Generator, size: int) -> np.ndarray:
-    """`rng.random` draws u as the integers u * 2**53 (exact)."""
-    return (rng.random(size) * _ONE).astype(np.int64)
-
-
 def _lookup(table, rows, k: np.ndarray) -> np.ndarray:
     """Inverse cdf of the `_key_table` row(s) `rows` (an int or an int64
-    array) at the integer uniforms `k` in [0, 2**53) (`_uniform_keys`).
+    array) at the integer uniforms `k` in [0, 2**53): `rng.random` draws
+    u as the integers u * 2**53, exactly.
     Only the draws in a guide bucket that holds a step of the cdf go on
     to `searchsorted` (Chen & Asau 1974)."""
     keys, offs, guide = table
@@ -313,26 +309,34 @@ def _inverse_cdf_table(pmf, params: LawParams, nmax: int):
 def _draw(table, tail_value, rng: np.random.Generator, size: int,
           lowest: int = 0) -> np.ndarray:
     """Inverse-cdf draws from `table`, conditioned on X >= `lowest` (at
-    most the table length); a draw beyond its last entry is resolved
-    exactly by `tail_value(v, lo)`, the smallest n >= lo with P(X > n) < v.
+    most the table length n); a draw beyond its last entry is resolved
+    exactly by `tail_value(v, n)`, the smallest m >= n with P(X > m) < v.
 
-    The conditioning maps u into [cum[lowest-1], 1).  Its complement
-    v = 1 - u, uniform on (0, P(X >= lowest)], is formed directly, so the
-    tail walk keeps the relative precision of v.  1 - v is on the 2**-53
-    grid (exact where v >= 1/2, rounded onto the grid of [1/2, 1] below),
-    so its key is exact.  The key of 1 - v = 1 is looked up as 2**53 - 1,
-    beyond every cdf value below 1.
+    The conditioning maps u into [c, 1), c = cum[lowest-1].  Its
+    complement v = 1 - u, uniform on (0, P(X >= lowest)], is formed
+    directly, so the tail walk keeps the relative precision of v.  Where
+    c >= 1/2, 1 - v is on the 2**-53 grid and its key is exact; below,
+    the cast floors it onto the grid, which moves the law by at most
+    2**-53.  The key of 1 - v = 1 is looked up as 2**53 - 1, beyond every
+    cdf value below 1.  At lowest = n, v is drawn on (0, tail] from the
+    exact tail mass, which 1 - cum[n-1] may have rounded to 0.
     """
     cum, tail, keyed = table
     n = len(cum)
-    if lowest:
+    if lowest == n:
+        v = tail * (1.0 - rng.random(size))
+        x = np.full(size, n, dtype=np.int64)
+    elif lowest:
         c = cum[lowest - 1]
         v = (1.0 - c) * (1.0 - rng.random(size))
         k = np.clip(((1.0 - v) * _ONE).astype(np.int64),
                     math.ceil(c * _ONE), _ONE - 1)
+        # at the engine's lowest (32) nearly every guide bucket of [c, 1)
+        # holds a cdf step, so the guide would only add work
+        x = np.searchsorted(keyed[0], k, side="right")
     else:
-        k = _uniform_keys(rng, size)
-    x = _lookup(keyed, 0, k)
+        k = (rng.random(size) * _ONE).astype(np.int64)
+        x = _lookup(keyed, 0, k)
     over = np.nonzero(x == n)[0]
     if over.size:
         if tail <= 0.0:
@@ -390,7 +394,10 @@ def _tail_inverse(log_amp: float, a: float, v: float, lo: int) -> int:
 
 
 def _offspring_tail_value(nu: float, kappa1: float, v: float, lo: int) -> int:
-    # P(X > n) = kappa1*nu*Gamma(n-nu)/(Gamma(1-nu)*Gamma(n+1))
+    # P(X > n) = kappa1*nu*Gamma(n-nu)/(Gamma(1-nu)*Gamma(n+1)); at nu = 1
+    # it is 0 from n = 2 on, and every table holds 0 and 1 (lo >= 2)
+    if nu == 1.0:
+        return lo
     log_amp = math.log(kappa1 * nu) - math.lgamma(1.0 - nu)
     return _tail_inverse(log_amp, -nu, v, lo)
 
@@ -406,7 +413,8 @@ def _sibuya_tail_value(delta: float, v: float, lo: int) -> int:
 
 def _offspring_table(nu: float, kappa1: float):
     # one cached table per (nu, kappa1), shared by the sampler and the
-    # split; at nu = 1 the law lives on {0, 1, 2}
+    # split; at nu = 1 the law lives on {0, 1, 2}, and building the 2**17
+    # table (a 7 MiB transient) would only cut it back to 3 entries
     return _inverse_cdf_table(offspring_pmf,
                               LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
                               2 if nu == 1.0 else _TABLE_CAP)
@@ -482,7 +490,7 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
         w = rng.standard_exponential(size)
         return np.where(w > params.kappa2, 0,
                         rng.poisson(_POISSON_LAM_MAX, size))
-    log_s = stable_positive(params.theta, rng, size, log=True)
+    log_s = _log_stable(params.theta, rng, size)
     tiny, huge = sys.float_info.min, sys.float_info.max
     try:
         scale = params.kappa2 ** (1.0 / params.theta)
@@ -502,29 +510,33 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
 
 
 def stable_positive(theta: float, rng: np.random.Generator,
-                    size: int, log: bool = False) -> np.ndarray:
-    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta),
-    or with `log` their logarithms, which for theta >= 1e-300 stay finite
-    where S leaves the float range.
-
-    Uses the product representation on (0, pi) x Exp(1):
-
-        log S = log sin(theta*u) + r*log sin((1-theta)*u)
-                - log sin(u)/theta - r*log w,        r = (1-theta)/theta.
-    """
+                    size: int) -> np.ndarray:
+    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta)."""
     if not 0.0 < theta <= 1.0:
         raise OutOfRangeError("theta", "0 < theta <= 1", theta)
     if theta == 1.0:
         raise DegenerateThetaError(
             "theta = 1 is the deterministic unit mass; no continuous "
             "one-sided stable component exists")
+    return np.exp(_log_stable(theta, rng, size))
+
+
+def _log_stable(theta: float, rng: np.random.Generator,
+                size: int) -> np.ndarray:
+    """log S for S ~ stable(theta), 0 < theta < 1, finite for theta >=
+    1e-300 where S itself leaves the float range.
+
+    Uses the product representation on (0, pi) x Exp(1):
+
+        log S = log sin(theta*u) + r*log sin((1-theta)*u)
+                - log sin(u)/theta - r*log w,        r = (1-theta)/theta.
+    """
     u = rng.uniform(0.0, math.pi, size)
     w = rng.standard_exponential(size)
     np.clip(u, 1e-300, None, out=u)
     np.clip(w, 1e-300, None, out=w)
     r = (1.0 - theta) / theta
-    log_x = (np.log(np.sin(theta * u))
-             + r * np.log(np.sin((1.0 - theta) * u))
-             - np.log(np.sin(u)) / theta
-             - r * np.log(w))
-    return log_x if log else np.exp(log_x)
+    return (np.log(np.sin(theta * u))
+            + r * np.log(np.sin((1.0 - theta) * u))
+            - np.log(np.sin(u)) / theta
+            - r * np.log(w))

@@ -25,14 +25,15 @@ import numpy as np
 
 from .errors import DegenerateConditioningError, OutOfRangeError
 from .laws import (LawParams, Model, offspring_split, sample_immigration,
-                   sample_initial, sample_offspring, _key_table, _lookup,
-                   _uniform_keys)
+                   sample_initial, sample_offspring, _ONE, _key_table,
+                   _lookup)
 from .rng import stream
 
 BLOCK = 8192
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
 _SUM_ROWS = 256          # W: nu = 1 populations up to W sum by table lookup
+_TAIL_IN_ORDER = 2.0 ** -18  # lighter tail cells: the split draws its mode last
 DEFAULT_CAP = 10 ** 9
 # largest cap: populations, offspring sums and immigrant counts of a
 # replicate below it stay far from the int64 limit 2**63
@@ -80,10 +81,11 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
-    nu = 1 the cells are kappa1, 1 - 2*kappa1, kappa1 and an empty tail),
-    and only the individuals in the tail cell are drawn one by one, from
-    X | X >= K, in bounded chunks.  The split gives exactly the law of
-    per-individual draws, and the table gives it on a 2**-53 grid.
+    nu = 1 the cells are kappa1, 1 - 2*kappa1 and kappa1, the last one the
+    tail cell where kappa1 <= 1e-12), and only the individuals in the tail
+    cell are drawn one by one, from X | X >= K, in bounded chunks.  The
+    split gives exactly the law of per-individual draws, and the table
+    gives it on a 2**-53 grid.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
     K = 32 and nu = 1/2.  Populations below the cap 1e4 time the same for
@@ -107,7 +109,16 @@ def _split_cell_sums(params: LawParams, rng: np.random.Generator,
                      pops: np.ndarray) -> np.ndarray:
     pvals = offspring_split(params, _SPLIT_CELLS)
     k = len(pvals) - 1
-    counts = rng.multinomial(pops, pvals)
+    if pvals[k] >= _TAIL_IN_ORDER:
+        counts = rng.multinomial(pops, pvals)
+    else:
+        # numpy draws each cell given 1 minus the cells before it, so past
+        # the largest cell every probability is off by ~k * 2**-53
+        # absolutely; a tiny tail cell needs the largest cell drawn last
+        j = int(np.argmax(pvals))
+        order = np.r_[:j, j + 1:k + 1, j]
+        counts = np.empty((len(pops), k + 1), dtype=np.int64)
+        counts[:, order] = rng.multinomial(pops, pvals[order])
     sums = counts[:, :k] @ np.arange(k)
     rows = np.nonzero(counts[:, k])[0]
     if rows.size:
@@ -141,7 +152,8 @@ def _sum_table(kappa1: float):
 def _table_sums(kappa1: float, rng: np.random.Generator,
                 pops: np.ndarray) -> np.ndarray:
     """nu = 1 sums for populations 1 <= w <= W, one uniform each."""
-    return _lookup(_sum_table(kappa1), pops, _uniform_keys(rng, len(pops)))
+    k = (rng.random(len(pops)) * _ONE).astype(np.int64)
+    return _lookup(_sum_table(kappa1), pops, k)
 
 
 def _tail_sums(params: LawParams, rng: np.random.Generator,

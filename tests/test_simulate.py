@@ -330,6 +330,40 @@ def test_split_cells_stop_at_the_table_length():
     assert np.all(sums >= 0)
 
 
+@pytest.mark.parametrize("k1", [1e-12, 1e-17])
+def test_nu1_split_at_tiny_kappa1_keeps_the_law(k1):
+    # the sampler table stops at 1, so the split's tail cell {X >= 2} goes
+    # to the tail path.  At 1e-17, 1 - cum[1] rounds to 0, and in numpy's
+    # cell order nothing would follow the cell 1 - 2*kappa1, which rounds
+    # to 1.  A sum minus w is
+    # N2 - N0, two Poisson(w*kappa1) counts up to O(kappa1): Skellam
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=k1,
+                  kappa2=1.0)
+    lam, n, shift = 0.05, 20_000, 4
+    w = round(lam / k1)
+    draws = sim._offspring_sums(p, stream(31, 0), np.full(n, w)) - w + shift
+    law = [math.exp(-2.0 * lam)
+           * sum(lam ** (2 * i + abs(d)) / math.factorial(i)
+                 / math.factorial(i + abs(d)) for i in range(20))
+           for d in range(-shift, shift + 1)]
+    assert_cells_match(draws, np.array(law), k1)
+
+
+def test_tail_cell_draws_where_the_table_cdf_rounds_to_one():
+    # nu near 1 and a tiny kappa1: cum[2] rounds to 1, so only the exact
+    # tail mass P(X >= 3) can condition the draws of the tail cell
+    p = LawParams(nu=0.99999, theta=1.0, delta=1.0, kappa0=1.0,
+                  kappa1=1e-11, kappa2=1.0)
+    pvals = offspring_split(p, sim._SPLIT_CELLS)
+    k = len(pvals) - 1
+    assert k == 3
+    draws = sample_offspring(p, stream(37, 0), 200_000, lowest=k)
+    assert draws.min() >= k
+    law = offspring_pmf(p, 5000).probs.copy()
+    law[:k] = 0.0
+    assert_cells_match(draws, law / pvals[-1], k)
+
+
 def test_chunked_path_is_chunk_size_invariant(monkeypatch):
     p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)

@@ -511,9 +511,15 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
 
 def stable_positive(theta: float, rng: np.random.Generator,
                     size: int) -> np.ndarray:
-    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta)."""
-    if not 0.0 < theta <= 1.0:
-        raise OutOfRangeError("theta", "0 < theta <= 1", theta)
+    """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta).
+
+    theta must lie in [1e-300, 1): below 1e-300 (`_THETA_MIN`) the terms
+    of log S overflow and meet as inf - inf, so the draws would be NaN.
+    Well above it S itself leaves the float range: at theta = 1e-3 about
+    half the draws read inf or 0, so `sample_immigration` works with log S.
+    """
+    if not _THETA_MIN <= theta <= 1.0:
+        raise OutOfRangeError("theta", "1e-300 <= theta <= 1", theta)
     if theta == 1.0:
         raise DegenerateThetaError(
             "theta = 1 is the deterministic unit mass; no continuous "

@@ -49,13 +49,22 @@ class QTrajectory:
 
 
 def _q_steps(params: LawParams, q, n: int):
-    """Yield q_0 = q, q_1, ..., q_n; a scalar q runs on Python floats."""
+    """Yield q_0 = q, q_1, ..., q_n; a scalar q runs on Python floats.
+
+    At nu = 1 the step leaves out the power, which changes no bit:
+    x**1 == x.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     nu, k1 = params.nu, params.kappa1
     if np.ndim(q) == 0:
         q = float(q)
     yield q
+    if nu == 1.0:
+        for _ in range(n):
+            q = q * (1.0 - k1 * q)
+            yield q
+        return
     for _ in range(n):
         q = q * (1.0 - k1 * q ** nu)
         yield q

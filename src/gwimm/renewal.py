@@ -310,6 +310,11 @@ def fit_tail(u: np.ndarray, regime: RegimeReport) -> RegimeReport:
     n = np.arange(1, nmax + 1, dtype=float)
     v = u[1:]
     dec = n >= nmax / 10.0
+    if not np.all(v[dec] > 0.0):
+        first = int(np.argmax(~(u > 0.0)))
+        raise InsufficientLengthError(
+            f"u_{first} = {u[first]:g}: the fitted decade n >= "
+            f"{nmax / 10.0:g} needs u_n > 0")
     logn = np.log(n[dec])
 
     if regime.regime_id == "R4":

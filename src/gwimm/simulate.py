@@ -11,7 +11,11 @@ L_n is drawn without visiting every individual (see `_offspring_sums`).
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
-master seed no matter how many worker threads participate.
+master seed no matter how many worker threads participate.  A block
+steps only its live replicates (at most `cap`, and positive unless the
+model is UNSTOPPED_Z), kept in block order: the dead and cap-censored
+ones draw nothing, so each generation's draws are the ones a step of
+the whole block would make.
 """
 
 from __future__ import annotations
@@ -176,31 +180,24 @@ def _tail_sums(params: LawParams, rng: np.random.Generator,
     return sums
 
 
-def _next_generation(params: LawParams, model: Model, cap: int,
-                     rng: np.random.Generator, vals: np.ndarray,
-                     frozen: np.ndarray) -> None:
-    """Advance every active replicate one generation, in place."""
+def _next_generation(params: LawParams, model: Model,
+                     rng: np.random.Generator, pops: np.ndarray) -> np.ndarray:
+    """The populations one generation on from the live `pops`, drawn in
+    their order (`pops` is nonempty, and positive unless the model is
+    UNSTOPPED_Z)."""
     if model is Model.UNSTOPPED_Z:
-        active = ~frozen
-    else:
-        active = (vals > 0) & ~frozen
-    idx = np.nonzero(active)[0]
-    if not idx.size:
-        return
-    pops = vals[idx]
-    lam = np.zeros(idx.size, dtype=np.int64)
-    has_kids = pops > 0
-    if np.any(has_kids):
-        lam[has_kids] = _offspring_sums(params, rng, pops[has_kids])
+        lam = np.zeros_like(pops)
+        has_kids = pops > 0
+        if has_kids.any():
+            lam[has_kids] = _offspring_sums(params, rng, pops[has_kids])
+        return lam + sample_immigration(params, rng, pops.size)
+    lam = _offspring_sums(params, rng, pops)
     if model is Model.GATED_W:
-        nxt = np.zeros(idx.size, dtype=np.int64)
-        g = np.nonzero(lam > 0)[0]
+        g = np.nonzero(lam)[0]
         if g.size:
-            nxt[g] = lam[g] + sample_immigration(params, rng, g.size)
-    else:
-        nxt = lam + sample_immigration(params, rng, idx.size)
-    vals[idx] = nxt
-    frozen[idx[nxt > cap]] = True
+            lam[g] += sample_immigration(params, rng, g.size)
+        return lam
+    return lam + sample_immigration(params, rng, pops.size)
 
 
 def _check_cap(cap) -> None:
@@ -213,21 +210,47 @@ def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
     """Run one block of replicates; returns the (3, horizon+1) counts of
     replicates positive, never zero so far, and cap-censored per generation,
     and the sums [sum, sum of squares] of exp(-scale * X) over the final
-    survivors (None without `scale`)."""
+    survivors (None without `scale`).
+
+    Only the live replicates are stepped: their block indices `idx` and
+    values `live`, in block order, so every draw is the one a step of the
+    whole block would make.  Live means at most `cap`, and positive too
+    for the absorbing models.  A replicate past the cap keeps its value
+    in `vals` and counts in `frozen`; a dead one drops out.
+    """
     vals = sample_initial(params, rng, size)
-    frozen = vals > cap                          # cap-censored, kept as-is
-    ever_zero = np.zeros(size, dtype=bool)
+    absorbing = model is not Model.UNSTOPPED_Z
+    frozen = int(np.count_nonzero(vals > cap))
+    keep = vals <= cap
+    if absorbing:
+        keep &= vals > 0
+    idx = np.nonzero(keep)[0]
+    live = vals[idx]
+    ever_zero = None if absorbing else vals == 0
     counts = np.empty((3, horizon + 1), dtype=np.int64)
     for n in range(horizon + 1):
-        if n:
-            _next_generation(params, model, cap, rng, vals, frozen)
-        ever_zero |= vals == 0
-        counts[:, n] = (np.count_nonzero(vals > 0),
-                        size - np.count_nonzero(ever_zero),
-                        np.count_nonzero(frozen))
+        if n and live.size:
+            live = _next_generation(params, model, rng, live)
+            keep = live > 0 if absorbing else None
+            if live.max() > cap:
+                over = live > cap
+                vals[idx[over]] = live[over]
+                frozen += int(np.count_nonzero(over))
+                keep = ~over if keep is None else keep & ~over
+            if keep is not None:
+                idx, live = idx[keep], live[keep]
+            if not absorbing:
+                ever_zero[idx[live == 0]] = True
+        if absorbing:
+            counts[:, n] = (live.size + frozen, live.size + frozen, frozen)
+        else:
+            counts[:, n] = (np.count_nonzero(live) + frozen,
+                            size - np.count_nonzero(ever_zero), frozen)
     lap = None
     if scale is not None:
-        contrib = np.exp(-scale * vals[vals > 0].astype(float))
+        final = np.where(vals > cap, vals, 0)
+        final[idx] = live
+        contrib = np.exp(-scale * final[final > 0].astype(float))
         lap = np.array([contrib.sum(), np.square(contrib).sum()])
     return counts, lap
 
@@ -270,13 +293,13 @@ def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
         rng = stream(0, 0)
     # a path absorbed at zero draws nothing more; a capped one stops
     cur = sample_initial(params, rng, 1)
-    frozen = cur > cap
     path = [int(cur[0])]
-    while len(path) <= horizon and not frozen[0]:
-        _next_generation(params, model, cap, rng, cur, frozen)
+    while len(path) <= horizon and path[-1] <= cap:
+        if path[-1] or model is Model.UNSTOPPED_Z:
+            cur = _next_generation(params, model, rng, cur)
         path.append(int(cur[0]))
     vals = np.array(path, dtype=np.int64)
-    censoring = "cap" if frozen[0] else None
+    censoring = "cap" if path[-1] > cap else None
     zeros = np.nonzero(vals == 0)[0]
     life = int(zeros[0]) if zeros.size else None
     if life is None and censoring is None:

@@ -15,7 +15,8 @@ import pytest
 
 from gwimm.laws import LawParams, sample_offspring, sample_sibuya
 from gwimm.rng import stream
-from gwimm.simulate import conditional_laplace_mc, estimate_survival
+from gwimm.simulate import (conditional_laplace_mc, estimate_survival,
+                            sample_life_period, simulate)
 
 sim = importlib.import_module("gwimm.simulate")
 
@@ -50,11 +51,46 @@ def test_r3_survival_counts_digest():
     assert survival_digest(R3, "stopped", 30) == "306eb4e8125aecab"
 
 
+def test_life_period_z_digest():
+    # the "no zero so far" row: the only one where z differs from survival
+    bs = sample_life_period(MIXED, "z", reps=20_000, horizon=10, seed=7,
+                            cap=10 ** 4)
+    assert digest(np.concatenate([bs.survival_counts,
+                                  bs.censored_counts])) == "0660f5cf5dbef7ab"
+
+
 def test_conditional_laplace_mc_digest():
     est = conditional_laplace_mc(MIXED, "stopped", 5, 0.1, 20_000, seed=3,
                                  cap=10 ** 4)
     assert (est.value.hex(), est.se.hex(), est.survivors, est.censored) == (
         "0x1.b80c164bced96p-3", "0x1.51e0310064bd3p-9", 11691, 333)
+
+
+@pytest.mark.parametrize("model, want", [
+    ("z", ("0x1.159df1d773f0fp-2", "0x1.2c82666922619p-9", 18445, 502)),
+    ("gated", ("0x1.83dec51563884p-3", "0x1.6c9b8ab50512fp-9", 8702, 294)),
+])
+def test_conditional_laplace_mc_censored_digest(model, want):
+    # the Laplace sums run over cap-censored survivors too
+    est = conditional_laplace_mc(MIXED, model, 5, 0.1, 20_000, seed=3,
+                                 cap=10 ** 4)
+    assert (est.value.hex(), est.se.hex(), est.survivors,
+            est.censored) == want
+
+
+@pytest.mark.parametrize("params, model, want", [
+    (MIXED, "z", "baccc65e3b565184"),
+    (MIXED, "stopped", "dcc37cc377c8aacc"),
+    (MIXED, "gated", "ccd05a8d8926c66a"),
+    (R3, "z", "2646814515892eff"),
+    (R3, "stopped", "5047e6dcc7f9de17"),
+    (R3, "gated", "ab6ccd907d595f1c"),
+])
+def test_simulate_paths_digest(params, model, want):
+    # cap 50 censors most MIXED paths; R3 paths are mostly absorbed
+    paths = [simulate(params, model, 40, cap=50, rng=stream(s, 5)).values
+             for s in range(20)]
+    assert digest(np.concatenate(paths)) == want
 
 
 @pytest.mark.parametrize("nu, kappa1, lowest, want", [

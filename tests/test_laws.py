@@ -386,8 +386,10 @@ def test_stable_rejects_degenerate_and_bad_theta():
         stable_positive(1.0, rng, 10)
     with pytest.raises(OutOfRangeError):
         stable_positive(1.5, rng, 10)
-    with pytest.raises(OutOfRangeError):
-        stable_positive(0.0, rng, 10)
+    # below 1e-300 the draws would be NaN (all of them at 5e-324)
+    for theta in (0.0, 5e-324, 1e-301):
+        with pytest.raises(OutOfRangeError):
+            stable_positive(theta, rng, 10)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,24 @@ def test_q_last_is_bitwise_last_of_q_iterate(params, n):
                           q_iterate(params, grid, n).q[-1])
 
 
+@pytest.mark.parametrize("kappa1", [0.5, 0.3, 1e-12])
+@pytest.mark.parametrize("t", [0.3, np.array([0.0, 0.3, 0.97, 1.0 - 1e-9])])
+def test_q_nu1_step_is_bitwise_the_general_step(kappa1, t):
+    # at nu = 1 the step leaves out q**nu; pow(x, 1) == x keeps every bit
+    p = LawParams(1.0, 1.0, 1.0, 1.0, kappa1, 1.0)
+    n = 10 ** 5
+    q = 1.0 - np.asarray(t, dtype=float)
+    if np.ndim(q) == 0:
+        q = float(q)
+    want = [q]
+    for _ in range(n):
+        q = q * (1.0 - kappa1 * q ** p.nu)
+        want.append(q)
+    got = q_iterate(p, t, n).q
+    assert np.array_equal(got.view(np.int64),
+                          np.array(want, dtype=float).view(np.int64))
+
+
 def test_q_monotone_and_positive():
     q = q_iterate(HEAVY, 0.2, 200).q
     assert np.all(np.diff(q) < 0.0)

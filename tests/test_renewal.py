@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,16 @@ def test_fit_tail_requires_length():
     rep = RegimeReport("R5", 0.5, "none", sigma=0.2)
     with pytest.raises(InsufficientLengthError):
         fit_tail(np.ones(500), rep)
+    # at tiny nu the q-trajectory underflows to 0 at n = 573, and u falls
+    # from 1 to 5e-239 there and to 0 from n = 688 on: no log of 0
+    p = law(0.00048339815714850705, 0.9655183441874771,
+            5.575937018766064e-24, 7.2440839429254e-19, 0.873179189172466,
+            4.716707213474325e-239)
+    u = build_renewal(p, 1000).u
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InsufficientLengthError, match="u_688 = 0"):
+            fit_tail(u, classify_regime(p))
 
 
 def test_fit_tail_on_real_table():

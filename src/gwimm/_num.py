@@ -1,5 +1,6 @@
 """Small numeric utilities: compensated accumulation, extended-precision
-powers, products and rounding, and power-series tools."""
+powers, products and rounding, the FFT spectrum of a power series, and
+Gauss-Legendre quadrature."""
 
 from __future__ import annotations
 
@@ -75,72 +76,13 @@ def _spectrum(x: np.ndarray, size: int) -> np.ndarray:
     """rfft of x zero-padded to `size`, its zero-frequency bin summed in
     extended precision.
 
-    That bin is X(1).  For a divisor E(x) = 1 - x*A(x) with A(1) near 1 it
-    is tiny by cancellation, and the FFT's own roundoff there, multiplied
-    by R(1) ~ n for R = 1/E, would shift the pole of the computed inverse
-    off x = 1: its relative error would grow linearly along the series.
+    That bin is X(1), the sum of the coefficients.  Taken this way it
+    carries no FFT roundoff, so a product of two spectra holds the sum
+    of the product's coefficients, X(1)*Y(1), to float64 rounding.
     """
     f = np.fft.rfft(x, size)
     f[0] = np.sum(x, dtype=np.longdouble)
     return f
-
-
-def poly_mul_trunc(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First `n` coefficients of the product of two power series (FFT)."""
-    la = min(len(a), n)
-    lb = min(len(b), n)
-    size = 1
-    while size < la + lb - 1:
-        size <<= 1
-    return np.fft.irfft(_spectrum(a[:la], size) * _spectrum(b[:lb], size),
-                        size)[:n]
-
-
-def series_inverse(e: np.ndarray, n: int) -> np.ndarray:
-    """First `n` coefficients of 1/E(x) for a power series with e[0] != 0.
-
-    Newton doubling: R <- R*(2 - E*R) mod x^m, so the whole inversion costs
-    O(n log n) via FFT products.
-    """
-    if e[0] == 0.0:
-        raise ZeroDivisionError("series has no inverse: constant term is zero")
-    r = np.array([1.0 / e[0]])
-    m = 1
-    while m < n:
-        m = min(2 * m, n)
-        er = poly_mul_trunc(e[:m], r, m)
-        er[0] -= 2.0
-        r = -poly_mul_trunc(r, er, m)
-    return r[:n]
-
-
-def series_quotient(d: np.ndarray, e: np.ndarray, n: int) -> np.ndarray:
-    """First `n` coefficients of D(x)/E(x) for power series with e[0] != 0.
-
-    With m the power of two >= n and h = m/2, R = 1/E is taken only to
-    x^h by `series_inverse`; then one Karp-Markstein step (Karp &
-    Markstein 1997) gives
-
-        u = u0 + x^h * R * (D - E*u0)_hi,   u0 = D*R mod x^h,
-
-    where (.)_hi are the coefficients h..n-1.  All three products are
-    cyclic of size m: D*R and R*(.)_hi never wrap, and E*u0 wraps only
-    into coefficients below h, which are not read (the "middle product"
-    of Hanrot, Quercia & Zimmermann 2004).  The transform of R is
-    computed once.
-    """
-    if e[0] == 0.0:
-        raise ZeroDivisionError("series has no inverse: constant term is zero")
-    if n <= 1:
-        return np.asarray(d[:n], dtype=float) / e[0]
-    m = 1 << (n - 1).bit_length()
-    h = m // 2
-    fr = _spectrum(series_inverse(e, h), m)
-    u = np.empty(n)
-    u[:h] = np.fft.irfft(_spectrum(d[:h], m) * fr, m)[:h]
-    eu = np.fft.irfft(_spectrum(e[:n], m) * _spectrum(u[:h], m), m)
-    u[h:] = np.fft.irfft(_spectrum(d[h:n] - eu[h:n], m) * fr, m)[:n - h]
-    return u
 
 
 def gauss_legendre_panels(f, a: float, b: float) -> float:

@@ -28,9 +28,9 @@ from .errors import (CapTooSmallError, InsufficientLengthError,
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
 from .pgf import theta_sums, theta_tail_bounds
-from ._num import ext_power, fsum, round_to_float64, series_quotient
+from ._num import _spectrum, ext_power, fsum, round_to_float64
 
-_DIRECT_LIMIT = 10 ** 4      # direct O(n^2) convolution up to here, FFT beyond
+_BLOCK = 1024                # terms of u solved directly in extended precision
 _ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
 _BABY_STEPS = 16             # powers Fz^1..Fz^b in the DP table; divides every M
 _GIANT_CHUNK = 8             # block polynomials formed per matrix product
@@ -53,11 +53,9 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     """Tabulate gamma0, a, d and the survival sequence u up to n_max.
 
     The weights are built in extended precision and rounded once to
-    float64.  Up to n = 10^4 the recurrence is solved by direct
-    convolution in extended precision.  Beyond that u is the series
-    quotient (d/kappa0)(x) / (1 - x*A(x)) in float64, by a Newton inverse
-    of 1 - x*A(x) to half the FFT size and one fused Karp-Markstein step
-    (`series_quotient`).
+    float64.  u solves u = f + x*A(x)*u with f = d/kappa0, by one route
+    for every n_max (`_solve`), so u[:k] does not depend on n_max beyond
+    the last complete doubling level at or below k.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -65,25 +63,75 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     g0 = np.exp(-np.longdouble(params.kappa2) * S[:-1])
     a = g0 * (-np.expm1(-np.longdouble(params.kappa2) * qt))
     d = np.longdouble(params.kappa0) * g0 * ext_power(q, params.delta)
+    del q, qt, S
+    # the block keeps extended-precision weights, copied because rounding
+    # works in place; d / kappa0 is divided in extended precision and
+    # rounded once, before d itself is, so a subnormal kappa0 costs no
+    # digits.  No other extended-precision array outlives this, so the
+    # FFT levels of the solve do not peak on top of them.
+    b = min(n_max + 1, _BLOCK)
+    f_blk, a_blk = d[:b] / params.kappa0, a[:b].copy()
+    f = round_to_float64(d, params.kappa0)
+    g0, a, d = (round_to_float64(x) for x in (g0, a, d))
+    return RenewalTable(params=params, gamma0=g0, a=a, d=d,
+                        u=_solve(f_blk, a_blk, f, a))
 
-    if n_max <= _DIRECT_LIMIT:
-        u = np.empty(n_max + 1, dtype=np.longdouble)
-        u[0] = 1.0
-        for k in range(1, n_max + 1):
-            u[k] = d[k] / params.kappa0 + np.dot(a[:k], u[k - 1::-1])
-        u64 = u.astype(float)
-        a64 = round_to_float64(a)
-    else:
-        # d / kappa0 is divided in extended precision and rounded once,
-        # before d itself is rounded, so a subnormal kappa0 costs no digits
-        dk = round_to_float64(d, params.kappa0)
-        a64 = round_to_float64(a)
-        e = np.empty(n_max + 1)
-        e[0] = 1.0
-        e[1:] = -a64[:-1]
-        u64 = series_quotient(dk, e, n_max + 1)
-    return RenewalTable(params=params, gamma0=round_to_float64(g0), a=a64,
-                        d=round_to_float64(d), u=u64)
+
+def _solve_direct(f: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The first len(f) terms of u = f + x*A*u by direct convolution, in
+    extended precision."""
+    u = np.empty(len(f), dtype=np.longdouble)
+    u[0] = f[0]
+    for k in range(1, len(f)):
+        u[k] = f[k] + np.dot(a[:k], u[k - 1::-1])
+    return u
+
+
+def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
+           a: np.ndarray) -> np.ndarray:
+    """The first len(f) terms of u = f + x*A*u, as float64.
+
+    The first b = len(f_blk) terms come from the extended-precision
+    weights f_blk, a_blk by direct convolution, and so do those of
+    R = 1/(1 - x*A), the renewal sequence of a.  The float64 f and a
+    drive the rest, by doubling levels m = b, 2b, ...: since u[:m] has no
+    term of degree >= m, one Karp-Markstein step (Karp & Markstein 1997)
+    gives
+
+        u[m:2m] = R[:m] * (f + x*A*u[:m])[m:2m]
+        R[m:2m] = R[:m] * (x*A*R[:m])[m:2m]
+
+    mod x^m.  Each product is cyclic of size 2m: A*u[:m] wraps only into
+    coefficients below m - 1, which are not read, and the others never
+    wrap.  The last level is cut at len(f).  Every term is a sum of
+    nonnegative products, and a complete level reads only complete
+    levels, so a prefix of u does not depend on len(f).
+    """
+    n, b = len(f), len(f_blk)
+    u = np.empty(n)
+    # u is nonincreasing; where it is flat below extended precision the
+    # computed values jitter, and their running minimum is no further
+    # from the true u than the largest error before it
+    u[:b] = np.minimum.accumulate(_solve_direct(f_blk, a_blk))
+    if n == b:
+        return u
+    unit = np.zeros(b, dtype=np.longdouble)
+    unit[0] = 1.0
+    r = _solve_direct(unit, a_blk).astype(float)
+    m = b
+    while m < n:
+        size, top = 2 * m, min(2 * m, n)
+        fa = _spectrum(a[:size], size)
+        fr = _spectrum(r, size)
+        au = np.fft.irfft(fa * _spectrum(u[:m], size), size)
+        hi = _spectrum(f[m:top] + au[m - 1:top - 1], size)
+        u[m:top] = np.fft.irfft(fr * hi, size)[:top - m]
+        if top < n:
+            ar = np.fft.irfft(fa * fr, size)
+            hi = _spectrum(ar[m - 1:size - 1], size)
+            r = np.concatenate((r, np.fft.irfft(fr * hi, size)[:m]))
+        m = size
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,7 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
     return _batch_stats(params, model, horizon, reps, seed, threads, cap, 0)
 
 
-def sample_life_period(params: LawParams, model, reps: int, horizon: int,
+def sample_life_period(params: LawParams, model, horizon: int, reps: int,
                        seed: int, threads: int | None = None,
                        cap: int = DEFAULT_CAP) -> BatchStats:
     """Empirical tail of the life period: counts of {no zero through n}.

@@ -70,35 +70,43 @@ SIZE_ARGS = {
     "simulate": ["--horizon", "3", "--cap", "1000"],
     "survival": ["--horizon", "2", "--reps", "64", "--M", "16",
                  "--cap", "1000"],
+    "limits": ["--n-grid", "20,40", "--s-grid", "0.5,1"],
 }
 
 
 @settings(max_examples=250, deadline=None)
 @given(command=st.sampled_from(sorted(SIZE_ARGS)),
        model=st.sampled_from(["z", "stopped", "gated"]),
+       theorem=st.sampled_from(["heavy_immigration", "balanced_strong",
+                                "balanced_weak"]),
        nmax=st.sampled_from([1, 10, 1000]),
        nu=CLOSED_UNIT, theta=CLOSED_UNIT, delta=CLOSED_UNIT,
        kappa0=CLOSED_UNIT, frac=CLOSED_UNIT,
        kappa2=st.floats(min_value=0.0, max_value=1e300))
-@example(command="validate", model="stopped", nmax=1, nu=0.5, theta=1.0,
-         delta=1.0, kappa0=1.0, frac=5e-324, kappa2=1.0)
-@example(command="regime", model="stopped", nmax=1000, nu=0.5, theta=1.0,
-         delta=1.0, kappa0=1.0, frac=5e-324, kappa2=1.0)
+@example(command="validate", model="stopped", theorem="balanced_strong",
+         nmax=1, nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, frac=5e-324,
+         kappa2=1.0)
+@example(command="regime", model="stopped", theorem="balanced_strong",
+         nmax=1000, nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, frac=5e-324,
+         kappa2=1.0)
 # a Sibuya draw far in the tail used to overflow math.exp
-@example(command="simulate", model="stopped", nmax=1000, nu=1.0,
-         theta=1.0, delta=0.001, kappa0=1.0, frac=1.0, kappa2=1.0)
+@example(command="simulate", model="stopped", theorem="balanced_strong",
+         nmax=1000, nu=1.0, theta=1.0, delta=0.001, kappa0=1.0, frac=1.0,
+         kappa2=1.0)
 # kappa2**(1/theta) used to overflow the immigration mixture's scale
-@example(command="simulate", model="z", nmax=1, nu=1.0, theta=0.5,
-         delta=1.0, kappa0=1.0, frac=1.0, kappa2=1.3407807929942597e+154)
+@example(command="simulate", model="z", theorem="balanced_strong", nmax=1,
+         nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=1.3407807929942597e+154)
 # 1 - delta rounds to 1: the Sibuya tail walk used to divide by zero
-@example(command="simulate", model="z", nmax=1, nu=1.0, theta=1.0,
-         delta=1.1754943508222875e-38, kappa0=1.0, frac=1.0, kappa2=1.0)
-def test_no_traceback_over_the_box(command, model, nmax, nu, theta, delta,
-                                   kappa0, frac, kappa2):
+@example(command="simulate", model="z", theorem="balanced_strong", nmax=1,
+         nu=1.0, theta=1.0, delta=1.1754943508222875e-38, kappa0=1.0,
+         frac=1.0, kappa2=1.0)
+def test_no_traceback_over_the_box(command, model, theorem, nmax, nu, theta,
+                                   delta, kappa0, frac, kappa2):
     # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
     # must end in exit 2 with one line, never in an exception
     argv = [command, "--nmax", str(nmax), "--model", model,
-            *SIZE_ARGS[command]]
+            "--theorem", theorem, *SIZE_ARGS[command]]
     for key, val in (("nu", nu), ("theta", theta), ("delta", delta),
                      ("kappa0", kappa0), ("kappa1", frac / (1.0 + nu)),
                      ("kappa2", kappa2)):

@@ -1,31 +1,15 @@
-"""Extended-precision helpers and power-series tools of gwimm._num."""
+"""Extended-precision helpers of gwimm._num."""
 
 import warnings
 
 import numpy as np
-import pytest
 
-from gwimm._num import (ext_power, poly_mul_trunc, round_to_float64,
-                        series_inverse, series_quotient)
+from gwimm._num import ext_power, round_to_float64
 from gwimm.laws import LawParams
 from gwimm.pgf import theta_sums
 
 FRAC = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5, kappa1=0.5,
                  kappa2=0.3)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1023, 1024, 1025])
-def test_series_quotient_matches_inverse_then_product(n):
-    # a renewal-type divisor 1 - x*A(x) and a decaying numerator
-    rng = np.random.default_rng(n)
-    a = rng.random(n) * 0.9 ** np.arange(n)
-    a *= 0.95 / a.sum()
-    e = np.concatenate(([1.0], -a[:-1]))
-    d = rng.random(n) / (1.0 + np.arange(n)) ** 2
-    ref = poly_mul_trunc(d, series_inverse(e, n), n)
-    got = series_quotient(d, e, n)
-    assert got.shape == (n,)
-    assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_round_to_float64_is_astype_bit_for_bit():

@@ -1,6 +1,7 @@
 """Renewal system, truncated-state distributions, regime classification."""
 
 import dataclasses
+import hashlib
 import importlib
 import math
 import sys
@@ -25,6 +26,12 @@ CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
 FRAC = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5, kappa1=0.5,
                  kappa2=0.3)
+R0 = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
+               kappa2=1.0)
+R3 = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+               kappa2=0.25)
+MIXED = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
+                  kappa2=0.7)
 
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
@@ -66,29 +73,119 @@ def test_kernel_matches_gamma_differences():
     assert np.max(np.abs(rt.gamma0 - g0[:-1])) < 1e-13
 
 
-def test_direct_and_series_inverse_routes_agree(monkeypatch):
-    ref = build_renewal(FRAC, 700).u
-    monkeypatch.setattr(ren, "_DIRECT_LIMIT", 32)
-    fft = build_renewal(FRAC, 700).u
-    assert np.max(np.abs(ref - fft)) < 1e-11
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1023, 1024, 1025])
+def test_levels_match_the_long_double_block(monkeypatch, n):
+    # doubling levels from a block of 4 terms, at and around the level
+    # edges, against the block stretched over the whole table
+    for p in (FRAC, R0, CANON):
+        monkeypatch.setattr(ren, "_BLOCK", n)
+        ref = build_renewal(p, n - 1).u
+        monkeypatch.setattr(ren, "_BLOCK", 4)
+        got = build_renewal(p, n - 1).u
+        assert np.max(np.abs(got - ref) / ref) < 5e-14
+        if p is not R0:          # R0's flat u shows float64 noise
+            assert np.all(np.diff(got) <= 0.0)
 
 
 @pytest.mark.parametrize("n, bound", [(4095, 3e-13), (16383, 1.5e-12)])
 def test_fft_route_on_ill_conditioned_r0(monkeypatch, n, bound):
-    # R0: gamma0 -> 0, so 1 - x*A(x) vanishes at x = 1 and the inverse
-    # does not decay; the FFT route's error grows along the series
-    p = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-    monkeypatch.setattr(ren, "_DIRECT_LIMIT", n)
-    ref = build_renewal(p, n).u
-    monkeypatch.setattr(ren, "_DIRECT_LIMIT", 32)
-    fft = build_renewal(p, n).u
+    # R0: gamma0 -> 0, so 1 - x*A(x) vanishes at x = 1 and its inverse
+    # does not decay; the error of the float64 levels grows along u
+    fft = build_renewal(R0, n).u
+    monkeypatch.setattr(ren, "_BLOCK", n + 1)
+    ref = build_renewal(R0, n).u
     assert np.max(np.abs(fft - ref) / ref) < bound
 
 
+def complete_levels(n_max: int) -> int:
+    """End of the last complete doubling level within n_max + 1 terms."""
+    end = ren._BLOCK
+    while 2 * end <= n_max + 1:
+        end *= 2
+    return min(end, n_max + 1)
+
+
+@pytest.mark.parametrize("p", [R0, R3, FRAC], ids=["R0", "R3", "FRAC"])
+def test_u_prefix_does_not_depend_on_n_max(p):
+    big = build_renewal(p, 10 ** 5).u
+    for n in (0, 1023, 1024, 2046, 2047, 2048, 5000, 70_000):
+        end = complete_levels(n)
+        assert np.array_equal(build_renewal(p, n).u[:end], big[:end])
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+KAPPA2 = st.floats(min_value=0.0, max_value=sys.float_info.max,
+                   exclude_min=True)
+DELTA = st.floats(min_value=sys.float_info.min, max_value=1.0)
+
+
+def box_params(nu, theta, delta, kappa0, frac, kappa2) -> LawParams:
+    # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 * nu >= sys.float_info.min)
+    return LawParams(nu=nu, theta=theta, delta=delta, kappa0=kappa0,
+                     kappa1=kappa1, kappa2=kappa2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
+       kappa2=KAPPA2, n=st.integers(min_value=1024, max_value=20_000))
+def test_u_prefix_is_stable_over_the_box(nu, theta, delta, kappa0, frac,
+                                         kappa2, n):
+    p = box_params(nu, theta, delta, kappa0, frac, kappa2)
+    end = complete_levels(n)
+    big = build_renewal(p, 10 ** 5).u
+    assert np.array_equal(build_renewal(p, n).u[:end], big[:end])
+
+
+@settings(max_examples=100, deadline=None)
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
+       kappa2=KAPPA2, n=st.integers(min_value=0, max_value=1023))
+# u flat to 1e-17 and to 1e-31 relative: the extended-precision values
+# jittered, and rounded to an increase of one float64 ulp
+@example(nu=0.10866548260930034, theta=1e-300, delta=0.10097585879825369,
+         kappa0=1.0, frac=0.6875, kappa2=0.10097585879825369, n=343)
+@example(nu=1.0793449437521681e-138, theta=1e-300, delta=0.23274137508794662,
+         kappa0=1.0, frac=0.8489545930783207, kappa2=0.9501760697420627,
+         n=74)
+def test_u_on_the_block_is_a_survival_curve_over_the_box(
+        nu, theta, delta, kappa0, frac, kappa2, n):
+    u = build_renewal(box_params(nu, theta, delta, kappa0, frac, kappa2),
+                      n).u
+    assert u[0] == 1.0
+    assert np.all((0.0 <= u) & (u <= 1.0))
+    assert np.all(np.diff(u) <= 0.0)
+
+
+def table_digest(rt) -> str:
+    h = hashlib.sha256()
+    for x in (rt.u, rt.a, rt.d, rt.gamma0):
+        h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+TINY_NU = LawParams(nu=0.00048339815714850705, theta=0.9655183441874771,
+                    delta=5.575937018766064e-24, kappa0=7.2440839429254e-19,
+                    kappa1=0.873179189172466, kappa2=4.716707213474325e-239)
+
+
+@pytest.mark.parametrize("p, n, want", [
+    (CANON, 50, "11a92ef4b79cdf0d"), (CANON, 1000, "a85923897f48135c"),
+    (R3, 50, "ea937d3229aecd37"), (R3, 1000, "64399cde9363a3c3"),
+    (FRAC, 50, "20ab7369e5ec9ac9"), (FRAC, 1000, "3b9593115f3f4114"),
+    (MIXED, 50, "681dfe75e73ba562"), (MIXED, 1000, "f90159dcdeca5ca8"),
+    (TINY_NU, 50, "5063793ca94e140a"), (TINY_NU, 1000, "09252bec45db40e7"),
+])
+def test_block_tables_digest(p, n, want):
+    # u, a, d and gamma0 of tables within the long-double block, pinned
+    # bit for bit: the SHA-256 of their float64 bytes
+    assert table_digest(build_renewal(p, n)) == want
+
+
 def test_series_inverse_route_with_subnormal_kappa0():
-    # u does not depend on kappa0: above n = 10^4 the d / kappa0 quotient
-    # must be formed before rounding, or a subnormal d loses its digits
+    # u does not depend on kappa0: beyond the block the d / kappa0
+    # quotient must be formed before rounding, or a subnormal d loses
+    # its digits
     p = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=1.0, kappa1=0.5,
                   kappa2=0.7)
     ref = build_renewal(p, 20_000).u
@@ -207,13 +304,8 @@ def test_dp_cap_too_small_at_reference_generation():
     assert info.value.generation == ref.value.generation
 
 
-UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
-
-
 @settings(max_examples=150, deadline=None)
-@given(nu=UNIT, theta=UNIT,
-       delta=st.floats(min_value=sys.float_info.min, max_value=1.0),
-       kappa0=UNIT, frac=UNIT,
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
        kappa2=st.floats(min_value=0.0, max_value=8.0, exclude_min=True))
 # the initial tail mass rounded above kappa0 (a lost mass > tol = 1)
 @example(nu=1.0, theta=1.0, delta=1.2065227197986961e-209, kappa0=1.0,
@@ -224,10 +316,7 @@ def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
                                                 frac, kappa2):
     # tol = 1 lets heavy tails widen the bracket instead of raising
     # CapTooSmallError at this small M; the bracket stays rigorous
-    kappa1 = frac / (1.0 + nu)
-    assume(kappa1 * nu >= sys.float_info.min)
-    p = LawParams(nu=nu, theta=theta, delta=delta, kappa0=kappa0,
-                  kappa1=kappa1, kappa2=kappa2)
+    p = box_params(nu, theta, delta, kappa0, frac, kappa2)
     u = build_renewal(p, 10).u
     lo, hi, dist = u_dp_curve(p, "stopped", 10, M=256, tol=1.0)
     pad = 1e-9 + dist.alias_bound

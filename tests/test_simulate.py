@@ -101,14 +101,26 @@ def test_partial_blocks_and_tiny_reps():
 def test_life_period_equals_survival_when_absorbing():
     for model in ("stopped", "gated"):
         a = estimate_survival(MIXED, model, 12, 30_000, seed=3, cap=10_000)
-        b = sample_life_period(MIXED, model, 30_000, 12, seed=3, cap=10_000)
+        b = sample_life_period(MIXED, model, reps=30_000, horizon=12, seed=3,
+                               cap=10_000)
         assert np.array_equal(a.survival_counts, b.survival_counts)
+
+
+def test_life_period_takes_estimate_survival_arguments_in_order():
+    # horizon before reps, as in estimate_survival: the same positional
+    # call gives the same counts on an absorbing model
+    a = estimate_survival(MIXED, "stopped", 12, 3_000, 5, None, 10_000)
+    b = sample_life_period(MIXED, "stopped", 12, 3_000, 5, None, 10_000)
+    assert (b.reps, len(b.survival_counts)) == (3_000, 13)
+    assert np.array_equal(a.survival_counts, b.survival_counts)
+    assert np.array_equal(a.censored_counts, b.censored_counts)
 
 
 def test_life_period_below_survival_when_unstopped():
     # same seed, same paths: {no zero through n} implies {Z_n > 0}
     a = estimate_survival(MIXED, "z", 12, 30_000, seed=3, cap=10_000)
-    b = sample_life_period(MIXED, "z", 30_000, 12, seed=3, cap=10_000)
+    b = sample_life_period(MIXED, "z", reps=30_000, horizon=12, seed=3,
+                           cap=10_000)
     assert np.all(b.survival_counts <= a.survival_counts)
     assert b.survival_counts[12] < a.survival_counts[12]
 
@@ -491,7 +503,8 @@ def test_cap_is_validated_by_every_entry_point(cap):
     calls = [
         lambda: simulate(CANON, "stopped", 3, cap=cap),
         lambda: estimate_survival(CANON, "stopped", 3, 10, seed=0, cap=cap),
-        lambda: sample_life_period(CANON, "z", 10, 3, seed=0, cap=cap),
+        lambda: sample_life_period(CANON, "z", reps=10, horizon=3, seed=0,
+                                   cap=cap),
         lambda: conditional_laplace_mc(CANON, "z", 2, 1.0, reps=10, seed=0,
                                        cap=cap),
     ]

@@ -87,6 +87,15 @@ def test_levels_match_the_long_double_block(monkeypatch, n):
             assert np.all(np.diff(got) <= 0.0)
 
 
+def test_direct_and_series_inverse_routes_agree(monkeypatch):
+    # 701 terms lie inside one direct block; from a block of 32 terms the
+    # same table comes from the doubling levels and their series inverse R
+    ref = build_renewal(FRAC, 700).u
+    monkeypatch.setattr(ren, "_BLOCK", 32)
+    fft = build_renewal(FRAC, 700).u
+    assert np.max(np.abs(ref - fft)) < 1e-11
+
+
 @pytest.mark.parametrize("n, bound", [(4095, 3e-13), (16383, 1.5e-12)])
 def test_fft_route_on_ill_conditioned_r0(monkeypatch, n, bound):
     # R0: gamma0 -> 0, so 1 - x*A(x) vanishes at x = 1 and its inverse

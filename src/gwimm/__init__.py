@@ -22,7 +22,7 @@ from .laws import (LawParams, PmfTable, immigration_pgf, immigration_pmf,
                    sample_initial, sample_offspring, sample_sibuya,
                    stable_positive)
 from .pgf import (GammaSequence, QTrajectory, epsilon_term, gamma_sequences,
-                  h_n, laplace_zn, q_iterate, q_last, rate_gap, step_gap,
+                  h_n, laplace_zn, q_iterate, rate_gap, step_gap,
                   step_gap_envelope)
 from .simulate import (BatchStats, LaplaceEstimate, Model, Trajectory,
                        conditional_laplace_mc, estimate_survival,

@@ -7,6 +7,10 @@ theta < nu).  Each checker returns the worst-case deviation between the
 finite-n quantity and its proven limit, so convergence can be watched
 directly; the conditional transform of the stopped process additionally
 gets an exact finite-n evaluator through the renewal decomposition.
+
+Both scales x are tiny, so t is never formed: the q-trajectory at t is
+fed log q_0 = log(1 - t) = log(-expm1(-s*x)), computed from log x, which
+is log q_n(0) read off one q(0) trajectory or -log(n)/theta.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from .errors import (MissingConstantError, MissingRenewalError,
                      TolUnreachableError, WrongRegimeError)
 from .laws import LawParams
-from .pgf import gamma_sequences, h_n, q_last, theta_sums, theta_tail_bounds
+from .pgf import (_gammas, _log1m, _log_q0, _q_steps, theta_sums,
+                  theta_tail_bounds)
 from .renewal import RenewalTable, build_renewal, classify_regime, fit_tail
 from ._num import fsum, gauss_legendre_panels
 
@@ -43,14 +48,20 @@ def _require_heavy(params: LawParams) -> None:
             f"needs theta < nu, got theta={params.theta}, nu={params.nu}")
 
 
-def _scaled_point(params: LawParams, s: float, n: int, scaling: str) -> float:
-    """t = exp(-s q_n(0)) for "by_qn", t = exp(-s n^{-1/theta}) for
-    "by_n_inv_theta"."""
+def _log_scales(params: LawParams, ns, scaling: str) -> list[float]:
+    """log x for each n of `ns`: x = q_n(0), read off one trajectory, for
+    "by_qn" and x = n^{-1/theta} for "by_n_inv_theta"."""
     if scaling == "by_qn":
-        return math.exp(-s * q_last(params, 0.0, n))
+        path = _q_steps(params, 0.0, max(ns))
+        return [path.log(n) for n in ns]
     if scaling == "by_n_inv_theta":
-        return math.exp(-s * n ** (-1.0 / params.theta))
+        return [-math.log(n) / params.theta for n in ns]
     raise ValueError("scaling must be 'by_qn' or 'by_n_inv_theta'")
+
+
+def _gammas_at(params: LawParams, t: float, n: int, scaling: str):
+    """(log_gamma0, gamma) up to n at the scaled point of t."""
+    return _gammas(params, _log_q0(t, *_log_scales(params, [n], scaling)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +78,10 @@ def gamma_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     _require_balanced(params)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    seq = gamma_sequences(params, _scaled_point(params, t, n, "by_qn"), n)
+    log_g0, _ = _gammas_at(params, t, n, "by_qn")
     k = np.arange(n + 1, dtype=float)
     pref = (1.0 + (k / n) * t ** params.nu) ** _sigma(params)
-    return float(np.max(np.abs(pref * np.exp(seq.log_gamma0) - 1.0)))
+    return float(np.max(np.abs(pref * np.exp(log_g0) - 1.0)))
 
 
 def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
@@ -79,11 +90,10 @@ def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     _require_heavy(params)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    seq = gamma_sequences(
-        params, _scaled_point(params, t, n, "by_n_inv_theta"), n)
+    log_g0, _ = _gammas_at(params, t, n, "by_n_inv_theta")
     k = np.arange(n + 1, dtype=float)
     expo = params.kappa2 * t ** params.theta * k / n
-    return float(np.max(np.abs(np.exp(expo + seq.log_gamma0) - 1.0)))
+    return float(np.max(np.abs(np.exp(expo + log_g0) - 1.0)))
 
 
 def laplace_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
@@ -92,7 +102,7 @@ def laplace_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     limit = (1.0 + t ** params.nu) ** (-_sigma(params))
-    return abs(h_n(params, _scaled_point(params, t, n, "by_qn"), n) - limit)
+    return abs(_gammas_at(params, t, n, "by_qn")[1][n] - limit)
 
 
 def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
@@ -101,8 +111,7 @@ def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     limit = math.exp(-params.kappa2 * t ** params.theta)
-    s = _scaled_point(params, t, n, "by_n_inv_theta")
-    return abs(h_n(params, s, n) - limit)
+    return abs(_gammas_at(params, t, n, "by_n_inv_theta")[1][n] - limit)
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +134,12 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
             f"stationary law needs theta > nu, got theta={th}, nu={nu}")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    if s == 1.0:
-        return 1.0
     # first j whose enclosure is within tol; chunks keep memory bounded
-    q0, head, j0 = 1.0 - s, 0.0, 0
+    lq0, head, j0 = _log1m(s), 0.0, 0
     while True:
         n = min(_STATIONARY_CHUNK, max_iter - j0)
-        q, _, S = theta_sums(params, q0, n)
-        lo, hi = theta_tail_bounds(params, q)
+        path, _, S = theta_sums(params, lq0, n)
+        lo, hi = theta_tail_bounds(params, path.logs())
         width = params.kappa2 * (hi - lo)
         tight = np.nonzero(width <= tol)[0]
         if tight.size:
@@ -143,7 +150,7 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
             raise TolUnreachableError(
                 f"enclosure width {width[-1]:.2e} > tol {tol:.1e} "
                 f"after {max_iter} terms")
-        head, q0, j0 = head + S[n], float(q[n]), j0 + n
+        head, lq0, j0 = head + S[n], path.log(n), j0 + n
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
         raise ValueError("n must be >= 1")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    t = _scaled_point(params, s, n, scaling)
+    log_x, = _log_scales(params, [n], scaling)
     if table is None:
         table = build_renewal(params, n)
     if table.params != params:
@@ -176,12 +183,19 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
     if len(table.u) < n + 1:
         raise MissingRenewalError(
             f"renewal table of length {len(table.u)} < n+1 = {n + 1}")
-    q, _, S = theta_sums(params, 1.0 - t, n)
+    return _conditional_laplace(params, table, n, _log_q0(s, log_x))
+
+
+def _conditional_laplace(params: LawParams, table: RenewalTable, n: int,
+                         lq0: float) -> float:
+    """`conditional_laplace_exact` at log q_0(t) = lq0, given a table that
+    reaches n."""
+    path, qt, S = theta_sums(params, lq0, n)
     g0 = np.exp((-params.kappa2 * S[:-1]).astype(float))    # gamma_k^(0)(t)
     # conditioning on a positive start strips the kappa0 atom: the initial
     # transform becomes 1 - (1-x)^delta, so no kappa0 appears here
-    xi1 = g0[n] * q[n] ** params.delta / table.u[n]
-    w = g0[:-1] * (-np.expm1(-params.kappa2 * q[:-1] ** params.theta))
+    xi1 = g0[n] * math.exp(params.delta * path.log(n)) / table.u[n]
+    w = g0[:-1] * (-np.expm1(-params.kappa2 * qt[:-1].astype(float)))
     xi2 = fsum(table.u[n - 1::-1] * w / table.u[n])
     return 1.0 - xi1 - xi2
 
@@ -284,8 +298,10 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     """Deviations of the exact conditional transform from its limit.
 
     `theorem_id` picks the scaling and the limit function; for
-    "balanced_weak" the K5 constant is fitted from a length-10^5 renewal
-    table when not supplied.
+    "balanced_weak" the K5 constant, when needed and not supplied, is
+    fitted from the first 10^5 terms of the sweep's one renewal table,
+    which then runs to max(n_grid[-1], 10^5).  q_n(0) comes from one
+    trajectory to n_grid[-1].
     """
     if theorem_id not in _SWEEPS:
         raise ValueError(f"unknown theorem_id {theorem_id!r}")
@@ -294,25 +310,22 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
     scaling, limit_fn = _SWEEPS[theorem_id]
-    table = build_renewal(params, int(n_grid[-1]))
-    if theorem_id == "balanced_weak":
-        needs_k5 = _sigma(params) < 1.0 - params.delta / params.nu \
-            - _BOUNDARY_TOL
-        if needs_k5 and K5 is None:
-            fit_u = (table.u if len(table.u) == 10 ** 5 + 1
-                     else build_renewal(params, 10 ** 5).u)
-            rep = fit_tail(fit_u, classify_regime(params))
-            # K5 is the constant of the unconditional survival kappa0*u_n,
-            # so the kappa0 in the atom of lambda_limit cancels against it
-            K5 = params.kappa0 * rep.constants["K"]
-        limit = np.array([lambda_limit(params, s, K5) for s in s_grid])
-    else:
-        limit = np.array([limit_fn(params, float(s)) for s in s_grid])
-    computed = np.empty((len(n_grid), len(s_grid)))
-    for i, n in enumerate(n_grid):
-        for j, s in enumerate(s_grid):
-            computed[i, j] = conditional_laplace_exact(
-                params, int(n), float(s), scaling, table)
+    fit = (limit_fn is None and K5 is None and _sigma(params)
+           < 1.0 - params.delta / params.nu - _BOUNDARY_TOL)
+    n_max = int(n_grid[-1])
+    table = build_renewal(params, max(n_max, 10 ** 5) if fit else n_max)
+    if fit:
+        rep = fit_tail(table.u[:10 ** 5 + 1], classify_regime(params))
+        # K5 is the constant of the unconditional survival kappa0*u_n,
+        # so the kappa0 in the atom of lambda_limit cancels against it
+        K5 = params.kappa0 * rep.constants["K"]
+    limit = np.array([lambda_limit(params, s, K5) if limit_fn is None
+                      else limit_fn(params, s) for s in s_grid.tolist()])
+    log_x = _log_scales(params, n_grid.tolist(), scaling)
+    computed = np.array([[_conditional_laplace(params, table, n,
+                                               _log_q0(s, lx))
+                          for s in s_grid.tolist()]
+                         for n, lx in zip(n_grid.tolist(), log_x)])
     dev = np.abs(computed - limit[None, :])
     return LimitCheck(theorem_id=theorem_id, s_grid=s_grid, n_grid=n_grid,
                       computed=computed, limit=limit, deviations=dev)

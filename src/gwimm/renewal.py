@@ -28,7 +28,7 @@ from .errors import (CapTooSmallError, InsufficientLengthError,
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
 from .pgf import theta_sums, theta_tail_bounds
-from ._num import _spectrum, ext_power, fsum, round_to_float64
+from ._num import _spectrum, fsum, round_to_float64
 
 _BLOCK = 1024                # terms of u solved directly in extended precision
 _ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
@@ -59,11 +59,11 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    q, qt, S = theta_sums(params, 1.0, n_max)
+    path, qt, S = theta_sums(params, 0.0, n_max)
     g0 = np.exp(-np.longdouble(params.kappa2) * S[:-1])
     a = g0 * (-np.expm1(-np.longdouble(params.kappa2) * qt))
-    d = np.longdouble(params.kappa0) * g0 * ext_power(q, params.delta)
-    del q, qt, S
+    d = np.longdouble(params.kappa0) * g0 * path.power(params.delta)
+    del path, qt, S
     # the block keeps extended-precision weights, copied because rounding
     # works in place; d / kappa0 is divided in extended precision and
     # rounded once, before d itself is, so a subnormal kappa0 costs no
@@ -427,7 +427,7 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     the tail sum of q_j^theta.
     """
     nu, th = params.nu, params.theta
-    q, _, S = theta_sums(params, 1.0, n_max)
+    path, _, S = theta_sums(params, 0.0, n_max)
     neglog = float(params.kappa2) * S[:-1]      # -log gamma0_n at n
 
     ns = np.unique(np.geomspace(max(10, n_max // 10), n_max, 200).astype(int))
@@ -445,7 +445,7 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
         return GammaReport("power", float(scaled[-1]), drift=drift)
     # theta > nu: gamma0 converges to c0 > 0
     J = n_max
-    lo_tail, hi_tail = theta_tail_bounds(params, float(q[J]))
+    lo_tail, hi_tail = theta_tail_bounds(params, path.log(J))
     interval = (math.exp(-params.kappa2 * (float(S[J]) + hi_tail)),
                 math.exp(-params.kappa2 * (float(S[J]) + lo_tail)))
     x = ns.astype(float) ** (1.0 - th / nu)

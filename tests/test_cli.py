@@ -189,6 +189,8 @@ def test_survival_table_consistency(tmp_path, capsys):
                     "--M", "256", "--seed", "2", "--out", str(out)], capsys)
     assert rc == 0
     lines = out.read_text().splitlines()
+    assert lines[:2] == ["# model=stopped", "# given=X_0>0"]
+    lines = [ln for ln in lines if not ln.startswith("#")]
     assert lines[0] == "n,u_renewal,dp_lower,dp_upper,u_mc,mc_se,censored"
     for ln in lines[1:]:
         n, ur, lo, hi, umc, se, cens = ln.split(",")
@@ -206,7 +208,7 @@ def test_survival_columns_measure_one_quantity(extra, capsys):
     rc, out, _ = run(["survival", "--horizon", "3", "--reps", "20000",
                       "--M", "256", *extra], capsys)
     assert rc == 0
-    lines = out.splitlines()
+    lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "n,u_renewal,dp_lower,dp_upper,u_mc,mc_se,censored"
     stopped = "--model" not in extra
     for ln in lines[1:]:

@@ -1,9 +1,11 @@
 """Limit-theorem checkers, stationary transform, conditional-law machinery."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gwimm.errors import (MissingConstantError, MissingRenewalError,
                           TolUnreachableError, WrongRegimeError)
@@ -15,7 +17,7 @@ from gwimm.limits import (LimitCheck, conditional_laplace_exact,
                           laplace_limit_dev_balanced,
                           laplace_limit_dev_heavy_imm, limit_balanced_strong,
                           limit_laplace_heavy_imm, stationary_pgf)
-from gwimm.pgf import h_n, q_last
+from gwimm.pgf import h_n, q_iterate
 from gwimm.renewal import RenewalTable, build_renewal, gamma_asymptotics
 from gwimm.simulate import conditional_laplace_mc
 
@@ -49,7 +51,7 @@ def one_step_oracle(p: LawParams, t: float) -> float:
 def test_conditional_transform_one_step(params):
     s = 0.7
     got = conditional_laplace_exact(params, 1, s)
-    t = math.exp(-s * q_last(params, 0.0, 1))
+    t = math.exp(-s * q_iterate(params, 0.0, 1).q[-1])
     assert got == pytest.approx(one_step_oracle(params, t), abs=1e-12)
 
 
@@ -69,7 +71,7 @@ def test_decomposition_telescopes_to_plain_transform():
                         u=np.ones_like(rt.u))
     stripped = dataclasses.replace(MIXED, kappa0=1.0)
     for s in (0.3, 1.5):
-        t = math.exp(-s * q_last(MIXED, 0.0, n))
+        t = math.exp(-s * q_iterate(MIXED, 0.0, n).q[-1])
         got = conditional_laplace_exact(MIXED, n, s, table=flat)
         assert got == pytest.approx(h_n(stripped, t, n), abs=1e-12)
 
@@ -77,7 +79,7 @@ def test_decomposition_telescopes_to_plain_transform():
 def test_conditional_transform_matches_monte_carlo():
     n, s = 30, 1.0
     exact = conditional_laplace_exact(CANON, n, s)
-    scale = s * float(q_last(CANON, 0.0, n))
+    scale = s * float(q_iterate(CANON, 0.0, n).q[-1])
     est = conditional_laplace_mc(CANON, "stopped", n, scale, reps=100_000,
                                  seed=12, threads=2)
     assert abs(est.value - exact) < 4.0 * est.se
@@ -87,7 +89,7 @@ def test_conditional_transform_matches_monte_carlo_with_atom():
     # kappa0 < 1 exercises the conditioning normalization
     n, s = 10, 0.7
     exact = conditional_laplace_exact(MIXED, n, s)
-    scale = s * float(q_last(MIXED, 0.0, n))
+    scale = s * float(q_iterate(MIXED, 0.0, n).q[-1])
     est = conditional_laplace_mc(MIXED, "stopped", n, scale, reps=200_000,
                                  seed=5, threads=2, cap=100_000)
     assert abs(est.value - exact) < 4.0 * est.se
@@ -242,6 +244,23 @@ def test_sweep_weak_branch_builds_one_renewal_table(monkeypatch):
     assert np.all(np.isfinite(chk.limit))
 
 
+def test_sweep_weak_branch_fits_on_its_one_table(monkeypatch):
+    # a grid ending below 10^5 still builds one table, of 10^5 terms,
+    # and the sweep evaluates every n on it
+    built = []
+
+    def counting_build(params, n_max):
+        built.append(n_max)
+        return build_renewal(params, n_max)
+
+    monkeypatch.setattr("gwimm.limits.build_renewal", counting_build)
+    p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
+                  kappa2=0.25)
+    chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 4])
+    assert built == [10 ** 5]
+    assert chk.monotone() and np.all(chk.deviations < 0.05)
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         convergence_sweep(CANON, "balanced_strong", [1.0, 0.5], [10, 100])
@@ -259,3 +278,70 @@ def test_limitcheck_monotone_flag():
     bad = LimitCheck(deviations=np.array([[0.1], [0.2]]), **base)
     assert good.monotone()
     assert not bad.monotone()
+
+
+# ---------------------------------------------------------------------------
+# small nu and theta, large n: scales far below float64 resolution
+
+
+def test_balanced_sweep_converges_where_q_n_is_below_resolution():
+    # q_n(0) ~ 1e-17 at n = 10^6, where 1 - exp(-s*q_n(0)) rounds to 0
+    p = LawParams(0.3, 0.3, 0.3, 1.0, 0.5, 0.3)          # sigma = 2
+    chk = convergence_sweep(p, "balanced_strong", [0.5, 1.0, 2.0],
+                            [10 ** 4, 10 ** 5, 10 ** 6])
+    worst = chk.deviations.max(axis=1)
+    assert chk.monotone() and worst[-1] < worst[-2]
+    assert np.all(chk.computed < 1.0)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.25])
+def test_heavy_sweep_converges_where_the_scale_is_below_resolution(theta):
+    # n^(-1/theta) = 1e-16 already at n = 10^4 for theta = 0.25
+    p = LawParams(0.6, theta, 0.6, 1.0, 0.5, 0.5)
+    chk = convergence_sweep(p, "heavy_immigration", [0.5, 1.0, 2.0],
+                            [10 ** 3, 10 ** 4, 10 ** 5])
+    worst = chk.deviations.max(axis=1)
+    assert chk.monotone() and worst[-1] < worst[-2]
+    assert np.all(chk.computed < 1.0)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.005])
+def test_gamma_asymptotics_where_q_underflows(nu):
+    # q_n(0) = exp(-852) and exp(-1565) at n = 10^6, below every float64
+    p = LawParams(nu, nu / 2, nu / 2, 1.0, 0.5, 0.5)
+    assert gamma_asymptotics(p, 10 ** 6).rel_error < 1e-2
+
+
+SMALL = st.floats(min_value=1e-3, max_value=1.0)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=SMALL, b=SMALL, delta=SMALL, kappa0=UNIT, frac=UNIT,
+       k=st.floats(min_value=0.05, max_value=5.0),
+       n=st.integers(min_value=50, max_value=3000),
+       s=st.floats(min_value=0.01, max_value=4.0),
+       r=st.floats(min_value=1.0, max_value=2.5), balanced=st.booleans())
+# q_n(0) = exp(-916) and n^(-1/theta) = 1e-27: both read as 0 in float64
+@example(a=1e-3, b=1.0, delta=1.0, kappa0=1.0, frac=1.0, k=1.0, n=3000,
+         s=1.0, r=2.0, balanced=True)
+@example(a=0.0625, b=1.0, delta=1.0, kappa0=1.0, frac=1.0, k=1.0, n=50,
+         s=1.0, r=1.0, balanced=False)
+def test_conditional_transform_is_a_transform_over_the_box(
+        a, b, delta, kappa0, frac, k, n, s, r, balanced):
+    # the laws of the two conditional limit theorems, each under its own
+    # scaling: theta = nu = a with sigma = k, and theta = a < nu = b with
+    # kappa2 = 0.4*k.  For s > 0 the transform lies in (0, 1) and does not
+    # increase in s.  It is formed as 1 minus a sum, so n >= 50, s*r <= 10
+    # and delta >= 1e-3 keep it clear of 0 and 1 by more than its roundoff
+    nu, theta = (a, a) if balanced else (b, a)
+    assume(balanced or a < b - 1e-9)
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 * nu >= sys.float_info.min)
+    kappa2 = k * kappa1 * nu if balanced else 0.4 * k
+    p = LawParams(nu, theta, delta, kappa0, kappa1, kappa2)
+    scaling = "by_qn" if balanced else "by_n_inv_theta"
+    table = build_renewal(p, n)
+    e1 = conditional_laplace_exact(p, n, s, scaling, table)
+    e2 = conditional_laplace_exact(p, n, s * r, scaling, table)
+    assert 0.0 < e2 <= e1 + 1e-12 and e1 < 1.0

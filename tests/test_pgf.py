@@ -7,8 +7,8 @@ import pytest
 
 from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
                         offspring_pgf)
-from gwimm.pgf import (epsilon_term, gamma_sequences, h_n, laplace_zn,
-                       q_iterate, q_last, rate_gap, step_gap,
+from gwimm.pgf import (_q_steps, epsilon_term, gamma_sequences, h_n,
+                       laplace_zn, q_iterate, rate_gap, step_gap,
                        step_gap_envelope)
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
@@ -25,7 +25,7 @@ def test_q_hand_iteration():
     assert q[1] == 0.5
     assert q[2] == 0.375
     assert q[3] == pytest.approx(0.3046875, abs=0.0)
-    assert q_last(CANON, 0.0, 3) == pytest.approx(0.3046875, abs=1e-16)
+    assert _q_steps(CANON, 0.0, 3).log(3) == math.log(0.3046875)
 
 
 def test_q_iterate_matches_direct_composition():
@@ -34,7 +34,7 @@ def test_q_iterate_matches_direct_composition():
     s = t
     for _ in range(7):
         s = float(offspring_pgf(HEAVY, s))
-    assert q_last(HEAVY, t, 7) == pytest.approx(1.0 - s, rel=1e-13)
+    assert q_iterate(HEAVY, t, 7).q[-1] == pytest.approx(1.0 - s, rel=1e-13)
 
 
 def test_q_vector_agrees_with_scalars():
@@ -42,8 +42,7 @@ def test_q_vector_agrees_with_scalars():
     traj = q_iterate(HEAVY, ts, 5)
     assert traj.q.shape == (6, 3)
     for i, t in enumerate(ts):
-        assert traj.q[5, i] == pytest.approx(q_last(HEAVY, float(t), 5),
-                                             rel=1e-14)
+        assert traj.q[5, i] == q_iterate(HEAVY, float(t), 5).q[-1]
 
 
 FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
@@ -53,14 +52,15 @@ FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
 @pytest.mark.parametrize("params", [CANON, HEAVY, FRACTIONAL])
 @pytest.mark.parametrize("n", [10, 1000, 20000])
 def test_q_last_is_bitwise_last_of_q_iterate(params, n):
-    # one q step for both: scalar against scalar and grid against grid
-    # (not scalar against grid: vector pow may differ from scalar pow by
-    # an ulp)
-    for t in (0.0, 0.3, 0.97):
-        assert q_last(params, t, n) == q_iterate(params, t, n).q[-1]
+    # the last q on its own: the sweeps read log q_n(0) off one longer
+    # trajectory, which must hold the q_n of a trajectory cut at n bit for
+    # bit; and a grid is iterated point by point, so it holds the scalars
     grid = np.array([0.0, 0.3, 0.97])
-    assert np.array_equal(q_last(params, grid, n),
-                          q_iterate(params, grid, n).q[-1])
+    last = q_iterate(params, grid, n).q[-1]
+    for i, t in enumerate(grid.tolist()):
+        qn = q_iterate(params, t, n).q[-1]
+        assert _q_steps(params, math.log1p(-t), 2 * n).log(n) == math.log(qn)
+        assert last[i] == qn
 
 
 @pytest.mark.parametrize("kappa1", [0.5, 0.3, 1e-12])
@@ -69,16 +69,36 @@ def test_q_nu1_step_is_bitwise_the_general_step(kappa1, t):
     # at nu = 1 the step leaves out q**nu; pow(x, 1) == x keeps every bit
     p = LawParams(1.0, 1.0, 1.0, 1.0, kappa1, 1.0)
     n = 10 ** 5
-    q = 1.0 - np.asarray(t, dtype=float)
-    if np.ndim(q) == 0:
-        q = float(q)
+    got = q_iterate(p, t, n).q
+    q = got[0] if np.ndim(t) else float(got[0])
     want = [q]
     for _ in range(n):
         q = q * (1.0 - kappa1 * q ** p.nu)
         want.append(q)
-    got = q_iterate(p, t, n).q
     assert np.array_equal(got.view(np.int64),
                           np.array(want, dtype=float).view(np.int64))
+
+
+def test_log_q_at_tiny_nu_against_mpmath():
+    # nu = 0.005: q_n(0) = exp(-1565) at n = 10^6, far below float64.
+    # Reference: log q iterated from 0 with its sum held in mpmath.  Each
+    # increment log(1 - kappa1*q^nu) is formed in floats at the float value
+    # of the running sum (1e-16 relative each, 3e-13 over all of log q_n),
+    # and each block of 1000 is summed exactly by math.fsum
+    mpmath = pytest.importorskip("mpmath")
+    p = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
+    n = 10 ** 6
+    with mpmath.workprec(80):
+        total, lq = mpmath.mpf(0), 0.0
+        for _ in range(n // 1000):
+            block = []
+            for _ in range(1000):
+                inc = math.log1p(-p.kappa1 * math.exp(p.nu * lq))
+                block.append(inc)
+                lq += inc
+            total += math.fsum(block)
+            lq = float(total)
+    assert abs(_q_steps(p, 0.0, n).log(n) - lq) < 1e-9
 
 
 def test_q_monotone_and_positive():
@@ -105,7 +125,7 @@ def test_epsilon_is_scaled_rate_gap():
     # epsilon(n, t) = q_n^nu * n * rate_gap(n, t), an exact identity
     for t in (0.0, 0.37, 0.93):
         for n in (2, 17):
-            qn = q_last(HEAVY, t, n)
+            qn = q_iterate(HEAVY, t, n).q[-1]
             lhs = float(epsilon_term(HEAVY, t, n))
             rhs = qn ** HEAVY.nu * n * float(rate_gap(HEAVY, t, n))
             assert lhs == pytest.approx(rhs, rel=1e-12)

@@ -157,6 +157,9 @@ def test_u_prefix_is_stable_over_the_box(nu, theta, delta, kappa0, frac,
 @example(nu=1.0793449437521681e-138, theta=1e-300, delta=0.23274137508794662,
          kappa0=1.0, frac=0.8489545930783207, kappa2=0.9501760697420627,
          n=74)
+# kappa1 = 1/(1 + nu) rounds to 1, so the float q_1 is 0: its log is -inf
+@example(nu=5.4621546740691746e-105, theta=1.0, delta=1.0, kappa0=1.0,
+         frac=1.0, kappa2=1.0, n=0)
 def test_u_on_the_block_is_a_survival_curve_over_the_box(
         nu, theta, delta, kappa0, frac, kappa2, n):
     u = build_renewal(box_params(nu, theta, delta, kappa0, frac, kappa2),
@@ -183,7 +186,7 @@ TINY_NU = LawParams(nu=0.00048339815714850705, theta=0.9655183441874771,
     (R3, 50, "ea937d3229aecd37"), (R3, 1000, "64399cde9363a3c3"),
     (FRAC, 50, "20ab7369e5ec9ac9"), (FRAC, 1000, "3b9593115f3f4114"),
     (MIXED, 50, "681dfe75e73ba562"), (MIXED, 1000, "f90159dcdeca5ca8"),
-    (TINY_NU, 50, "5063793ca94e140a"), (TINY_NU, 1000, "09252bec45db40e7"),
+    (TINY_NU, 50, "5063793ca94e140a"), (TINY_NU, 1000, "d95a8785d143d944"),
 ])
 def test_block_tables_digest(p, n, want):
     # u, a, d and gamma0 of tables within the long-double block, pinned
@@ -445,16 +448,13 @@ def test_fit_tail_requires_length():
     rep = RegimeReport("R5", 0.5, "none", sigma=0.2)
     with pytest.raises(InsufficientLengthError):
         fit_tail(np.ones(500), rep)
-    # at tiny nu the q-trajectory underflows to 0 at n = 573, and u falls
-    # from 1 to 5e-239 there and to 0 from n = 688 on: no log of 0
-    p = law(0.00048339815714850705, 0.9655183441874771,
-            5.575937018766064e-24, 7.2440839429254e-19, 0.873179189172466,
-            4.716707213474325e-239)
-    u = build_renewal(p, 1000).u
+    # a u that reaches 0 inside the fitted decade: no log of 0
+    u = np.ones(1001)
+    u[688:] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InsufficientLengthError, match="u_688 = 0"):
-            fit_tail(u, classify_regime(p))
+            fit_tail(u, rep)
 
 
 def test_fit_tail_on_real_table():

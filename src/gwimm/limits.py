@@ -23,9 +23,10 @@ import numpy as np
 from .errors import (MissingConstantError, MissingRenewalError,
                      TolUnreachableError, WrongRegimeError)
 from .laws import LawParams
-from .pgf import (_gammas, _log1m, _log_q0, _q_steps, theta_sums,
+from .pgf import (QPath, _gammas, _log1m, _log_q0, _q_steps, theta_sums,
                   theta_tail_bounds)
-from .renewal import RenewalTable, build_renewal, classify_regime, fit_tail
+from .renewal import (RenewalTable, _renewal_table, classify_regime,
+                      fit_tail)
 from ._num import fsum, gauss_legendre_panels
 
 _BOUNDARY_TOL = 1e-9
@@ -48,11 +49,14 @@ def _require_heavy(params: LawParams) -> None:
             f"needs theta < nu, got theta={params.theta}, nu={params.nu}")
 
 
-def _log_scales(params: LawParams, ns, scaling: str) -> list[float]:
-    """log x for each n of `ns`: x = q_n(0), read off one trajectory, for
-    "by_qn" and x = n^{-1/theta} for "by_n_inv_theta"."""
+def _log_scales(params: LawParams, ns, scaling: str,
+                path: QPath | None = None) -> list[float]:
+    """log x for each n of `ns`: x = q_n(0) for "by_qn", read off the q(0)
+    trajectory `path` (iterated to max(ns) when not given), and
+    x = n^{-1/theta} for "by_n_inv_theta"."""
     if scaling == "by_qn":
-        path = _q_steps(params, 0.0, max(ns))
+        if path is None:
+            path = _q_steps(params, 0.0, max(ns))
         return [path.log(n) for n in ns]
     if scaling == "by_n_inv_theta":
         return [-math.log(n) / params.theta for n in ns]
@@ -169,15 +173,17 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
               + sum_{k=1}^{n} (u_{n-k}/u_n) (gamma_{k-1}^(0)(t) - gamma_k^(0)(t))
 
     with t = exp(-s q_n(0)) for scaling "by_qn" and t = exp(-s n^{-1/theta})
-    for "by_n_inv_theta".
+    for "by_n_inv_theta".  Without a table, one q(0) trajectory to n
+    gives both the table and q_n(0).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    log_x, = _log_scales(params, [n], scaling)
+    path = None if table is not None else _q_steps(params, 0.0, n)
+    log_x, = _log_scales(params, [n], scaling, path)
     if table is None:
-        table = build_renewal(params, n)
+        table = _renewal_table(params, path)
     if table.params != params:
         raise MissingRenewalError("renewal table built for different params")
     if len(table.u) < n + 1:
@@ -300,8 +306,8 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     `theorem_id` picks the scaling and the limit function; for
     "balanced_weak" the K5 constant, when needed and not supplied, is
     fitted from the first 10^5 terms of the sweep's one renewal table,
-    which then runs to max(n_grid[-1], 10^5).  q_n(0) comes from one
-    trajectory to n_grid[-1].
+    which then runs to max(n_grid[-1], 10^5).  One q(0) trajectory, to
+    the table's length, gives both the table and every q_n(0).
     """
     if theorem_id not in _SWEEPS:
         raise ValueError(f"unknown theorem_id {theorem_id!r}")
@@ -313,7 +319,9 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     fit = (limit_fn is None and K5 is None and _sigma(params)
            < 1.0 - params.delta / params.nu - _BOUNDARY_TOL)
     n_max = int(n_grid[-1])
-    table = build_renewal(params, max(n_max, 10 ** 5) if fit else n_max)
+    path = _q_steps(params, 0.0, max(n_max, 10 ** 5) if fit else n_max)
+    log_x = _log_scales(params, n_grid.tolist(), scaling, path)
+    table = _renewal_table(params, path)
     if fit:
         rep = fit_tail(table.u[:10 ** 5 + 1], classify_regime(params))
         # K5 is the constant of the unconditional survival kappa0*u_n,
@@ -321,7 +329,6 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
         K5 = params.kappa0 * rep.constants["K"]
     limit = np.array([lambda_limit(params, s, K5) if limit_fn is None
                       else limit_fn(params, s) for s in s_grid.tolist()])
-    log_x = _log_scales(params, n_grid.tolist(), scaling)
     computed = np.array([[_conditional_laplace(params, table, n,
                                                _log_q0(s, lx))
                           for s in s_grid.tolist()]

@@ -13,6 +13,13 @@ k surviving generations, the survival weights
 drive  u_n = d_n / kappa0 + sum_{k<n} a_k * u_{n-1-k},  u_0 = 1,
 the probability that the population stays positive through generation n
 given a positive start.
+
+a_k <= g0_k, d_k / kappa0 <= g0_k and d_k <= g0_k, so once kappa2 * S_k
+passes 1076*log(2) + 1 every weight lies below 2^-1076 and is an exact
+0.0 in float64.  Under heavy immigration (theta < nu) S_k grows like
+k^(1 - theta/nu), and this happens within a finite prefix: from
+k = 70,470 on at nu = delta = 1, theta = 1/2, kappa1 = 1/2, kappa2 = 1.
+The weights are formed in extended precision only on that prefix.
 """
 
 from __future__ import annotations
@@ -27,11 +34,15 @@ from .errors import (CapTooSmallError, InsufficientLengthError,
                      WrongRegimeError)
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
-from .pgf import theta_sums, theta_tail_bounds
+from .pgf import QPath, _q_steps, theta_sums, theta_tail_bounds
 from ._num import _spectrum, fsum, round_to_float64
 
 _BLOCK = 1024                # terms of u solved directly in extended precision
-_ALIAS_EXPONENT = 48.0       # evaluation point 1 + c/ring for wrap-around bound
+# kappa2 * S_k past which every weight rounds to 0: 1076*log(2) + 1, where
+# g0_k < 2^-1076/e, and one spare nat for the float64 estimate of S_k
+_CUT_NATS = 1076.0 * math.log(2.0) + 2.0
+# exponents c of the evaluation points 1 + c/ring of the wrap-around bound
+_ALIAS_EXPONENTS = np.array([8.0, 16.0, 24.0, 32.0, 40.0, 48.0])
 _BABY_STEPS = 16             # powers Fz^1..Fz^b in the DP table; divides every M
 _GIANT_CHUNK = 8             # block polynomials formed per matrix product
 
@@ -52,29 +63,83 @@ class RenewalTable:
 def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     """Tabulate gamma0, a, d and the survival sequence u up to n_max.
 
-    The weights are built in extended precision and rounded once to
-    float64.  u solves u = f + x*A(x)*u with f = d/kappa0, by one route
-    for every n_max (`_solve`), so u[:k] does not depend on n_max beyond
-    the last complete doubling level at or below k.
+    The weights are built in extended precision up to the cut of
+    `_weight_cut`, past which they are exact zeros (see the module
+    docstring), and rounded once to float64, so the table is bit for bit
+    the one built over the whole range.  u solves u = f + x*A(x)*u with
+    f = d/kappa0, by one route for every n_max (`_solve`), so u[:k] does
+    not depend on n_max beyond the last complete doubling level at or
+    below k.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    path, qt, S = theta_sums(params, 0.0, n_max)
-    g0 = np.exp(-np.longdouble(params.kappa2) * S[:-1])
-    a = g0 * (-np.expm1(-np.longdouble(params.kappa2) * qt))
-    d = np.longdouble(params.kappa0) * g0 * path.power(params.delta)
-    del path, qt, S
+    return _renewal_table(params, _q_steps(params, 0.0, n_max))
+
+
+def _weight_cut(params: LawParams, path: QPath) -> int:
+    """The first k with E_k >= _CUT_NATS / kappa2, clamped to
+    [_BLOCK, n + 1], where E_k is a float64 estimate of S_k =
+    sum_{j<k} q_j**theta.  Its roundoff is far below the spare nat of
+    _CUT_NATS, so from there on kappa2 * S_k >= 1076*log(2) + 1 and every
+    weight rounds to 0.  The block keeps its extended-precision weights,
+    so it is never cut."""
+    m = len(path.q)
+    est = np.empty(m + len(path.lq))
+    np.power(path.q, params.theta, out=est[:m])
+    tail = est[m:]
+    tail[:] = path.lq
+    tail *= params.theta
+    np.exp(tail, out=tail)
+    np.cumsum(est, out=est)                     # est[k] estimates S_{k+1}
+    c = 1 + int(np.searchsorted(est, _CUT_NATS / params.kappa2))
+    return min(max(c, _BLOCK), len(est))
+
+
+def _renewal_table(params: LawParams, path: QPath) -> RenewalTable:
+    """`build_renewal` on the q(0) trajectory `path`, to its horizon."""
+    n1 = len(path.q) + len(path.lq)
+    c = _weight_cut(params, path)
+    if c < n1:          # copies, so a view keeps no long buffer alive
+        path = QPath(path.q[:c].copy(), path.lq[:max(c - len(path.q), 0)]
+                     .copy())
+    # formed in place, so that no more than four long-double arrays of
+    # the prefix are alive at once
+    k2 = np.longdouble(params.kappa2)
+    qt = path.power(params.theta)
+    # g0_k = exp(-kappa2 * S_k), S_0 = 0
+    g0 = np.empty(c, dtype=np.longdouble)
+    g0[0] = 0.0
+    np.cumsum(qt[:-1], out=g0[1:])
+    g0 *= -k2
+    np.exp(g0, out=g0)
+    a = np.multiply(qt, -k2)
+    del qt
+    np.expm1(a, out=a)
+    np.negative(a, out=a)
+    a *= g0
+    d = np.longdouble(params.kappa0) * g0
+    d *= path.power(params.delta)
+    del path
     # the block keeps extended-precision weights, copied because rounding
     # works in place; d / kappa0 is divided in extended precision and
     # rounded once, before d itself is, so a subnormal kappa0 costs no
-    # digits.  No other extended-precision array outlives this, so the
-    # FFT levels of the solve do not peak on top of them.
-    b = min(n_max + 1, _BLOCK)
+    # digits.  Each weight array is freed as it is rounded, so the FFT
+    # levels of the solve do not peak on top of them.
+    b = min(n1, _BLOCK)
     f_blk, a_blk = d[:b] / params.kappa0, a[:b].copy()
-    f = round_to_float64(d, params.kappa0)
-    g0, a, d = (round_to_float64(x) for x in (g0, a, d))
+    f = _rounded(d, n1, params.kappa0)
+    d = _rounded(d, n1)
+    g0 = _rounded(g0, n1)
+    a = _rounded(a, n1)
     return RenewalTable(params=params, gamma0=g0, a=a, d=d,
                         u=_solve(f_blk, a_blk, f, a))
+
+
+def _rounded(x: np.ndarray, n1: int, divisor: float = 1.0) -> np.ndarray:
+    """`round_to_float64(x, divisor)` followed by zeros up to length n1."""
+    out = np.zeros(n1)
+    out[:len(x)] = round_to_float64(x, divisor)
+    return out
 
 
 def _solve_direct(f: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -147,10 +212,11 @@ class DpDistribution:
     alias_bound: float        # wrap-around contamination bound (0 when nu = 1)
 
 
-def _log_poly_at(logc: np.ndarray, logx: float) -> float:
-    """log of sum_k exp(logc[k]) * x^k, all coefficients nonnegative."""
+def _log_poly_at(logc: np.ndarray, logx: np.ndarray) -> np.ndarray:
+    """log of sum_k exp(logc[k]) * x^k at each x of exp(logx), all
+    coefficients nonnegative."""
     k = np.arange(len(logc))
-    return float(np.logaddexp.reduce(logc + k * logx))
+    return np.logaddexp.reduce(logc + np.multiply.outer(logx, k), axis=-1)
 
 
 def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
@@ -173,9 +239,11 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     lost_mass, so [sum pi, sum pi + lost] brackets the true probability.
 
     For nu = 1 the step polynomial has degree at most 3M < 4M, so the
-    ring never wraps; for nu < 1 a rigorous wrap-around bound (evaluation
-    of the nonnegative step polynomial at a real point > 1) accumulates
-    in alias_bound.
+    ring never wraps.  For nu < 1 the mass that wraps in one step is at
+    most the nonnegative step polynomial at a real point x > 1 over
+    x^ring; that bound accumulates over the generations at each of the
+    points x = 1 + c/ring, c in (8, 16, ..., 48), and alias_bound is the
+    least of the totals.  Every total is rigorous, so their minimum is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -203,9 +271,9 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
         pi[0], lost[0] = init
 
     track_alias = params.nu < 1.0
-    alias = 0.0
+    alias = np.zeros(len(_ALIAS_EXPONENTS))
     if track_alias:
-        logx = math.log1p(_ALIAS_EXPONENT / ring)
+        logx = np.log1p(_ALIAS_EXPONENTS / ring)
         with np.errstate(divide="ignore"):
             logF = _log_poly_at(np.log(fo.probs), logx)
             logB = _log_poly_at(np.log(bo.probs), logx)
@@ -245,15 +313,15 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
         pi[gen] = out
         lost[gen] = max(lost[gen - 1], 1.0 - fsum(out))
         if track_alias:
-            with np.errstate(divide="ignore"):
-                logpi = np.log(cur)
-            w = np.arange(M + 1)
-            logS = float(np.logaddexp.reduce(logpi + w * logF))
-            alias += math.exp(logB + logS - ring * logx)
+            # a total that overflows carries no information; the least
+            # total is still a bound
+            with np.errstate(divide="ignore", over="ignore"):
+                logS = _log_poly_at(np.log(cur), logF)
+                alias += np.exp(logB + logS - ring * logx)
         if lost[gen] > tol:
             raise CapTooSmallError(gen, lost[gen], tol)
     return DpDistribution(cap=M, pi=pi, lost_mass=lost, model=model,
-                          alias_bound=alias)
+                          alias_bound=float(alias.min()))
 
 
 def u_exact_dp(params: LawParams, model, n: int, M: int = 4096,

@@ -17,8 +17,9 @@ from gwimm.limits import (LimitCheck, conditional_laplace_exact,
                           laplace_limit_dev_balanced,
                           laplace_limit_dev_heavy_imm, limit_balanced_strong,
                           limit_laplace_heavy_imm, stationary_pgf)
-from gwimm.pgf import h_n, q_iterate
-from gwimm.renewal import RenewalTable, build_renewal, gamma_asymptotics
+from gwimm.pgf import _q_steps, h_n, q_iterate
+from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
+                           gamma_asymptotics)
 from gwimm.simulate import conditional_laplace_mc
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
@@ -228,36 +229,58 @@ def test_sweep_weak_branch_no_constant_needed():
     assert np.allclose(chk.limit, [1.0 / 1.5, 0.5], rtol=1e-12)
 
 
+def count_tables_and_trajectories(monkeypatch):
+    """Record the length of every renewal table and every q(0) trajectory
+    that `gwimm.limits` builds."""
+    built, iterated = [], []
+
+    def counting_table(params, path):
+        table = _renewal_table(params, path)
+        built.append(len(table.u) - 1)
+        return table
+
+    def counting_steps(params, lq0, n):
+        if lq0 == 0.0:
+            iterated.append(n)
+        return _q_steps(params, lq0, n)
+
+    monkeypatch.setattr("gwimm.limits._renewal_table", counting_table)
+    monkeypatch.setattr("gwimm.limits._q_steps", counting_steps)
+    return built, iterated
+
+
 def test_sweep_weak_branch_builds_one_renewal_table(monkeypatch):
-    # K5 is fitted on a length-10^5 table; a grid ending at 10^5 reuses it
-    built = []
-
-    def counting_build(params, n_max):
-        built.append(n_max)
-        return build_renewal(params, n_max)
-
-    monkeypatch.setattr("gwimm.limits.build_renewal", counting_build)
+    # K5 is fitted on a length-10^5 table; a grid ending at 10^5 reuses it,
+    # and the q(0) trajectory of the table gives every q_n(0)
+    built, iterated = count_tables_and_trajectories(monkeypatch)
     p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
                   kappa2=0.25)
     chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 5])
-    assert built == [10 ** 5]
+    assert built == [10 ** 5] and iterated == [10 ** 5]
     assert np.all(np.isfinite(chk.limit))
+
+
+@pytest.mark.parametrize("scaling", ["by_qn", "by_n_inv_theta"])
+def test_exact_transform_without_table_iterates_q0_once(monkeypatch,
+                                                        scaling):
+    # the table and q_n(0) come from one trajectory, and the value is the
+    # one a table from build_renewal gives, bit for bit
+    n, s = 3000, 0.7
+    want = conditional_laplace_exact(HEAVY_IMM, n, s, scaling,
+                                     table=build_renewal(HEAVY_IMM, n))
+    built, iterated = count_tables_and_trajectories(monkeypatch)
+    assert conditional_laplace_exact(HEAVY_IMM, n, s, scaling) == want
+    assert built == [n] and iterated == [n]
 
 
 def test_sweep_weak_branch_fits_on_its_one_table(monkeypatch):
     # a grid ending below 10^5 still builds one table, of 10^5 terms,
     # and the sweep evaluates every n on it
-    built = []
-
-    def counting_build(params, n_max):
-        built.append(n_max)
-        return build_renewal(params, n_max)
-
-    monkeypatch.setattr("gwimm.limits.build_renewal", counting_build)
+    built, iterated = count_tables_and_trajectories(monkeypatch)
     p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
                   kappa2=0.25)
     chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 4])
-    assert built == [10 ** 5]
+    assert built == [10 ** 5] and iterated == [10 ** 5]
     assert chk.monotone() and np.all(chk.deviations < 0.05)
 
 

@@ -194,6 +194,41 @@ def test_block_tables_digest(p, n, want):
     assert table_digest(build_renewal(p, n)) == want
 
 
+@pytest.mark.parametrize("p, n, want, zero_from", [
+    (R0, 10 ** 5, "0c16d80792311749", 70_470),
+    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 200.0), 20_000, "475970aaad81eeec",
+     13),
+])
+def test_long_tables_digest(p, n, want, zero_from):
+    # tables whose weights vanish: R0's past the block, so its extended
+    # precision stops short of n; the other's inside it, so it stops at
+    # the block's end.  Pinned at the code that built every weight
+    rt = build_renewal(p, n)
+    assert table_digest(rt) == want
+    assert np.nonzero(rt.gamma0 == 0.0)[0][0] == zero_from
+
+
+@settings(max_examples=15, deadline=None)
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
+       kappa2=KAPPA2, n=st.integers(min_value=0, max_value=2 * 10 ** 5))
+# the largest kappa2: its cut threshold is tiny, and kappa2 times the
+# estimate of S_k would overflow
+@example(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=sys.float_info.max, n=2 * 10 ** 5)
+@example(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, frac=1.0, kappa2=1.0,
+         n=2 * 10 ** 5)
+def test_cut_changes_no_bit_over_the_box(nu, theta, delta, kappa0, frac,
+                                        kappa2, n):
+    p = box_params(nu, theta, delta, kappa0, frac, kappa2)
+    got = build_renewal(p, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ren, "_CUT_NATS", math.inf)
+        want = build_renewal(p, n)
+    for x, y in zip((got.u, got.a, got.d, got.gamma0),
+                    (want.u, want.a, want.d, want.gamma0)):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_series_inverse_route_with_subnormal_kappa0():
     # u does not depend on kappa0: beyond the block the d / kappa0
     # quotient must be formed before rounding, or a subnormal d loses
@@ -263,11 +298,13 @@ def _per_state_dp(params, model, n, M, tol):
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
     pi[0], lost[0] = g.probs, g.truncation_mass
-    logx = math.log1p(ren._ALIAS_EXPONENT / ring)
+    # the wrap-around bound at each evaluation point 1 + c/ring, one at a
+    # time; the least total is the bound
+    logx = [math.log1p(c / ring) for c in ren._ALIAS_EXPONENTS]
     with np.errstate(divide="ignore"):
-        logF = ren._log_poly_at(np.log(fo.probs), logx)
-        logB = ren._log_poly_at(np.log(bo.probs), logx)
-    alias = 0.0
+        logF = [ren._log_poly_at(np.log(fo.probs), lx) for lx in logx]
+        logB = [ren._log_poly_at(np.log(bo.probs), lx) for lx in logx]
+    alias = [0.0] * len(logx)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
         acc = np.zeros(len(Fz), dtype=complex)
@@ -284,12 +321,13 @@ def _per_state_dp(params, model, n, M, tol):
         pi[gen] = out
         lost[gen] = max(lost[gen - 1], 1.0 - math.fsum(out.tolist()))
         if params.nu < 1.0:
-            with np.errstate(divide="ignore"):
-                logS = ren._log_poly_at(np.log(cur), logF)
-            alias += math.exp(logB + logS - ring * logx)
+            for i, lx in enumerate(logx):
+                with np.errstate(divide="ignore"):
+                    logS = ren._log_poly_at(np.log(cur), logF[i])
+                alias[i] += math.exp(logB[i] + logS - ring * lx)
         if lost[gen] > tol:
             raise CapTooSmallError(gen, lost[gen], tol)
-    return pi, lost, alias
+    return pi, lost, min(alias)
 
 
 @pytest.mark.parametrize("M", [64, 512])
@@ -324,6 +362,9 @@ def test_dp_cap_too_small_at_reference_generation():
          frac=1.0, kappa2=1.0)
 # kappa0 subnormal: the initial law divided by kappa0 was a unit atom
 @example(nu=1.0, theta=1.0, delta=0.75, kappa0=5e-324, frac=1.0, kappa2=1.0)
+# the largest alias bound seen over the box, 1.7e-6: the least total over
+# the evaluation points, on a grid of c in steps of 1/4, is no smaller
+@example(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, frac=1.0, kappa2=8.0)
 def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
                                                 frac, kappa2):
     # tol = 1 lets heavy tails widen the bracket instead of raising
@@ -333,6 +374,7 @@ def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
     lo, hi, dist = u_dp_curve(p, "stopped", 10, M=256, tol=1.0)
     pad = 1e-9 + dist.alias_bound
     assert np.all(lo - pad <= u) and np.all(u <= hi + pad)
+    assert dist.alias_bound <= 1e-5
 
 
 def test_dp_unstopped_matches_transform_atom():

@@ -2,11 +2,13 @@
 
 import importlib
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 # gwimm re-exports the simulate() function, so grab the module explicitly
 sim = importlib.import_module("gwimm.simulate")
@@ -180,6 +182,44 @@ def test_multinomial_split_matches_convolved_law():
         row = draws[i * n:(i + 1) * n]
         assert np.all(row >= 0)
         assert_cells_match(row, convolution_power(base, w, nmax), w)
+
+
+# per-comparison false-alarm rate of the Monte Carlo property below: it
+# makes at most 27 * 609 comparisons a run, so a correct sampler fails it
+# with probability below 2e-6 (union bound)
+MC_ALPHA = 1e-10
+
+
+def mc_radius(p, n: int):
+    """Half-width t with P(|p_hat - p| >= t) <= MC_ALPHA for a mean p_hat
+    of n Bernoulli(p) indicators (Bernstein), rigorous at every p."""
+    L = math.log(2.0 / MC_ALPHA)
+    var = p * (1.0 - p)
+    return (L / 3.0 + np.sqrt((L / 3.0) ** 2 + 2.0 * n * L * var)) / n
+
+
+@settings(max_examples=25, deadline=None)
+@given(nu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       w=st.integers(min_value=1, max_value=300))
+@example(nu=1.0, frac=0.6, w=256)
+@example(nu=1.0, frac=0.6, w=257)
+def test_offspring_sums_match_convolved_law_over_the_box(nu, frac, w):
+    # the summed offspring of w individuals, by table lookup (nu = 1,
+    # w <= 256) or the multinomial split, against the w-fold convolution
+    # of the offspring pmf: the empirical cdf at each of 0..2w+8
+    kappa1 = frac / (1.0 + nu)
+    assume(kappa1 * nu >= sys.float_info.min)
+    p = LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=kappa1,
+                  kappa2=1.0)
+    n, nmax = 50_000, 2 * w + 8
+    draws = sim._offspring_sums(p, stream(53, 0), np.full(n, w))
+    cdf = np.cumsum(convolution_power(offspring_pmf(p, nmax).probs, w,
+                                      nmax))
+    freq = np.cumsum(np.bincount(np.minimum(draws, nmax + 1),
+                                 minlength=nmax + 2)[:nmax + 1]) / n
+    assert np.all(np.abs(freq - cdf) <= mc_radius(np.clip(cdf, 0.0, 1.0),
+                                                  n))
 
 
 def exact_sum_cdf(one, k1, w):

@@ -482,7 +482,7 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
     theta = 1 short-circuits to plain Poisson(kappa2).
     """
     if params.theta == 1.0:
-        return rng.poisson(params.kappa2, size)
+        return rng.poisson(min(params.kappa2, _POISSON_LAM_MAX), size)
     if params.theta < _THETA_MIN:
         # log(kappa2**(1/theta) * S) = (log(kappa2/w) + O(theta)) / theta:
         # the mean is 0 for w > kappa2 and past the cap otherwise, up to

@@ -324,6 +324,9 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     table = _renewal_table(params, path)
     if fit:
         rep = fit_tail(table.u[:10 ** 5 + 1], classify_regime(params))
+        if "K" not in rep.constants:
+            raise MissingConstantError(
+                f"regime {rep.regime_id} has no tail constant to fit K5")
         # K5 is the constant of the unconditional survival kappa0*u_n,
         # so the kappa0 in the atom of lambda_limit cancels against it
         K5 = params.kappa0 * rep.constants["K"]

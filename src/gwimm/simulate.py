@@ -8,6 +8,10 @@ previous generation and Y_n the immigration draw:
     GATED_W     : X_n = L_n + Y_n if L_n > 0, else 0; absorbing
 
 L_n is drawn without visiting every individual (see `_offspring_sums`).
+At nu = theta = 1 a population of at most 256 draws its next value,
+L_n + Y_n or the gated one, with one uniform from a table whose rows
+fold the Poisson immigrants into the offspring sums (`_sum_table`);
+larger populations draw L_n and Y_n apart.
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
@@ -81,7 +85,9 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     """Summed offspring for each population in `pops` (entries >= 1).
 
     At nu = 1 a population w <= _SUM_ROWS draws its sum by inverting the
-    exact cdf of a sum of w offspring with one uniform (`_table_sums`).
+    exact cdf of a sum of w offspring with one uniform (`_table_sums`);
+    where the immigrants fold into the table as well (`_folded`),
+    `_next_generation` draws those populations without coming here.
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
@@ -103,6 +109,10 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     big = pops > _SUM_ROWS
     if not big.any():
         return _table_sums(params.kappa1, rng, pops)
+    if big.all():
+        # builds no table: where `_sum_table` folds the immigrants in,
+        # only populations above W come here
+        return _split_cell_sums(params, rng, pops)
     sums = np.empty_like(pops)
     sums[~big] = _table_sums(params.kappa1, rng, pops[~big])
     sums[big] = _split_cell_sums(params, rng, pops[big])
@@ -131,33 +141,135 @@ def _split_cell_sums(params: LawParams, rng: np.random.Generator,
 
 
 @lru_cache(maxsize=8)
-def _sum_table(kappa1: float):
-    """`laws._key_table` of the nu = 1 offspring sums L_w, w = 1..W,
-    W = _SUM_ROWS, in row w (row 0 is empty).
+def _sum_table(kappa1: float, kappa2: float = 0.0, gated: bool = False):
+    """`laws._key_table` of the nu = 1 laws of `_fold_laws` for
+    w = 0..W, W = _SUM_ROWS, in row w.
 
-    Row w is the law of a sum of w offspring, the w-th convolution power
-    of (kappa1, 1 - 2*kappa1, kappa1) in long double, summed into its cdf
-    at 0, ..., 2w-1 (F_w(2w) = 1 is implied).
+    Row w is the cdf of that law at 0, ..., 2w+h-1, h = `_head(kappa2)`
+    (no key below 2**53 lies past it).  With nothing folded
+    (kappa2 = 0, h = 0) row w is the law of a sum of w offspring at
+    0, ..., 2w-1 (F_w(2w) = 1 is implied) and row 0 is empty.
+    """
+    h = _head(kappa2)
+    laws = _fold_laws(kappa1, kappa2, gated, 2 * _SUM_ROWS + h)
+    return _key_table([np.cumsum(law[:2 * w + h])
+                       for w, law in enumerate(laws)])
+
+
+def _fold_laws(kappa1: float, kappa2: float, gated: bool, size: int):
+    """Yield for w = 0, 1, ..., W the law on 0..size-1, in long double, of
+    the next population from w live individuals at nu = 1: the sum L_w of
+    w offspring, (k1, 1 - 2*k1, k1) convolved w times, plus Poisson(kappa2)
+    immigrants (none at kappa2 = 0), which a `gated` chain adds only where
+    L_w > 0.  Every term is a sum of nonnegative products, and each step
+    only looks back, so every value below `size` is exact.
     """
     k1 = np.longdouble(kappa1)
     p1 = 1 - 2 * k1
-    cdfs = [[]]
-    law = np.ones(1, dtype=np.longdouble)
-    for w in range(1, _SUM_ROWS + 1):
-        nxt = np.zeros(2 * w + 1, dtype=np.longdouble)
-        nxt[:-2] += k1 * law
-        nxt[1:-1] += p1 * law
-        nxt[2:] += k1 * law
+    pois = np.zeros(size, dtype=np.longdouble)
+    b = _poisson_pmf(kappa2)[:size]
+    pois[:len(b)] = b
+    law = pois
+    if gated:
+        # w = 0 has no offspring and so no immigrants; a first positive
+        # sum, 1 or 2, brings in its immigrants
+        law = np.zeros(size, dtype=np.longdouble)
+        law[0] = 1
+        kin = np.zeros(size, dtype=np.longdouble)
+        kin[1:] = p1 * pois[:-1]
+        kin[2:] += k1 * pois[:-2]
+    for _ in range(_SUM_ROWS + 1):
+        yield law
+        src = law
+        if gated:
+            # the atom at 0 (all offspring sums so far 0) has no
+            # immigrants; its offspring step enters through `kin`
+            atom, src = law[0], law.copy()
+            src[0] = 0
+        nxt = k1 * src
+        nxt[1:] += p1 * src[:-1]
+        nxt[2:] += k1 * src[:-2]
+        if gated:
+            nxt += atom * kin
+            nxt[0] = atom * k1
         law = nxt
-        cdfs.append(np.cumsum(law[:-1]))
-    return _key_table(cdfs)
 
 
-def _table_sums(kappa1: float, rng: np.random.Generator,
-                pops: np.ndarray) -> np.ndarray:
-    """nu = 1 sums for populations 1 <= w <= W, one uniform each."""
+@lru_cache(maxsize=8)
+def _poisson_pmf(kappa2: float) -> np.ndarray:
+    """Poisson(kappa2) pmf in long double (read-only), kappa2 < W, up to
+    the first value past kappa2 that is 0 as a float64; the mass beyond
+    is below 2**-1070.  kappa2 = 0 gives the unit mass at 0, then 0s."""
+    lam = np.longdouble(kappa2)
+    pmf = np.exp(-lam)[None]
+    while float(pmf[-1]) > 0.0 or len(pmf) - 1 <= kappa2:
+        j = np.arange(len(pmf), len(pmf) + _SUM_ROWS, dtype=np.longdouble)
+        pmf = np.concatenate((pmf, pmf[-1] * np.cumprod(lam / j)))
+    past = np.arange(len(pmf)) > kappa2
+    pmf = pmf[:np.argmax(past & (pmf.astype(float) == 0.0)) + 1]
+    pmf.flags.writeable = False
+    return pmf
+
+
+@lru_cache(maxsize=8)
+def _head(kappa2: float) -> int:
+    """The count h of Poisson(kappa2) cdf keys below 2**53: the values
+    0..h-1 before the first whose key reaches 2**53 (0 at kappa2 = 0)."""
+    keys = np.ceil(np.cumsum(_poisson_pmf(kappa2)) * _ONE)
+    return int(np.searchsorted(keys, _ONE))
+
+
+def _folded(params: LawParams) -> float:
+    """The Poisson mean that `_sum_table` folds into its rows for these
+    laws, or 0.0 where nothing is folded.
+
+    Folding needs nu = 1 and Poisson immigration (theta = 1), and is done
+    while the Poisson head, the values 0..h up to the first whose cdf key
+    reaches 2**53 and the cell past them, fits in W entries: h + 2 <= W,
+    which holds up to kappa2 ~ 145.  A Poisson median is at least its
+    mean minus log 2, so h + 2 > kappa2, and kappa2 >= W is rejected
+    before any pmf is formed.
+    """
+    k2 = params.kappa2
+    if (params.nu == 1.0 and params.theta == 1.0 and k2 < _SUM_ROWS
+            and _head(k2) + 2 <= _SUM_ROWS):
+        return k2
+    return 0.0
+
+
+def _table_sums(kappa1: float, rng: np.random.Generator, pops: np.ndarray,
+                kappa2: float = 0.0, gated: bool = False) -> np.ndarray:
+    """Draws from the rows `pops` (0 <= w <= W) of `_sum_table`, one
+    uniform each: nu = 1 offspring sums, plus the folded immigrants.
+
+    The top uniform U = 2**53 - 1 lies past the last key n_w of every
+    row, in the cell that holds all the mass beyond it.  A draw there
+    takes a second uniform V and is the inverse cdf at (U + V) / 2**53:
+    the smallest m >= n_w with P(X > m) < (1 - V) / 2**53 (`_tails`).
+    Below the top, (U + V) / 2**53 < 1 - 2**-53 < F(n_w), so the value is
+    at most n_w, as the lookup gives it: no value is clipped."""
     k = (rng.random(len(pops)) * _ONE).astype(np.int64)
-    return _lookup(_sum_table(kappa1), pops, k)
+    x = _lookup(_sum_table(kappa1, kappa2, gated), pops, k)
+    top = np.nonzero(k == _ONE - 1)[0]
+    if top.size:
+        v = (1.0 - rng.random(top.size)) / _ONE
+        tails = _tails(kappa1, kappa2, gated)
+        for i, vi in zip(top.tolist(), v.tolist()):
+            x[i] += np.count_nonzero(tails[pops[i]][1:] >= vi)
+    return x
+
+
+@lru_cache(maxsize=2)
+def _tails(kappa1: float, kappa2: float, gated: bool) -> list:
+    """Row w: P(X >= n_w + j), j = 0, 1, ..., for X of row w of
+    `_sum_table` and n_w its key count, summed in long double from the
+    far end of the law, which reaches past every Poisson weight that is
+    nonzero as a float64.  Built only when a draw needs it."""
+    offs = _sum_table(kappa1, kappa2, gated)[1]
+    reach = len(_poisson_pmf(kappa2))
+    laws = _fold_laws(kappa1, kappa2, gated, 2 * _SUM_ROWS + reach)
+    return [np.cumsum(law[n:2 * w + reach][::-1])[::-1]
+            for w, (law, n) in enumerate(zip(laws, np.diff(offs)))]
 
 
 def _tail_sums(params: LawParams, rng: np.random.Generator,
@@ -184,7 +296,27 @@ def _next_generation(params: LawParams, model: Model,
                      rng: np.random.Generator, pops: np.ndarray) -> np.ndarray:
     """The populations one generation on from the live `pops`, drawn in
     their order (`pops` is nonempty, and positive unless the model is
-    UNSTOPPED_Z)."""
+    UNSTOPPED_Z).
+
+    Where `_sum_table` folds the immigrants in (`_folded`), a population
+    of at most W is one uniform looked up in its row; the others draw
+    their offspring sums and immigrants apart, in `_sum_and_immigrate`."""
+    kappa2 = _folded(params)
+    if not kappa2:
+        return _sum_and_immigrate(params, model, rng, pops)
+    gated = model is Model.GATED_W
+    small = pops <= _SUM_ROWS
+    if small.all():
+        return _table_sums(params.kappa1, rng, pops, kappa2, gated)
+    nxt = np.empty_like(pops)
+    nxt[small] = _table_sums(params.kappa1, rng, pops[small], kappa2, gated)
+    nxt[~small] = _sum_and_immigrate(params, model, rng, pops[~small])
+    return nxt
+
+
+def _sum_and_immigrate(params: LawParams, model: Model,
+                       rng: np.random.Generator,
+                       pops: np.ndarray) -> np.ndarray:
     if model is Model.UNSTOPPED_Z:
         lam = np.zeros_like(pops)
         has_kids = pops > 0

@@ -101,6 +101,14 @@ SIZE_ARGS = {
 @example(command="simulate", model="z", theorem="balanced_strong", nmax=1,
          nu=1.0, theta=1.0, delta=1.1754943508222875e-38, kappa0=1.0,
          frac=1.0, kappa2=1.0)
+# Poisson immigration past numpy's limit used to raise at theta = 1
+@example(command="simulate", model="stopped", theorem="balanced_strong",
+         nmax=1, nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=1e19)
+# an UNCOVERED law has no tail constant for the balanced_weak K5 fit
+@example(command="limits", model="z", theorem="balanced_weak", nmax=1,
+         nu=4.935555771785777e-87, theta=1.0, delta=4.143994986111037e-137,
+         kappa0=1.0, frac=0.5, kappa2=5e-324)
 def test_no_traceback_over_the_box(command, model, theorem, nmax, nu, theta,
                                    delta, kappa0, frac, kappa2):
     # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
@@ -274,6 +282,25 @@ def test_verify_passes_and_is_thread_invariant(tmp_path, capsys):
     text = f1.read_text()
     assert "result: PASS" in text
     assert "FAIL" not in text.replace("result: PASS", "")
+
+
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=-2 ** 64, max_value=2 ** 64))
+@example(seed=0)
+def test_verify_over_seeds_and_threads(seed):
+    # rc 0 or 2 (then one stderr line), never a traceback, and the same
+    # stdout for 1, 2 and 3 threads; a run takes about 0.5 s
+    outs = set()
+    for threads in (1, 2, 3):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--seed", str(seed),
+                       "--threads", str(threads)])
+        assert rc in (0, 2), (seed, threads, out.getvalue())
+        if rc == 2:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        outs.add((rc, out.getvalue()))
+    assert len(outs) == 1
 
 
 def _run_launcher(launcher, argv):

@@ -4,7 +4,10 @@ Each digest is the first 16 hex digits of the SHA-256 of the int64 bytes
 of an output.  They pin the exact draws, so a change of the sampling
 kernels that keeps every law but moves a draw shows up here.  The nu = 1
 cases keep every population at or below 256, the range of the sum table;
-larger ones take the multinomial split.
+larger ones take the multinomial split.  At nu = theta = 1 (R3) the
+table's rows fold the Poisson immigrants in, so one uniform draws a
+whole generation of a replicate; `test_nu1_table_sums_digest` pins the
+offspring sums alone, from the table without immigrants.
 """
 
 import hashlib
@@ -48,7 +51,7 @@ def test_survival_counts_digest(params, model, want):
 
 
 def test_r3_survival_counts_digest():
-    assert survival_digest(R3, "stopped", 30) == "306eb4e8125aecab"
+    assert survival_digest(R3, "stopped", 30) == "0deed9fdd80471a0"
 
 
 def test_life_period_z_digest():
@@ -82,9 +85,9 @@ def test_conditional_laplace_mc_censored_digest(model, want):
     (MIXED, "z", "baccc65e3b565184"),
     (MIXED, "stopped", "dcc37cc377c8aacc"),
     (MIXED, "gated", "ccd05a8d8926c66a"),
-    (R3, "z", "2646814515892eff"),
-    (R3, "stopped", "5047e6dcc7f9de17"),
-    (R3, "gated", "ab6ccd907d595f1c"),
+    (R3, "z", "f3cf369fb9c54160"),
+    (R3, "stopped", "93679b221d1cb4c2"),
+    (R3, "gated", "3f06ff43ea0b1439"),
 ])
 def test_simulate_paths_digest(params, model, want):
     # cap 50 censors most MIXED paths; R3 paths are mostly absorbed

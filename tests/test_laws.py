@@ -240,6 +240,16 @@ def test_sample_immigration_poisson_route():
     assert draws.dtype == ref.dtype
 
 
+@pytest.mark.parametrize("kappa2", [1e19, 1e300])
+def test_poisson_immigration_past_the_generator_limit_is_clamped(kappa2):
+    # numpy's Poisson raises "lam value too large" from ~9.2e18 on; the
+    # mean is clamped to 1e17 as at theta < 1, far past any cap (2**53)
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    draws = sample_immigration(p, stream(15, 0), 1000)
+    assert np.all(draws > 2 ** 53)
+
+
 def test_sample_immigration_heavy_cells():
     p = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)

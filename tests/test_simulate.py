@@ -1,6 +1,7 @@
 """Monte Carlo engine: exact one-step pins, coupling, thread determinism."""
 
 import importlib
+import itertools
 import math
 import sys
 import tracemalloc
@@ -222,8 +223,51 @@ def test_offspring_sums_match_convolved_law_over_the_box(nu, frac, w):
                                                   n))
 
 
-def exact_sum_cdf(one, k1, w):
-    """cdf at 0, ..., 2w-1 of a sum of w nu = 1 offspring, in the number
+@settings(max_examples=25, deadline=None)
+@given(model=st.sampled_from(["z", "stopped", "gated"]),
+       frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       kappa2=st.floats(min_value=0.0, max_value=200.0, exclude_min=True),
+       w=st.integers(min_value=0, max_value=300))
+@example(model="z", frac=1.0, kappa2=0.25, w=0)
+@example(model="stopped", frac=1.0, kappa2=0.25, w=256)
+@example(model="gated", frac=0.6, kappa2=0.25, w=257)
+@example(model="gated", frac=1.0, kappa2=140.0, w=1)
+@example(model="z", frac=0.6, kappa2=150.0, w=3)
+def test_one_step_at_nu1_theta1_matches_convolved_law_over_the_box(
+        model, frac, kappa2, w):
+    # one generation from w individuals at nu = theta = 1: by the folded
+    # table (w <= 256 and a Poisson head that fits), or the offspring sum
+    # and the Poisson draw apart, against L_w + Y (gated: Y only where
+    # L_w > 0), L_w the w-fold convolution of (k1, 1 - 2*k1, k1): the
+    # empirical cdf at each of 0..nmax, as in the property above: at most
+    # 30 * 1010 comparisons a run, so a false alarm below 4e-6
+    assume(w > 0 or model == "z")
+    assume(frac / 2.0 >= sys.float_info.min)
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0,
+                  kappa1=frac / 2.0, kappa2=kappa2)
+    n = 50_000
+    nmax = 2 * w + int(kappa2 + 12.0 * math.sqrt(kappa2)) + 40
+    draws = sim._next_generation(p, Model(model), stream(59, 0),
+                                 np.full(n, w))
+    base = np.pad(offspring_pmf(p, 2).probs, (0, nmax - 2))
+    lw = convolution_power(base, w, nmax)
+    k = np.arange(nmax + 1)
+    pois = np.exp(k * math.log(kappa2) - kappa2
+                  - np.array([math.lgamma(i + 1.0) for i in k]))
+    if model == "gated":
+        law = np.convolve(np.r_[0.0, lw[1:]], pois)[:nmax + 1]
+        law[0] += lw[0]
+    else:
+        law = np.convolve(lw, pois)[:nmax + 1]
+    cdf = np.cumsum(law)
+    freq = np.cumsum(np.bincount(np.minimum(draws, nmax + 1),
+                                 minlength=nmax + 2)[:nmax + 1]) / n
+    assert np.all(np.abs(freq - cdf) <= mc_radius(np.clip(cdf, 0.0, 1.0),
+                                                  n))
+
+
+def exact_sum_pmf(one, k1, w):
+    """Law at 0, ..., 2w of a sum of w nu = 1 offspring, in the number
     type of `one`: the weights T_k of (a + b*s + a*s**2)**w, a = k1,
     b = 1 - 2*k1, follow (k+1)*a*T_{k+1} = b*(w-k)*T_k + a*(2w-k+1)*T_{k-1}
     (from P*Q' = w*P'*Q), a sum of nonnegative terms up to k = w, and
@@ -236,9 +280,13 @@ def exact_sum_cdf(one, k1, w):
             / (a * (k + 1))
         prev = t[-1]
         t.append(t_next)
-    t += t[-2::-1]
+    return t + t[-2::-1]
+
+
+def exact_sum_cdf(one, k1, w):
+    """cdf at 0, ..., 2w-1 of a sum of w nu = 1 offspring."""
     cdf, acc = [], one * 0
-    for tk in t[:-1]:
+    for tk in exact_sum_pmf(one, k1, w)[:-1]:
         acc += tk
         cdf.append(acc)
     return cdf
@@ -267,43 +315,122 @@ def test_sum_table_rows_are_the_exact_cdf(k1):
                 assert max(gaps) <= mpmath.mpf(2) ** -52, (k1, w)
 
 
-class FixedUniforms:
-    """Stands in for a Generator: `random` returns the given uniforms."""
+def fold_bound() -> float:
+    """The largest kappa2 whose Poisson head `_folded` still folds, to a
+    relative 2**-40 (the head grows with kappa2)."""
+    lo, hi = 1.0, float(sim._SUM_ROWS)
+    while hi - lo > lo * 2.0 ** -40:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if sim._head(mid) + 2 <= sim._SUM_ROWS else (lo, mid)
+    return lo
 
-    def __init__(self, u):
-        self.u = u
+
+def exact_folded(k1, k2, gated, w, kmax):
+    """mpmath cdf at 0..kmax of L_w + Y (gated: Y only where L_w > 0),
+    Y ~ Poisson(k2), and its tail m -> P(X > m): sums of nonnegative
+    terms, the Poisson tail summed until its terms fall below 1e-80
+    (beyond, its tail is taken as 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    lw = exact_sum_pmf(mpmath.mpf(1), mpmath.mpf(k1), w)
+    lam = mpmath.mpf(k2)
+    pois, t = [mpmath.exp(-lam)], 0
+    while t < kmax or t <= lam or pois[-1] > mpmath.mpf(10) ** -80:
+        t += 1
+        pois.append(pois[-1] * lam / t)
+    below = list(itertools.accumulate(pois))
+    above = list(itertools.accumulate(pois[::-1]))[::-1][1:]
+    j0 = 1 if gated else 0
+    cdf = [mpmath.fdot((lw[j], below[m - j])
+                       for j in range(j0, min(m, 2 * w) + 1))
+           + (lw[0] if gated else 0) for m in range(kmax + 1)]
+
+    def tail(m):
+        return mpmath.fdot((lw[j], above[m - j] if j <= m else 1)
+                           for j in range(j0, 2 * w + 1)
+                           if m - j < len(above))
+    return cdf, tail
+
+
+@pytest.mark.parametrize("k1, k2", [(0.5, 0.25), (0.3, 1.0),
+                                    (2.0 ** -40, 3.0), (0.45, "bound")])
+@pytest.mark.parametrize("gated", [False, True])
+def test_folded_rows_are_the_exact_cdf(k1, k2, gated):
+    # every implied cdf value c_k / 2**53 (2**53 past a trimmed row) lies
+    # within 2**-52 of the exact cdf of L_w + Y; and the cell past the
+    # last key resolves to the smallest m with P(X > m) < v exactly
+    mpmath = pytest.importorskip("mpmath")
+    if k2 == "bound":
+        k2 = fold_bound()
+        assert sim._head(k2) + 2 == sim._SUM_ROWS
+        p = LawParams(1.0, 1.0, 1.0, 1.0, k1, k2)
+        assert sim._folded(p) == k2
+        assert sim._folded(LawParams(1.0, 1.0, 1.0, 1.0, k1,
+                                     k2 + 0.01)) == 0.0
+    h = sim._head(k2)
+    keys, offs, _ = sim._sum_table(k1, k2, gated)
+    with mpmath.workdps(60):
+        for w in (0, 1, 2, 17, 64, sim._SUM_ROWS):
+            row = (keys[offs[w]:offs[w + 1]] - (w << 53)).tolist()
+            assert len(row) <= 2 * w + h and row == sorted(row), w
+            n = len(row)
+            row += [1 << 53] * (2 * w + h - n)
+            cdf, tail = exact_folded(k1, k2, gated, w, 2 * w + h - 1)
+            gaps = [abs(mpmath.mpf(c) / 2 ** 53 - f)
+                    for c, f in zip(row, cdf)]
+            assert max(gaps, default=0) <= mpmath.mpf(2) ** -52, (k2, w)
+            for big_v in (0.0, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -53):
+                rng = FixedUniforms(np.array([1.0 - 2.0 ** -53]),
+                                    np.array([big_v]))
+                m = int(sim._table_sums(k1, rng, np.array([w]), k2,
+                                        gated)[0])
+                v = (1.0 - big_v) / 2.0 ** 53
+                assert tail(m) < v <= (tail(m - 1) if m > n else 1), (w, v)
+
+
+class FixedUniforms:
+    """Stands in for a Generator: each `random` call returns the next of
+    the given arrays of uniforms."""
+
+    def __init__(self, *us):
+        self.us = list(us)
 
     def random(self, size):
-        assert size == len(self.u)
-        return self.u
+        u = self.us.pop(0)
+        assert size == len(u)
+        return u
 
 
 @pytest.mark.parametrize("k1", [0.3, 0.5])
 def test_guide_matches_searchsorted_everywhere(k1):
     # U at every key and its neighbours, at both ends of every bucket,
-    # and at 10**6 random points, in every row: the guide answers exactly
-    # where it answers, and `_table_sums` gives the searchsorted count
-    keys, offs, guide = sim._sum_table(k1)
+    # and at 10**6 random points, in every row of the plain table and of
+    # one that folds Poisson(1/4) in (row 0 too): the guide answers
+    # exactly where it answers, and `_table_sums` gives the searchsorted
+    # count.  At the top U, 2**53 - 1, it takes a second uniform; V = 0
+    # stays in the cell past the last key, whose value is that count
     bits, top = laws._GUIDE_BITS, (1 << 53) - 1
     width = 1 << (53 - bits)
     ends = np.concatenate([np.arange(1 << bits) * width,
                            np.arange(1, (1 << bits) + 1) * width - 1])
-    ws, us = [], []
-    for w in range(1, sim._SUM_ROWS + 1):
-        c = keys[offs[w]:offs[w + 1]] - (w << 53)
-        u = np.clip(np.concatenate([c - 1, c, c + 1, ends]), 0, top)
-        ws.append(np.full(len(u), w))
-        us.append(u)
-    gen = np.random.default_rng(11)
-    ws.append(gen.integers(1, sim._SUM_ROWS + 1, 10 ** 6))
-    us.append(gen.integers(0, 1 << 53, 10 ** 6))
-    w, u = np.concatenate(ws), np.concatenate(us)
-    want = np.searchsorted(keys, (w << 53) + u, side="right") - offs[w]
-    hint = guide[(w << bits) + (u >> (53 - bits))]
-    assert np.all((hint < 0) | (hint == want))
-    assert 0.5 < np.mean(hint >= 0) < 1.0
-    got = sim._table_sums(k1, FixedUniforms(u / 2.0 ** 53), w)
-    assert np.array_equal(got, want)
+    for kappa2, first in ((0.0, 1), (0.25, 0)):
+        keys, offs, guide = sim._sum_table(k1, kappa2)
+        ws, us = [], []
+        for w in range(first, sim._SUM_ROWS + 1):
+            c = keys[offs[w]:offs[w + 1]] - (w << 53)
+            u = np.clip(np.concatenate([c - 1, c, c + 1, ends]), 0, top)
+            ws.append(np.full(len(u), w))
+            us.append(u)
+        gen = np.random.default_rng(11)
+        ws.append(gen.integers(first, sim._SUM_ROWS + 1, 10 ** 6))
+        us.append(gen.integers(0, 1 << 53, 10 ** 6))
+        w, u = np.concatenate(ws), np.concatenate(us)
+        want = np.searchsorted(keys, (w << 53) + u, side="right") - offs[w]
+        hint = guide[(w << bits) + (u >> (53 - bits))]
+        assert np.all((hint < 0) | (hint == want))
+        assert 0.5 < np.mean(hint >= 0) < 1.0
+        rng = FixedUniforms(u / 2.0 ** 53, np.zeros(np.count_nonzero(u == top)))
+        got = sim._table_sums(k1, rng, w, kappa2)
+        assert np.array_equal(got, want)
 
 
 def test_guide_row_at_bucket_edges():
@@ -523,6 +650,15 @@ def test_cap_censoring():
     assert bs.censored > 0
     assert np.all(np.diff(bs.censored_counts) >= 0)
     assert bs.censored == bs.censored_counts[-1]
+
+
+@pytest.mark.parametrize("model", ["z", "stopped", "gated"])
+def test_poisson_mean_past_the_generator_limit_is_cap_censored(model):
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1e19)
+    bs = estimate_survival(p, model, 3, 100, seed=1, cap=1000)
+    assert bs.censored == bs.survival_counts[-1]
+    assert bs.censored > 0
 
 
 def test_input_validation():

@@ -125,10 +125,6 @@ class PmfTable:
     probs: np.ndarray
     truncation_mass: float
 
-    @property
-    def support_end(self) -> int:
-        return len(self.probs) - 1
-
 
 def offspring_pmf(params: LawParams, nmax: int) -> PmfTable:
     """Offspring law on {0, ..., nmax} with its exact tail mass.

@@ -25,28 +25,21 @@ from .errors import (MissingConstantError, MissingRenewalError,
 from .laws import LawParams
 from .pgf import (QPath, _gammas, _log1m, _log_q0, _q_steps, theta_sums,
                   theta_tail_bounds)
-from .renewal import (RenewalTable, _renewal_table, classify_regime,
-                      fit_tail)
+from .renewal import (RegimeReport, RenewalTable, _BALANCED,
+                      _renewal_table, classify_regime, fit_tail)
 from ._num import fsum, gauss_legendre_panels
 
-_BOUNDARY_TOL = 1e-9
 _STATIONARY_CHUNK = 1 << 16     # q-trajectory terms per pass
 
 
-def _sigma(params: LawParams) -> float:
-    return params.kappa2 / (params.kappa1 * params.nu)
-
-
-def _require_balanced(params: LawParams) -> None:
-    if abs(params.theta - params.nu) > _BOUNDARY_TOL:
+def _regime(params: LawParams, allowed, needs: str) -> RegimeReport:
+    """`classify_regime` of `params`, which must lie in `allowed`."""
+    rep = classify_regime(params)
+    if rep.regime_id not in allowed:
         raise WrongRegimeError(
-            f"needs theta = nu, got theta={params.theta}, nu={params.nu}")
-
-
-def _require_heavy(params: LawParams) -> None:
-    if params.theta >= params.nu - _BOUNDARY_TOL:
-        raise WrongRegimeError(
-            f"needs theta < nu, got theta={params.theta}, nu={params.nu}")
+            f"needs {needs}, got regime {rep.regime_id} (theta={params.theta},"
+            f" nu={params.nu}, sigma={rep.sigma})")
+    return rep
 
 
 def _log_scales(params: LawParams, ns, scaling: str,
@@ -79,19 +72,19 @@ def gamma_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     (1 + (k/n) t^nu)^sigma * gamma_k^(0)(e^{-t q_n(0)}) -> 1 uniformly;
     returns sup_k of |expression - 1|.
     """
-    _require_balanced(params)
+    sg = _regime(params, _BALANCED, "theta = nu").sigma
     if t <= 0.0:
         raise ValueError("t must be positive")
     log_g0, _ = _gammas_at(params, t, n, "by_qn")
     k = np.arange(n + 1, dtype=float)
-    pref = (1.0 + (k / n) * t ** params.nu) ** _sigma(params)
+    pref = (1.0 + (k / n) * t ** params.nu) ** sg
     return float(np.max(np.abs(pref * np.exp(log_g0) - 1.0)))
 
 
 def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     """Heavy-immigration analogue: e^{kappa2 t^theta k/n} *
     gamma_k^(0)(e^{-t n^{-1/theta}}) -> 1 uniformly over k <= n."""
-    _require_heavy(params)
+    _regime(params, ("R0",), "theta < nu")
     if t <= 0.0:
         raise ValueError("t must be positive")
     log_g0, _ = _gammas_at(params, t, n, "by_n_inv_theta")
@@ -102,16 +95,16 @@ def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
 
 def laplace_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
     """|H_n(e^{-t q_n(0)}) - (1 + t^nu)^{-sigma}| for theta = nu."""
-    _require_balanced(params)
+    sg = _regime(params, _BALANCED, "theta = nu").sigma
     if t < 0.0:
         raise ValueError("t must be nonnegative")
-    limit = (1.0 + t ** params.nu) ** (-_sigma(params))
+    limit = (1.0 + t ** params.nu) ** (-sg)
     return abs(_gammas_at(params, t, n, "by_qn")[1][n] - limit)
 
 
 def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
     """|H_n(e^{-t n^{-1/theta}}) - e^{-kappa2 t^theta}| for theta < nu."""
-    _require_heavy(params)
+    _regime(params, ("R0",), "theta < nu")
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     limit = math.exp(-params.kappa2 * t ** params.theta)
@@ -132,10 +125,7 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
     kappa1*nu and kappa1*nu*C_J) pin the product to within tol, then the
     midpoint of the enclosure is returned.
     """
-    nu, th = params.nu, params.theta
-    if th <= nu + _BOUNDARY_TOL:
-        raise WrongRegimeError(
-            f"stationary law needs theta > nu, got theta={th}, nu={nu}")
+    _regime(params, ("R6", "UNCOVERED"), "theta > nu")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
     # first j whose enclosure is within tol; chunks keep memory bounded
@@ -212,7 +202,7 @@ def _conditional_laplace(params: LawParams, table: RenewalTable, n: int,
 
 def limit_laplace_heavy_imm(params: LawParams, s: float) -> float:
     """Limit of the conditional transform under n^{-1/theta} scaling."""
-    _require_heavy(params)
+    _regime(params, ("R0",), "theta < nu")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     return math.exp(-params.kappa2 * s ** params.theta)
@@ -220,14 +210,10 @@ def limit_laplace_heavy_imm(params: LawParams, s: float) -> float:
 
 def limit_balanced_strong(params: LawParams, s: float) -> float:
     """(1 + s^nu)^{-sigma}: theta = nu with sigma >= 1."""
-    _require_balanced(params)
+    sg = _regime(params, ("R1", "R2"), "theta = nu and sigma >= 1 "
+                 "(below, use lambda_limit)").sigma
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    sg = _sigma(params)
-    if sg < 1.0 - _BOUNDARY_TOL:
-        raise WrongRegimeError(
-            "sigma < 1: the limit is the singular-integral form, "
-            "use lambda_limit")
     return (1.0 + s ** params.nu) ** (-sg)
 
 
@@ -243,17 +229,13 @@ def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
 
     The endpoint singularity is removed exactly by y = (1-x)^{1-a}.
     """
-    _require_balanced(params)
+    rep = _regime(params, ("R3", "R4", "R5"), "theta = nu and sigma < 1")
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     if s == 0.0:
         return 1.0
-    sg = _sigma(params)
-    if sg >= 1.0:
-        raise WrongRegimeError(f"lambda limit needs sigma < 1, got {sg}")
-    rho = params.delta / params.nu
-    sn = s ** params.nu
-    weak = sg < 1.0 - rho - _BOUNDARY_TOL
+    sg, rho, sn = rep.sigma, params.delta / params.nu, s ** params.nu
+    weak = rep.regime_id == "R5"
     if weak and K5 is None:
         raise MissingConstantError(
             "sigma < 1 - delta/nu: pass the fitted tail constant K5")
@@ -316,20 +298,17 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
     scaling, limit_fn = _SWEEPS[theorem_id]
-    fit = (limit_fn is None and K5 is None and _sigma(params)
-           < 1.0 - params.delta / params.nu - _BOUNDARY_TOL)
+    rep = classify_regime(params)
+    fit = limit_fn is None and K5 is None and rep.regime_id == "R5"
     n_max = int(n_grid[-1])
     path = _q_steps(params, 0.0, max(n_max, 10 ** 5) if fit else n_max)
     log_x = _log_scales(params, n_grid.tolist(), scaling, path)
     table = _renewal_table(params, path)
     if fit:
-        rep = fit_tail(table.u[:10 ** 5 + 1], classify_regime(params))
-        if "K" not in rep.constants:
-            raise MissingConstantError(
-                f"regime {rep.regime_id} has no tail constant to fit K5")
         # K5 is the constant of the unconditional survival kappa0*u_n,
         # so the kappa0 in the atom of lambda_limit cancels against it
-        K5 = params.kappa0 * rep.constants["K"]
+        K5 = params.kappa0 * fit_tail(table.u[:10 ** 5 + 1],
+                                      rep).constants["K"]
     limit = np.array([lambda_limit(params, s, K5) if limit_fn is None
                       else limit_fn(params, s) for s in s_grid.tolist()])
     computed = np.array([[_conditional_laplace(params, table, n,

@@ -152,6 +152,17 @@ def q_iterate(params: LawParams, t, n: int) -> QTrajectory:
                        q=np.stack(q, axis=-1).reshape((n + 1,) + ts.shape))
 
 
+def _end_logs(params: LawParams, t, n: int):
+    """(log q_0, log q_n) at each point of `t`, a scalar or a grid: from
+    these, q**a is formed as exp(a * log q), where q_n itself may
+    underflow."""
+    ts = np.asarray(t, dtype=float)
+    paths = [_q_steps(params, _log1m(x), n) for x in ts.ravel()]
+    ends = np.array([(p.log(0), p.log(n)) for p in paths])
+    ends = ends.reshape(ts.shape + (2,))
+    return ends[..., 0], ends[..., 1]
+
+
 def rate_gap(params: LawParams, t, n: int):
     """Normalized decay-rate gap kappa1*nu - (q_n**-nu - q_0**-nu)/n.
 
@@ -161,8 +172,8 @@ def rate_gap(params: LawParams, t, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     nu = params.nu
-    q = q_iterate(params, t, n).q
-    return params.kappa1 * nu - (q[-1] ** -nu - q[0] ** -nu) / n
+    lq0, lqn = _end_logs(params, t, n)
+    return params.kappa1 * nu - (np.exp(-nu * lqn) - np.exp(-nu * lq0)) / n
 
 
 def epsilon_term(params: LawParams, t, n: int):
@@ -175,8 +186,9 @@ def epsilon_term(params: LawParams, t, n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     nu = params.nu
-    q = q_iterate(params, t, n).q
-    return q[-1] ** nu * (params.kappa1 * nu * n + q[0] ** -nu) - 1.0
+    lq0, lqn = _end_logs(params, t, n)
+    return (np.exp(nu * lqn) * (params.kappa1 * nu * n + np.exp(-nu * lq0))
+            - 1.0)
 
 
 def step_gap(params: LawParams, t):

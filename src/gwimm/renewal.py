@@ -45,6 +45,8 @@ _CUT_NATS = 1076.0 * math.log(2.0) + 2.0
 _ALIAS_EXPONENTS = np.array([8.0, 16.0, 24.0, 32.0, 40.0, 48.0])
 _BABY_STEPS = 16             # powers Fz^1..Fz^b in the DP table; divides every M
 _GIANT_CHUNK = 8             # block polynomials formed per matrix product
+_BOUNDARY_TOL = 1e-9         # relative width of every regime boundary
+_BALANCED = ("R1", "R2", "R3", "R4", "R5")    # the regimes of theta = nu
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +222,7 @@ def _log_poly_at(logc: np.ndarray, logx: np.ndarray) -> np.ndarray:
 
 
 def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
-                    tol: float = 1e-3,
-                    init: tuple[np.ndarray, float] | None = None
-                    ) -> DpDistribution:
+                    tol: float = 1e-3) -> DpDistribution:
     """Generation-by-generation law of the chosen model on states {0..M}.
 
     Each step evaluates the one-step transform at the roots of unity of a
@@ -263,12 +263,9 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
 
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
-    if init is None:
-        g = initial_pmf(params, M)
-        pi[0] = g.probs
-        lost[0] = g.truncation_mass
-    else:
-        pi[0], lost[0] = init
+    g = initial_pmf(params, M)
+    pi[0] = g.probs
+    lost[0] = g.truncation_mass
 
     track_alias = params.nu < 1.0
     alias = np.zeros(len(_ALIAS_EXPONENTS))
@@ -341,9 +338,8 @@ def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,
     # given a positive start the initial law is Sibuya(delta), the
     # kappa0 = 1 initial law; building it directly, not as the kappa0 law
     # divided by kappa0, keeps it exact when kappa0 is tiny
-    g = initial_pmf(dataclasses.replace(params, kappa0=1.0), M)
-    dist = dp_distribution(params, model, n, M, tol=tol,
-                           init=(g.probs, g.truncation_mass))
+    dist = dp_distribution(dataclasses.replace(params, kappa0=1.0), model,
+                           n, M, tol=tol)
     hi = 1.0 - dist.pi[:, 0]
     lo = hi - dist.lost_mass
     return lo, hi, dist
@@ -363,24 +359,25 @@ class RegimeReport:
     constants: dict = field(default_factory=dict)
 
 
-def classify_regime(params: LawParams, tol: float = 1e-9,
+def classify_regime(params: LawParams,
                     assume: str | None = None) -> RegimeReport:
     """Predicted decay of u_n: u_n ~ K * n^(-alpha) * (correction).
 
-    Pure sign comparisons of (theta vs nu, sigma vs 1, sigma + delta/nu
-    vs 1, delta vs nu) with boundary tolerance `tol`.  The interior
-    boundaries sigma = 1 and sigma + delta/nu = 1 are measure-zero in
-    floating point, so `assume` in {"R2", "R4"} forces the corresponding
-    branch after a loose sanity check.
+    The only test of a regime boundary in the package: theta/nu, delta/nu,
+    sigma and sigma + delta/nu are compared with 1, each within relative
+    `_BOUNDARY_TOL`, so the regimes do not depend on the scale of nu.
+    The interior boundaries sigma = 1 and sigma + delta/nu = 1 are
+    measure-zero in floating point, so `assume` in {"R2", "R4"} forces
+    the corresponding branch after a loose sanity check.
     """
-    nu, th, dl = params.nu, params.theta, params.delta
-    sigma = params.kappa2 / (params.kappa1 * nu)
-    rho = dl / nu
+    sigma = params.kappa2 / (params.kappa1 * params.nu)
+    ratio = params.theta / params.nu
+    rho = params.delta / params.nu
 
-    def close(x: float, y: float) -> bool:
-        # an overflowed sigma is far from every boundary, not close to it
-        return (math.isfinite(x) and math.isfinite(y)
-                and abs(x - y) <= tol * max(1.0, abs(x), abs(y)))
+    def close(x: float) -> bool:
+        # an overflowed ratio is far from the boundary, not close to it
+        return (math.isfinite(x)
+                and abs(x - 1.0) <= _BOUNDARY_TOL * max(1.0, x))
 
     if assume is not None:
         if assume == "R2":
@@ -394,19 +391,19 @@ def classify_regime(params: LawParams, tol: float = 1e-9,
             return RegimeReport("R4", 1.0 - sigma, "log", sigma)
         raise ValueError("assume must be one of 'R2', 'R4'")
 
-    if close(th, nu):
-        if close(sigma, 1.0):
+    if close(ratio):
+        if close(sigma):
             return RegimeReport("R2", 0.0, "inverse-log", sigma)
         if sigma > 1.0:
             return RegimeReport("R1", 0.0, "none", sigma)
-        if close(sigma + rho, 1.0):
+        if close(sigma + rho):
             return RegimeReport("R4", 1.0 - sigma, "log", sigma)
         if sigma + rho > 1.0:
             return RegimeReport("R3", 1.0 - sigma, "none", sigma)
         return RegimeReport("R5", rho, "none", sigma)
-    if th < nu:
+    if ratio < 1.0:
         return RegimeReport("R0", 0.0, "none", sigma)
-    if dl < nu and not close(dl, nu):
+    if rho < 1.0 and not close(rho):
         return RegimeReport("R6", rho, "none", sigma)
     return RegimeReport("UNCOVERED", None, "none", sigma)
 
@@ -495,20 +492,21 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     the tail sum of q_j^theta.
     """
     nu, th = params.nu, params.theta
+    regime = classify_regime(params)
     path, _, S = theta_sums(params, 0.0, n_max)
     neglog = float(params.kappa2) * S[:-1]      # -log gamma0_n at n
 
     ns = np.unique(np.geomspace(max(10, n_max // 10), n_max, 200).astype(int))
-    if th < nu and abs(th - nu) > 1e-9:
+    if regime.regime_id == "R0":
         x = ns.astype(float) ** (1.0 - th / nu)
         slope = float(np.polyfit(x, neglog[ns].astype(float), 1)[0])
         c2 = (params.kappa1 ** (-th / nu) * params.kappa2
               * nu ** (1.0 - th / nu) / (nu - th))
         return GammaReport("exp-decay", slope, reference=c2,
                            rel_error=abs(slope - c2) / c2)
-    if abs(th - nu) <= 1e-9:
-        sigma = params.kappa2 / (params.kappa1 * nu)
-        scaled = np.exp(-neglog[ns].astype(float)) * ns.astype(float) ** sigma
+    if regime.regime_id in _BALANCED:
+        scaled = (np.exp(-neglog[ns].astype(float))
+                  * ns.astype(float) ** regime.sigma)
         drift = float((scaled.max() - scaled.min()) / scaled.mean())
         return GammaReport("power", float(scaled[-1]), drift=drift)
     # theta > nu: gamma0 converges to c0 > 0

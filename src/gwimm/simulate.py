@@ -81,13 +81,15 @@ class BatchStats:
 
 
 def _offspring_sums(params: LawParams, rng: np.random.Generator,
-                    pops: np.ndarray) -> np.ndarray:
-    """Summed offspring for each population in `pops` (entries >= 1).
+                    pops: np.ndarray, kappa2: float = 0.0,
+                    gated: bool = False) -> np.ndarray:
+    """Summed offspring for each population in `pops` (entries >= 1, or
+    >= 0 where the table folds immigrants in).
 
     At nu = 1 a population w <= _SUM_ROWS draws its sum by inverting the
-    exact cdf of a sum of w offspring with one uniform (`_table_sums`);
-    where the immigrants fold into the table as well (`_folded`),
-    `_next_generation` draws those populations without coming here.
+    exact cdf of a sum of w offspring with one uniform (`_table_sums`),
+    with the Poisson(kappa2) immigrants of `_folded` in the same draw
+    where kappa2 > 0 (added only to a positive sum if `gated`).
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
@@ -108,13 +110,9 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
         return _split_cell_sums(params, rng, pops)
     big = pops > _SUM_ROWS
     if not big.any():
-        return _table_sums(params.kappa1, rng, pops)
-    if big.all():
-        # builds no table: where `_sum_table` folds the immigrants in,
-        # only populations above W come here
-        return _split_cell_sums(params, rng, pops)
+        return _table_sums(params.kappa1, rng, pops, kappa2, gated)
     sums = np.empty_like(pops)
-    sums[~big] = _table_sums(params.kappa1, rng, pops[~big])
+    sums[~big] = _table_sums(params.kappa1, rng, pops[~big], kappa2, gated)
     sums[big] = _split_cell_sums(params, rng, pops[big])
     return sums
 
@@ -299,37 +297,25 @@ def _next_generation(params: LawParams, model: Model,
     UNSTOPPED_Z).
 
     Where `_sum_table` folds the immigrants in (`_folded`), a population
-    of at most W is one uniform looked up in its row; the others draw
-    their offspring sums and immigrants apart, in `_sum_and_immigrate`."""
+    of at most W draws its next value with one uniform in
+    `_offspring_sums`; the other rows draw their immigrants apart."""
     kappa2 = _folded(params)
-    if not kappa2:
-        return _sum_and_immigrate(params, model, rng, pops)
     gated = model is Model.GATED_W
-    small = pops <= _SUM_ROWS
-    if small.all():
+    if kappa2 and pops.max() <= _SUM_ROWS:
         return _table_sums(params.kappa1, rng, pops, kappa2, gated)
-    nxt = np.empty_like(pops)
-    nxt[small] = _table_sums(params.kappa1, rng, pops[small], kappa2, gated)
-    nxt[~small] = _sum_and_immigrate(params, model, rng, pops[~small])
-    return nxt
-
-
-def _sum_and_immigrate(params: LawParams, model: Model,
-                       rng: np.random.Generator,
-                       pops: np.ndarray) -> np.ndarray:
-    if model is Model.UNSTOPPED_Z:
-        lam = np.zeros_like(pops)
-        has_kids = pops > 0
-        if has_kids.any():
-            lam[has_kids] = _offspring_sums(params, rng, pops[has_kids])
-        return lam + sample_immigration(params, rng, pops.size)
-    lam = _offspring_sums(params, rng, pops)
-    if model is Model.GATED_W:
-        g = np.nonzero(lam)[0]
-        if g.size:
-            lam[g] += sample_immigration(params, rng, g.size)
-        return lam
-    return lam + sample_immigration(params, rng, pops.size)
+    apart = pops > _SUM_ROWS if kappa2 else np.ones(pops.size, dtype=bool)
+    # a zero population draws no offspring, unless its table row brings
+    # in its immigrants
+    kids = (pops > 0) | ~apart
+    lam = np.zeros_like(pops)
+    if kids.any():
+        lam[kids] = _offspring_sums(params, rng, pops[kids], kappa2, gated)
+    if gated:
+        apart &= lam > 0
+    if apart.any():
+        lam[apart] += sample_immigration(params, rng,
+                                         int(np.count_nonzero(apart)))
+    return lam
 
 
 def _check_cap(cap) -> None:

@@ -8,6 +8,10 @@ larger ones take the multinomial split.  At nu = theta = 1 (R3) the
 table's rows fold the Poisson immigrants in, so one uniform draws a
 whole generation of a replicate; `test_nu1_table_sums_digest` pins the
 offspring sums alone, from the table without immigrants.
+`test_nu1_crossing_survival_digest` pins nu = 1 laws whose populations
+cross 256: with theta < 1 nothing is folded, so the small populations
+draw their offspring sums from the table and their immigrants apart; at
+theta = 1 the small ones fold and the large ones draw both apart.
 """
 
 import hashlib
@@ -26,6 +30,8 @@ sim = importlib.import_module("gwimm.simulate")
 MIXED = LawParams(0.5, 0.5, 0.5, 0.8, 0.5, 0.7)
 HALF = LawParams(0.5, 1.0, 0.7, 0.9, 0.4, 0.5)     # nu < 1, theta = 1
 R3 = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)
+NU1_HEAVY = LawParams(1.0, 0.5, 0.5, 0.8, 0.5, 0.7)     # nu = 1, theta < 1
+NU1_WIDE = LawParams(1.0, 1.0, 0.5, 0.8, 0.5, 2.0)      # folded, delta < 1
 
 
 def digest(a) -> str:
@@ -47,6 +53,18 @@ def survival_digest(params, model, horizon, **kw) -> str:
     (HALF, "gated", "285640dc0fb8ff86"),
 ])
 def test_survival_counts_digest(params, model, want):
+    assert survival_digest(params, model, 10, cap=10 ** 4) == want
+
+
+@pytest.mark.parametrize("params, model, want", [
+    (NU1_HEAVY, "z", "fe5e9b4184fcd80c"),
+    (NU1_HEAVY, "stopped", "6eefeff43b609415"),
+    (NU1_HEAVY, "gated", "fc9fa9d434623d09"),
+    (NU1_WIDE, "z", "9749628f680d5efd"),
+    (NU1_WIDE, "stopped", "cae55144f83cf48f"),
+    (NU1_WIDE, "gated", "cb41ca914f322220"),
+])
+def test_nu1_crossing_survival_digest(params, model, want):
     assert survival_digest(params, model, 10, cap=10 ** 4) == want
 
 

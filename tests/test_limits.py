@@ -19,7 +19,7 @@ from gwimm.limits import (LimitCheck, conditional_laplace_exact,
                           limit_laplace_heavy_imm, stationary_pgf)
 from gwimm.pgf import _q_steps, h_n, q_iterate
 from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
-                           gamma_asymptotics)
+                           classify_regime, gamma_asymptotics)
 from gwimm.simulate import conditional_laplace_mc
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
@@ -145,6 +145,61 @@ def test_checker_regime_guards():
                      kappa2=0.25)
     with pytest.raises(WrongRegimeError):
         limit_balanced_strong(weak, 1.0)
+
+
+# each guarded function, an argument it rejects with a plain ValueError
+# once its regime guard has passed, and the regimes that guard accepts
+BALANCED = {"R1", "R2", "R3", "R4", "R5"}
+GUARDS = [
+    (gamma_limit_dev_balanced, (0.0, 10), BALANCED),
+    (laplace_limit_dev_balanced, (-1.0, 10), BALANCED),
+    (gamma_limit_dev_heavy_imm, (0.0, 10), {"R0"}),
+    (laplace_limit_dev_heavy_imm, (-1.0, 10), {"R0"}),
+    (limit_laplace_heavy_imm, (-1.0,), {"R0"}),
+    (limit_balanced_strong, (-1.0,), {"R1", "R2"}),
+    (lambda_limit, (-1.0,), {"R3", "R4", "R5"}),
+    (stationary_pgf, (2.0,), {"R6", "UNCOVERED"}),
+]
+
+
+def away(lo, hi):
+    # log-uniform on [lo, hi]
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=away(1e-300, 1.0), theta=away(1e-300, 1.0),
+       delta=away(sys.float_info.min, 1.0), balanced=st.booleans(),
+       frac=st.floats(0.01, 1.0), sigma=away(1e-3, 1e3))
+# theta/nu = 1/2 at nu = 1e-10: an absolute 1e-9 boundary read it R1
+@example(nu=1e-10, theta=5e-11, delta=1.0, balanced=False, frac=0.75,
+         sigma=2e10)
+# delta/nu = 8e-51: an absolute 1e-9 boundary read it UNCOVERED
+@example(nu=4.9e-87, theta=1.0, delta=4.1e-137, balanced=False, frac=0.5,
+         sigma=1e-3)
+def test_regime_is_placed_by_the_ratios(nu, theta, delta, balanced, frac,
+                                        sigma):
+    # the regimes depend on theta/nu, delta/nu and sigma alone, whatever
+    # the scale of nu, and every limits guard accepts exactly its own
+    theta = nu if balanced else theta
+    ratio, rho = theta / nu, delta / nu
+    assume(balanced or abs(ratio - 1.0) > 1e-2)
+    assume(abs(rho - 1.0) > 1e-2)
+    assume(abs(sigma - 1.0) > 1e-2 and abs(sigma + rho - 1.0) > 1e-2)
+    kappa1 = frac / (1.0 + nu)
+    p = LawParams(nu, theta, delta, 1.0, kappa1, sigma * kappa1 * nu)
+    if balanced:
+        want = "R1" if sigma > 1.0 else "R3" if sigma + rho > 1.0 else "R5"
+    elif ratio < 1.0:
+        want = "R0"
+    else:
+        want = "R6" if rho < 1.0 else "UNCOVERED"
+    assert classify_regime(p).regime_id == want
+    for fn, args, allowed in GUARDS:
+        with pytest.raises(ValueError) as err:
+            fn(p, *args)
+        rejected = isinstance(err.value, WrongRegimeError)
+        assert rejected == (want not in allowed), (fn.__name__, want)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,18 @@ def test_epsilon_pins():
                                                         abs=1e-15)
 
 
+@pytest.mark.parametrize("n, gap, eps", [
+    (10 ** 5, -1.414209600343857e-05, -5.602733707357537e-03),
+    (10 ** 6, -1.990695221098775e-06, -7.953266565870830e-04),
+])
+def test_rate_gap_and_epsilon_where_q_n_underflows(n, gap, eps):
+    # q_n(0) ~ 10^-680 at n = 10^6 is 0 as a float64, so both are formed
+    # from log q_n.  The references iterate q to 40 digits with mpmath
+    p = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
+    assert rate_gap(p, 0.0, n) == pytest.approx(gap, rel=1e-8)
+    assert epsilon_term(p, 0.0, n) == pytest.approx(eps, rel=1e-8)
+
+
 def test_epsilon_is_scaled_rate_gap():
     # epsilon(n, t) = q_n^nu * n * rate_gap(n, t), an exact identity
     for t in (0.0, 0.37, 0.93):

@@ -428,6 +428,10 @@ def law(nu, th, dl, k0, k1, k2):
     # sigma = kappa2/(kappa1*nu) overflows to inf: far above 1, not near it
     (law(1.0, 1.0, 1.0, 1.0, 0.5, 1e308), "R1", 0.0, "none"),
     (law(0.5, 0.5, 1.0, 1.0, 1e-300, 1e10), "R1", 0.0, "none"),
+    # the boundaries are relative: theta/nu = 1/2 and delta/nu = 8e-51
+    (law(1e-10, 5e-11, 1.0, 1.0, 0.5, 1.0), "R0", 0.0, "none"),
+    (law(4.9e-87, 1.0, 4.1e-137, 1.0, 0.5, 5e-324), "R6", 4.1e-137 / 4.9e-87,
+     "none"),
 ])
 def test_classifier_table(params, rid, alpha, corr):
     rep = classify_regime(params)

@@ -21,8 +21,8 @@ from .laws import (LawParams, PmfTable, immigration_pgf, immigration_pmf,
                    offspring_pgf, offspring_pmf, sample_immigration,
                    sample_initial, sample_offspring, sample_sibuya,
                    stable_positive)
-from .pgf import (GammaSequence, QTrajectory, epsilon_term, gamma_sequences,
-                  h_n, laplace_zn, q_iterate, rate_gap, step_gap,
+from .pgf import (GammaSequence, QPath, epsilon_term, gamma_sequences, h_n,
+                  laplace_zn, q_iterate, rate_gap, step_gap,
                   step_gap_envelope)
 from .simulate import (BatchStats, LaplaceEstimate, Model, Trajectory,
                        conditional_laplace_mc, estimate_survival,

@@ -25,7 +25,7 @@ from .errors import GwimmError
 from .laws import (LawParams, immigration_pmf, initial_pmf, offspring_pmf,
                    offspring_pgf)
 from .limits import conditional_laplace_exact, convergence_sweep, lambda_limit
-from .pgf import epsilon_term, q_iterate, theta_sums
+from .pgf import epsilon_term, q_iterate
 from .renewal import (build_renewal, classify_regime, dp_distribution,
                       fit_tail, u_dp_curve)
 from .simulate import Model, estimate_survival, simulate
@@ -272,12 +272,12 @@ def _verify_checks(cfg: RunConfig):
     yield ("dp_fractional_bracket", dist.alias_bound > 0.0 and inside,
            _fmt(dist.alias_bound))
 
-    q3 = float(q_iterate(canon, 0.0, 3).q[3])
+    q3 = float(q_iterate(canon, 0.0, 3).power(1.0)[3])
     yield "q_iteration_pin", abs(q3 - 0.3046875) < 1e-15, _fmt(q3)
     # each step adds kappa1*nu*[1, C0] to q^-nu, C0 = (1 - kappa1)^(-nu-1),
     # which brackets log q_n; the float q underflows to 0 long before
     tiny = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
-    lq = theta_sums(tiny, 0.0, 10 ** 5)[0].log(10 ** 5)
+    lq = q_iterate(tiny, 0.0, 10 ** 5).log(10 ** 5)
     lo, hi = (-math.log1p(1e5 * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))
     yield "q_log_enclosure", lo <= lq <= hi, _fmt(lq)
     eps = epsilon_term(canon, 0.0, 3)

@@ -126,8 +126,6 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
     midpoint of the enclosure is returned.
     """
     _regime(params, ("R6", "UNCOVERED"), "theta > nu")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
     # first j whose enclosure is within tol; chunks keep memory bounded
     lq0, head, j0 = _log1m(s), 0.0, 0
     while True:
@@ -300,6 +298,14 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     scaling, limit_fn = _SWEEPS[theorem_id]
     rep = classify_regime(params)
     fit = limit_fn is None and K5 is None and rep.regime_id == "R5"
+
+    def limit_column(K5):
+        return np.array([lambda_limit(params, s, K5) if limit_fn is None
+                         else limit_fn(params, s) for s in s_grid.tolist()])
+
+    # the limit functions guard the regime, so they run before any q
+    # work; a K5 fit is due only on R5, which lambda_limit accepts
+    limit = None if fit else limit_column(K5)
     n_max = int(n_grid[-1])
     path = _q_steps(params, 0.0, max(n_max, 10 ** 5) if fit else n_max)
     log_x = _log_scales(params, n_grid.tolist(), scaling, path)
@@ -307,10 +313,8 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
     if fit:
         # K5 is the constant of the unconditional survival kappa0*u_n,
         # so the kappa0 in the atom of lambda_limit cancels against it
-        K5 = params.kappa0 * fit_tail(table.u[:10 ** 5 + 1],
-                                      rep).constants["K"]
-    limit = np.array([lambda_limit(params, s, K5) if limit_fn is None
-                      else limit_fn(params, s) for s in s_grid.tolist()])
+        limit = limit_column(params.kappa0 * fit_tail(
+            table.u[:10 ** 5 + 1], rep).constants["K"])
     computed = np.array([[_conditional_laplace(params, table, n,
                                                _log_q0(s, lx))
                           for s in s_grid.tolist()]

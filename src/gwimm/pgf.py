@@ -29,30 +29,6 @@ _LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class QTrajectory:
-    """Trajectory q_j = 1 - F_j(t) for j = 0..n (axis 0 when t is a grid)."""
-
-    params: LawParams
-    t: float | np.ndarray
-    q: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.q.shape[0] - 1
-
-    def step_gaps(self) -> np.ndarray:
-        """Per-step decay gaps kappa1*nu - (q_{j+1}**-nu - q_j**-nu).
-
-        Summing these telescopes to horizon * rate_gap(..) by construction,
-        which the property tests exploit.
-        """
-        nu = self.params.nu
-        with np.errstate(divide="ignore"):
-            inv = self.q ** -nu
-        return self.params.kappa1 * nu - (inv[1:] - inv[:-1])
-
-
-@dataclass(frozen=True)
 class QPath:
     """One trajectory q_0..q_n of `_q_steps`: q_j as float64 while
     q_j >= 2^-500 (`q`), then log q_j in long double (`lq`)."""
@@ -127,6 +103,8 @@ def _q_steps(params: LawParams, lq0: float, n: int) -> QPath:
 
 def _log1m(x: float) -> float:
     """log(1 - x) for x in [0, 1]; -inf at x = 1."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"point {x} outside [0, 1]")
     return math.log1p(-x) if x < 1.0 else -math.inf
 
 
@@ -139,17 +117,14 @@ def _log_q0(s: float, log_x: float) -> float:
     return ly if ly < _LOG_SWITCH else math.log(-math.expm1(-math.exp(ly)))
 
 
-def q_iterate(params: LawParams, t, n: int) -> QTrajectory:
-    """Iterate the composition n times from t, storing the whole trajectory.
+def q_iterate(params: LawParams, t: float, n: int) -> QPath:
+    """The trajectory q_j = 1 - F_j(t), j = 0..n, from a point t in [0, 1],
+    iterated from log q_0 = log1p(-t).
 
-    `t` may be a scalar or a 1-d grid in [0, 1]; each point is iterated on
-    its own, from log q_0 = log1p(-t).
+    The path's `q` holds only its float prefix, the q_j >= 2^-500; read
+    q_j as `power(1.0)[j]` and log q_j as `log(j)`.
     """
-    ts = np.asarray(t, dtype=float)
-    q = [_q_steps(params, _log1m(x), n).power(1.0).astype(float)
-         for x in ts.ravel()]
-    return QTrajectory(params=params, t=t,
-                       q=np.stack(q, axis=-1).reshape((n + 1,) + ts.shape))
+    return _q_steps(params, _log1m(t), n)
 
 
 def _end_logs(params: LawParams, t, n: int):
@@ -157,6 +132,8 @@ def _end_logs(params: LawParams, t, n: int):
     these, q**a is formed as exp(a * log q), where q_n itself may
     underflow."""
     ts = np.asarray(t, dtype=float)
+    if np.any(ts >= 1.0):
+        raise ValueError("t must lie in [0, 1)")
     paths = [_q_steps(params, _log1m(x), n) for x in ts.ravel()]
     ends = np.array([(p.log(0), p.log(n)) for p in paths])
     ends = ends.reshape(ts.shape + (2,))

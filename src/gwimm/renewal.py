@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapTooSmallError, InsufficientLengthError,
-                     WrongRegimeError)
+from .errors import CapTooSmallError, InsufficientLengthError
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
 from .pgf import QPath, _q_steps, theta_sums, theta_tail_bounds
@@ -359,16 +358,12 @@ class RegimeReport:
     constants: dict = field(default_factory=dict)
 
 
-def classify_regime(params: LawParams,
-                    assume: str | None = None) -> RegimeReport:
+def classify_regime(params: LawParams) -> RegimeReport:
     """Predicted decay of u_n: u_n ~ K * n^(-alpha) * (correction).
 
     The only test of a regime boundary in the package: theta/nu, delta/nu,
     sigma and sigma + delta/nu are compared with 1, each within relative
     `_BOUNDARY_TOL`, so the regimes do not depend on the scale of nu.
-    The interior boundaries sigma = 1 and sigma + delta/nu = 1 are
-    measure-zero in floating point, so `assume` in {"R2", "R4"} forces
-    the corresponding branch after a loose sanity check.
     """
     sigma = params.kappa2 / (params.kappa1 * params.nu)
     ratio = params.theta / params.nu
@@ -378,18 +373,6 @@ def classify_regime(params: LawParams,
         # an overflowed ratio is far from the boundary, not close to it
         return (math.isfinite(x)
                 and abs(x - 1.0) <= _BOUNDARY_TOL * max(1.0, x))
-
-    if assume is not None:
-        if assume == "R2":
-            if abs(sigma - 1.0) > 1e-6:
-                raise WrongRegimeError(f"sigma={sigma} too far from 1 for R2")
-            return RegimeReport("R2", 0.0, "inverse-log", sigma)
-        if assume == "R4":
-            if abs(sigma + rho - 1.0) > 1e-6:
-                raise WrongRegimeError(
-                    f"sigma+delta/nu={sigma + rho} too far from 1 for R4")
-            return RegimeReport("R4", 1.0 - sigma, "log", sigma)
-        raise ValueError("assume must be one of 'R2', 'R4'")
 
     if close(ratio):
         if close(sigma):

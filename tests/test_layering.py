@@ -33,3 +33,26 @@ def test_exact_math_does_not_import_simulator_or_cli(module):
     for banned in ("gwimm.simulate", "gwimm.cli"):
         assert not any(n == banned or n.startswith(banned + ".")
                        for n in names), (module, banned)
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a source file imports but never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return bound - used
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"),
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    # deletions tend to leave their imports behind
+    assert not unused_imports(path), sorted(unused_imports(path))

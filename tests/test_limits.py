@@ -52,7 +52,7 @@ def one_step_oracle(p: LawParams, t: float) -> float:
 def test_conditional_transform_one_step(params):
     s = 0.7
     got = conditional_laplace_exact(params, 1, s)
-    t = math.exp(-s * q_iterate(params, 0.0, 1).q[-1])
+    t = math.exp(-s * q_iterate(params, 0.0, 1).power(1.0)[1])
     assert got == pytest.approx(one_step_oracle(params, t), abs=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_decomposition_telescopes_to_plain_transform():
                         u=np.ones_like(rt.u))
     stripped = dataclasses.replace(MIXED, kappa0=1.0)
     for s in (0.3, 1.5):
-        t = math.exp(-s * q_iterate(MIXED, 0.0, n).q[-1])
+        t = math.exp(-s * q_iterate(MIXED, 0.0, n).power(1.0)[n])
         got = conditional_laplace_exact(MIXED, n, s, table=flat)
         assert got == pytest.approx(h_n(stripped, t, n), abs=1e-12)
 
@@ -80,7 +80,7 @@ def test_decomposition_telescopes_to_plain_transform():
 def test_conditional_transform_matches_monte_carlo():
     n, s = 30, 1.0
     exact = conditional_laplace_exact(CANON, n, s)
-    scale = s * float(q_iterate(CANON, 0.0, n).q[-1])
+    scale = s * float(q_iterate(CANON, 0.0, n).power(1.0)[n])
     est = conditional_laplace_mc(CANON, "stopped", n, scale, reps=100_000,
                                  seed=12, threads=2)
     assert abs(est.value - exact) < 4.0 * est.se
@@ -90,7 +90,7 @@ def test_conditional_transform_matches_monte_carlo_with_atom():
     # kappa0 < 1 exercises the conditioning normalization
     n, s = 10, 0.7
     exact = conditional_laplace_exact(MIXED, n, s)
-    scale = s * float(q_iterate(MIXED, 0.0, n).q[-1])
+    scale = s * float(q_iterate(MIXED, 0.0, n).power(1.0)[n])
     est = conditional_laplace_mc(MIXED, "stopped", n, scale, reps=200_000,
                                  seed=5, threads=2, cap=100_000)
     assert abs(est.value - exact) < 4.0 * est.se
@@ -346,6 +346,18 @@ def test_sweep_grid_validation():
         convergence_sweep(CANON, "balanced_strong", [0.5, 1.0], [100, 10])
     with pytest.raises(ValueError):
         convergence_sweep(CANON, "no-such-theorem", [0.5], [10])
+
+
+def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
+    def no_q_work(*args):
+        raise AssertionError("q work before the regime check")
+
+    monkeypatch.setattr("gwimm.limits._q_steps", no_q_work)
+    monkeypatch.setattr("gwimm.limits._renewal_table", no_q_work)
+    r0 = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
+    for theorem_id in ("balanced_weak", "balanced_strong"):
+        with pytest.raises(WrongRegimeError):
+            convergence_sweep(r0, theorem_id, [1.0], [10 ** 6])
 
 
 def test_limitcheck_monotone_flag():

@@ -20,7 +20,7 @@ HEAVY = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
 def test_q_hand_iteration():
     # q_{j+1} = q_j * (1 - kappa1*q_j^nu) from q_0 = 1:
     # 1, 1/2, 3/8, 39/128 for nu = 1, kappa1 = 1/2
-    q = q_iterate(CANON, 0.0, 3).q
+    q = q_iterate(CANON, 0.0, 3).power(1.0)
     assert q[0] == 1.0
     assert q[1] == 0.5
     assert q[2] == 0.375
@@ -34,15 +34,8 @@ def test_q_iterate_matches_direct_composition():
     s = t
     for _ in range(7):
         s = float(offspring_pgf(HEAVY, s))
-    assert q_iterate(HEAVY, t, 7).q[-1] == pytest.approx(1.0 - s, rel=1e-13)
-
-
-def test_q_vector_agrees_with_scalars():
-    ts = np.array([0.0, 0.4, 0.9])
-    traj = q_iterate(HEAVY, ts, 5)
-    assert traj.q.shape == (6, 3)
-    for i, t in enumerate(ts):
-        assert traj.q[5, i] == q_iterate(HEAVY, float(t), 5).q[-1]
+    assert q_iterate(HEAVY, t, 7).power(1.0)[7] == pytest.approx(1.0 - s,
+                                                                 rel=1e-13)
 
 
 FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
@@ -54,13 +47,10 @@ FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
 def test_q_last_is_bitwise_last_of_q_iterate(params, n):
     # the last q on its own: the sweeps read log q_n(0) off one longer
     # trajectory, which must hold the q_n of a trajectory cut at n bit for
-    # bit; and a grid is iterated point by point, so it holds the scalars
-    grid = np.array([0.0, 0.3, 0.97])
-    last = q_iterate(params, grid, n).q[-1]
-    for i, t in enumerate(grid.tolist()):
-        qn = q_iterate(params, t, n).q[-1]
-        assert _q_steps(params, math.log1p(-t), 2 * n).log(n) == math.log(qn)
-        assert last[i] == qn
+    # bit
+    for t in (0.0, 0.3, 0.97):
+        lqn = q_iterate(params, t, n).log(n)
+        assert _q_steps(params, math.log1p(-t), 2 * n).log(n) == lqn
 
 
 @pytest.mark.parametrize("kappa1", [0.5, 0.3, 1e-12])
@@ -69,14 +59,15 @@ def test_q_nu1_step_is_bitwise_the_general_step(kappa1, t):
     # at nu = 1 the step leaves out q**nu; pow(x, 1) == x keeps every bit
     p = LawParams(1.0, 1.0, 1.0, 1.0, kappa1, 1.0)
     n = 10 ** 5
-    got = q_iterate(p, t, n).q
-    q = got[0] if np.ndim(t) else float(got[0])
-    want = [q]
-    for _ in range(n):
-        q = q * (1.0 - kappa1 * q ** p.nu)
-        want.append(q)
-    assert np.array_equal(got.view(np.int64),
-                          np.array(want, dtype=float).view(np.int64))
+    for x in np.atleast_1d(t).tolist():
+        got = q_iterate(p, x, n).power(1.0).astype(float)
+        q = float(got[0])
+        want = [q]
+        for _ in range(n):
+            q = q * (1.0 - kappa1 * q ** p.nu)
+            want.append(q)
+        assert np.array_equal(got.view(np.int64),
+                              np.array(want, dtype=float).view(np.int64))
 
 
 def test_log_q_at_tiny_nu_against_mpmath():
@@ -102,7 +93,7 @@ def test_log_q_at_tiny_nu_against_mpmath():
 
 
 def test_q_monotone_and_positive():
-    q = q_iterate(HEAVY, 0.2, 200).q
+    q = q_iterate(HEAVY, 0.2, 200).power(1.0)
     assert np.all(np.diff(q) < 0.0)
     assert q[-1] > 0.0
 
@@ -137,7 +128,7 @@ def test_epsilon_is_scaled_rate_gap():
     # epsilon(n, t) = q_n^nu * n * rate_gap(n, t), an exact identity
     for t in (0.0, 0.37, 0.93):
         for n in (2, 17):
-            qn = q_iterate(HEAVY, t, n).q[-1]
+            qn = float(q_iterate(HEAVY, t, n).power(1.0)[n])
             lhs = float(epsilon_term(HEAVY, t, n))
             rhs = qn ** HEAVY.nu * n * float(rate_gap(HEAVY, t, n))
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -149,14 +140,28 @@ def test_rate_gap_shrinks_with_n():
         assert g[0] > g[1] > g[2]
 
 
-def test_step_gaps_telescope_to_rate_gap():
+def test_gaps_per_step_telescope_to_rate_gap():
+    # per-step gaps kappa1*nu - (q_{j+1}**-nu - q_j**-nu) sum to
+    # n * rate_gap
     rng = np.random.default_rng(5)
     for t in rng.uniform(0.0, 0.95, 5):
         n = 40
-        traj = q_iterate(HEAVY, float(t), n)
-        total = math.fsum(traj.step_gaps().tolist())
+        inv = np.exp(-HEAVY.nu * q_iterate(HEAVY, float(t), n).logs())
+        gaps = HEAVY.kappa1 * HEAVY.nu - np.diff(inv)
+        total = math.fsum(gaps.tolist())
         assert total == pytest.approx(n * float(rate_gap(HEAVY, float(t), n)),
                                       abs=1e-11)
+
+
+def test_q_iterate_holds_log_q_where_q_underflows():
+    # q_n(0) ~ 10^-480 at n = 10^5 and nu = 0.005, and its log stays
+    # finite at every j; log q_n lies in the enclosure of `gwimm verify`
+    p = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
+    n = 10 ** 5
+    path = q_iterate(p, 0.0, n)
+    assert np.all(np.isfinite(path.logs()))
+    lo, hi = (-math.log1p(n * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))
+    assert lo <= path.log(n) <= hi
 
 
 def test_step_gap_envelope_bounds_and_limit():
@@ -192,7 +197,7 @@ def test_gamma_sequences_structure():
     # gamma_2^(0)(0) = exp(-(q_0 + q_1)) = exp(-1.5)
     assert seq.log_gamma0[2] == pytest.approx(-1.5, abs=1e-14)
     assert np.all(np.diff(seq.log_gamma0) < 0.0)
-    q = q_iterate(CANON, 0.0, 4).q
+    q = q_iterate(CANON, 0.0, 4).power(1.0).astype(float)
     expect = (1.0 - q) * np.exp(seq.log_gamma0)
     assert np.allclose(seq.gamma, expect, rtol=1e-14)
 
@@ -218,3 +223,18 @@ def test_rate_gap_rejects_zero_horizon():
         rate_gap(CANON, 0.0, 0)
     with pytest.raises(ValueError):
         epsilon_term(CANON, 0.0, 0)
+
+
+@pytest.mark.parametrize("s", [-0.1, 1.5, 2.0, math.nan])
+def test_points_outside_the_unit_interval_are_rejected(s):
+    for fn in (q_iterate, gamma_sequences, h_n):
+        with pytest.raises(ValueError):
+            fn(CANON, s, 3)
+
+
+@pytest.mark.parametrize("t", [1.0, np.array([0.5, 1.0])])
+def test_rate_gap_and_epsilon_reject_t_one(t):
+    with pytest.raises(ValueError):
+        rate_gap(CANON, t, 3)
+    with pytest.raises(ValueError):
+        epsilon_term(CANON, t, 3)

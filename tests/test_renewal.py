@@ -13,8 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 ren = importlib.import_module("gwimm.renewal")
 
-from gwimm.errors import (CapTooSmallError, InsufficientLengthError,
-                          WrongRegimeError)
+from gwimm.errors import CapTooSmallError, InsufficientLengthError
 from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
                         offspring_pmf)
 from gwimm.pgf import gamma_sequences
@@ -432,6 +431,8 @@ def law(nu, th, dl, k0, k1, k2):
     (law(1e-10, 5e-11, 1.0, 1.0, 0.5, 1.0), "R0", 0.0, "none"),
     (law(4.9e-87, 1.0, 4.1e-137, 1.0, 0.5, 5e-324), "R6", 4.1e-137 / 4.9e-87,
      "none"),
+    # sigma = 1 + 2e-8 lies outside the boundary width: strictly above 1
+    (law(1.0, 1.0, 1.0, 1.0, 0.5, 0.5 + 1e-8), "R1", 0.0, "none"),
 ])
 def test_classifier_table(params, rid, alpha, corr):
     rep = classify_regime(params)
@@ -444,23 +445,9 @@ def test_classifier_table(params, rid, alpha, corr):
 
 
 def test_classifier_boundary_tolerance():
-    # sigma within 1e-9 of 1 lands on R2 without needing `assume`
+    # sigma within 1e-9 of 1 lands on R2
     p = law(1.0, 1.0, 1.0, 1.0, 0.5, 0.5 * (1.0 + 1e-12))
     assert classify_regime(p).regime_id == "R2"
-
-
-def test_classifier_assume_branch():
-    p = law(1.0, 1.0, 1.0, 1.0, 0.5, 0.5 + 1e-8)
-    assert classify_regime(p).regime_id == "R1"   # strictly above 1
-    assert classify_regime(p, assume="R2").regime_id == "R2"
-    with pytest.raises(WrongRegimeError):
-        classify_regime(law(1.0, 1.0, 1.0, 1.0, 0.5, 1.0), assume="R2")
-    q = law(1.0, 1.0, 0.75, 0.8, 0.5, 0.125 + 1e-8)
-    assert classify_regime(q, assume="R4").regime_id == "R4"
-    with pytest.raises(WrongRegimeError):
-        classify_regime(CANON, assume="R4")
-    with pytest.raises(ValueError):
-        classify_regime(CANON, assume="R9")
 
 
 # ---------------------------------------------------------------------------

@@ -168,31 +168,6 @@ def epsilon_term(params: LawParams, t, n: int):
             - 1.0)
 
 
-def step_gap(params: LawParams, t):
-    """One-step gap Xi(t) = kappa1*nu - [(1-F(t))**-nu - (1-t)**-nu].
-
-    The bracket is evaluated as q0**-nu * expm1(-nu*log1p(-kappa1*q0**nu)),
-    avoiding the cancellation of two large inverse powers near t = 1.
-    """
-    nu, k1 = params.nu, params.kappa1
-    q0 = 1.0 - np.asarray(t, dtype=float)
-    bracket = q0 ** -nu * np.expm1(-nu * np.log1p(-k1 * q0 ** nu))
-    return k1 * nu - bracket
-
-
-def step_gap_envelope(params: LawParams, t):
-    """Lower envelope Theta(t) = kappa1*nu - [(1-t)**nu - (1-F(t))**nu]/(1-F(t))**(2nu).
-
-    Theta <= Xi pointwise and Theta increases to 0 as t -> 1, which gives
-    the uniform-in-t control used by the decay-rate diagnostics.
-    """
-    nu, k1 = params.nu, params.kappa1
-    q0 = 1.0 - np.asarray(t, dtype=float)
-    qf = q0 * (1.0 - k1 * q0 ** nu)
-    diff = -(q0 ** nu) * np.expm1(nu * np.log1p(-k1 * q0 ** nu))
-    return k1 * nu - diff / qf ** (2.0 * nu)
-
-
 def theta_sums(params: LawParams, lq0: float, n: int):
     """The q-trajectory from log q_0 = lq0, its powers q_j**theta and
     S_k = sum_{j<k} q_j**theta.

@@ -42,8 +42,8 @@ _BLOCK = 1024                # terms of u solved directly in extended precision
 _CUT_NATS = 1076.0 * math.log(2.0) + 2.0
 # exponents c of the evaluation points 1 + c/ring of the wrap-around bound
 _ALIAS_EXPONENTS = np.array([8.0, 16.0, 24.0, 32.0, 40.0, 48.0])
-_BABY_STEPS = 16             # powers Fz^1..Fz^b in the DP table; divides every M
-_GIANT_CHUNK = 8             # block polynomials formed per matrix product
+_BABY_CAP = 64               # most powers Fz^1..Fz^b in the DP table
+_TILE = 1024                 # spectrum bins per DP matrix product
 _BOUNDARY_TOL = 1e-9         # relative width of every regime boundary
 _BALANCED = ("R1", "R2", "R3", "R4", "R5")    # the regimes of theta = nu
 
@@ -227,15 +227,18 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     Each step evaluates the one-step transform at the roots of unity of a
     ring of size 4M, then inverts it.  The offspring part
     sum_{w=1..M} pi[w] * Fz^w is evaluated by baby and giant steps
-    (Paterson & Stockmeyer 1973): a table of the powers Fz^1..Fz^b,
-    b = 16, is built once per call; one real matrix product of the states
-    (as M/b rows of b) with that table gives the M/b block polynomials;
-    a Horner pass in Fz^b over the blocks, top down, combines them.  The
-    product is formed 8 blocks at a time into a reused buffer, so it
-    never holds all M/b rows: at M = 4096 the table takes 2 MiB and the
-    buffer 1 MiB.  Each step does O(M^2) work, almost all of it in the
-    matrix product.  Mass that escapes the truncation is tracked in
-    lost_mass, so [sum pi, sum pi + lost] brackets the true probability.
+    (Paterson & Stockmeyer 1973): a table of the powers Fz^1..Fz^b is
+    built once per call, b = sqrt(M) rounded up to a power of two and
+    capped at 64, so b divides M.  The 2M + 1 spectrum bins are taken in
+    tiles of 1024, the last tile also taking the odd bin.  Per tile, one
+    real matrix product of the states (as M/b rows of b) with the tile's
+    columns of the table gives the M/b block polynomials there, and a
+    Horner pass in Fz^b over the blocks, top down, combines them while
+    the tile is in cache.  At M = 4096 the table takes 8 MiB and the
+    reused product buffer 1 MiB.  Each step does O(M^2) work, almost all
+    of it in the matrix products.  Mass that escapes the truncation is
+    tracked in lost_mass, so [sum pi, sum pi + lost] brackets the true
+    probability.
 
     For nu = 1 the step polynomial has degree at most 3M < 4M, so the
     ring never wraps.  For nu < 1 the mass that wraps in one step is at
@@ -274,25 +277,32 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
             logF = _log_poly_at(np.log(fo.probs), logx)
             logB = _log_poly_at(np.log(bo.probs), logx)
 
-    powers = np.empty((_BABY_STEPS, len(Fz)), dtype=complex)
+    b = min(_BABY_CAP, 1 << (M.bit_length() // 2))
+    powers = np.empty((b, len(Fz)), dtype=complex)
     powers[0] = Fz
-    for j in range(1, _BABY_STEPS):
+    for j in range(1, b):
         np.multiply(powers[j - 1], Fz, out=powers[j])
     giant = powers[-1]
     table = powers.view(float)                 # (b, 2 * (2M + 1)) real
-    blocks = M // _BABY_STEPS
-    buf = np.empty((min(_GIANT_CHUNK, blocks), table.shape[1]))
+    blocks = M // b
+    # 2M is a multiple of the tile or below it, so no tile is one bin
+    edges = [*range(0, 2 * M, _TILE), 2 * M + 1]
+    flat = np.empty(blocks * 2 * (edges[-1] - edges[-2]))   # widest tile
 
     p0pow = params.kappa1 ** np.arange(1.0, M + 1)
+    acc = np.empty(len(Fz), dtype=complex)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
-        coef = cur[1:].reshape(blocks, _BABY_STEPS)
-        acc = np.zeros(len(Fz), dtype=complex)
-        for top in range(blocks, 0, -len(buf)):   # len(buf) divides blocks
-            np.matmul(coef[top - len(buf):top], table, out=buf)
-            for row in buf.view(complex)[::-1]:
-                acc *= giant
-                acc += row
+        coef = cur[1:].reshape(blocks, b)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            buf = flat[:blocks * 2 * (hi - lo)].reshape(blocks, -1)
+            np.matmul(coef, table[:, 2 * lo:2 * hi], out=buf)
+            rows = buf.view(complex)
+            part, step = acc[lo:hi], giant[lo:hi]
+            part[:] = rows[-1]
+            for row in rows[-2::-1]:
+                part *= step
+                part += row
         if model is Model.STOPPED_Z:
             spec = Bz * acc
             atom = cur[0]
@@ -318,17 +328,6 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
             raise CapTooSmallError(gen, lost[gen], tol)
     return DpDistribution(cap=M, pi=pi, lost_mass=lost, model=model,
                           alias_bound=float(alias.min()))
-
-
-def u_exact_dp(params: LawParams, model, n: int, M: int = 4096,
-               tol: float = 1e-3) -> tuple[float, float]:
-    """Rigorous bracket for P(alive at generation n | positive start).
-
-    Returns [1 - pi_n(0) - lost_n, 1 - pi_n(0)]; the width never exceeds
-    the truncated mass.
-    """
-    lo, hi, _ = u_dp_curve(params, model, n, M, tol)
-    return float(lo[n]), float(hi[n])
 
 
 def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,

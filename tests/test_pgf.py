@@ -8,8 +8,7 @@ import pytest
 from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
                         offspring_pgf)
 from gwimm.pgf import (_q_steps, epsilon_term, gamma_sequences, h_n,
-                       laplace_zn, q_iterate, rate_gap, step_gap,
-                       step_gap_envelope)
+                       laplace_zn, q_iterate, rate_gap)
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -162,16 +161,6 @@ def test_q_iterate_holds_log_q_where_q_underflows():
     assert np.all(np.isfinite(path.logs()))
     lo, hi = (-math.log1p(n * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))
     assert lo <= path.log(n) <= hi
-
-
-def test_step_gap_envelope_bounds_and_limit():
-    t = np.linspace(0.0, 0.999, 50)
-    xi = step_gap(CANON, t)
-    th = step_gap_envelope(CANON, t)
-    assert np.all(th <= xi + 1e-15)
-    assert np.all(np.diff(th) > 0.0)     # increases toward 0
-    assert th[-1] < 0.0
-    assert abs(th[-1]) < 2e-3
 
 
 def test_h_n_hand_value():

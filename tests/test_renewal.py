@@ -4,8 +4,12 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
 from gwimm.pgf import gamma_sequences
 from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
-                           u_dp_curve, u_exact_dp)
+                           u_dp_curve)
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -343,6 +347,61 @@ def test_dp_step_matches_per_state_horner(model, params, M):
     assert again.pi.tobytes() == dist.pi.tobytes()
 
 
+@pytest.mark.parametrize("params", [CANON, FRAC], ids=["canon", "frac"])
+@pytest.mark.parametrize("model", ["stopped", "z", "gated"])
+def test_dp_tiles_match_per_state_horner(model, params):
+    # M = 2048 takes 64 baby steps over several spectrum tiles, the last
+    # of which holds the odd bin
+    dist = dp_distribution(params, model, 6, M=2048, tol=1.0)
+    pi, lost, alias = _per_state_dp(params, model, 6, 2048, tol=1.0)
+    assert np.max(np.abs(dist.pi - pi)) <= 1e-13
+    assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
+    # the alias total weights tail masses of ~1e-5 by up to x^M ~ e^12,
+    # and those masses carry ~1e-17 of FFT noise on either route
+    assert dist.alias_bound == pytest.approx(alias, rel=1e-11, abs=0.0)
+
+
+# the pi digests of R3 and FRAC at M = 4096
+_PI_DIGESTS = """
+import hashlib
+from gwimm.laws import LawParams
+from gwimm.renewal import dp_distribution
+for p in (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),
+          LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3)):
+    pi = dp_distribution(p, "stopped", 10, M=4096).pi
+    print(hashlib.sha256(pi.tobytes()).hexdigest())
+"""
+
+
+def test_dp_pi_does_not_depend_on_blas_threads():
+    # the thread count is read when numpy loads BLAS, so each count
+    # needs a fresh process
+    src = str(Path(ren.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                if p]))
+        run = subprocess.run([sys.executable, "-c", _PI_DIGESTS], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(run.stdout)
+    assert len(digests) == 1, digests
+
+
+@pytest.mark.parametrize("M, n, mib", [(4096, 2, 12), (16384, 1, 48)])
+def test_dp_memory_peak(M, n, mib):
+    # at M = 4096 the power table is 8 MiB and the product buffer 1 MiB;
+    # at M = 16384 the cap of 64 baby steps keeps the table at 32 MiB
+    tracemalloc.start()
+    try:
+        dp_distribution(R3, "stopped", n, M=M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2 ** 20, peak / 2 ** 20
+
+
 def test_dp_cap_too_small_at_reference_generation():
     heavy = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
                       kappa2=1.0)
@@ -399,11 +458,11 @@ def test_dp_m_validation():
         dp_distribution(CANON, "stopped", 2, M=32)
 
 
-def test_u_exact_dp_scalar():
-    lo, hi = u_exact_dp(CANON, "stopped", 10, M=512)
+def test_u_dp_curve_bracket_at_generation_10():
+    lo, hi, _ = u_dp_curve(CANON, "stopped", 10, M=512)
     rt = build_renewal(CANON, 10)
-    assert lo - 1e-12 <= rt.u[10] <= hi + 1e-12
-    assert hi - lo < 1e-6
+    assert lo[10] - 1e-12 <= rt.u[10] <= hi[10] + 1e-12
+    assert hi[10] - lo[10] < 1e-6
 
 
 # ---------------------------------------------------------------------------

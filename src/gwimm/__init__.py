@@ -22,17 +22,15 @@ from .laws import (LawParams, PmfTable, immigration_pgf, immigration_pmf,
                    sample_initial, sample_offspring, sample_sibuya,
                    stable_positive)
 from .pgf import (GammaSequence, QPath, epsilon_term, gamma_sequences, h_n,
-                  laplace_zn, q_iterate, rate_gap)
+                  q_iterate, rate_gap)
 from .simulate import (BatchStats, LaplaceEstimate, Model, Trajectory,
                        conditional_laplace_mc, estimate_survival,
                        sample_life_period, simulate)
 from .renewal import (DpDistribution, GammaReport, RegimeReport, RenewalTable,
                       build_renewal, classify_regime, dp_distribution,
                       fit_tail, gamma_asymptotics, u_dp_curve)
-from .limits import (LimitCheck, conditional_laplace_exact, convergence_sweep,
-                     gamma_limit_dev_balanced, gamma_limit_dev_heavy_imm,
-                     lambda_limit, laplace_limit_dev_balanced,
-                     laplace_limit_dev_heavy_imm, limit_balanced_strong,
+from .limits import (THEOREMS, LimitCheck, conditional_laplace_exact,
+                     convergence_sweep, lambda_limit, limit_balanced_strong,
                      limit_laplace_heavy_imm, stationary_pgf)
 from .rng import stream
 

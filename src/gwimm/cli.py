@@ -24,7 +24,8 @@ from . import __version__
 from .errors import GwimmError
 from .laws import (LawParams, immigration_pmf, initial_pmf, offspring_pmf,
                    offspring_pgf)
-from .limits import conditional_laplace_exact, convergence_sweep, lambda_limit
+from .limits import (THEOREMS, conditional_laplace_exact, convergence_sweep,
+                     lambda_limit)
 from .pgf import epsilon_term, q_iterate
 from .renewal import (build_renewal, classify_regime, dp_distribution,
                       fit_tail, u_dp_curve)
@@ -41,8 +42,7 @@ _OPTIONS = {
     "M": (int, 4096),
     "model": (tuple(m.value for m in Model), "stopped"),
     "law": (("offspring", "immigration", "initial"), "offspring"),
-    "theorem": (("heavy_immigration", "balanced_strong", "balanced_weak"),
-                "balanced_strong"),
+    "theorem": (THEOREMS, "balanced_strong"),
     "s_grid": (str, "0.5,1,2"), "n_grid": (str, "1000,10000"),
     "format": (("csv", "report"), None), "out": (str, None),
 }

@@ -3,10 +3,11 @@
 Two families of scalings appear throughout: arguments shrink either with
 the extinction rate (t = exp(-s * q_n(0)), balanced immigration theta =
 nu) or polynomially (t = exp(-s * n**(-1/theta)), heavy immigration
-theta < nu).  Each checker returns the worst-case deviation between the
-finite-n quantity and its proven limit, so convergence can be watched
-directly; the conditional transform of the stopped process additionally
-gets an exact finite-n evaluator through the renewal decomposition.
+theta < nu).  One driver, `convergence_sweep`, reports the deviation of
+each statement of `THEOREMS` from its proven limit over a grid of s and
+n: H_n and the weights gamma_k^(0) of the unstopped chain, and the
+conditional transform of the stopped chain, evaluated exactly through
+the renewal decomposition.
 
 Both scales x are tiny, so t is never formed: the q-trajectory at t is
 fed log q_0 = log(1 - t) = log(-expm1(-s*x)), computed from log x, which
@@ -31,6 +32,13 @@ from ._num import fsum, gauss_legendre_panels
 
 _STATIONARY_CHUNK = 1 << 16     # q-trajectory terms per pass
 
+# the regimes of each limit statement, and what they need
+_HEAVY = (("R0",), "theta < nu")
+_THETA_EQ_NU = (_BALANCED, "theta = nu")
+_STRONG = (("R1", "R2"),
+           "theta = nu and sigma >= 1 (below, use lambda_limit)")
+_WEAK = (("R3", "R4", "R5"), "theta = nu and sigma < 1")
+
 
 def _regime(params: LawParams, allowed, needs: str) -> RegimeReport:
     """`classify_regime` of `params`, which must lie in `allowed`."""
@@ -54,61 +62,6 @@ def _log_scales(params: LawParams, ns, scaling: str,
     if scaling == "by_n_inv_theta":
         return [-math.log(n) / params.theta for n in ns]
     raise ValueError("scaling must be 'by_qn' or 'by_n_inv_theta'")
-
-
-def _gammas_at(params: LawParams, t: float, n: int, scaling: str):
-    """(log_gamma0, gamma) up to n at the scaled point of t."""
-    return _gammas(params, _log_q0(t, *_log_scales(params, [n], scaling)), n)
-
-
-# ---------------------------------------------------------------------------
-# uniform gamma limits and Laplace limits of the unstopped process
-
-
-def gamma_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
-    """Worst deviation over k <= n of the normalized no-immigration weight.
-
-    With theta = nu the weights obey
-    (1 + (k/n) t^nu)^sigma * gamma_k^(0)(e^{-t q_n(0)}) -> 1 uniformly;
-    returns sup_k of |expression - 1|.
-    """
-    sg = _regime(params, _BALANCED, "theta = nu").sigma
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    log_g0, _ = _gammas_at(params, t, n, "by_qn")
-    k = np.arange(n + 1, dtype=float)
-    pref = (1.0 + (k / n) * t ** params.nu) ** sg
-    return float(np.max(np.abs(pref * np.exp(log_g0) - 1.0)))
-
-
-def gamma_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
-    """Heavy-immigration analogue: e^{kappa2 t^theta k/n} *
-    gamma_k^(0)(e^{-t n^{-1/theta}}) -> 1 uniformly over k <= n."""
-    _regime(params, ("R0",), "theta < nu")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    log_g0, _ = _gammas_at(params, t, n, "by_n_inv_theta")
-    k = np.arange(n + 1, dtype=float)
-    expo = params.kappa2 * t ** params.theta * k / n
-    return float(np.max(np.abs(np.exp(expo + log_g0) - 1.0)))
-
-
-def laplace_limit_dev_balanced(params: LawParams, t: float, n: int) -> float:
-    """|H_n(e^{-t q_n(0)}) - (1 + t^nu)^{-sigma}| for theta = nu."""
-    sg = _regime(params, _BALANCED, "theta = nu").sigma
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    limit = (1.0 + t ** params.nu) ** (-sg)
-    return abs(_gammas_at(params, t, n, "by_qn")[1][n] - limit)
-
-
-def laplace_limit_dev_heavy_imm(params: LawParams, t: float, n: int) -> float:
-    """|H_n(e^{-t n^{-1/theta}}) - e^{-kappa2 t^theta}| for theta < nu."""
-    _regime(params, ("R0",), "theta < nu")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    limit = math.exp(-params.kappa2 * t ** params.theta)
-    return abs(_gammas_at(params, t, n, "by_n_inv_theta")[1][n] - limit)
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +151,28 @@ def _conditional_laplace(params: LawParams, table: RenewalTable, n: int,
 # limit functions of the conditional transforms
 
 
+def _heavy_limit(params: LawParams, rep: RegimeReport, s: float) -> float:
+    return math.exp(-params.kappa2 * s ** params.theta)
+
+
+def _balanced_limit(params: LawParams, rep: RegimeReport, s: float) -> float:
+    return (1.0 + s ** params.nu) ** (-rep.sigma)
+
+
 def limit_laplace_heavy_imm(params: LawParams, s: float) -> float:
     """Limit of the conditional transform under n^{-1/theta} scaling."""
-    _regime(params, ("R0",), "theta < nu")
+    rep = _regime(params, *_HEAVY)
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return math.exp(-params.kappa2 * s ** params.theta)
+    return _heavy_limit(params, rep, s)
 
 
 def limit_balanced_strong(params: LawParams, s: float) -> float:
     """(1 + s^nu)^{-sigma}: theta = nu with sigma >= 1."""
-    sg = _regime(params, ("R1", "R2"), "theta = nu and sigma >= 1 "
-                 "(below, use lambda_limit)").sigma
+    rep = _regime(params, *_STRONG)
     if s < 0.0:
         raise ValueError("s must be nonnegative")
-    return (1.0 + s ** params.nu) ** (-sg)
+    return _balanced_limit(params, rep, s)
 
 
 def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
@@ -227,7 +187,7 @@ def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
 
     The endpoint singularity is removed exactly by y = (1-x)^{1-a}.
     """
-    rep = _regime(params, ("R3", "R4", "R5"), "theta = nu and sigma < 1")
+    rep = _regime(params, *_WEAK)
     if s < 0.0:
         raise ValueError("s must be nonnegative")
     if s == 0.0:
@@ -268,55 +228,103 @@ class LimitCheck:
     deviations: np.ndarray
 
     def monotone(self) -> bool:
-        """True when every deviation column is nonincreasing in n."""
-        return bool(np.all(np.diff(self.deviations, axis=0) <= 1e-15))
+        """True when every deviation is finite and nonincreasing in n."""
+        dev = self.deviations
+        return bool(np.all(np.isfinite(dev))
+                    and np.all(np.diff(dev, axis=0) <= 1e-15))
 
 
+# finite-n values at (law, regime, renewal table, n, s, log q_0(t))
+
+
+def _stopped(params, rep, table, n, s, lq0) -> float:
+    """E(t^{W_n} | W_n > 0) of the stopped chain."""
+    return _conditional_laplace(params, table, n, lq0)
+
+
+def _unstopped(params, rep, table, n, s, lq0) -> float:
+    """H_n(t) of the unstopped chain."""
+    return float(_gammas(params, lq0, n)[1][n])
+
+
+def _worst_weight(params, rep, table, n, s, lq0) -> float:
+    """w_k gamma_k^(0)(t) at the k <= n farthest from 1, in the log domain:
+    w_k = e^{kappa2 s^theta k/n} on R0, (1 + (k/n) s^nu)^sigma for theta =
+    nu.  A weight beyond float64 reads inf."""
+    log_w, _ = _gammas(params, lq0, n)
+    k = np.arange(n + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        if rep.regime_id == "R0":
+            log_w += params.kappa2 * s ** params.theta * k / n
+        else:
+            # sigma may read inf, and inf * log1p(0) would be nan
+            x = np.log1p((k / n) * s ** params.nu)
+            log_w += np.multiply(rep.sigma, x, out=np.zeros_like(x),
+                                 where=x > 0.0)
+        w = np.exp(log_w)
+    return float(w[np.argmax(np.abs(w - 1.0))])
+
+
+# id -> (scaling, (regimes, what they need), limit at s, finite-n value);
+# the limit None is lambda_limit, which may need K5
 _SWEEPS = {
-    "heavy_immigration": ("by_n_inv_theta", limit_laplace_heavy_imm),
-    "balanced_strong": ("by_qn", limit_balanced_strong),
-    "balanced_weak": ("by_qn", None),
+    "heavy_immigration": ("by_n_inv_theta", _HEAVY, _heavy_limit, _stopped),
+    "balanced_strong": ("by_qn", _STRONG, _balanced_limit, _stopped),
+    "balanced_weak": ("by_qn", _WEAK, None, _stopped),
+    "unstopped_heavy_immigration": ("by_n_inv_theta", _HEAVY, _heavy_limit,
+                                    _unstopped),
+    "unstopped_balanced": ("by_qn", _THETA_EQ_NU, _balanced_limit,
+                           _unstopped),
+    "gamma_heavy_immigration": ("by_n_inv_theta", _HEAVY, lambda *_: 1.0,
+                                _worst_weight),
+    "gamma_balanced": ("by_qn", _THETA_EQ_NU, lambda *_: 1.0, _worst_weight),
 }
+THEOREMS = tuple(_SWEEPS)
 
 
 def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
                       K5: float | None = None) -> LimitCheck:
-    """Deviations of the exact conditional transform from its limit.
+    """Deviations of a finite-n quantity from its limit.
 
-    `theorem_id` picks the scaling and the limit function; for
-    "balanced_weak" the K5 constant, when needed and not supplied, is
-    fitted from the first 10^5 terms of the sweep's one renewal table,
-    which then runs to max(n_grid[-1], 10^5).  One q(0) trajectory, to
-    the table's length, gives both the table and every q_n(0).
+    `theorem_id`, one of `THEOREMS`, picks the scaling, the regimes (checked
+    before any q work), the limit and the finite-n value.  `gamma_*` set
+    the normalized weight at its worst k <= n against 1.  The stopped ids
+    share one renewal table; for "balanced_weak" the K5 constant, when
+    needed and not supplied, is fitted from its first 10^5 terms, and the
+    table then runs to max(n_grid[-1], 10^5).  One q(0) trajectory, to the
+    table's length, gives both the table and every q_n(0).
     """
     if theorem_id not in _SWEEPS:
         raise ValueError(f"unknown theorem_id {theorem_id!r}")
+    scaling, (allowed, needs), limit_fn, value = _SWEEPS[theorem_id]
+    rep = _regime(params, allowed, needs)
     s_grid = np.asarray(s_grid, dtype=float)
     n_grid = np.asarray(n_grid, dtype=int)
+    if not (np.all(np.isfinite(s_grid) & (s_grid >= 0.0))
+            and np.all(n_grid >= 1)):
+        raise ValueError("grids need finite s >= 0 and n >= 1")
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
-    scaling, limit_fn = _SWEEPS[theorem_id]
-    rep = classify_regime(params)
     fit = limit_fn is None and K5 is None and rep.regime_id == "R5"
 
     def limit_column(K5):
         return np.array([lambda_limit(params, s, K5) if limit_fn is None
-                         else limit_fn(params, s) for s in s_grid.tolist()])
+                         else limit_fn(params, rep, s)
+                         for s in s_grid.tolist()])
 
-    # the limit functions guard the regime, so they run before any q
-    # work; a K5 fit is due only on R5, which lambda_limit accepts
     limit = None if fit else limit_column(K5)
     n_max = int(n_grid[-1])
-    path = _q_steps(params, 0.0, max(n_max, 10 ** 5) if fit else n_max)
+    path = table = None
+    if value is _stopped:
+        path = _q_steps(params, 0.0, max(n_max, 10 ** 5) if fit else n_max)
+        table = _renewal_table(params, path)
     log_x = _log_scales(params, n_grid.tolist(), scaling, path)
-    table = _renewal_table(params, path)
     if fit:
         # K5 is the constant of the unconditional survival kappa0*u_n,
         # so the kappa0 in the atom of lambda_limit cancels against it
         limit = limit_column(params.kappa0 * fit_tail(
             table.u[:10 ** 5 + 1], rep).constants["K"])
-    computed = np.array([[_conditional_laplace(params, table, n,
-                                               _log_q0(s, lx))
+    computed = np.array([[value(params, rep, table, n, s, _log_q0(s, lx))
                           for s in s_grid.tolist()]
                          for n, lx in zip(n_grid.tolist(), log_x)])
     dev = np.abs(computed - limit[None, :])

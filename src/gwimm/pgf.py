@@ -230,11 +230,3 @@ def h_n(params: LawParams, s: float, n: int) -> float:
     H_n(s) = (1 - kappa0*q_n(s)**delta) * exp(-kappa2 * sum_{j<n} q_j(s)**theta).
     """
     return float(gamma_sequences(params, s, n).gamma[n])
-
-
-def laplace_zn(params: LawParams, lam: float, n: int) -> float:
-    """Laplace transform E exp(-lam * Z_n) of the unstopped process, from
-    log q_0 = log(-expm1(-lam))."""
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    return float(_gammas(params, _log_q0(lam, 0.0), n)[1][n])

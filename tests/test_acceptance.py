@@ -17,10 +17,7 @@ from gwimm.cli import main as cli_main
 from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
                         offspring_pmf, sample_immigration, sample_initial,
                         sample_offspring, stable_positive)
-from gwimm.limits import (convergence_sweep, gamma_limit_dev_balanced,
-                          gamma_limit_dev_heavy_imm, lambda_limit,
-                          laplace_limit_dev_balanced,
-                          laplace_limit_dev_heavy_imm, stationary_pgf)
+from gwimm.limits import convergence_sweep, lambda_limit, stationary_pgf
 from gwimm.pgf import epsilon_term, rate_gap
 from gwimm.renewal import (build_renewal, classify_regime, fit_tail,
                            gamma_asymptotics, u_dp_curve)
@@ -179,20 +176,17 @@ def test_criterion_5_tail_exponent_fits():
 
 
 def test_criterion_6_generationwise_limit_checkers():
-    """Deviation checkers shrink in n; stationary transform pins c0."""
+    """Unstopped-chain deviations shrink in n; stationary transform pins c0."""
     heavy = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
     ns = (10 ** 3, 10 ** 4, 10 ** 5)
-    for fn, p in ((gamma_limit_dev_balanced, CANON),
-                  (laplace_limit_dev_balanced, CANON),
-                  (gamma_limit_dev_heavy_imm, heavy),
-                  (laplace_limit_dev_heavy_imm, heavy)):
-        worst_final = 0.0
-        for t in (0.5, 1.0, 2.0):
-            devs = [fn(p, t, n) for n in ns]
-            assert all(b <= a + 1e-15 for a, b in zip(devs, devs[1:])), \
-                (fn.__name__, t, devs)
-            worst_final = max(worst_final, devs[-1])
-        print(f"criterion 6 {fn.__name__}: worst deviation {worst_final:.2e}")
+    for theorem_id, p in (("gamma_balanced", CANON),
+                          ("unstopped_balanced", CANON),
+                          ("gamma_heavy_immigration", heavy),
+                          ("unstopped_heavy_immigration", heavy)):
+        chk = convergence_sweep(p, theorem_id, (0.5, 1.0, 2.0), ns)
+        assert chk.monotone(), (theorem_id, chk.deviations)
+        worst_final = float(chk.deviations[-1].max())
+        print(f"criterion 6 {theorem_id}: worst deviation {worst_final:.2e}")
         assert worst_final < 5e-2
 
     conv = LawParams(0.5, 1.0, 0.5, 0.5, 0.5, 0.5)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gwimm.cli import main
+from gwimm.limits import THEOREMS
 
 try:
     import tomllib
@@ -77,8 +78,7 @@ SIZE_ARGS = {
 @settings(max_examples=250, deadline=None)
 @given(command=st.sampled_from(sorted(SIZE_ARGS)),
        model=st.sampled_from(["z", "stopped", "gated"]),
-       theorem=st.sampled_from(["heavy_immigration", "balanced_strong",
-                                "balanced_weak"]),
+       theorem=st.sampled_from(THEOREMS),
        nmax=st.sampled_from([1, 10, 1000]),
        nu=CLOSED_UNIT, theta=CLOSED_UNIT, delta=CLOSED_UNIT,
        kappa0=CLOSED_UNIT, frac=CLOSED_UNIT,
@@ -109,6 +109,16 @@ SIZE_ARGS = {
 @example(command="limits", model="z", theorem="balanced_weak", nmax=1,
          nu=4.935555771785777e-87, theta=1.0, delta=4.143994986111037e-137,
          kappa0=1.0, frac=0.5, kappa2=5e-324)
+# sigma = 1024 and 9988: (1 + s)^sigma used to overflow before gamma_k^(0)
+# scaled it down, and at 9988 the weight itself is beyond float64
+@example(command="limits", model="stopped", theorem="gamma_balanced", nmax=1,
+         nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0, kappa2=512.0)
+@example(command="limits", model="stopped", theorem="gamma_balanced", nmax=1,
+         nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0, kappa2=4994.0)
+# sigma = kappa2/(kappa1*nu) overflows to inf, and inf * log1p(0) is nan
+@example(command="limits", model="stopped", theorem="gamma_balanced", nmax=1,
+         nu=1.0, theta=1.0, delta=1.0, kappa0=1.0,
+         frac=4.450147717014403e-308, kappa2=1e300)
 def test_no_traceback_over_the_box(command, model, theorem, nmax, nu, theta,
                                    delta, kappa0, frac, kappa2):
     # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
@@ -259,6 +269,35 @@ def test_limits_table(capsys):
     assert len(lines) == 7
     limit_05 = float(lines[3].split(",")[3])
     assert limit_05 == pytest.approx((1.5) ** -2.0, rel=1e-12)
+
+
+# each theorem id: flags that put the default law in its regime, and
+# flags that put it outside
+REGIME_FLAGS = {
+    "heavy_immigration": (["--theta", "0.5"], []),
+    "unstopped_heavy_immigration": (["--theta", "0.5"], []),
+    "gamma_heavy_immigration": (["--theta", "0.5"], []),
+    "balanced_strong": ([], ["--theta", "0.5"]),
+    "unstopped_balanced": ([], ["--theta", "0.5"]),
+    "gamma_balanced": ([], ["--theta", "0.5"]),
+    "balanced_weak": (["--kappa2", "0.25"], []),
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("grid, want", [
+    ([], "gwimm: error: needs theta"),
+    (["--s-grid", "nan,1"], "gwimm: error: grids need finite s >= 0 and n"),
+    (["--n-grid", "0,10"], "gwimm: error: grids need finite s >= 0 and n")])
+def test_limits_bad_input_exits_2_with_one_line(theorem, grid, want,
+                                                capsys):
+    # the wrong regime with the default grids, or a bad grid on the right
+    # regime
+    right, wrong = REGIME_FLAGS[theorem]
+    rc, out, err = run(["limits", "--theorem", theorem,
+                        *(right if grid else wrong), *grid], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(want) and err.count("\n") == 1
 
 
 def test_format_conversion(capsys):

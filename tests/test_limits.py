@@ -1,5 +1,6 @@
 """Limit-theorem checkers, stationary transform, conditional-law machinery."""
 
+import dataclasses
 import math
 import sys
 
@@ -11,12 +12,10 @@ from gwimm.errors import (MissingConstantError, MissingRenewalError,
                           TolUnreachableError, WrongRegimeError)
 from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
                         offspring_pgf)
-from gwimm.limits import (LimitCheck, conditional_laplace_exact,
-                          convergence_sweep, gamma_limit_dev_balanced,
-                          gamma_limit_dev_heavy_imm, lambda_limit,
-                          laplace_limit_dev_balanced,
-                          laplace_limit_dev_heavy_imm, limit_balanced_strong,
-                          limit_laplace_heavy_imm, stationary_pgf)
+from gwimm.limits import (THEOREMS, LimitCheck, conditional_laplace_exact,
+                          convergence_sweep, lambda_limit,
+                          limit_balanced_strong, limit_laplace_heavy_imm,
+                          stationary_pgf)
 from gwimm.pgf import _q_steps, h_n, q_iterate
 from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
                            classify_regime, gamma_asymptotics)
@@ -65,7 +64,6 @@ def test_decomposition_telescopes_to_plain_transform():
     # substituting u = 1 collapses the renewal split to the unconditional
     # transform of the positively-started process, which is the plain
     # transform with the kappa0 atom stripped
-    import dataclasses
     n = 12
     rt = build_renewal(MIXED, n)
     flat = RenewalTable(params=MIXED, gamma0=rt.gamma0, a=rt.a, d=rt.d,
@@ -110,32 +108,43 @@ def test_conditional_transform_table_errors():
 
 
 # ---------------------------------------------------------------------------
-# single-theorem deviation checkers
+# unstopped-chain statements: H_n and the uniform gamma limits
+
+
+def sweep(theorem_id):
+    """convergence_sweep of `theorem_id` at one s and one n."""
+    def run(params, s, n):
+        return convergence_sweep(params, theorem_id, [s], [n])
+    run.__name__ = theorem_id
+    return run
 
 
 def test_balanced_checkers_shrink():
-    for fn in (gamma_limit_dev_balanced, laplace_limit_dev_balanced):
-        d1 = fn(CANON, 0.9, 100)
-        d2 = fn(CANON, 0.9, 1000)
+    for theorem_id in ("gamma_balanced", "unstopped_balanced"):
+        d1, d2 = convergence_sweep(CANON, theorem_id, [0.9],
+                                   [100, 1000]).deviations[:, 0]
         assert d2 < d1
         assert d2 < 0.05
 
 
 def test_heavy_imm_checkers_shrink():
-    for fn in (gamma_limit_dev_heavy_imm, laplace_limit_dev_heavy_imm):
-        d1 = fn(HEAVY_IMM, 0.9, 100)
-        d2 = fn(HEAVY_IMM, 0.9, 1000)
+    for theorem_id in ("gamma_heavy_immigration",
+                       "unstopped_heavy_immigration"):
+        d1, d2 = convergence_sweep(HEAVY_IMM, theorem_id, [0.9],
+                                   [100, 1000]).deviations[:, 0]
         assert d2 < d1
         assert d2 < 0.05
 
 
 def test_checker_regime_guards():
     with pytest.raises(WrongRegimeError):
-        gamma_limit_dev_balanced(HEAVY_IMM, 1.0, 10)
+        sweep("gamma_balanced")(HEAVY_IMM, 1.0, 10)
     with pytest.raises(WrongRegimeError):
-        gamma_limit_dev_heavy_imm(CANON, 1.0, 10)
+        sweep("unstopped_balanced")(HEAVY_IMM, 1.0, 10)
     with pytest.raises(WrongRegimeError):
-        laplace_limit_dev_heavy_imm(CANON, 1.0, 10)
+        sweep("gamma_heavy_immigration")(CANON, 1.0, 10)
+    with pytest.raises(WrongRegimeError):
+        sweep("unstopped_heavy_immigration")(CANON, 1.0, 10)
     with pytest.raises(WrongRegimeError):
         limit_laplace_heavy_imm(CANON, 1.0)
     with pytest.raises(WrongRegimeError):
@@ -151,10 +160,13 @@ def test_checker_regime_guards():
 # once its regime guard has passed, and the regimes that guard accepts
 BALANCED = {"R1", "R2", "R3", "R4", "R5"}
 GUARDS = [
-    (gamma_limit_dev_balanced, (0.0, 10), BALANCED),
-    (laplace_limit_dev_balanced, (-1.0, 10), BALANCED),
-    (gamma_limit_dev_heavy_imm, (0.0, 10), {"R0"}),
-    (laplace_limit_dev_heavy_imm, (-1.0, 10), {"R0"}),
+    (sweep("gamma_balanced"), (-1.0, 10), BALANCED),
+    (sweep("unstopped_balanced"), (-1.0, 10), BALANCED),
+    (sweep("gamma_heavy_immigration"), (-1.0, 10), {"R0"}),
+    (sweep("unstopped_heavy_immigration"), (-1.0, 10), {"R0"}),
+    (sweep("heavy_immigration"), (-1.0, 10), {"R0"}),
+    (sweep("balanced_strong"), (-1.0, 10), {"R1", "R2"}),
+    (sweep("balanced_weak"), (-1.0, 10), {"R3", "R4", "R5"}),
     (limit_laplace_heavy_imm, (-1.0,), {"R0"}),
     (limit_balanced_strong, (-1.0,), {"R1", "R2"}),
     (lambda_limit, (-1.0,), {"R3", "R4", "R5"}),
@@ -346,18 +358,70 @@ def test_sweep_grid_validation():
         convergence_sweep(CANON, "balanced_strong", [0.5, 1.0], [100, 10])
     with pytest.raises(ValueError):
         convergence_sweep(CANON, "no-such-theorem", [0.5], [10])
+    for s_grid, n_grid in (([math.nan, 1.0], [10]), ([-1.0, 1.0], [10]),
+                           ([1.0, math.inf], [10]), ([1.0], [0, 10]),
+                           ([1.0], [-5])):
+        with pytest.raises(ValueError, match="finite s >= 0 and n >= 1"):
+            convergence_sweep(CANON, "balanced_strong", s_grid, n_grid)
 
 
 def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
     def no_q_work(*args):
         raise AssertionError("q work before the regime check")
 
-    monkeypatch.setattr("gwimm.limits._q_steps", no_q_work)
-    monkeypatch.setattr("gwimm.limits._renewal_table", no_q_work)
+    for name in ("_q_steps", "_renewal_table", "_gammas"):
+        monkeypatch.setattr("gwimm.limits." + name, no_q_work)
     r0 = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
-    for theorem_id in ("balanced_weak", "balanced_strong"):
+    wrong = {"balanced_weak": r0, "balanced_strong": r0,
+             "unstopped_balanced": r0, "gamma_balanced": r0,
+             "heavy_immigration": CANON, "unstopped_heavy_immigration": CANON,
+             "gamma_heavy_immigration": CANON}
+    assert set(wrong) == set(THEOREMS)
+    for theorem_id, p in wrong.items():
         with pytest.raises(WrongRegimeError):
-            convergence_sweep(r0, theorem_id, [1.0], [10 ** 6])
+            convergence_sweep(p, theorem_id, [1.0], [10 ** 6])
+
+
+@pytest.mark.parametrize("theorem_id, params, trajectories", [
+    ("unstopped_balanced", CANON, [1000]),
+    ("gamma_balanced", CANON, [1000]),
+    ("unstopped_heavy_immigration", HEAVY_IMM, []),
+    ("gamma_heavy_immigration", HEAVY_IMM, [])])
+def test_unstopped_sweep_builds_no_renewal_table(monkeypatch, theorem_id,
+                                                 params, trajectories):
+    # q(0) is iterated once, to the last n, and only for the q_n(0) scale
+    built, iterated = count_tables_and_trajectories(monkeypatch)
+    chk = convergence_sweep(params, theorem_id, [0.5, 1.0], [100, 1000])
+    assert built == [] and iterated == trajectories
+    assert chk.monotone()
+
+
+def test_gamma_weights_beyond_float64_read_inf():
+    # sigma = 1024: (1 + 2)^sigma overflows while gamma_k^(0) underflows,
+    # so their product used to read nan.  In the log domain the weight at
+    # the worst k is e^113, as a 50-digit evaluation gives it, and at
+    # kappa2 = 4994 it is beyond float64 and reads inf
+    mpmath = pytest.importorskip("mpmath")
+    p = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 512.0)
+    n, s = 40, 2.0
+    chk = convergence_sweep(p, "gamma_balanced", [0.0, s], [n])
+    assert chk.computed[0, 0] == 1.0 and chk.deviations[0, 0] == 0.0
+    with mpmath.workdps(50):
+        k1, k2 = mpmath.mpf(p.kappa1), mpmath.mpf(p.kappa2)
+        qn = mpmath.mpf(1)
+        for _ in range(n):
+            qn *= 1 - k1 * qn
+        q, log_g0, weights = 1 - mpmath.exp(-s * qn), 0, []
+        for k in map(mpmath.mpf, range(n + 1)):
+            weights.append(mpmath.exp(k2 / k1 * mpmath.log1p(k * s / n)
+                                      + log_g0))
+            log_g0, q = log_g0 - k2 * q, q * (1 - k1 * q)
+        want = float(max(weights, key=lambda w: abs(w - 1)))
+    assert chk.computed[0, 1] == pytest.approx(want, rel=1e-11)
+    big = convergence_sweep(dataclasses.replace(p, kappa2=4994.0),
+                            "gamma_balanced", [0.5, 1.0], [20, 40])
+    assert np.isinf(big.deviations[0]).all()
+    assert not big.monotone()
 
 
 def test_limitcheck_monotone_flag():
@@ -368,6 +432,8 @@ def test_limitcheck_monotone_flag():
     bad = LimitCheck(deviations=np.array([[0.1], [0.2]]), **base)
     assert good.monotone()
     assert not bad.monotone()
+    for dev in ([math.inf], [math.inf]), ([0.2], [math.nan]):
+        assert not LimitCheck(deviations=np.array(dev), **base).monotone()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
                         offspring_pgf)
 from gwimm.pgf import (_q_steps, epsilon_term, gamma_sequences, h_n,
-                       laplace_zn, q_iterate, rate_gap)
+                       q_iterate, rate_gap)
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -197,14 +197,15 @@ def test_gamma_at_s_one_is_unity():
     assert np.allclose(seq.log_gamma0, 0.0, atol=1e-15)
 
 
-def test_laplace_zn_edges():
-    assert laplace_zn(CANON, 0.0, 12) == pytest.approx(1.0, abs=1e-14)
-    # n = 0 reduces to the initial-law transform G0(e^-lam)
+def test_h_n_edges():
+    # E exp(-lam Z_n) is H_n(e^-lam): 1 at lam = 0, and at n = 0 the
+    # initial-law transform G0(e^-lam)
+    assert h_n(CANON, 1.0, 12) == 1.0
     lam = 0.8
-    assert laplace_zn(HEAVY, lam, 0) == pytest.approx(
+    assert h_n(HEAVY, math.exp(-lam), 0) == pytest.approx(
         float(initial_pgf(HEAVY, math.exp(-lam))), rel=1e-14)
     with pytest.raises(ValueError):
-        laplace_zn(CANON, -0.1, 3)
+        h_n(CANON, 1.1, 3)
 
 
 def test_rate_gap_rejects_zero_horizon():

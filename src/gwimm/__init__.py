@@ -23,9 +23,8 @@ from .laws import (LawParams, PmfTable, immigration_pgf, immigration_pmf,
                    stable_positive)
 from .pgf import (GammaSequence, QPath, epsilon_term, gamma_sequences, h_n,
                   q_iterate, rate_gap)
-from .simulate import (BatchStats, LaplaceEstimate, Model, Trajectory,
-                       conditional_laplace_mc, estimate_survival,
-                       sample_life_period, simulate)
+from .simulate import (BatchStats, Model, Trajectory, estimate_survival,
+                       simulate)
 from .renewal import (DpDistribution, GammaReport, RegimeReport, RenewalTable,
                       build_renewal, classify_regime, dp_distribution,
                       fit_tail, gamma_asymptotics, u_dp_curve)

@@ -138,7 +138,8 @@ def _conditional_laplace(params: LawParams, table: RenewalTable, n: int,
     """`conditional_laplace_exact` at log q_0(t) = lq0, given a table that
     reaches n."""
     path, qt, S = theta_sums(params, lq0, n)
-    g0 = np.exp((-params.kappa2 * S[:-1]).astype(float))    # gamma_k^(0)(t)
+    with np.errstate(over="ignore"):    # beyond float64 it reads -inf
+        g0 = np.exp((-params.kappa2 * S[:-1]).astype(float))  # gamma_k^(0)(t)
     # conditioning on a positive start strips the kappa0 atom: the initial
     # transform becomes 1 - (1-x)^delta, so no kappa0 appears here
     xi1 = g0[n] * math.exp(params.delta * path.log(n)) / table.u[n]
@@ -250,18 +251,21 @@ def _unstopped(params, rep, table, n, s, lq0) -> float:
 def _worst_weight(params, rep, table, n, s, lq0) -> float:
     """w_k gamma_k^(0)(t) at the k <= n farthest from 1, in the log domain:
     w_k = e^{kappa2 s^theta k/n} on R0, (1 + (k/n) s^nu)^sigma for theta =
-    nu.  A weight beyond float64 reads inf."""
-    log_w, _ = _gammas(params, lq0, n)
-    k = np.arange(n + 1, dtype=float)
+    nu.  The log weight is kappa2 (a_k - S_k), a_k = s^theta k/n or
+    log1p((k/n) s^nu)/(kappa1 nu), so no inf - inf is formed and sigma,
+    which may overflow, never is.  A weight beyond float64 reads inf."""
+    _, _, S = theta_sums(params, lq0, n)
+    # a_k in long double, like S_k: kappa2 a_k and kappa2 S_k may be
+    # large and close
+    kn = np.arange(n + 1, dtype=np.longdouble) / n
+    s = np.longdouble(s)
+    if rep.regime_id == "R0":
+        a = s ** params.theta * kn
+    else:
+        a = np.log1p(kn * s ** params.nu) / (np.longdouble(params.kappa1)
+                                             * params.nu)
     with np.errstate(over="ignore"):
-        if rep.regime_id == "R0":
-            log_w += params.kappa2 * s ** params.theta * k / n
-        else:
-            # sigma may read inf, and inf * log1p(0) would be nan
-            x = np.log1p((k / n) * s ** params.nu)
-            log_w += np.multiply(rep.sigma, x, out=np.zeros_like(x),
-                                 where=x > 0.0)
-        w = np.exp(log_w)
+        w = np.exp((params.kappa2 * (a - S[:-1])).astype(float))
     return float(w[np.argmax(np.abs(w - 1.0))])
 
 
@@ -298,10 +302,14 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
         raise ValueError(f"unknown theorem_id {theorem_id!r}")
     scaling, (allowed, needs), limit_fn, value = _SWEEPS[theorem_id]
     rep = _regime(params, allowed, needs)
-    s_grid = np.asarray(s_grid, dtype=float)
-    n_grid = np.asarray(n_grid, dtype=int)
-    if not (np.all(np.isfinite(s_grid) & (s_grid >= 0.0))
-            and np.all(n_grid >= 1)):
+    try:        # an n beyond int64 fails the check like any other
+        s_grid = np.asarray(s_grid, dtype=float)
+        n_grid = np.asarray(n_grid, dtype=int)
+        ok = (np.all(np.isfinite(s_grid) & (s_grid >= 0.0))
+              and np.all(n_grid >= 1))
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError("grids need finite s >= 0 and n >= 1")
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")

@@ -214,7 +214,8 @@ class GammaSequence:
 def _gammas(params: LawParams, lq0: float, n: int):
     """(log_gamma0, gamma) of `GammaSequence` from log q_0 = lq0."""
     path, _, S = theta_sums(params, lq0, n)
-    log_gamma0 = (-params.kappa2 * S[:-1]).astype(float)
+    with np.errstate(over="ignore"):    # beyond float64 it reads -inf
+        log_gamma0 = (-params.kappa2 * S[:-1]).astype(float)
     qd = path.power(params.delta).astype(float)
     return log_gamma0, (1.0 - params.kappa0 * qd) * np.exp(log_gamma0)
 

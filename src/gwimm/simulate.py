@@ -20,6 +20,12 @@ steps only its live replicates (at most `cap`, and positive unless the
 model is UNSTOPPED_Z), kept in block order: the dead and cap-censored
 ones draw nothing, so each generation's draws are the ones a step of
 the whole block would make.
+
+`simulate` draws one path; `estimate_survival` is the one batch entry.
+Its `BatchStats` holds every statistic a block counts, all from the same
+paths: the survival row (X_n > 0), the life-period row (no zero through
+n) and the cap-censored row, and with a `scale` the Laplace sums behind
+`BatchStats.conditional_laplace()`.
 """
 
 from __future__ import annotations
@@ -62,15 +68,26 @@ class Trajectory:
     censoring: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchStats:
-    """Accumulated Monte Carlo output, deterministic for a fixed seed."""
+    """One Monte Carlo batch, deterministic for a fixed seed.
+
+    Per generation n = 0..horizon, the replicates with X_n > 0, those
+    with no zero through n (the life period's tail; the same row for the
+    absorbing models), and those cap-censored by n.  `laplace_sums` is
+    [sum, sum of squares] of exp(-scale * X_horizon) over the survivors
+    at the horizon, None unless a `scale` was given.
+    """
 
     reps: int
-    seed: int
-    survival_counts: np.ndarray        # replicates with X_n > 0, per generation
-    censored: int = 0
-    censored_counts: np.ndarray | None = None       # cap-censored by gen n
+    survival_counts: np.ndarray
+    life_counts: np.ndarray
+    censored_counts: np.ndarray
+    laplace_sums: np.ndarray | None = None
+
+    @property
+    def censored(self) -> int:
+        return int(self.censored_counts[-1])
 
     def survival(self) -> np.ndarray:
         return self.survival_counts / self.reps
@@ -78,6 +95,20 @@ class BatchStats:
     def survival_se(self) -> np.ndarray:
         p = self.survival()
         return np.sqrt(p * (1.0 - p) / self.reps)
+
+    def conditional_laplace(self) -> tuple[float, float]:
+        """Estimate of E[exp(-scale * X_n) | X_n > 0] at n = horizon and
+        its standard error."""
+        if self.laplace_sums is None:
+            raise ValueError("the batch was run without a scale")
+        survivors = int(self.survival_counts[-1])
+        if survivors == 0:
+            raise DegenerateConditioningError(
+                f"no replicate of {self.reps} survived to generation "
+                f"{len(self.survival_counts) - 1}")
+        mean = self.laplace_sums[0] / survivors
+        var = max(self.laplace_sums[1] / survivors - mean * mean, 0.0)
+        return mean, math.sqrt(var / survivors)
 
 
 def _offspring_sums(params: LawParams, rng: np.random.Generator,
@@ -373,33 +404,6 @@ def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
     return counts, lap
 
 
-def _run_batch(params: LawParams, model, horizon: int, reps: int, seed: int,
-               threads: int | None, cap: int = DEFAULT_CAP,
-               scale: float | None = None):
-    """Counts of `_evolve_block` summed over the blocks, and the Laplace
-    sums added exactly (None without `scale`)."""
-    model = Model(model)
-    _check_cap(cap)
-    nblocks = (reps + BLOCK - 1) // BLOCK
-    sizes = [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
-
-    def one(i: int):
-        return _evolve_block(params, model, horizon, cap,
-                             stream(seed, i), sizes[i], scale)
-
-    if threads is None or threads <= 1 or nblocks == 1:
-        results = [one(i) for i in range(nblocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(nblocks)))
-
-    counts = np.sum([r[0] for r in results], axis=0)
-    lap = None
-    if scale is not None:
-        lap = np.array([math.fsum(r[1][i] for r in results) for i in (0, 1)])
-    return counts, lap
-
-
 def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
              rng: np.random.Generator | None = None) -> Trajectory:
     """Simulate a single trajectory up to `horizon` generations."""
@@ -425,64 +429,42 @@ def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
     return Trajectory(values=vals, life=life, model=model, censoring=censoring)
 
 
-def _batch_stats(params: LawParams, model, horizon: int, reps: int,
-                 seed: int, threads: int | None, cap: int,
-                 row: int) -> BatchStats:
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    counts, _ = _run_batch(params, model, horizon, reps, seed, threads, cap)
-    return BatchStats(reps=reps, seed=seed, survival_counts=counts[row],
-                      censored=int(counts[2, -1]), censored_counts=counts[2])
-
-
 def estimate_survival(params: LawParams, model, horizon: int, reps: int,
                       seed: int, threads: int | None = None,
-                      cap: int = DEFAULT_CAP) -> BatchStats:
-    """Empirical survival curve: counts of X_n > 0 per generation.
+                      cap: int = DEFAULT_CAP,
+                      scale: float | None = None) -> BatchStats:
+    """Run `reps` replicates to generation `horizon`; every row of
+    `BatchStats` comes from the same paths.
 
     Cap-censored replicates keep counting as alive (the chance that a
     population above `cap` dies within a desk-scale horizon is negligible;
-    the censored count is reported so the bias is visible).
+    the censored count is reported so the bias is visible).  With a
+    `scale`, the Laplace sums of exp(-scale * X_horizon) over the
+    survivors are kept too, added exactly across the blocks.
     """
-    return _batch_stats(params, model, horizon, reps, seed, threads, cap, 0)
+    model = Model(model)
+    _check_cap(cap)
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError("scale must be finite and >= 0")
+    nblocks = (reps + BLOCK - 1) // BLOCK
+    sizes = [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
 
+    def one(i: int):
+        return _evolve_block(params, model, horizon, cap,
+                             stream(seed, i), sizes[i], scale)
 
-def sample_life_period(params: LawParams, model, horizon: int, reps: int,
-                       seed: int, threads: int | None = None,
-                       cap: int = DEFAULT_CAP) -> BatchStats:
-    """Empirical tail of the life period: counts of {no zero through n}.
+    if threads is None or threads <= 1 or nblocks == 1:
+        results = [one(i) for i in range(nblocks)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one, range(nblocks)))
 
-    For the absorbing variants this coincides with estimate_survival;
-    for UNSTOPPED_Z it differs (the process can revive after a zero).
-    """
-    return _batch_stats(params, model, horizon, reps, seed, threads, cap, 1)
-
-
-@dataclass(frozen=True)
-class LaplaceEstimate:
-    value: float
-    se: float
-    survivors: int
-    censored: int
-
-
-def conditional_laplace_mc(params: LawParams, model, n: int, scale: float,
-                           reps: int, seed: int,
-                           threads: int | None = None,
-                           cap: int = DEFAULT_CAP) -> LaplaceEstimate:
-    """Monte Carlo estimate of E[exp(-scale * X_n) | X_n > 0]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
-    counts, lap = _run_batch(params, model, n, reps, seed, threads, cap,
-                             scale=scale)
-    survivors = int(counts[0, -1])
-    if survivors == 0:
-        raise DegenerateConditioningError(
-            f"no replicate of {reps} survived to generation {n}")
-    mean = lap[0] / survivors
-    var = max(lap[1] / survivors - mean * mean, 0.0)
-    se = math.sqrt(var / survivors)
-    return LaplaceEstimate(value=mean, se=se, survivors=survivors,
-                           censored=int(counts[2, -1]))
+    counts = np.sum([r[0] for r in results], axis=0)
+    lap = None
+    if scale is not None:
+        lap = np.array([math.fsum(r[1][i] for r in results) for i in (0, 1)])
+    return BatchStats(reps, *counts, laplace_sums=lap)

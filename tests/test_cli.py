@@ -119,6 +119,17 @@ SIZE_ARGS = {
 @example(command="limits", model="stopped", theorem="gamma_balanced", nmax=1,
          nu=1.0, theta=1.0, delta=1.0, kappa0=1.0,
          frac=4.450147717014403e-308, kappa2=1e300)
+# kappa2 * S_k beyond float64: the cast to float64 used to warn, and the
+# gamma weight read -inf + inf = nan
+@example(command="limits", model="stopped", theorem="balanced_strong",
+         nmax=1, nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=1.7e308)
+@example(command="limits", model="stopped", theorem="unstopped_balanced",
+         nmax=1, nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=1.7e308)
+@example(command="limits", model="stopped", theorem="gamma_balanced",
+         nmax=1, nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0,
+         kappa2=1.7e308)
 def test_no_traceback_over_the_box(command, model, theorem, nmax, nu, theta,
                                    delta, kappa0, frac, kappa2):
     # kappa1 = frac/(1+nu) spans (0, 1/(1+nu)]; inadmissible corners
@@ -288,7 +299,9 @@ REGIME_FLAGS = {
 @pytest.mark.parametrize("grid, want", [
     ([], "gwimm: error: needs theta"),
     (["--s-grid", "nan,1"], "gwimm: error: grids need finite s >= 0 and n"),
-    (["--n-grid", "0,10"], "gwimm: error: grids need finite s >= 0 and n")])
+    (["--n-grid", "0,10"], "gwimm: error: grids need finite s >= 0 and n"),
+    (["--n-grid", "1,99999999999999999999"],
+     "gwimm: error: grids need finite s >= 0 and n")])
 def test_limits_bad_input_exits_2_with_one_line(theorem, grid, want,
                                                 capsys):
     # the wrong regime with the default grids, or a bad grid on the right

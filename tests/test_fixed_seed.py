@@ -22,8 +22,7 @@ import pytest
 
 from gwimm.laws import LawParams, sample_offspring, sample_sibuya
 from gwimm.rng import stream
-from gwimm.simulate import (conditional_laplace_mc, estimate_survival,
-                            sample_life_period, simulate)
+from gwimm.simulate import estimate_survival, simulate
 
 sim = importlib.import_module("gwimm.simulate")
 
@@ -74,16 +73,21 @@ def test_r3_survival_counts_digest():
 
 def test_life_period_z_digest():
     # the "no zero so far" row: the only one where z differs from survival
-    bs = sample_life_period(MIXED, "z", reps=20_000, horizon=10, seed=7,
-                            cap=10 ** 4)
-    assert digest(np.concatenate([bs.survival_counts,
+    bs = estimate_survival(MIXED, "z", reps=20_000, horizon=10, seed=7,
+                           cap=10 ** 4)
+    assert digest(np.concatenate([bs.life_counts,
                                   bs.censored_counts])) == "0660f5cf5dbef7ab"
 
 
+def laplace_digest(model):
+    bs = estimate_survival(MIXED, model, 5, 20_000, seed=3, cap=10 ** 4,
+                           scale=0.1)
+    value, se = bs.conditional_laplace()
+    return value.hex(), se.hex(), int(bs.survival_counts[-1]), bs.censored
+
+
 def test_conditional_laplace_mc_digest():
-    est = conditional_laplace_mc(MIXED, "stopped", 5, 0.1, 20_000, seed=3,
-                                 cap=10 ** 4)
-    assert (est.value.hex(), est.se.hex(), est.survivors, est.censored) == (
+    assert laplace_digest("stopped") == (
         "0x1.b80c164bced96p-3", "0x1.51e0310064bd3p-9", 11691, 333)
 
 
@@ -93,10 +97,7 @@ def test_conditional_laplace_mc_digest():
 ])
 def test_conditional_laplace_mc_censored_digest(model, want):
     # the Laplace sums run over cap-censored survivors too
-    est = conditional_laplace_mc(MIXED, model, 5, 0.1, 20_000, seed=3,
-                                 cap=10 ** 4)
-    assert (est.value.hex(), est.se.hex(), est.survivors,
-            est.censored) == want
+    assert laplace_digest(model) == want
 
 
 @pytest.mark.parametrize("params, model, want", [

@@ -1,7 +1,9 @@
 """Import layering: the exact-math modules do not depend on the simulator
-or the command line."""
+or the command line; the argument names a call tracer reads stay put."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,26 @@ def unused_imports(path: Path) -> set[str]:
 def test_no_unused_imports(path):
     # deletions tend to leave their imports behind
     assert not unused_imports(path), sorted(unused_imports(path))
+
+
+# functions whose work a call tracer counts from the call's arguments,
+# bound by name: renaming one of these breaks the traced benchmark runs
+TRACED_ARGUMENTS = {
+    "simulate.estimate_survival": ("reps", "horizon"),
+    "renewal.build_renewal": ("n_max",),
+    "renewal.dp_distribution": ("n", "M"),
+    "limits.convergence_sweep": ("s_grid", "n_grid"),
+    "limits.conditional_laplace_exact": ("n",),
+    "pgf.q_iterate": ("n", "t"),
+    "laws.sample_offspring": ("size",),
+    "laws.sample_immigration": ("size",),
+    "laws.sample_initial": ("size",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_ARGUMENTS))
+def test_traced_functions_keep_their_argument_names(name):
+    module, func = name.split(".")
+    fn = getattr(importlib.import_module("gwimm." + module), func)
+    params = inspect.signature(fn).parameters
+    assert set(TRACED_ARGUMENTS[name]) <= set(params), sorted(params)

@@ -19,7 +19,7 @@ from gwimm.limits import (THEOREMS, LimitCheck, conditional_laplace_exact,
 from gwimm.pgf import _q_steps, h_n, q_iterate
 from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
                            classify_regime, gamma_asymptotics)
-from gwimm.simulate import conditional_laplace_mc
+from gwimm.simulate import estimate_survival
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -79,9 +79,10 @@ def test_conditional_transform_matches_monte_carlo():
     n, s = 30, 1.0
     exact = conditional_laplace_exact(CANON, n, s)
     scale = s * float(q_iterate(CANON, 0.0, n).power(1.0)[n])
-    est = conditional_laplace_mc(CANON, "stopped", n, scale, reps=100_000,
-                                 seed=12, threads=2)
-    assert abs(est.value - exact) < 4.0 * est.se
+    value, se = estimate_survival(CANON, "stopped", n, reps=100_000,
+                                  seed=12, threads=2,
+                                  scale=scale).conditional_laplace()
+    assert abs(value - exact) < 4.0 * se
 
 
 def test_conditional_transform_matches_monte_carlo_with_atom():
@@ -89,9 +90,10 @@ def test_conditional_transform_matches_monte_carlo_with_atom():
     n, s = 10, 0.7
     exact = conditional_laplace_exact(MIXED, n, s)
     scale = s * float(q_iterate(MIXED, 0.0, n).power(1.0)[n])
-    est = conditional_laplace_mc(MIXED, "stopped", n, scale, reps=200_000,
-                                 seed=5, threads=2, cap=100_000)
-    assert abs(est.value - exact) < 4.0 * est.se
+    value, se = estimate_survival(MIXED, "stopped", n, reps=200_000, seed=5,
+                                  threads=2, cap=100_000,
+                                  scale=scale).conditional_laplace()
+    assert abs(value - exact) < 4.0 * se
 
 
 def test_conditional_transform_table_errors():
@@ -360,7 +362,7 @@ def test_sweep_grid_validation():
         convergence_sweep(CANON, "no-such-theorem", [0.5], [10])
     for s_grid, n_grid in (([math.nan, 1.0], [10]), ([-1.0, 1.0], [10]),
                            ([1.0, math.inf], [10]), ([1.0], [0, 10]),
-                           ([1.0], [-5])):
+                           ([1.0], [-5]), ([1.0], [1, 10 ** 20])):
         with pytest.raises(ValueError, match="finite s >= 0 and n >= 1"):
             convergence_sweep(CANON, "balanced_strong", s_grid, n_grid)
 
@@ -369,7 +371,7 @@ def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
     def no_q_work(*args):
         raise AssertionError("q work before the regime check")
 
-    for name in ("_q_steps", "_renewal_table", "_gammas"):
+    for name in ("_q_steps", "_renewal_table", "_gammas", "theta_sums"):
         monkeypatch.setattr("gwimm.limits." + name, no_q_work)
     r0 = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
     wrong = {"balanced_weak": r0, "balanced_strong": r0,
@@ -422,6 +424,20 @@ def test_gamma_weights_beyond_float64_read_inf():
                             "gamma_balanced", [0.5, 1.0], [20, 40])
     assert np.isinf(big.deviations[0]).all()
     assert not big.monotone()
+
+
+@pytest.mark.parametrize("theorem_id, theta", [("gamma_balanced", 1.0),
+                                               ("gamma_heavy_immigration",
+                                                0.5)])
+def test_gamma_sweep_holds_no_nan_where_kappa2_s_k_passes_float_max(
+        theorem_id, theta):
+    # kappa2 * S_k beyond float64 casts to -inf, and sigma to inf: the log
+    # weight kappa2 * (a_k - S_k) never meets inf - inf
+    p = LawParams(1.0, theta, 1.0, 1.0, 0.5, 1.7e308)
+    chk = convergence_sweep(p, theorem_id, [0.0, 0.5, 1.0], [20, 40])
+    assert not np.isnan(chk.computed).any()
+    assert not np.isnan(chk.deviations).any()
+    assert (chk.computed[:, 0] == 1.0).all()
 
 
 def test_limitcheck_monotone_flag():

@@ -20,8 +20,7 @@ from gwimm.laws import (LawParams, initial_pgf, offspring_pmf,
 from gwimm.pgf import h_n
 from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
-                            conditional_laplace_mc, estimate_survival,
-                            sample_life_period, simulate)
+                            estimate_survival, simulate)
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -84,12 +83,11 @@ def test_thread_count_does_not_change_counts():
 
 
 def test_thread_count_does_not_change_laplace_bits():
-    kw = dict(reps=60_000, seed=9)
-    a = conditional_laplace_mc(CANON, "z", 8, 0.3, threads=1, **kw)
-    b = conditional_laplace_mc(CANON, "z", 8, 0.3, threads=4, **kw)
-    assert a.value == b.value
-    assert a.se == b.se
-    assert a.survivors == b.survivors
+    kw = dict(reps=60_000, seed=9, scale=0.3)
+    a = estimate_survival(CANON, "z", 8, threads=1, **kw)
+    b = estimate_survival(CANON, "z", 8, threads=4, **kw)
+    assert a.conditional_laplace() == b.conditional_laplace()
+    assert a.survival_counts[-1] == b.survival_counts[-1]
 
 
 def test_partial_blocks_and_tiny_reps():
@@ -103,29 +101,15 @@ def test_partial_blocks_and_tiny_reps():
 
 def test_life_period_equals_survival_when_absorbing():
     for model in ("stopped", "gated"):
-        a = estimate_survival(MIXED, model, 12, 30_000, seed=3, cap=10_000)
-        b = sample_life_period(MIXED, model, reps=30_000, horizon=12, seed=3,
-                               cap=10_000)
-        assert np.array_equal(a.survival_counts, b.survival_counts)
-
-
-def test_life_period_takes_estimate_survival_arguments_in_order():
-    # horizon before reps, as in estimate_survival: the same positional
-    # call gives the same counts on an absorbing model
-    a = estimate_survival(MIXED, "stopped", 12, 3_000, 5, None, 10_000)
-    b = sample_life_period(MIXED, "stopped", 12, 3_000, 5, None, 10_000)
-    assert (b.reps, len(b.survival_counts)) == (3_000, 13)
-    assert np.array_equal(a.survival_counts, b.survival_counts)
-    assert np.array_equal(a.censored_counts, b.censored_counts)
+        bs = estimate_survival(MIXED, model, 12, 30_000, seed=3, cap=10_000)
+        assert np.array_equal(bs.life_counts, bs.survival_counts)
 
 
 def test_life_period_below_survival_when_unstopped():
-    # same seed, same paths: {no zero through n} implies {Z_n > 0}
-    a = estimate_survival(MIXED, "z", 12, 30_000, seed=3, cap=10_000)
-    b = sample_life_period(MIXED, "z", reps=30_000, horizon=12, seed=3,
-                           cap=10_000)
-    assert np.all(b.survival_counts <= a.survival_counts)
-    assert b.survival_counts[12] < a.survival_counts[12]
+    # same paths: {no zero through n} implies {Z_n > 0}
+    bs = estimate_survival(MIXED, "z", 12, 30_000, seed=3, cap=10_000)
+    assert np.all(bs.life_counts <= bs.survival_counts)
+    assert bs.life_counts[12] < bs.survival_counts[12]
 
 
 def convolution_power(base: np.ndarray, w: int, nmax: int) -> np.ndarray:
@@ -603,17 +587,19 @@ def test_conditional_laplace_mc_unstopped_vs_transform():
     n, c = 25, 0.05
     atom = h_n(CANON, 0.0, n)
     exact = (h_n(CANON, math.exp(-c), n) - atom) / (1.0 - atom)
-    est = conditional_laplace_mc(CANON, "z", n, c, reps=200_000, seed=3,
-                                 threads=2)
-    assert abs(est.value - exact) < 4.0 * est.se
-    assert est.survivors > 0
+    bs = estimate_survival(CANON, "z", n, reps=200_000, seed=3, threads=2,
+                           scale=c)
+    value, se = bs.conditional_laplace()
+    assert abs(value - exact) < 4.0 * se
+    assert bs.survival_counts[n] > 0
 
 
 def test_conditional_laplace_degenerate():
     p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=0.01, kappa1=0.5,
                   kappa2=1.0)
     with pytest.raises(DegenerateConditioningError):
-        conditional_laplace_mc(p, "stopped", 2, 1.0, reps=8, seed=0)
+        estimate_survival(p, "stopped", 2, reps=8, seed=0,
+                          scale=1.0).conditional_laplace()
 
 
 def test_trajectory_invariants():
@@ -669,7 +655,26 @@ def test_input_validation():
     with pytest.raises(ValueError):
         simulate(CANON, "not-a-model", 3)
     with pytest.raises(ValueError):
-        conditional_laplace_mc(CANON, "z", 2, -1.0, reps=10, seed=0)
+        estimate_survival(CANON, "z", 2, 10, seed=0).conditional_laplace()
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(reps=0), ValueError),
+    (dict(horizon=-1), ValueError),
+    (dict(scale=-1.0), ValueError),
+    (dict(scale=math.nan), ValueError),
+    (dict(scale=math.inf), ValueError),
+    (dict(cap=0), OutOfRangeError),
+])
+def test_estimate_survival_checks_its_input_before_any_block(kw, error,
+                                                            monkeypatch):
+    def no_block(*args):
+        raise AssertionError("a block ran before the input check")
+
+    monkeypatch.setattr(sim, "_evolve_block", no_block)
+    args = dict(horizon=2, reps=10, seed=0, scale=1.0) | kw
+    with pytest.raises(error):
+        estimate_survival(CANON, "z", **args)
 
 
 @pytest.mark.parametrize("cap", [0, -5, sim.MAX_CAP + 1, 2 ** 63 - 1])
@@ -678,11 +683,8 @@ def test_cap_is_validated_by_every_entry_point(cap):
     # offspring sums wrap
     calls = [
         lambda: simulate(CANON, "stopped", 3, cap=cap),
-        lambda: estimate_survival(CANON, "stopped", 3, 10, seed=0, cap=cap),
-        lambda: sample_life_period(CANON, "z", reps=10, horizon=3, seed=0,
-                                   cap=cap),
-        lambda: conditional_laplace_mc(CANON, "z", 2, 1.0, reps=10, seed=0,
-                                       cap=cap),
+        lambda: estimate_survival(CANON, "z", 3, 10, seed=0, cap=cap,
+                                  scale=1.0),
     ]
     for call in calls:
         with pytest.raises(OutOfRangeError, match="cap"):

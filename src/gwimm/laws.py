@@ -29,7 +29,7 @@ from .errors import DegenerateThetaError, NonPmfError, OutOfRangeError
 _TABLE_QUANTILE = 1.0 - 1e-12
 _TABLE_CAP = 1 << 17
 _SIBUYA_TABLE = 1024
-_ONE = 1 << 53           # rng.random draws are multiples of 1 / _ONE
+_ONE = 1 << 53           # a table uniform is a `_keys` integer over _ONE
 _GUIDE_BITS = 10         # B: guide buckets per table row, 2**B of them
 
 _HUGE = 1 << 62          # sentinel for astronomically large integer draws
@@ -272,10 +272,17 @@ def _guide_row(c: np.ndarray) -> np.ndarray:
     return np.where(lo == hi, lo, -1)
 
 
+def _keys(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n integer uniforms in [0, 2**53) (int64): the top 53 bits of the
+    stream's next n words, the keys u * 2**53 of the n draws
+    `rng.random(n)` would make, bit for bit, leaving the stream where
+    those draws would leave it."""
+    return (rng.bit_generator.random_raw(n) >> 11).view(np.int64)
+
+
 def _lookup(table, rows, k: np.ndarray) -> np.ndarray:
     """Inverse cdf of the `_key_table` row(s) `rows` (an int or an int64
-    array) at the integer uniforms `k` in [0, 2**53): `rng.random` draws
-    u as the integers u * 2**53, exactly.
+    array) at the integer uniforms `k` in [0, 2**53) of `_keys`.
     Only the draws in a guide bucket that holds a step of the cdf go on
     to `searchsorted` (Chen & Asau 1974)."""
     keys, offs, guide = table
@@ -331,7 +338,7 @@ def _draw(table, tail_value, rng: np.random.Generator, size: int,
         # holds a cdf step, so the guide would only add work
         x = np.searchsorted(keyed[0], k, side="right")
     else:
-        k = (rng.random(size) * _ONE).astype(np.int64)
+        k = _keys(rng, size)
         x = _lookup(keyed, 0, k)
     over = np.nonzero(x == n)[0]
     if over.size:

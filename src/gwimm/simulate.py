@@ -15,11 +15,15 @@ larger populations draw L_n and Y_n apart.
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
-master seed no matter how many worker threads participate.  A block
-steps only its live replicates (at most `cap`, and positive unless the
-model is UNSTOPPED_Z), kept in block order: the dead and cap-censored
-ones draw nothing, so each generation's draws are the ones a step of
-the whole block would make.
+master seed no matter how many worker threads participate.  The block
+is the stream unit; the group, up to 8 consecutive blocks stepped in
+lockstep, is the work unit: each generation makes one table lookup for
+the whole group, while every block draws from its own stream exactly
+what it would draw alone, in the same order.  Only the live replicates
+(at most `cap`, and positive unless the model is UNSTOPPED_Z) are
+stepped, kept in block order: the dead and cap-censored ones draw
+nothing, so each generation's draws are the ones a step of the whole
+block would make.
 
 `simulate` draws one path; `estimate_survival` is the one batch entry.
 Its `BatchStats` holds every statistic a block counts, all from the same
@@ -40,10 +44,11 @@ import numpy as np
 from .errors import DegenerateConditioningError, OutOfRangeError
 from .laws import (LawParams, Model, offspring_split, sample_immigration,
                    sample_initial, sample_offspring, _ONE, _key_table,
-                   _lookup)
+                   _keys, _lookup)
 from .rng import stream
 
 BLOCK = 8192
+_GROUP = 8               # blocks stepped in lockstep; R3 times alike at 4 to 16
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
 _SUM_ROWS = 256          # W: nu = 1 populations up to W sum by table lookup
@@ -111,11 +116,25 @@ class BatchStats:
         return mean, math.sqrt(var / survivors)
 
 
-def _offspring_sums(params: LawParams, rng: np.random.Generator,
-                    pops: np.ndarray, kappa2: float = 0.0,
-                    gated: bool = False) -> np.ndarray:
+def _streams(rng, pops: np.ndarray, bounds):
+    """The blocks' streams and bounds: `rng` alone over all of `pops`
+    where `bounds` is None, else the streams `rng`, rng[b] drawing for
+    pops[bounds[b]:bounds[b+1]]."""
+    return ([rng], [0, len(pops)]) if bounds is None else (rng, bounds)
+
+
+def _within(bounds: list, mask: np.ndarray) -> list:
+    """The block bounds of the entries that `mask` picks out."""
+    return np.searchsorted(np.flatnonzero(mask), bounds).tolist()
+
+
+def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
+                    kappa2: float = 0.0, gated: bool = False,
+                    bounds: list | None = None) -> np.ndarray:
     """Summed offspring for each population in `pops` (entries >= 1, or
-    >= 0 where the table folds immigrants in).
+    >= 0 where the table folds immigrants in), drawn from one stream
+    `rng`, or per block from the streams `rng` (`_streams`): the table
+    draws first, then the split.
 
     At nu = 1 a population w <= _SUM_ROWS draws its sum by inverting the
     exact cdf of a sum of w offspring with one uniform (`_table_sums`),
@@ -137,15 +156,25 @@ def _offspring_sums(params: LawParams, rng: np.random.Generator,
     Near the default cap 1e9 the tail draws dominate instead, and K = 32
     halves the time of K = 16 there.
     """
+    rngs, bounds = _streams(rng, pops, bounds)
     if params.nu != 1.0:
-        return _split_cell_sums(params, rng, pops)
+        return _split_sums(params, rngs, pops, bounds)
     big = pops > _SUM_ROWS
     if not big.any():
-        return _table_sums(params.kappa1, rng, pops, kappa2, gated)
+        return _table_sums(params.kappa1, rngs, pops, kappa2, gated, bounds)
     sums = np.empty_like(pops)
-    sums[~big] = _table_sums(params.kappa1, rng, pops[~big], kappa2, gated)
-    sums[big] = _split_cell_sums(params, rng, pops[big])
+    sums[~big] = _table_sums(params.kappa1, rngs, pops[~big], kappa2, gated,
+                             _within(bounds, ~big))
+    sums[big] = _split_sums(params, rngs, pops[big], _within(bounds, big))
     return sums
+
+
+def _split_sums(params: LawParams, rngs: list, pops: np.ndarray,
+                bounds: list) -> np.ndarray:
+    """`_split_cell_sums` of each block's populations from its stream."""
+    return np.concatenate([_split_cell_sums(params, r, pops[a:b])
+                           for r, a, b in zip(rngs, bounds, bounds[1:])
+                           if b > a])
 
 
 def _split_cell_sums(params: LawParams, rng: np.random.Generator,
@@ -266,10 +295,13 @@ def _folded(params: LawParams) -> float:
     return 0.0
 
 
-def _table_sums(kappa1: float, rng: np.random.Generator, pops: np.ndarray,
-                kappa2: float = 0.0, gated: bool = False) -> np.ndarray:
+def _table_sums(kappa1: float, rng, pops: np.ndarray, kappa2: float = 0.0,
+                gated: bool = False,
+                bounds: list | None = None) -> np.ndarray:
     """Draws from the rows `pops` (0 <= w <= W) of `_sum_table`, one
     uniform each: nu = 1 offspring sums, plus the folded immigrants.
+    Each block of `_streams` draws its keys, in block order, and one
+    lookup serves them all; then each draws its second uniforms.
 
     The top uniform U = 2**53 - 1 lies past the last key n_w of every
     row, in the cell that holds all the mass beyond it.  A draw there
@@ -277,14 +309,19 @@ def _table_sums(kappa1: float, rng: np.random.Generator, pops: np.ndarray,
     the smallest m >= n_w with P(X > m) < (1 - V) / 2**53 (`_tails`).
     Below the top, (U + V) / 2**53 < 1 - 2**-53 < F(n_w), so the value is
     at most n_w, as the lookup gives it: no value is clipped."""
-    k = (rng.random(len(pops)) * _ONE).astype(np.int64)
+    rngs, bounds = _streams(rng, pops, bounds)
+    blocks = list(zip(rngs, bounds, bounds[1:]))
+    k = np.concatenate([_keys(r, b - a) for r, a, b in blocks])
     x = _lookup(_sum_table(kappa1, kappa2, gated), pops, k)
     top = np.nonzero(k == _ONE - 1)[0]
     if top.size:
-        v = (1.0 - rng.random(top.size)) / _ONE
         tails = _tails(kappa1, kappa2, gated)
-        for i, vi in zip(top.tolist(), v.tolist()):
-            x[i] += np.count_nonzero(tails[pops[i]][1:] >= vi)
+        for r, a, b in blocks:
+            at = top[(top >= a) & (top < b)]
+            if at.size:
+                v = (1.0 - r.random(at.size)) / _ONE
+                for i, vi in zip(at.tolist(), v.tolist()):
+                    x[i] += np.count_nonzero(tails[pops[i]][1:] >= vi)
     return x
 
 
@@ -321,31 +358,38 @@ def _tail_sums(params: LawParams, rng: np.random.Generator,
     return sums
 
 
-def _next_generation(params: LawParams, model: Model,
-                     rng: np.random.Generator, pops: np.ndarray) -> np.ndarray:
+def _next_generation(params: LawParams, model: Model, rng,
+                     pops: np.ndarray, bounds: list | None = None
+                     ) -> np.ndarray:
     """The populations one generation on from the live `pops`, drawn in
     their order (`pops` is nonempty, and positive unless the model is
-    UNSTOPPED_Z).
+    UNSTOPPED_Z), from one stream `rng` or per block from the streams
+    `rng` (`_streams`).  Each block draws what it would draw alone, in
+    the same order: table keys, second uniforms, the split, immigrants.
 
     Where `_sum_table` folds the immigrants in (`_folded`), a population
     of at most W draws its next value with one uniform in
     `_offspring_sums`; the other rows draw their immigrants apart."""
+    rngs, bounds = _streams(rng, pops, bounds)
     kappa2 = _folded(params)
     gated = model is Model.GATED_W
     if kappa2 and pops.max() <= _SUM_ROWS:
-        return _table_sums(params.kappa1, rng, pops, kappa2, gated)
+        return _table_sums(params.kappa1, rngs, pops, kappa2, gated, bounds)
     apart = pops > _SUM_ROWS if kappa2 else np.ones(pops.size, dtype=bool)
     # a zero population draws no offspring, unless its table row brings
     # in its immigrants
     kids = (pops > 0) | ~apart
     lam = np.zeros_like(pops)
     if kids.any():
-        lam[kids] = _offspring_sums(params, rng, pops[kids], kappa2, gated)
+        lam[kids] = _offspring_sums(params, rngs, pops[kids], kappa2, gated,
+                                    _within(bounds, kids))
     if gated:
         apart &= lam > 0
     if apart.any():
-        lam[apart] += sample_immigration(params, rng,
-                                         int(np.count_nonzero(apart)))
+        bounds = _within(bounds, apart)
+        lam[apart] += np.concatenate([
+            sample_immigration(params, r, b - a)
+            for r, a, b in zip(rngs, bounds, bounds[1:]) if b > a])
     return lam
 
 
@@ -354,20 +398,27 @@ def _check_cap(cap) -> None:
         raise OutOfRangeError("cap", "1 <= cap <= 2**53", cap)
 
 
-def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
-                  rng: np.random.Generator, size: int, scale: float | None):
-    """Run one block of replicates; returns the (3, horizon+1) counts of
-    replicates positive, never zero so far, and cap-censored per generation,
-    and the sums [sum, sum of squares] of exp(-scale * X) over the final
-    survivors (None without `scale`).
+def _evolve_group(params: LawParams, model: Model, horizon: int, cap: int,
+                  rngs: list, sizes: list, scale: float | None):
+    """Run a group of consecutive blocks in lockstep, block b of sizes[b]
+    replicates on its stream rngs[b]; returns the (3, horizon+1) counts of
+    replicates positive, never zero so far, and cap-censored per
+    generation, summed over the group, and per block the sums
+    [sum, sum of squares] of exp(-scale * X) over its final survivors
+    (None without `scale`).
 
-    Only the live replicates are stepped: their block indices `idx` and
-    values `live`, in block order, so every draw is the one a step of the
-    whole block would make.  Live means at most `cap`, and positive too
-    for the absorbing models.  A replicate past the cap keeps its value
-    in `vals` and counts in `frozen`; a dead one drops out.
+    The group's replicates sit in one array in block order, block b's at
+    starts[b]:starts[b+1].  Only the live ones are stepped: their group
+    indices `idx` and values `live`, in that order, block b's at
+    live[bounds[b]:bounds[b+1]], so every draw is the one a step of the
+    whole block alone would make.  Live means at most `cap`, and
+    positive too for the absorbing models.  A replicate past the cap
+    keeps its value in `vals` and counts in `frozen`; a dead one drops
+    out.
     """
-    vals = sample_initial(params, rng, size)
+    vals = np.concatenate([sample_initial(params, rng, size)
+                           for rng, size in zip(rngs, sizes)])
+    starts = np.cumsum([0, *sizes])
     absorbing = model is not Model.UNSTOPPED_Z
     frozen = int(np.count_nonzero(vals > cap))
     keep = vals <= cap
@@ -375,11 +426,12 @@ def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
         keep &= vals > 0
     idx = np.nonzero(keep)[0]
     live = vals[idx]
+    bounds = np.searchsorted(idx, starts).tolist()
     ever_zero = None if absorbing else vals == 0
     counts = np.empty((3, horizon + 1), dtype=np.int64)
     for n in range(horizon + 1):
         if n and live.size:
-            live = _next_generation(params, model, rng, live)
+            live = _next_generation(params, model, rngs, live, bounds)
             keep = live > 0 if absorbing else None
             if live.max() > cap:
                 over = live > cap
@@ -388,20 +440,24 @@ def _evolve_block(params: LawParams, model: Model, horizon: int, cap: int,
                 keep = ~over if keep is None else keep & ~over
             if keep is not None:
                 idx, live = idx[keep], live[keep]
+                bounds = np.searchsorted(idx, starts).tolist()
             if not absorbing:
                 ever_zero[idx[live == 0]] = True
         if absorbing:
             counts[:, n] = (live.size + frozen, live.size + frozen, frozen)
         else:
             counts[:, n] = (np.count_nonzero(live) + frozen,
-                            size - np.count_nonzero(ever_zero), frozen)
-    lap = None
+                            vals.size - np.count_nonzero(ever_zero), frozen)
+    laps = None
     if scale is not None:
         final = np.where(vals > cap, vals, 0)
         final[idx] = live
-        contrib = np.exp(-scale * final[final > 0].astype(float))
-        lap = np.array([contrib.sum(), np.square(contrib).sum()])
-    return counts, lap
+        laps = []
+        for a, b in zip(starts[:-1], starts[1:]):
+            block = final[a:b]
+            contrib = np.exp(-scale * block[block > 0].astype(float))
+            laps.append((contrib.sum(), np.square(contrib).sum()))
+    return counts, laps
 
 
 def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
@@ -441,6 +497,13 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
     the censored count is reported so the bias is visible).  With a
     `scale`, the Laplace sums of exp(-scale * X_horizon) over the
     survivors are kept too, added exactly across the blocks.
+
+    A block of BLOCK replicates is the stream unit: block i draws from
+    `stream(seed, i)`, so every result depends on the seed alone.  A
+    group of consecutive blocks is the work unit: `threads` workers
+    (None: one) take groups of min(8, ceil(blocks / threads)) blocks as
+    they become free, and each group steps its blocks in lockstep
+    (`_evolve_group`).
     """
     model = Model(model)
     _check_cap(cap)
@@ -450,21 +513,30 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
         raise ValueError("horizon must be >= 0")
     if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError("scale must be finite and >= 0")
-    nblocks = (reps + BLOCK - 1) // BLOCK
-    sizes = [min(BLOCK, reps - i * BLOCK) for i in range(nblocks)]
+    if threads is None:
+        threads = 1
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    nblocks = -(-reps // BLOCK)
+    width = min(_GROUP, -(-nblocks // threads))
+    groups = [range(g, min(g + width, nblocks))
+              for g in range(0, nblocks, width)]
 
-    def one(i: int):
-        return _evolve_block(params, model, horizon, cap,
-                             stream(seed, i), sizes[i], scale)
+    def one(blocks: range):
+        return _evolve_group(params, model, horizon, cap,
+                             [stream(seed, i) for i in blocks],
+                             [min(BLOCK, reps - i * BLOCK) for i in blocks],
+                             scale)
 
-    if threads is None or threads <= 1 or nblocks == 1:
-        results = [one(i) for i in range(nblocks)]
+    if len(groups) == 1 or threads == 1:
+        results = [one(g) for g in groups]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(nblocks)))
+            results = list(pool.map(one, groups))
 
     counts = np.sum([r[0] for r in results], axis=0)
     lap = None
     if scale is not None:
-        lap = np.array([math.fsum(r[1][i] for r in results) for i in (0, 1)])
+        lap = np.array([math.fsum(s[i] for r in results for s in r[1])
+                        for i in (0, 1)])
     return BatchStats(reps, *counts, laplace_sums=lap)

@@ -402,6 +402,15 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_bad_threads_exits_2(capsys, threads):
+    rc, out, err = run(["survival", "--threads", threads, "--horizon", "2",
+                        "--M", "256", "--reps", "10"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "gwimm: error: threads must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", ["survival", "simulate"])
 @pytest.mark.parametrize("cap", ["0", "9223372036854775807"])
 def test_bad_cap_exits_2(capsys, command, cap):

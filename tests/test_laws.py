@@ -13,7 +13,7 @@ from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         offspring_pgf, offspring_pmf, sample_immigration,
                         sample_initial, sample_offspring, sample_sibuya,
                         stable_positive, _SIBUYA_TABLE, _TABLE_CAP,
-                        _inverse_cdf_table, _log_ratio_gamma,
+                        _inverse_cdf_table, _keys, _log_ratio_gamma,
                         _offspring_tail_value, _sibuya_tail_value)
 from gwimm.rng import stream
 
@@ -206,6 +206,19 @@ def test_critical_mean_via_exact_tail():
 
 # ---------------------------------------------------------------------------
 # samplers
+
+
+def test_keys_are_the_integer_uniforms_of_random():
+    # 10**6 keys, then an odd count inside Philox's four-word output: bit
+    # for bit the integers u * 2**53 of the same `random` draws, and the
+    # stream is left where those draws leave it
+    a, b = stream(3, 5), stream(3, 5)
+    for n in (10 ** 6, 3):
+        want = (a.random(n) * 2.0 ** 53).astype(np.int64)
+        got = _keys(b, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert a.random() == b.random()
+    assert np.array_equal(a.random(5), b.random(5))
 
 
 def test_sample_offspring_cell_frequencies():

@@ -90,6 +90,35 @@ def test_thread_count_does_not_change_laplace_bits():
     assert a.survival_counts[-1] == b.survival_counts[-1]
 
 
+@pytest.mark.parametrize("params, model, cap", [
+    # folded nu = theta = 1 table: one lookup per group and generation
+    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25), "stopped", sim.DEFAULT_CAP),
+    # nu = 1 populations crossing 256: table, split and immigrants apart
+    (LawParams(1.0, 1.0, 0.5, 0.8, 0.5, 2.0), "gated", 10 ** 4),
+    # nu < 1 and the "no zero so far" row of the unstopped chain
+    (MIXED, "z", 10 ** 4),
+])
+def test_grouping_does_not_change_any_result(params, model, cap,
+                                             monkeypatch):
+    # 9 blocks, the last one partial: groups of 8 and 1 on one thread, of
+    # 5 and 4 on two, of 3 on three, each block alone with _GROUP = 1
+    reps = 8 * sim.BLOCK + 1000
+
+    def run(threads):
+        bs = estimate_survival(params, model, 6, reps, seed=21,
+                               threads=threads, cap=cap, scale=0.2)
+        return (bs.survival_counts.tolist(), bs.life_counts.tolist(),
+                bs.censored_counts.tolist(),
+                [float(x).hex() for x in bs.laplace_sums])
+
+    grouped = [run(threads) for threads in (1, 2, 3)]
+    monkeypatch.setattr(sim, "_GROUP", 1)
+    alone = run(1)
+    assert grouped == [alone] * 3
+    if model == "z":
+        assert alone[1] != alone[0] and alone[2][-1] > 0
+
+
 def test_partial_blocks_and_tiny_reps():
     # reps that are not a multiple of the block size, and reps = 1
     bs = estimate_survival(CANON, "stopped", 3, 12_345, seed=1)
@@ -372,16 +401,22 @@ def test_folded_rows_are_the_exact_cdf(k1, k2, gated):
 
 
 class FixedUniforms:
-    """Stands in for a Generator: each `random` call returns the next of
-    the given arrays of uniforms."""
+    """Stands in for a Generator and its bit generator: each `random`
+    call returns the next of the given arrays of uniforms, and each
+    `random_raw` call the words whose top 53 bits are its keys."""
 
     def __init__(self, *us):
         self.us = list(us)
+        self.bit_generator = self
 
     def random(self, size):
         u = self.us.pop(0)
         assert size == len(u)
         return u
+
+    def random_raw(self, size):
+        keys = (self.random(size) * 2.0 ** 53).astype(np.uint64)
+        return keys << np.uint64(11)
 
 
 @pytest.mark.parametrize("k1", [0.3, 0.5])
@@ -665,13 +700,15 @@ def test_input_validation():
     (dict(scale=math.nan), ValueError),
     (dict(scale=math.inf), ValueError),
     (dict(cap=0), OutOfRangeError),
+    (dict(threads=0), ValueError),
+    (dict(threads=-5), ValueError),
 ])
 def test_estimate_survival_checks_its_input_before_any_block(kw, error,
                                                             monkeypatch):
     def no_block(*args):
         raise AssertionError("a block ran before the input check")
 
-    monkeypatch.setattr(sim, "_evolve_block", no_block)
+    monkeypatch.setattr(sim, "_evolve_group", no_block)
     args = dict(horizon=2, reps=10, seed=0, scale=1.0) | kw
     with pytest.raises(error):
         estimate_survival(CANON, "z", **args)

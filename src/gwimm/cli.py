@@ -300,6 +300,17 @@ def _verify_checks(cfg: RunConfig):
     z2 = abs(bs.survival()[2] - u2) / bs.survival_se()[2]
     yield "mc_survival_pins", max(z1, z2) < 4.0, \
         f"{_fmt(float(z1))},{_fmt(float(z2))}"
+    # nu < 1 stopped chain from X_0 = 1 against the renewal u_n at
+    # n = 1..4; a population past the cap 1e4 counts as alive, and it
+    # could die out within 4 generations only if nearly all of its
+    # individuals had no offspring (each with chance kappa1 = 1/2)
+    heavy = LawParams(nu=0.5, theta=0.5, delta=1.0, kappa0=1.0,
+                      kappa1=0.5, kappa2=0.7)
+    bs = estimate_survival(heavy, "stopped", 4, 100_000, cfg.seed,
+                           threads=cfg.threads, cap=10 ** 4)
+    z = float(np.max(np.abs(bs.survival() - build_renewal(heavy, 4).u)[1:]
+                     / bs.survival_se()[1:]))
+    yield "mc_fractional_survival", z < 4.0, _fmt(z)
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[list[str], bool]:

@@ -229,7 +229,8 @@ def offspring_mean_tail(params: LawParams, n: int) -> float:
 
 def _key_table(cdfs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Inverse-cdf table (read-only `keys`, `offs`, `guide`) of the sorted
-    cdf rows F_r (float64 or long double), the kernel of every sampler.
+    cdf rows F_r (float64 or long double, an iterable keyed one row at a
+    time), the kernel of every sampler.
 
     Row r's keys are the integers c_k = ceil(F_r(k) * 2**53) below 2**53.
     For an integer U in [0, 2**53) the count of keys <= U is the least k
@@ -239,19 +240,18 @@ def _key_table(cdfs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so one `searchsorted` serves any mix of rows.  guide[(r << B) + b],
     B = _GUIDE_BITS, is `_guide_row` of row r.
     """
-    small = max(map(len, cdfs)) < 1 << 15     # int16 guides use less cache
-    guide = np.empty((len(cdfs), 1 << _GUIDE_BITS),
-                     dtype=np.int16 if small else np.int32)
-    rows, offs = [], [0]
+    rows, offs, guides = [], [0], []
     for r, cdf in enumerate(cdfs):
         c = np.ceil(np.asarray(cdf) * _ONE)   # sorted: keep the keys < 2**53
         c = c[:np.searchsorted(c, _ONE)].astype(np.int64)
-        guide[r] = _guide_row(c)
+        # a guide entry is a key count or -1; int16 guides use less cache
+        guides.append(_guide_row(c).astype(
+            np.int16 if len(c) < 1 << 15 else np.int32))
         offs.append(offs[-1] + len(c))
         c += r << 53
         rows.append(c)
     table = (np.concatenate(rows), np.array(offs, dtype=np.int64),
-             guide.ravel())
+             np.concatenate(guides))
     for a in table:
         a.flags.writeable = False
     return table

@@ -189,6 +189,11 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
         size, top = 2 * m, min(2 * m, n)
         fa = _spectrum(a[:size], size)
         fr = _spectrum(r, size)
+        # u's float64 bits rest on numpy's temporary elision here: from
+        # 256 KiB on, numpy forms this product as multiply(tmp, fa,
+        # out=tmp), and with FMA the imaginary part of a complex product
+        # depends on the operand order, so naming the spectrum or
+        # reordering the level moves u from n = 16385 on
         au = np.fft.irfft(fa * _spectrum(u[:m], size), size)
         hi = _spectrum(f[m:top] + au[m - 1:top - 1], size)
         u[m:top] = np.fft.irfft(fr * hi, size)[:top - m]

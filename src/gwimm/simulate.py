@@ -8,10 +8,15 @@ previous generation and Y_n the immigration draw:
     GATED_W     : X_n = L_n + Y_n if L_n > 0, else 0; absorbing
 
 L_n is drawn without visiting every individual (see `_offspring_sums`).
-At nu = theta = 1 a population of at most 256 draws its next value,
-L_n + Y_n or the gated one, with one uniform from a table whose rows
-fold the Poisson immigrants into the offspring sums (`_sum_table`);
-larger populations draw L_n and Y_n apart.
+A population of at most 256 draws its offspring sum with one uniform
+from a table of the exact cdfs of sums of w draws from a head kernel
+(`_sum_table`).  At nu = 1 the kernel is the offspring law, and at
+nu = theta = 1 the rows fold the Poisson immigrants in too, so one
+uniform draws the next value, L_n + Y_n or the gated one.  At nu < 1 the
+kernel is X | X < 8: a binomial first counts the individuals with
+X >= 8, which are drawn one by one.  Larger populations split their
+individuals over 33 cells by one multinomial, and draw L_n and Y_n
+apart.
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
@@ -34,6 +39,7 @@ n) and the cap-censored row, and with a `scale` the Laplace sums behind
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,7 +57,8 @@ BLOCK = 8192
 _GROUP = 8               # blocks stepped in lockstep; R3 times alike at 4 to 16
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
-_SUM_ROWS = 256          # W: nu = 1 populations up to W sum by table lookup
+_SUM_ROWS = 256          # W: populations up to W sum by table lookup
+_HEAD_CELLS = 8          # H: nu < 1 offspring cells the table sums over
 _TAIL_IN_ORDER = 2.0 ** -18  # lighter tail cells: the split draws its mode last
 DEFAULT_CAP = 10 ** 9
 # largest cap: populations, offspring sums and immigrant counts of a
@@ -133,40 +140,62 @@ def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
                     bounds: list | None = None) -> np.ndarray:
     """Summed offspring for each population in `pops` (entries >= 1, or
     >= 0 where the table folds immigrants in), drawn from one stream
-    `rng`, or per block from the streams `rng` (`_streams`): the table
-    draws first, then the split.
+    `rng`, or per block from the streams `rng` (`_streams`).
 
-    At nu = 1 a population w <= _SUM_ROWS draws its sum by inverting the
-    exact cdf of a sum of w offspring with one uniform (`_table_sums`),
-    with the Poisson(kappa2) immigrants of `_folded` in the same draw
-    where kappa2 > 0 (added only to a positive sum if `gated`).
+    A population w <= _SUM_ROWS draws with one uniform from row w of
+    `_sum_table` (`_table_sums`), the exact cdf of a sum of w draws from
+    a head kernel.  At nu = 1 the kernel is the offspring law itself, and
+    the rows take in the Poisson(kappa2) immigrants of `_folded` where
+    kappa2 > 0 (added only to a positive sum if `gated`).  At nu < 1 the
+    kernel is X | X < H, H = _HEAD_CELLS: T ~ Binomial(w, P(X >= H))
+    individuals fall in the tail cell, row w - T draws the sum of the
+    others, and the T are drawn from X | X >= H.
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
     nu = 1 the cells are kappa1, 1 - 2*kappa1 and kappa1, the last one the
-    tail cell where kappa1 <= 1e-12), and only the individuals in the tail
-    cell are drawn one by one, from X | X >= K, in bounded chunks.  The
-    split gives exactly the law of per-individual draws, and the table
-    gives it on a 2**-53 grid.
+    tail cell where kappa1 <= 1e-12).  Tail-cell individuals are drawn one
+    by one, in bounded chunks (`_tail_sums`).  The split gives exactly the
+    law of per-individual draws, and the table gives it on a 2**-53 grid.
+    Each block draws its binomials, its table keys, its top-cell second
+    uniforms, its split, then its tail draws.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
-    K = 32 and nu = 1/2.  Populations below the cap 1e4 time the same for
-    K from 8 to 32, while K = 64 pays K binomials and a K-wide count row
-    for every large population (+10% and +6 MiB on the MIXED benchmark).
-    Near the default cap 1e9 the tail draws dominate instead, and K = 32
-    halves the time of K = 16 there.
+    K = 32 and nu = 1/2, and 0.8% at H = 8.  A head of H cells gives rows
+    of (H-1)*w + 1 values: at H = 32 the table takes 0.7 s to build,
+    against 0.1 s at 8, and MIXED runs no faster.  Above W, K = 64 pays K
+    binomials and a K-wide count row for every large population (+10%
+    and +6 MiB on the MIXED benchmark), while near the default cap 1e9
+    the tail draws dominate, and K = 32 halves the time of K = 16 there.
     """
     rngs, bounds = _streams(rng, pops, bounds)
-    if params.nu != 1.0:
-        return _split_sums(params, rngs, pops, bounds)
     big = pops > _SUM_ROWS
-    if not big.any():
-        return _table_sums(params.kappa1, rngs, pops, kappa2, gated, bounds)
-    sums = np.empty_like(pops)
-    sums[~big] = _table_sums(params.kappa1, rngs, pops[~big], kappa2, gated,
-                             _within(bounds, ~big))
-    sums[big] = _split_sums(params, rngs, pops[big], _within(bounds, big))
-    return sums
+    crossing = big.any()
+    small, at = ((pops[~big], _within(bounds, ~big)) if crossing
+                 else (pops, bounds))
+    nu = params.nu
+    if nu == 1.0:
+        sums = _table_sums(params.kappa1, rngs, small, kappa2, gated, at)
+    else:
+        pvals = offspring_split(params, _HEAD_CELLS)
+        h = len(pvals) - 1
+        blocks = list(zip(rngs, at, at[1:]))
+        tails = np.concatenate([r.binomial(small[a:b], pvals[h])
+                                for r, a, b in blocks])
+        sums = _table_sums(params.kappa1, rngs, small - tails, bounds=at,
+                           nu=nu)
+    if crossing:
+        split = _split_sums(params, rngs, pops[big], _within(bounds, big))
+    if nu != 1.0:
+        for r, a, b in blocks:
+            rows = a + np.flatnonzero(tails[a:b])
+            if rows.size:
+                sums[rows] += _tail_sums(params, r, tails[rows], h)
+    if not crossing:
+        return sums
+    out = np.empty_like(pops)
+    out[~big], out[big] = sums, split
+    return out
 
 
 def _split_sums(params: LawParams, rngs: list, pops: np.ndarray,
@@ -198,59 +227,82 @@ def _split_cell_sums(params: LawParams, rng: np.random.Generator,
     return sums
 
 
+def _kernel(nu: float, kappa1: float) -> np.ndarray:
+    """The law on 0..d, in long double, that row w of `_sum_table` sums
+    w draws of: at nu = 1 the offspring law (k1, 1 - 2*k1, k1); at
+    nu < 1 the offspring law given X < H, H the head cell count of
+    `offspring_split(., _HEAD_CELLS)`, which may be 1 (X < 1: d = 0)."""
+    if nu == 1.0:
+        k1 = np.longdouble(kappa1)
+        return np.array([k1, 1 - 2 * k1, k1])
+    head = offspring_split(LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
+                           _HEAD_CELLS)[:-1].astype(np.longdouble)
+    return head / head.sum()
+
+
 @lru_cache(maxsize=8)
-def _sum_table(kappa1: float, kappa2: float = 0.0, gated: bool = False):
-    """`laws._key_table` of the nu = 1 laws of `_fold_laws` for
-    w = 0..W, W = _SUM_ROWS, in row w.
+def _sum_table(kappa1: float, kappa2: float = 0.0, gated: bool = False,
+               nu: float = 1.0):
+    """`laws._key_table` of the laws of `_fold_laws` for w = 0..W,
+    W = _SUM_ROWS, in row w, for the kernel `_kernel(nu, kappa1)` on 0..d.
 
-    Row w is the cdf of that law at 0, ..., 2w+h-1, h = `_head(kappa2)`
-    (no key below 2**53 lies past it).  With nothing folded
-    (kappa2 = 0, h = 0) row w is the law of a sum of w offspring at
-    0, ..., 2w-1 (F_w(2w) = 1 is implied) and row 0 is empty.
+    Row w is the cdf of that law at 0, ..., d*w+h-1, h = `_head(kappa2)`
+    (no key below 2**53 lies past it).  With nothing folded (kappa2 = 0,
+    h = 0) row w is the law of a sum of w kernel draws at 0, ..., d*w-1,
+    and F_w(d*w) = 1 is implied, as the computed sum may fall short of 1
+    by a few long-double ulps; row 0 is empty.  The rows are keyed one
+    at a time, so no long-double row outlives its keys.
     """
-    h = _head(kappa2)
-    laws = _fold_laws(kappa1, kappa2, gated, 2 * _SUM_ROWS + h)
-    return _key_table([np.cumsum(law[:2 * w + h])
-                       for w, law in enumerate(laws)])
+    kernel = _kernel(nu, kappa1)
+    d, h = len(kernel) - 1, _head(kappa2)
+    laws = _fold_laws(kernel, kappa2, gated, d * _SUM_ROWS + h)
+    return _key_table(np.cumsum(law[:d * w + h])
+                      for w, law in enumerate(laws))
 
 
-def _fold_laws(kappa1: float, kappa2: float, gated: bool, size: int):
+def _fold_laws(kernel: np.ndarray, kappa2: float, gated: bool, size: int):
     """Yield for w = 0, 1, ..., W the law on 0..size-1, in long double, of
-    the next population from w live individuals at nu = 1: the sum L_w of
-    w offspring, (k1, 1 - 2*k1, k1) convolved w times, plus Poisson(kappa2)
-    immigrants (none at kappa2 = 0), which a `gated` chain adds only where
-    L_w > 0.  Every term is a sum of nonnegative products, and each step
-    only looks back, so every value below `size` is exact.
+    the next population from w live individuals: the sum L_w of w draws
+    from `kernel`, plus Poisson(kappa2) immigrants (none at kappa2 = 0),
+    which a `gated` chain adds only where L_w > 0.  Every term is a sum
+    of nonnegative products, and each step only looks back, so every
+    value below `size` is exact.  A step works on the support alone,
+    which grows by d = len(kernel) - 1 a step.
     """
-    k1 = np.longdouble(kappa1)
-    p1 = 1 - 2 * k1
     pois = np.zeros(size, dtype=np.longdouble)
     b = _poisson_pmf(kappa2)[:size]
     pois[:len(b)] = b
-    law = pois
+    law, sup = pois, len(b)
     if gated:
         # w = 0 has no offspring and so no immigrants; a first positive
-        # sum, 1 or 2, brings in its immigrants
+        # sum brings in its immigrants
         law = np.zeros(size, dtype=np.longdouble)
         law[0] = 1
-        kin = np.zeros(size, dtype=np.longdouble)
-        kin[1:] = p1 * pois[:-1]
-        kin[2:] += k1 * pois[:-2]
+        kin = _convolve(np.r_[0, kernel[1:]], pois)
     for _ in range(_SUM_ROWS + 1):
         yield law
-        src = law
+        sup = min(sup + len(kernel) - 1, size)
+        src = law[:sup]
         if gated:
             # the atom at 0 (all offspring sums so far 0) has no
             # immigrants; its offspring step enters through `kin`
-            atom, src = law[0], law.copy()
+            atom, src = law[0], src.copy()
             src[0] = 0
-        nxt = k1 * src
-        nxt[1:] += p1 * src[:-1]
-        nxt[2:] += k1 * src[:-2]
+        nxt = np.zeros(size, dtype=np.longdouble)
+        nxt[:sup] = _convolve(kernel, src)
         if gated:
             nxt += atom * kin
-            nxt[0] = atom * k1
+            nxt[0] = atom * kernel[0]
         law = nxt
+
+
+def _convolve(kernel: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """kernel * src on the indices of `src`, the kernel's terms added in
+    its order."""
+    out = kernel[0] * src
+    for j in range(1, len(kernel)):
+        out[j:] += kernel[j] * src[:-j]
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -296,10 +348,10 @@ def _folded(params: LawParams) -> float:
 
 
 def _table_sums(kappa1: float, rng, pops: np.ndarray, kappa2: float = 0.0,
-                gated: bool = False,
-                bounds: list | None = None) -> np.ndarray:
+                gated: bool = False, bounds: list | None = None,
+                nu: float = 1.0) -> np.ndarray:
     """Draws from the rows `pops` (0 <= w <= W) of `_sum_table`, one
-    uniform each: nu = 1 offspring sums, plus the folded immigrants.
+    uniform each: sums of w kernel draws, plus the folded immigrants.
     Each block of `_streams` draws its keys, in block order, and one
     lookup serves them all; then each draws its second uniforms.
 
@@ -312,30 +364,32 @@ def _table_sums(kappa1: float, rng, pops: np.ndarray, kappa2: float = 0.0,
     rngs, bounds = _streams(rng, pops, bounds)
     blocks = list(zip(rngs, bounds, bounds[1:]))
     k = np.concatenate([_keys(r, b - a) for r, a, b in blocks])
-    x = _lookup(_sum_table(kappa1, kappa2, gated), pops, k)
+    x = _lookup(_sum_table(kappa1, kappa2, gated, nu), pops, k)
     top = np.nonzero(k == _ONE - 1)[0]
     if top.size:
-        tails = _tails(kappa1, kappa2, gated)
         for r, a, b in blocks:
             at = top[(top >= a) & (top < b)]
             if at.size:
                 v = (1.0 - r.random(at.size)) / _ONE
                 for i, vi in zip(at.tolist(), v.tolist()):
-                    x[i] += np.count_nonzero(tails[pops[i]][1:] >= vi)
+                    tails = _tails(kappa1, kappa2, gated, nu, int(pops[i]))
+                    x[i] += np.count_nonzero(tails[1:] >= vi)
     return x
 
 
-@lru_cache(maxsize=2)
-def _tails(kappa1: float, kappa2: float, gated: bool) -> list:
-    """Row w: P(X >= n_w + j), j = 0, 1, ..., for X of row w of
-    `_sum_table` and n_w its key count, summed in long double from the
-    far end of the law, which reaches past every Poisson weight that is
-    nonzero as a float64.  Built only when a draw needs it."""
-    offs = _sum_table(kappa1, kappa2, gated)[1]
-    reach = len(_poisson_pmf(kappa2))
-    laws = _fold_laws(kappa1, kappa2, gated, 2 * _SUM_ROWS + reach)
-    return [np.cumsum(law[n:2 * w + reach][::-1])[::-1]
-            for w, (law, n) in enumerate(zip(laws, np.diff(offs)))]
+@lru_cache(maxsize=64)
+def _tails(kappa1: float, kappa2: float, gated: bool, nu: float,
+           w: int) -> np.ndarray:
+    """P(X >= n_w + j), j = 0, 1, ..., for X of row w of `_sum_table` and
+    n_w its key count, summed in long double from the far end of the
+    law, which reaches past every Poisson weight that is nonzero as a
+    float64.  Formed only when a draw needs it, for that row alone."""
+    kernel = _kernel(nu, kappa1)
+    d, reach = len(kernel) - 1, len(_poisson_pmf(kappa2))
+    offs = _sum_table(kappa1, kappa2, gated, nu)[1]
+    laws = _fold_laws(kernel, kappa2, gated, d * _SUM_ROWS + reach)
+    law = next(itertools.islice(laws, w, None))
+    return np.cumsum(law[offs[w + 1] - offs[w]:d * w + reach][::-1])[::-1]
 
 
 def _tail_sums(params: LawParams, rng: np.random.Generator,

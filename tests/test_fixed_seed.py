@@ -2,12 +2,15 @@
 
 Each digest is the first 16 hex digits of the SHA-256 of the int64 bytes
 of an output.  They pin the exact draws, so a change of the sampling
-kernels that keeps every law but moves a draw shows up here.  The nu = 1
-cases keep every population at or below 256, the range of the sum table;
-larger ones take the multinomial split.  At nu = theta = 1 (R3) the
-table's rows fold the Poisson immigrants in, so one uniform draws a
+kernels that keeps every law but moves a draw shows up here.  Populations
+at or below 256, the range of the sum table, draw their offspring sums
+from it; larger ones take the multinomial split.  At nu = theta = 1 (R3)
+the table's rows fold the Poisson immigrants in, so one uniform draws a
 whole generation of a replicate; `test_nu1_table_sums_digest` pins the
-offspring sums alone, from the table without immigrants.
+offspring sums alone, from the table without immigrants.  At nu < 1 a
+binomial first counts the individuals in the tail cell X >= 8, the table
+sums the others given X < 8, and the tail ones are drawn one by one;
+`test_fractional_table_sums_digest` pins that route alone.
 `test_nu1_crossing_survival_digest` pins nu = 1 laws whose populations
 cross 256: with theta < 1 nothing is folded, so the small populations
 draw their offspring sums from the table and their immigrants apart; at
@@ -44,12 +47,12 @@ def survival_digest(params, model, horizon, **kw) -> str:
 
 
 @pytest.mark.parametrize("params, model, want", [
-    (MIXED, "z", "abfcbf511c9f0f1b"),
-    (MIXED, "stopped", "d4e8b1a880385036"),
-    (MIXED, "gated", "a481cded1a3652d8"),
-    (HALF, "z", "403df10bdab603c7"),
-    (HALF, "stopped", "d47f67a0ddea5204"),
-    (HALF, "gated", "285640dc0fb8ff86"),
+    (MIXED, "z", "dbec5e90c5d8f507"),
+    (MIXED, "stopped", "934232b337140816"),
+    (MIXED, "gated", "5b8bbaf09a717b4d"),
+    (HALF, "z", "98d33e28f5ba78aa"),
+    (HALF, "stopped", "8f3f1d4a01b37dc5"),
+    (HALF, "gated", "726d90739dc34b4a"),
 ])
 def test_survival_counts_digest(params, model, want):
     assert survival_digest(params, model, 10, cap=10 ** 4) == want
@@ -76,7 +79,7 @@ def test_life_period_z_digest():
     bs = estimate_survival(MIXED, "z", reps=20_000, horizon=10, seed=7,
                            cap=10 ** 4)
     assert digest(np.concatenate([bs.life_counts,
-                                  bs.censored_counts])) == "0660f5cf5dbef7ab"
+                                  bs.censored_counts])) == "b38992aa820be62c"
 
 
 def laplace_digest(model):
@@ -88,12 +91,12 @@ def laplace_digest(model):
 
 def test_conditional_laplace_mc_digest():
     assert laplace_digest("stopped") == (
-        "0x1.b80c164bced96p-3", "0x1.51e0310064bd3p-9", 11691, 333)
+        "0x1.bf70785e3961bp-3", "0x1.534839f357a59p-9", 11769, 320)
 
 
 @pytest.mark.parametrize("model, want", [
-    ("z", ("0x1.159df1d773f0fp-2", "0x1.2c82666922619p-9", 18445, 502)),
-    ("gated", ("0x1.83dec51563884p-3", "0x1.6c9b8ab50512fp-9", 8702, 294)),
+    ("z", ("0x1.1795c1d757cb5p-2", "0x1.2c4d668d72e00p-9", 18518, 494)),
+    ("gated", ("0x1.8b1ed94c31d11p-3", "0x1.72ded9c84eccfp-9", 8696, 272)),
 ])
 def test_conditional_laplace_mc_censored_digest(model, want):
     # the Laplace sums run over cap-censored survivors too
@@ -101,9 +104,9 @@ def test_conditional_laplace_mc_censored_digest(model, want):
 
 
 @pytest.mark.parametrize("params, model, want", [
-    (MIXED, "z", "baccc65e3b565184"),
-    (MIXED, "stopped", "dcc37cc377c8aacc"),
-    (MIXED, "gated", "ccd05a8d8926c66a"),
+    (MIXED, "z", "8ab22d5bde43dd54"),
+    (MIXED, "stopped", "f91f22745a0de5ff"),
+    (MIXED, "gated", "2f19b81de5cc3048"),
     (R3, "z", "f3cf369fb9c54160"),
     (R3, "stopped", "93679b221d1cb4c2"),
     (R3, "gated", "3f06ff43ea0b1439"),
@@ -155,3 +158,10 @@ def test_nu1_table_sums_digest():
     pops = np.arange(1, 257).repeat(50)
     assert digest(sim._offspring_sums(p, stream(4, 0), pops)) \
         == "0b73ea1ee5dce33b"
+
+
+def test_fractional_table_sums_digest():
+    p = LawParams(0.5, 1.0, 1.0, 1.0, 0.5, 1.0)
+    pops = np.arange(1, 257).repeat(50)
+    assert digest(sim._offspring_sums(p, stream(4, 0), pops)) \
+        == "515a83e87231f8bd"

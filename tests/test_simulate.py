@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -495,6 +496,93 @@ def test_thread_count_does_not_change_counts_across_the_table_edge():
     assert np.array_equal(a.survival_counts, b.survival_counts)
     assert np.array_equal(a.censored_counts, b.censored_counts)
     assert a.censored > 0
+
+
+def test_thread_count_does_not_change_counts_across_the_fractional_edge():
+    # nu < 1 under a heavy initial law: one group holds populations on
+    # both sides of W, so a generation draws binomials, table keys, the
+    # split and tail draws per block
+    p = LawParams(nu=0.5, theta=1.0, delta=0.3, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    first = sample_initial(p, stream(5, 0), sim.BLOCK)
+    assert np.any(first > sim._SUM_ROWS)
+    assert np.any((first > 0) & (first <= sim._SUM_ROWS))
+    kw = dict(seed=5, cap=10 ** 6)
+    a, *rest = [estimate_survival(p, "stopped", 10, 20_000, threads=t, **kw)
+                for t in (1, 2, 3)]
+    for b in rest:
+        assert np.array_equal(a.survival_counts, b.survival_counts)
+        assert np.array_equal(a.censored_counts, b.censored_counts)
+    assert a.censored > 0
+
+
+# (nu, frac): kappa1 = frac / (1 + nu); at nu = 2.2e-16, frac = 1 the head
+# is the one cell X = 0, so every row of the table is empty
+FRACTIONAL_TABLES = [(0.01, 0.5), (0.2, 1e-6), (2.2e-16, 1.0)]
+
+
+@pytest.mark.parametrize("nu, frac", [(0.5, 0.75), *FRACTIONAL_TABLES])
+def test_fractional_rows_and_top_key_are_exact(nu, frac):
+    # row w at nu < 1: every implied cdf value c_k / 2**53 (2**53 past a
+    # trimmed row) at 0..d*w-1 lies within 2**-52 of the exact cdf of a
+    # sum S of w draws of X | X < H (the float64 head cells taken as
+    # exact); the top key resolves to the smallest m with P(S > m) < v
+    mpmath = pytest.importorskip("mpmath")
+    k1 = frac / (1.0 + nu)
+    head = offspring_split(LawParams(nu, 1.0, 1.0, 1.0, k1, 1.0),
+                           sim._HEAD_CELLS)[:-1]
+    d = len(head) - 1
+    keys, offs, _ = sim._sum_table(k1, nu=nu)
+    with mpmath.workdps(60):
+        q = [mpmath.mpf(float(x)) for x in head]
+        q = [x / mpmath.fsum(q) for x in q]
+        law = [mpmath.mpf(1)]
+        for w in range(65):
+            if w in (0, 1, 2, 17, 64):
+                row = (keys[offs[w]:offs[w + 1]] - (w << 53)).tolist()
+                n = len(row)
+                assert n <= d * w and row == sorted(row), w
+                row += [1 << 53] * (d * w - n)
+                cdf = list(itertools.accumulate(law))
+                gaps = [abs(mpmath.mpf(c) / 2 ** 53 - f)
+                        for c, f in zip(row, cdf)]
+                assert max(gaps, default=0) <= mpmath.mpf(2) ** -52, w
+
+                def tail(m):
+                    return mpmath.fsum(law[m + 1:])
+                for big_v in (0.0, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -53):
+                    rng = FixedUniforms(np.array([1.0 - 2.0 ** -53]),
+                                        np.array([big_v]))
+                    m = int(sim._table_sums(k1, rng, np.array([w]),
+                                            nu=nu)[0])
+                    v = (1.0 - big_v) / 2.0 ** 53
+                    assert tail(m) < v <= (tail(m - 1) if m > n else 1), \
+                        (w, v)
+            law = [mpmath.fsum(q[j] * law[i - j] for j in range(d + 1)
+                               if 0 <= i - j < len(law))
+                   for i in range(len(law) + d)]
+
+
+@pytest.mark.parametrize("nu, frac", FRACTIONAL_TABLES)
+def test_fractional_table_build_is_bounded(nu, frac):
+    # rows of at most 7*w keys, built in under 0.25 s with a peak under
+    # 8 MiB: each long-double row is keyed as it is formed, and none is
+    # kept.  The sampler table behind the head cells is built first
+    k1 = frac / (1.0 + nu)
+    offspring_split(LawParams(nu, 1.0, 1.0, 1.0, k1, 1.0), sim._HEAD_CELLS)
+    build = sim._sum_table.__wrapped__
+    t0 = time.perf_counter()
+    build(k1, nu=nu)
+    elapsed = time.perf_counter() - t0
+    tracemalloc.start()
+    try:
+        keys, offs, guide = build(k1, nu=nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.25
+    assert peak < 8 << 20
+    assert np.all(np.diff(offs) <= 7 * np.arange(sim._SUM_ROWS + 1))
 
 
 def test_tail_draws_follow_the_conditional_law():

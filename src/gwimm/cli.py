@@ -381,8 +381,8 @@ def main(argv=None) -> int:
         fn, natural = _COMMANDS[args.command]
         _write_out(cfg, _reformat(fn(cfg), natural, cfg.values["format"]))
         return 0
-    except (GwimmError, ValueError, OSError) as exc:
-        sys.stderr.write(f"gwimm: error: {exc}\n")
+    except (GwimmError, ValueError, OSError, MemoryError) as exc:
+        sys.stderr.write(f"gwimm: error: {exc or type(exc).__name__}\n")
         return 2
 
 

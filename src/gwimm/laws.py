@@ -298,15 +298,15 @@ def _lookup(table, rows, k: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _inverse_cdf_table(pmf, params: LawParams, nmax: int):
-    """Cumulative table of `pmf` up to the _TABLE_QUANTILE, the exact
-    mass beyond its last entry, and its `_key_table`."""
+    """Length n of the cumulative table of `pmf` up to the _TABLE_QUANTILE,
+    the exact mass beyond it, and its `_key_table`."""
     table = pmf(params, nmax)
     cum = cumsum_extended(table.probs)
     stop = min(int(np.searchsorted(cum, _TABLE_QUANTILE)) + 1, len(cum))
     if stop <= nmax:
         # a shorter table is a prefix of the longer one, bit for bit
         table = pmf(params, stop - 1)
-    return cum[:stop], table.truncation_mass, _key_table([cum[:stop]])
+    return stop, table.truncation_mass, _key_table([cum[:stop]])
 
 
 def _draw(table, tail_value, rng: np.random.Generator, size: int,
@@ -315,27 +315,25 @@ def _draw(table, tail_value, rng: np.random.Generator, size: int,
     most the table length n); a draw beyond its last entry is resolved
     exactly by `tail_value(v, n)`, the smallest m >= n with P(X > m) < v.
 
-    The conditioning maps u into [c, 1), c = cum[lowest-1].  Its
-    complement v = 1 - u, uniform on (0, P(X >= lowest)], is formed
-    directly, so the tail walk keeps the relative precision of v.  Where
-    c >= 1/2, 1 - v is on the 2**-53 grid and its key is exact; below,
-    the cast floors it onto the grid, which moves the law by at most
-    2**-53.  The key of 1 - v = 1 is looked up as 2**53 - 1, beyond every
-    cdf value below 1.  At lowest = n, v is drawn on (0, tail] from the
-    exact tail mass, which 1 - cum[n-1] may have rounded to 0.
+    The conditioning maps u into [c, 1), c = F(lowest-1) read off its
+    stored key ceil(F * 2**53): F itself from lowest = 2 on, where
+    F >= P(X <= 1) >= 1/2 lies on the 2**-53 grid, and F rounded up by
+    under 2**-53 at lowest = 1.  The complement v = 1 - u, uniform on
+    (0, 1 - c], is formed directly, so the tail walk keeps the relative
+    precision of v; where c >= 1/2, 1 - v has an exact key.  The key of
+    1 - v = 1 is looked up as 2**53 - 1, beyond every cdf value below 1.
+    At lowest = n, v is drawn on (0, tail] from the exact tail mass.
     """
-    cum, tail, keyed = table
-    n = len(cum)
+    n, tail, keyed = table
     if lowest == n:
         v = tail * (1.0 - rng.random(size))
         x = np.full(size, n, dtype=np.int64)
     elif lowest:
-        c = cum[lowest - 1]
-        v = (1.0 - c) * (1.0 - rng.random(size))
-        k = np.clip(((1.0 - v) * _ONE).astype(np.int64),
-                    math.ceil(c * _ONE), _ONE - 1)
-        # at the engine's lowest (32) nearly every guide bucket of [c, 1)
-        # holds a cdf step, so the guide would only add work
+        key = int(keyed[0][lowest - 1])
+        v = (1.0 - key / _ONE) * (1.0 - rng.random(size))
+        k = np.clip(((1.0 - v) * _ONE).astype(np.int64), key, _ONE - 1)
+        # at the engine's lowest (8 or 32) nearly every guide bucket of
+        # [c, 1) holds a cdf step, so the guide would only add work
         x = np.searchsorted(keyed[0], k, side="right")
     else:
         k = _keys(rng, size)
@@ -430,8 +428,8 @@ def sample_offspring(params: LawParams, rng: np.random.Generator,
     of `offspring_split`, which caps it at the inverse-cdf table length."""
     nu, k1 = params.nu, params.kappa1
     table = _offspring_table(nu, k1)
-    if not 0 <= lowest <= len(table[0]):
-        raise ValueError(f"lowest={lowest} outside [0, {len(table[0])}]")
+    if not 0 <= lowest <= table[0]:
+        raise ValueError(f"lowest={lowest} outside [0, {table[0]}]")
     return _draw(table, lambda v, lo: _offspring_tail_value(nu, k1, v, lo),
                  rng, size, lowest)
 
@@ -446,7 +444,7 @@ def offspring_split(params: LawParams, cells: int) -> np.ndarray:
     quantile below `cells`), so `sample_offspring(..., lowest=k)` can
     draw the tail cell.  The last entry is the exact closed-form tail mass.
     """
-    k = min(cells, len(_offspring_table(params.nu, params.kappa1)[0]))
+    k = min(cells, _offspring_table(params.nu, params.kappa1)[0])
     head = offspring_pmf(params, k - 1)
     pvals = np.append(head.probs, head.truncation_mass)
     pvals.flags.writeable = False

@@ -50,6 +50,11 @@ def _regime(params: LawParams, allowed, needs: str) -> RegimeReport:
     return rep
 
 
+def _check_s(s: float) -> None:     # the rule of convergence_sweep's grid
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+
+
 def _log_scales(params: LawParams, ns, scaling: str,
                 path: QPath | None = None) -> list[float]:
     """log x for each n of `ns`: x = q_n(0) for "by_qn", read off the q(0)
@@ -119,8 +124,7 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    _check_s(s)
     path = None if table is not None else _q_steps(params, 0.0, n)
     log_x, = _log_scales(params, [n], scaling, path)
     if table is None:
@@ -163,16 +167,14 @@ def _balanced_limit(params: LawParams, rep: RegimeReport, s: float) -> float:
 def limit_laplace_heavy_imm(params: LawParams, s: float) -> float:
     """Limit of the conditional transform under n^{-1/theta} scaling."""
     rep = _regime(params, *_HEAVY)
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    _check_s(s)
     return _heavy_limit(params, rep, s)
 
 
 def limit_balanced_strong(params: LawParams, s: float) -> float:
     """(1 + s^nu)^{-sigma}: theta = nu with sigma >= 1."""
     rep = _regime(params, *_STRONG)
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    _check_s(s)
     return _balanced_limit(params, rep, s)
 
 
@@ -189,8 +191,7 @@ def lambda_limit(params: LawParams, s: float, K5: float | None = None) -> float:
     The endpoint singularity is removed exactly by y = (1-x)^{1-a}.
     """
     rep = _regime(params, *_WEAK)
-    if s < 0.0:
-        raise ValueError("s must be nonnegative")
+    _check_s(s)
     if s == 0.0:
         return 1.0
     sg, rho, sn = rep.sigma, params.delta / params.nu, s ** params.nu

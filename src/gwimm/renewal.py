@@ -230,8 +230,12 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     """Generation-by-generation law of the chosen model on states {0..M}.
 
     Each step evaluates the one-step transform at the roots of unity of a
-    ring of size 4M, then inverts it.  The offspring part
-    sum_{w=1..M} pi[w] * Fz^w is evaluated by baby and giant steps
+    ring of size 4M, then inverts it, one rule for the three chains: the
+    next law is irfft(Bz * (acc + x)) plus cur[0] - x at state 0.  x is 0
+    for the stopped chain, cur[0] for z (the atom takes immigrants), and
+    -P0 for the gated one (P0 = sum_w cur[w] * kappa1^w, the all-zero
+    offspring sums, joins the atom with no immigrants).  The offspring
+    part acc = sum_{w=1..M} cur[w] * Fz^w is evaluated by baby and giant steps
     (Paterson & Stockmeyer 1973): a table of the powers Fz^1..Fz^b is
     built once per call, b = sqrt(M) rounded up to a power of two and
     capped at 64, so b divides M.  The 2M + 1 spectrum bins are taken in
@@ -261,12 +265,8 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
 
     fo = offspring_pmf(params, M)
     bo = immigration_pmf(params, M)
-    fpad = np.zeros(ring)
-    fpad[:M + 1] = fo.probs
-    bpad = np.zeros(ring)
-    bpad[:M + 1] = bo.probs
-    Fz = np.fft.rfft(fpad)
-    Bz = np.fft.rfft(bpad)
+    Fz = np.fft.rfft(fo.probs, ring)
+    Bz = np.fft.rfft(bo.probs, ring)
 
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
@@ -309,18 +309,14 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
                 part *= step
                 part += row
         if model is Model.STOPPED_Z:
-            spec = Bz * acc
-            atom = cur[0]
+            x = 0.0
         elif model is Model.UNSTOPPED_Z:
-            spec = Bz * (acc + cur[0])
-            atom = 0.0
+            x = cur[0]
         else:
-            P0 = float(np.dot(cur[1:], p0pow))
-            spec = Bz * (acc - P0)
-            atom = cur[0] + P0
-        out = np.fft.irfft(spec, n=ring)[:M + 1]
+            x = -float(np.dot(cur[1:], p0pow))
+        out = np.fft.irfft(Bz * (acc + x), n=ring)[:M + 1]
         np.clip(out, 0.0, None, out=out)
-        out[0] += atom
+        out[0] += cur[0] - x
         pi[gen] = out
         lost[gen] = max(lost[gen - 1], 1.0 - fsum(out))
         if track_alias:
@@ -476,8 +472,10 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     decays like c1 * n^(-sigma); reports the stabilized product and its
     drift over the last decade.  theta > nu: gamma converges; reports an
     extrapolated limit plus a rigorous enclosure from integral bounds on
-    the tail sum of q_j^theta.
+    the tail sum of q_j^theta.  The fit grid starts at n = 10.
     """
+    if n_max < 10:
+        raise InsufficientLengthError(f"need n_max >= 10, got {n_max}")
     nu, th = params.nu, params.theta
     regime = classify_regime(params)
     path, _, S = theta_sums(params, 0.0, n_max)

@@ -59,7 +59,6 @@ _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
 _SUM_ROWS = 256          # W: populations up to W sum by table lookup
 _HEAD_CELLS = 8          # H: nu < 1 offspring cells the table sums over
-_TAIL_IN_ORDER = 2.0 ** -18  # lighter tail cells: the split draws its mode last
 DEFAULT_CAP = 10 ** 9
 # largest cap: populations, offspring sums and immigrant counts of a
 # replicate below it stay far from the int64 limit 2**63
@@ -208,22 +207,22 @@ def _split_sums(params: LawParams, rngs: list, pops: np.ndarray,
 
 def _split_cell_sums(params: LawParams, rng: np.random.Generator,
                      pops: np.ndarray) -> np.ndarray:
+    """Offspring sums of `pops` by one multinomial over the cells of
+    `offspring_split(params, _SPLIT_CELLS)`.  numpy draws each cell given
+    1 minus the cells before it, which is off by ~k * 2**-53 past the
+    largest cell, so that cell is drawn last; the sum is one product of the
+    counts with the cell values in that order, the tail cell's 0 topped up
+    by its individuals' draws."""
     pvals = offspring_split(params, _SPLIT_CELLS)
     k = len(pvals) - 1
-    if pvals[k] >= _TAIL_IN_ORDER:
-        counts = rng.multinomial(pops, pvals)
-    else:
-        # numpy draws each cell given 1 minus the cells before it, so past
-        # the largest cell every probability is off by ~k * 2**-53
-        # absolutely; a tiny tail cell needs the largest cell drawn last
-        j = int(np.argmax(pvals))
-        order = np.r_[:j, j + 1:k + 1, j]
-        counts = np.empty((len(pops), k + 1), dtype=np.int64)
-        counts[:, order] = rng.multinomial(pops, pvals[order])
-    sums = counts[:, :k] @ np.arange(k)
-    rows = np.nonzero(counts[:, k])[0]
+    j = int(np.argmax(pvals))
+    order = np.r_[:j, j + 1:k + 1, j]
+    counts = rng.multinomial(pops, pvals[order])
+    sums = counts @ np.where(order < k, order, 0)
+    tail = counts[:, np.flatnonzero(order == k)[0]]
+    rows = np.nonzero(tail)[0]
     if rows.size:
-        sums[rows] += _tail_sums(params, rng, counts[rows, k], k)
+        sums[rows] += _tail_sums(params, rng, tail[rows], k)
     return sums
 
 

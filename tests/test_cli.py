@@ -164,6 +164,15 @@ def test_pmf_offspring_rows(tmp_path, capsys):
     assert "law=offspring" in manifest
 
 
+@pytest.mark.parametrize("law", ["offspring", "immigration", "initial"])
+def test_pmf_beyond_the_address_space_exits_2(law, capsys):
+    # 7 PiB of float64: no machine can map it, so nothing is allocated
+    rc, out, err = run(["pmf", "--law", law, "--nmax", str(10 ** 15)],
+                       capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("gwimm: error: ") and err.count("\n") == 1
+
+
 def test_manifest_reproduces_run_byte_identically(tmp_path, capsys):
     a = tmp_path / "a.csv"
     rc, _, _ = run(["survival", "--horizon", "5", "--reps", "2000",

@@ -12,7 +12,7 @@ from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         initial_pgf, initial_pmf, offspring_mean_tail,
                         offspring_pgf, offspring_pmf, sample_immigration,
                         sample_initial, sample_offspring, sample_sibuya,
-                        stable_positive, _SIBUYA_TABLE, _TABLE_CAP,
+                        stable_positive, _ONE, _SIBUYA_TABLE, _TABLE_CAP,
                         _inverse_cdf_table, _keys, _log_ratio_gamma,
                         _offspring_tail_value, _sibuya_tail_value)
 from gwimm.rng import stream
@@ -342,7 +342,8 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
        delta=st.floats(min_value=sys.float_info.min, max_value=1.0))
 def test_sampler_tables_account_for_all_mass(nu, frac, delta):
     # both inverse-cdf tables, built as the samplers build them: the tail
-    # mass closes the table to 1 and equals the closed form at its end
+    # mass closes the table's last key to 1 and equals the closed form at
+    # its end
     kappa1 = frac / (1.0 + nu)
     assume(kappa1 * nu >= sys.float_info.min and kappa1 * (1.0 + nu) <= 1.0)
     tables = [
@@ -355,10 +356,12 @@ def test_sampler_tables_account_for_all_mass(nu, frac, delta):
                             _SIBUYA_TABLE),
          lambda n: sibuya_sf(delta, n)),
     ]
-    for (cum, tail, _), sf in tables:
-        assert abs(cum[-1] + tail - 1.0) <= 1e-13
+    for (n, tail, (keys, _, _)), sf in tables:
+        # a last cdf value that rounds to 1 has the key 2**53, not stored
+        last = keys[n - 1] if len(keys) == n else _ONE
+        assert abs(last / _ONE + tail - 1.0) <= 1e-13
         # a subnormal value carries no relative precision
-        assert tail == pytest.approx(sf(len(cum) - 1), rel=1e-10,
+        assert tail == pytest.approx(sf(n - 1), rel=1e-10,
                                      abs=sys.float_info.min)
 
 

@@ -109,6 +109,23 @@ def test_conditional_transform_table_errors():
         conditional_laplace_exact(CANON, 0, 1.0)
 
 
+R3 = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+               kappa2=0.25)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("fn, params", [
+    (lambda p, s: conditional_laplace_exact(p, 5, s), CANON),
+    (lambda_limit, R3),
+    (limit_balanced_strong, CANON),
+    (limit_laplace_heavy_imm, HEAVY_IMM),
+])
+def test_limit_statements_need_finite_nonnegative_s(fn, params, s):
+    # the rule of convergence_sweep's s grid, in a law of the right regime
+    with pytest.raises(ValueError, match="s must be finite and >= 0"):
+        fn(params, s)
+
+
 # ---------------------------------------------------------------------------
 # unstopped-chain statements: H_n and the uniform gamma limits
 

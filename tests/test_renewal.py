@@ -20,7 +20,7 @@ ren = importlib.import_module("gwimm.renewal")
 from gwimm.errors import CapTooSmallError, InsufficientLengthError
 from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
                         offspring_pmf)
-from gwimm.pgf import gamma_sequences
+from gwimm.pgf import gamma_sequences, q_iterate
 from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
                            u_dp_curve)
@@ -443,6 +443,26 @@ def test_dp_unstopped_matches_transform_atom():
         assert dist.pi[n, 0] == pytest.approx(h_n(CANON, 0.0, n), abs=1e-10)
 
 
+@pytest.mark.parametrize("params", [
+    R3, LawParams(0.8, 0.6, 1.0, 0.5, 0.5, 0.4),
+    LawParams(0.9, 1.0, 0.7, 0.9, 0.4, 0.5), MIXED])
+def test_dp_z_and_gated_inside_exact_curves(params):
+    # exact survival curves that share no code with the DP step: z from
+    # the closed transform at s = 0, gated from the stopped chain's
+    # renewal equation on the q(0) path started one generation later
+    n = 10
+    p1 = dataclasses.replace(params, kappa0=1.0)
+    exact = {
+        "z": 1.0 - gamma_sequences(p1, 0.0, n).gamma,
+        "gated": np.r_[1.0, ren._renewal_table(
+            p1, q_iterate(p1, p1.kappa1, n - 1)).u],
+    }
+    for model, u in exact.items():
+        lo, hi, dist = u_dp_curve(params, model, n, M=2048, tol=1.0)
+        pad = 1e-9 + dist.alias_bound
+        assert np.all(lo - pad <= u) and np.all(u <= hi + pad), model
+
+
 def test_dp_cap_too_small():
     heavy = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
                       kappa2=1.0)
@@ -574,6 +594,15 @@ def test_gamma_power_branch():
     assert rep.branch == "power"
     assert rep.drift < 0.02
     assert rep.estimate > 0.0
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 5, 9])
+def test_gamma_asymptotics_needs_ten_generations(n_max):
+    # one law per branch: exp-decay, power, convergent
+    for p in (R0, CANON, law(0.5, 1.0, 0.5, 0.5, 0.5, 0.5)):
+        with pytest.raises(InsufficientLengthError):
+            gamma_asymptotics(p, n_max)
+    assert gamma_asymptotics(CANON, 10).branch == "power"
 
 
 def test_gamma_convergent_branch():

@@ -28,7 +28,7 @@ from .limits import (THEOREMS, conditional_laplace_exact, convergence_sweep,
                      lambda_limit)
 from .pgf import epsilon_term, q_iterate
 from .renewal import (build_renewal, classify_regime, dp_distribution,
-                      fit_tail, u_dp_curve)
+                      exact_survival, fit_tail, u_dp_curve)
 from .simulate import Model, estimate_survival, simulate
 from .rng import stream
 
@@ -186,11 +186,10 @@ def cmd_simulate(cfg: RunConfig) -> list[str]:
 
 def cmd_survival(cfg: RunConfig) -> list[str]:
     # every column is P(X_n > 0 | X_0 > 0) under cfg.model: the Monte Carlo
-    # starts from the kappa0 = 1 law, as the DP does; the renewal route
-    # exists for the stopped chain only and reads nan for other models
+    # starts from the kappa0 = 1 law, as the DP does; u_renewal is the
+    # exact curve of that model
     p = cfg.params
-    u = (build_renewal(p, cfg.horizon).u if cfg.model == "stopped"
-         else np.full(cfg.horizon + 1, math.nan))
+    u = exact_survival(p, cfg.model, cfg.horizon)
     lo, hi, _dist = u_dp_curve(p, cfg.model, cfg.horizon, M=cfg.M)
     bs = estimate_survival(dataclasses.replace(p, kappa0=1.0), cfg.model,
                            cfg.horizon, cfg.reps, cfg.seed,

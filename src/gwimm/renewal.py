@@ -33,7 +33,8 @@ import numpy as np
 from .errors import CapTooSmallError, InsufficientLengthError
 from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
                    offspring_pmf)
-from .pgf import QPath, _q_steps, theta_sums, theta_tail_bounds
+from .pgf import (QPath, _q_steps, gamma_sequences, q_iterate, theta_sums,
+                  theta_tail_bounds)
 from ._num import _spectrum, fsum, round_to_float64
 
 _BLOCK = 1024                # terms of u solved directly in extended precision
@@ -42,7 +43,7 @@ _BLOCK = 1024                # terms of u solved directly in extended precision
 _CUT_NATS = 1076.0 * math.log(2.0) + 2.0
 # exponents c of the evaluation points 1 + c/ring of the wrap-around bound
 _ALIAS_EXPONENTS = np.array([8.0, 16.0, 24.0, 32.0, 40.0, 48.0])
-_BABY_CAP = 64               # most powers Fz^1..Fz^b in the DP table
+_BABY_CAP = 64               # most baby steps of either DP route
 _TILE = 1024                 # spectrum bins per DP matrix product
 _BOUNDARY_TOL = 1e-9         # relative width of every regime boundary
 _BALANCED = ("R1", "R2", "R3", "R4", "R5")    # the regimes of theta = nu
@@ -205,6 +206,28 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
     return u
 
 
+def exact_survival(params: LawParams, model, n: int) -> np.ndarray:
+    """P(X_k > 0 | X_0 > 0), k = 0..n, under the chosen model, by a route
+    that shares no code with the DP step or the simulator.
+
+    stopped: the renewal u of `build_renewal`, which does not depend on
+    kappa0.  With p1 the law at kappa0 = 1 (a positive start):
+    z: 1 - gamma_k(p1, 0), the closed transform at s = 0;
+    gated: the generating function obeys G_k(0) = G_{k-1}(F(0)), so the
+    survival is 1 followed by the stopped chain's renewal u on the q(0)
+    path shifted by one generation, started at F(0) = kappa1.
+    """
+    model = Model(model)
+    if model is Model.STOPPED_Z:
+        return build_renewal(params, n).u
+    p1 = dataclasses.replace(params, kappa0=1.0)
+    if model is Model.UNSTOPPED_Z:
+        return 1.0 - gamma_sequences(p1, 0.0, n).gamma
+    if n == 0:
+        return np.ones(1)
+    return np.r_[1.0, _renewal_table(p1, q_iterate(p1, p1.kappa1, n - 1)).u]
+
+
 # ---------------------------------------------------------------------------
 # truncated-state DP oracle
 
@@ -225,6 +248,61 @@ def _log_poly_at(logc: np.ndarray, logx: np.ndarray) -> np.ndarray:
     return np.logaddexp.reduce(logc + np.multiply.outer(logx, k), axis=-1)
 
 
+def _composition_plan(F: np.ndarray, M: int, ring: int):
+    """The operands of `_compose` that the offspring coefficients F
+    (degree 2) fix for a whole run: the rows of F^0..F^(b-1), b =
+    min(64, M/2), padded to 2b - 1 columns; the spectra of F^h at size 4h
+    for h = b, 2b, ..., M/4; and the spectrum of F^(M/2) on the ring.
+    F^b takes one more convolution, and each F^2h one FFT squaring of
+    F^h."""
+    b = min(_BABY_CAP, M // 2)
+    rows = np.zeros((b, 2 * b - 1))
+    rows[0, 0] = 1.0
+    for i in range(1, b):
+        rows[i, :2 * i + 1] = np.convolve(rows[i - 1, :2 * i - 1], F)
+    g, h = np.convolve(rows[-1], F), b
+    spectra = []
+    while h < M // 2:
+        spectra.append(np.fft.rfft(g, 4 * h))
+        s = np.fft.rfft(g, 8 * h)
+        g = np.fft.irfft(s * s, 8 * h)[:4 * h + 1]
+        h *= 2
+    return rows, spectra, np.fft.rfft(g, ring)
+
+
+def _compose(cur: np.ndarray, rows: np.ndarray, spectra: list,
+             top: np.ndarray, ring: int) -> np.ndarray:
+    """rfft on the ring of Q = sum_{w<M} cur[w+1] * F^w, M = len(cur) - 1,
+    from the operands of `_composition_plan`.
+
+    Q is composed in coefficient space by divide and conquer over blocks
+    of b states (Brent & Kung 1978).  Baby step: one matrix product of
+    cur[1:], as M/b rows of b, with the rows of F^0..F^(b-1) gives the
+    block polynomials q_j = sum_i cur[1 + jb + i] * F^i, of degree
+    2(b - 1).  Each level h = b, 2b, ..., M/4 pairs the blocks as
+    q_even + F^h * q_odd, by one batched rfft/irfft of size 4h over all
+    odd blocks; the product has degree 2(2h - 1) < 4h, so nothing wraps.
+    The top level works on the ring: rfft(q_0) + rfft(F^(M/2)) *
+    rfft(q_1), of degree 2(M - 1) < 4M.
+
+    Roundoff: every operand, each q and each F^h, is a nonnegative
+    polynomial (to rounding) of l1 norm at most 1.  The FFT products are
+    M/(2h) cyclic products of size 4h at each level h, and one of size
+    4M at the top; with those norms each has the forward error bound of
+    Higham (2002, section 24.1).
+    """
+    q = cur[1:].reshape(-1, len(rows)) @ rows
+    for fh in spectra:
+        size = 2 * (len(fh) - 1)
+        odd = np.fft.irfft(np.fft.rfft(q[1::2], size) * fh, size)
+        odd[:, :q.shape[1]] += q[::2]
+        q = odd[:, :-1]
+    q0, q1 = np.fft.rfft(q, ring)
+    q1 *= top
+    q1 += q0
+    return q1
+
+
 def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
                     tol: float = 1e-3) -> DpDistribution:
     """Generation-by-generation law of the chosen model on states {0..M}.
@@ -235,19 +313,30 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     for the stopped chain, cur[0] for z (the atom takes immigrants), and
     -P0 for the gated one (P0 = sum_w cur[w] * kappa1^w, the all-zero
     offspring sums, joins the atom with no immigrants).  The offspring
-    part acc = sum_{w=1..M} cur[w] * Fz^w is evaluated by baby and giant steps
-    (Paterson & Stockmeyer 1973): a table of the powers Fz^1..Fz^b is
-    built once per call, b = sqrt(M) rounded up to a power of two and
-    capped at 64, so b divides M.  The 2M + 1 spectrum bins are taken in
-    tiles of 1024, the last tile also taking the odd bin.  Per tile, one
-    real matrix product of the states (as M/b rows of b) with the tile's
-    columns of the table gives the M/b block polynomials there, and a
-    Horner pass in Fz^b over the blocks, top down, combines them while
-    the tile is in cache.  At M = 4096 the table takes 8 MiB and the
-    reused product buffer 1 MiB.  Each step does O(M^2) work, almost all
-    of it in the matrix products.  Mass that escapes the truncation is
-    tracked in lost_mass, so [sum pi, sum pi + lost] brackets the true
-    probability.
+    part acc = sum_{w=1..M} cur[w] * Fz^w takes one of two routes, by a
+    property of the law.
+
+    At nu = 1 the offspring law has three atoms, so acc is the spectrum
+    of F * Q, Q = sum_{w<M} cur[w+1] * F^w, a polynomial of exact degree
+    2M.  `_compose` builds Q in coefficient space, in O(M log^2 M) a
+    step; no table of powers is built.
+
+    At nu < 1 the offspring polynomial truncated at M has degree M, so
+    acc is a polynomial of degree M^2 that is only evaluated at the ring
+    points, whose wrap-around the alias bound below covers.  It is
+    evaluated by baby and giant steps (Paterson & Stockmeyer 1973): a
+    table of the powers Fz^1..Fz^b is built once per call, b = sqrt(M)
+    rounded up to a power of two and capped at 64, so b divides M.  The
+    2M + 1 spectrum bins are taken in tiles of 1024, the last tile also
+    taking the odd bin.  Per tile, one real matrix product of the states
+    (as M/b rows of b) with the tile's columns of the table gives the
+    M/b block polynomials there, and a Horner pass in Fz^b over the
+    blocks, top down, combines them while the tile is in cache.  At
+    M = 4096 the table takes 8 MiB and the reused product buffer 1 MiB.
+    Each step does O(M^2) work, almost all of it in the matrix products.
+
+    Mass that escapes the truncation is tracked in lost_mass, so
+    [sum pi, sum pi + lost] brackets the true probability.
 
     For nu = 1 the step polynomial has degree at most 3M < 4M, so the
     ring never wraps.  For nu < 1 the mass that wraps in one step is at
@@ -282,32 +371,39 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
             logF = _log_poly_at(np.log(fo.probs), logx)
             logB = _log_poly_at(np.log(bo.probs), logx)
 
-    b = min(_BABY_CAP, 1 << (M.bit_length() // 2))
-    powers = np.empty((b, len(Fz)), dtype=complex)
-    powers[0] = Fz
-    for j in range(1, b):
-        np.multiply(powers[j - 1], Fz, out=powers[j])
-    giant = powers[-1]
-    table = powers.view(float)                 # (b, 2 * (2M + 1)) real
-    blocks = M // b
-    # 2M is a multiple of the tile or below it, so no tile is one bin
-    edges = [*range(0, 2 * M, _TILE), 2 * M + 1]
-    flat = np.empty(blocks * 2 * (edges[-1] - edges[-2]))   # widest tile
+        b = min(_BABY_CAP, 1 << (M.bit_length() // 2))
+        powers = np.empty((b, len(Fz)), dtype=complex)
+        powers[0] = Fz
+        for j in range(1, b):
+            np.multiply(powers[j - 1], Fz, out=powers[j])
+        giant = powers[-1]
+        table = powers.view(float)             # (b, 2 * (2M + 1)) real
+        blocks = M // b
+        # 2M is a multiple of the tile or below it, so no tile is one bin
+        edges = [*range(0, 2 * M, _TILE), 2 * M + 1]
+        flat = np.empty(blocks * 2 * (edges[-1] - edges[-2]))  # widest tile
+        acc = np.empty(len(Fz), dtype=complex)
+    else:
+        # the offspring weights past index 2 are exact zeros at nu = 1
+        plan = _composition_plan(fo.probs[:3], M, ring)
 
     p0pow = params.kappa1 ** np.arange(1.0, M + 1)
-    acc = np.empty(len(Fz), dtype=complex)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
-        coef = cur[1:].reshape(blocks, b)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            buf = flat[:blocks * 2 * (hi - lo)].reshape(blocks, -1)
-            np.matmul(coef, table[:, 2 * lo:2 * hi], out=buf)
-            rows = buf.view(complex)
-            part, step = acc[lo:hi], giant[lo:hi]
-            part[:] = rows[-1]
-            for row in rows[-2::-1]:
-                part *= step
-                part += row
+        if track_alias:
+            coef = cur[1:].reshape(blocks, b)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                buf = flat[:blocks * 2 * (hi - lo)].reshape(blocks, -1)
+                np.matmul(coef, table[:, 2 * lo:2 * hi], out=buf)
+                rows = buf.view(complex)
+                part, step = acc[lo:hi], giant[lo:hi]
+                part[:] = rows[-1]
+                for row in rows[-2::-1]:
+                    part *= step
+                    part += row
+        else:
+            acc = _compose(cur, *plan, ring)
+            acc *= Fz
         if model is Model.STOPPED_Z:
             x = 0.0
         elif model is Model.UNSTOPPED_Z:
@@ -472,12 +568,16 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     decays like c1 * n^(-sigma); reports the stabilized product and its
     drift over the last decade.  theta > nu: gamma converges; reports an
     extrapolated limit plus a rigorous enclosure from integral bounds on
-    the tail sum of q_j^theta.  The fit grid starts at n = 10.
+    the tail sum of q_j^theta.  The grid runs from n = 10 to n_max; the
+    exp-decay and convergent branches fit a line to it, so they need two
+    grid points, n_max >= 11, and the power branch needs n_max >= 10.
     """
-    if n_max < 10:
-        raise InsufficientLengthError(f"need n_max >= 10, got {n_max}")
-    nu, th = params.nu, params.theta
     regime = classify_regime(params)
+    least = 10 if regime.regime_id in _BALANCED else 11
+    if n_max < least:
+        raise InsufficientLengthError(
+            f"need n_max >= {least}, got {n_max}")
+    nu, th = params.nu, params.theta
     path, _, S = theta_sums(params, 0.0, n_max)
     neglog = float(params.kappa2) * S[:-1]      # -log gamma0_n at n
 

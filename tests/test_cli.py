@@ -1,6 +1,7 @@
 """Command-line surface: resolution order, manifests, determinism, formats."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gwimm.cli import main
+from gwimm.laws import LawParams
 from gwimm.limits import THEOREMS
+from gwimm.renewal import u_dp_curve
 
 try:
     import tomllib
@@ -241,22 +244,39 @@ def test_survival_table_consistency(tmp_path, capsys):
                                    ["--model", "z", "--kappa0", "0.3"]])
 def test_survival_columns_measure_one_quantity(extra, capsys):
     # every column is P(X_n > 0 | X_0 > 0) under the chosen model: the
-    # Monte Carlo lies within 5 se of the DP bracket, and the renewal
-    # route, which only the stopped chain has, reads nan elsewhere
+    # Monte Carlo lies within 5 se of the DP bracket, and the exact curve
+    # of that model inside it
     rc, out, _ = run(["survival", "--horizon", "3", "--reps", "20000",
                       "--M", "256", *extra], capsys)
     assert rc == 0
     lines = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "n,u_renewal,dp_lower,dp_upper,u_mc,mc_se,censored"
-    stopped = "--model" not in extra
     for ln in lines[1:]:
         n, ur, lo, hi, umc, se, _ = (float(x) for x in ln.split(","))
         slack = 5.0 * se + 1e-9
         assert float(lo) - slack <= umc <= float(hi) + slack, ln
-        if stopped:
-            assert lo - 1e-9 <= ur <= hi + 1e-9
-        else:
-            assert math.isnan(ur)
+        assert lo - 1e-9 <= ur <= hi + 1e-9
+
+
+@pytest.mark.parametrize("params", [
+    LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),
+    LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3)], ids=["r3", "frac"])
+@pytest.mark.parametrize("model", ["z", "gated"])
+def test_survival_exact_column_inside_dp_bracket(model, params, capsys):
+    # the exact column of z and gated is finite and inside the DP
+    # bracket, padded by the roundoff allowance and the alias bound
+    law = [f"--{f.name}={getattr(params, f.name)!r}"
+           for f in dataclasses.fields(params)]
+    rc, out, _ = run(["survival", "--horizon", "6", "--reps", "200",
+                      "--M", "1024", "--model", model, *law], capsys)
+    assert rc == 0
+    pad = 1e-9 + u_dp_curve(params, model, 6, M=1024)[2].alias_bound
+    rows = [ln.split(",") for ln in out.splitlines()
+            if not ln.startswith("#")][1:]
+    assert len(rows) == 7
+    for _, ur, lo, hi, *_ in rows:
+        ur, lo, hi = float(ur), float(lo), float(hi)
+        assert math.isfinite(ur) and lo - pad <= ur <= hi + pad
 
 
 def test_simulate_far_sibuya_tail_exits_0(capsys):

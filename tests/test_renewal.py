@@ -361,6 +361,30 @@ def test_dp_tiles_match_per_state_horner(model, params):
     assert dist.alias_bound == pytest.approx(alias, rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("params, n, M", [
+    (R3, 3, 4096),
+    (LawParams(1.0, 1.0, 0.5, 0.7, 0.5, 2.0), 12, 256),
+    (LawParams(1.0, 1.0, 1.0, 1.0, 1e-12, 0.25), 12, 256)],
+    ids=["r3-4096", "kappa1-half", "kappa1-1e-12"])
+@pytest.mark.parametrize("model", ["stopped", "z", "gated"])
+def test_dp_composition_matches_per_state_horner(model, params, n, M):
+    # the nu = 1 route at the size `gwimm survival` uses, and at the ends
+    # of kappa1: p1 = 1 - 2*kappa1 is 0 at 1/2, and F is nearly s at 1e-12
+    dist = dp_distribution(params, model, n, M=M, tol=1.0)
+    pi, lost, _ = _per_state_dp(params, model, n, M, tol=1.0)
+    assert np.max(np.abs(dist.pi - pi)) <= 1e-13
+    assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
+    assert dist.alias_bound == 0.0
+
+
+def test_dp_fractional_nu_pi_digest():
+    # pins the nu < 1 route (baby and giant steps over spectrum tiles)
+    # bit for bit at M = 4096
+    pi = dp_distribution(FRAC, "stopped", 10, M=4096).pi
+    assert hashlib.sha256(pi.tobytes()).hexdigest() == (
+        "dc9bd5a840fffb8eee1d87fe869e3b958f72a44205b5894b8a9c8c864708a88b")
+
+
 # the pi digests of R3 and FRAC at M = 4096
 _PI_DIGESTS = """
 import hashlib
@@ -400,6 +424,18 @@ def test_dp_memory_peak(M, n, mib):
     finally:
         tracemalloc.stop()
     assert peak < mib * 2 ** 20, peak / 2 ** 20
+
+
+def test_dp_composition_memory_peak():
+    # at nu = 1 neither a power table nor a product buffer is built: the
+    # peak is the law arrays and the ring spectra
+    tracemalloc.start()
+    try:
+        dp_distribution(R3, "stopped", 1, M=16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_dp_cap_too_small_at_reference_generation():
@@ -603,6 +639,18 @@ def test_gamma_asymptotics_needs_ten_generations(n_max):
         with pytest.raises(InsufficientLengthError):
             gamma_asymptotics(p, n_max)
     assert gamma_asymptotics(CANON, 10).branch == "power"
+
+
+@pytest.mark.parametrize("n_max", [9, 10])
+def test_gamma_fitting_branches_need_two_grid_points(n_max):
+    # exp-decay and convergent fit a line to the grid 10..n_max, which at
+    # n_max = 10 is one point
+    for p in (R0, law(0.5, 1.0, 0.5, 0.5, 0.5, 0.5)):
+        with pytest.raises(InsufficientLengthError):
+            gamma_asymptotics(p, n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(gamma_asymptotics(p, 11).estimate)
 
 
 def test_gamma_convergent_branch():

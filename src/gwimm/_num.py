@@ -1,5 +1,5 @@
 """Small numeric utilities: compensated accumulation, extended-precision
-powers, products and rounding, the FFT spectrum of a power series, and
+products and rounding, the FFT spectrum of a power series, and
 Gauss-Legendre quadrature."""
 
 from __future__ import annotations
@@ -34,24 +34,6 @@ def ratio_cumprod(c, start: int, stop: int) -> np.ndarray:
     """
     j = np.arange(start, stop, dtype=np.longdouble)
     return np.cumprod((j - c) / (j + 1.0))
-
-
-def ext_power(x: np.ndarray, a: float) -> np.ndarray:
-    """x**a in extended precision for x >= 0, as a new longdouble array.
-
-    At a = 1 the result is an exact copy.  Otherwise it is exp(a * log x),
-    formed in place and about 3 times faster than powl at a fractional
-    exponent; the rounding of a * log x puts it within
-    2^-62 * (1 + |a log x|) relative of powl, far below float64
-    resolution.  x = 0 gives 0.
-    """
-    out = np.asarray(x).astype(np.longdouble)
-    if a == 1.0:
-        return out
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    out *= np.longdouble(a)
-    return np.exp(out, out=out)
 
 
 _FLOAT64_ZERO = np.ldexp(np.longdouble(1.0), -1076)   # rounds to 0 in float64

@@ -274,7 +274,7 @@ def _verify_checks(cfg: RunConfig):
     q3 = float(q_iterate(canon, 0.0, 3).power(1.0)[3])
     yield "q_iteration_pin", abs(q3 - 0.3046875) < 1e-15, _fmt(q3)
     # each step adds kappa1*nu*[1, C0] to q^-nu, C0 = (1 - kappa1)^(-nu-1),
-    # which brackets log q_n; the float q underflows to 0 long before
+    # which brackets log q_n; q_n itself underflows float64 long before
     tiny = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
     lq = q_iterate(tiny, 0.0, 10 ** 5).log(10 ** 5)
     lo, hi = (-math.log1p(1e5 * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))

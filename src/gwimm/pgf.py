@@ -6,9 +6,10 @@ F(s) = s + kappa1*(1-s)**(1+nu) rewrites exactly as
     q_{j+1} = q_j * (1 - kappa1 * q_j**nu),
 
 which involves no subtraction of nearly equal quantities even as F_j(t) -> 1.
-`_q_steps`, the one kernel of this step, is fed log q_0, so q_0 = 1 - e^-y
-is formed as log(-expm1(-y)), and steps log q below 2^-500, so q never
-underflows.  On top of it, `theta_sums` accumulates S_k = sum_{j<k}
+`_q_steps`, the one kernel of this step, takes log q_0 and returns one
+float64 array of log q_j, so q never underflows: exact log steps while
+kappa1*q**nu > 2^-8, then one vectorized pass by the step's Fatou
+coordinate.  On top of it, `theta_sums` accumulates S_k = sum_{j<k}
 q_j**theta, the exponent of every immigration product gamma_k^(0), and
 `theta_tail_bounds` encloses the rest of that sum when theta > nu.
 """
@@ -21,84 +22,124 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import LawParams
-from ._num import ext_power
 
-_SWITCH = 2.0 ** -500         # q steps on a log scale below this
-_LOG_SWITCH = math.log(_SWITCH)
 _LN2 = math.log(2.0)
+_LOG_FATOU = -8.0 * _LN2      # exact log steps while kappa1*q**nu > 2^-8
+_FATOU_CHUNK = 1 << 15        # entries of the Fatou pass formed in cache
+_LOG_TINY = math.log(2.0 ** -500)   # log q_0 = log(s*x) below this
 
 
 @dataclass(frozen=True)
 class QPath:
-    """One trajectory q_0..q_n of `_q_steps`: q_j as float64 while
-    q_j >= 2^-500 (`q`), then log q_j in long double (`lq`)."""
+    """One trajectory q_0..q_n of `_q_steps`, held as log q_j in one
+    float64 array (read-only); -inf where q_j = 0."""
 
-    q: np.ndarray
     lq: np.ndarray
 
     def power(self, a: float) -> np.ndarray:
-        """q_j**a for j = 0..n in long double: `ext_power` on the floats,
-        bit for bit, and exp(a*lq) on the tail."""
-        head = ext_power(self.q, a)
-        if not len(self.lq):
-            return head
-        return np.concatenate((head, np.exp(np.longdouble(a) * self.lq)))
+        """q_j**a for j = 0..n, a > 0, as exp(a*log q_j) in long double;
+        0 where q_j = 0."""
+        out = self.lq.astype(np.longdouble)
+        out *= a
+        return np.exp(out, out=out)
 
     def log(self, j: int) -> float:
         """log q_j."""
-        k = j - len(self.q)
-        return math.log(self.q[j]) if k < 0 else float(self.lq[k])
+        return float(self.lq[j])
 
     def logs(self) -> np.ndarray:
-        """log q_j for j = 0..n, as float64."""
-        return np.concatenate((np.log(self.q), self.lq.astype(float)))
+        """log q_j for j = 0..n."""
+        return self.lq
+
+    def head(self, k: int) -> QPath:
+        """q_0..q_{k-1}, a copy if shorter, so the rest can be freed."""
+        return QPath(self.lq[:k].copy()) if k < len(self.lq) else self
 
 
-def _float_steps(nu: float, k1: float, q: float, n: int):
-    """q_0 = q, ..., q_n in Python floats, cut short at the first multiple
-    of 1024 steps with q < 2^-500.  At nu = 1 the step leaves out the
-    power, which changes no bit: x**1 == x."""
-    for start in range(0, n + 1, 1024):
-        if q < _SWITCH:
-            return
-        if nu == 1.0:
-            for _ in range(min(1024, n + 1 - start)):
-                yield q
-                q = q * (1.0 - k1 * q)
-        else:
-            for _ in range(min(1024, n + 1 - start)):
-                yield q
-                q = q * (1.0 - k1 * q ** nu)
-
-
-def _log_steps(nu: float, k1: float, lq: float, m: int):
-    """m values of log q from lq on.  A step adds log(1 - exp(x)) with
-    x = log(k1*q**nu) < 0, formed without cancellation on either side of
-    x = -log 2 (Maechler 2012)."""
+def _log_steps(nu: float, k1: float, lq: float, n: int):
+    """log q from lq on, up to n steps, stopping at the first q with
+    tau = k1*q**nu <= 2^-8.  A step adds log(1 - tau), formed from
+    x = log tau without cancellation on either side of x = -log 2
+    (Maechler 2012); at x = 0 (k1 = 1, q = 1) q steps to 0."""
     lk1 = math.log(k1)
-    for _ in range(m):
-        yield lq
+    for _ in range(n):
         x = lk1 + nu * lq
+        if x <= _LOG_FATOU:
+            break
+        yield lq
         lq += (math.log1p(-math.exp(x)) if x < -_LN2
-               else math.log(-math.expm1(x)))
+               else math.log(-math.expm1(x)) if x < 0.0 else -math.inf)
+    yield lq
+
+
+def _fatou_steps(nu: float, k1: float, lq: np.ndarray) -> None:
+    """Fill lq[1:] in place from lq[0] = log q_m, tau_m = k1*q_m**nu <=
+    2^-8, by the Fatou coordinate of tau' = tau*(1 - tau)^nu (Milnor 2006,
+    section 10): Phi(tau) = 1/(nu*tau) + (1+nu)/(2*nu)*log(tau) +
+    sum_{i<=6} b_i*tau^i, for which Phi(tau') = Phi(tau) + 1 + O(tau^8).
+
+    With w = nu*(log q_m - log q_{m+d}), c = nu*tau_m, h = (1+nu)*tau_m/2
+    and g_i = nu*b_i*tau_m^(i+1), Phi(tau_{m+d}) = Phi(tau_m) + d reads
+    expm1(w) = R(w) = c*d + h*w - sum_i g_i*(exp(-i*w) - 1).  One Newton
+    step on w - log1p(R(w)) from w = log1p(c*d + h*log1p(c*d)) solves it
+    to float64 rounding, a chunk at a time so the scratch stays in cache.
+    The sum and R'(w) are polynomials in x = expm1(-w), so nothing
+    cancels as w -> 0."""
+    # nu*b_i cancels the tau^(i+1) term of Phi(tau') - Phi(tau) - 1, where
+    # ((1 - tau)^(i*nu) - 1)/nu leads with -i*tau: finite as nu -> 0
+    beta, rising = [], 0.5 * (1.0 + nu)
+    for i in range(1, 7):
+        rising *= (nu + i + 1) / (i + 2)
+        beta.append((rising - (1.0 + nu) / (2 * i + 2) - sum(
+            j * b * math.prod((k - j * nu) / (k + 1)
+                              for k in range(1, i + 1 - j))
+            for j, b in enumerate(beta, 1))) / i)
+    tau = math.exp(math.log(k1) + nu * lq[0])      # 0 where q_m = 0
+    c, h = nu * tau, 0.5 * (1.0 + nu) * tau
+    g = [b * tau ** (i + 1) for i, b in enumerate(beta, 1)]
+    s = [sum(gi * math.comb(i, k) for i, gi in enumerate(g, 1)) if k else 0.0
+         for k in range(len(g) + 1)]
+    # R'(w) - h = (1 + x) * dS/dx, S the sum as a polynomial in x
+    ds = [k * a + (k + 1) * b for k, (a, b) in enumerate(zip(s, s[1:] + [0]))]
+    ds[0] += h
+    for lo in range(1, len(lq), _FATOU_CHUNK):
+        w = lq[lo:lo + _FATOU_CHUNK]
+        cd = c * np.arange(float(lo), lo + len(w))
+        np.log1p(cd + h * np.log1p(cd), out=w)
+        x = np.expm1(np.negative(w))
+        acc = np.empty_like(w)
+
+        def poly(coefs):        # sum_k coefs[k]*x^k, formed in acc
+            acc.fill(coefs[-1])
+            for co in coefs[-2::-1]:
+                np.multiply(acc, x, out=acc)
+                np.add(acc, co, out=acc)
+            return acc
+
+        cd -= poly(s)
+        cd += np.multiply(w, h, out=acc)        # R(w)
+        np.subtract(cd, poly(ds), out=acc)
+        acc += 1.0                              # 1 + R(w) - R'(w)
+        np.log1p(cd, out=x)
+        cd += 1.0
+        cd /= acc
+        x -= w
+        x *= cd                                 # -f(w)/f'(w)
+        w += x
+        w /= -nu
+        w += lq[0]
 
 
 def _q_steps(params: LawParams, lq0: float, n: int) -> QPath:
-    """q_0, ..., q_n from log q_0 = lq0: floats down to 2^-500, then log q,
-    so no q underflows; at n = 10^6 and nu = 0.005 log q_n is within
-    3e-11 of an 80-bit iteration."""
+    """log q_0..log q_n from log q_0 = lq0: `_log_steps` while
+    kappa1*q**nu > 2^-8, then `_fatou_steps` from the last of them."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    nu, k1 = params.nu, params.kappa1
-    q = np.fromiter(_float_steps(nu, k1, math.exp(lq0), n), dtype=float)
-    q = q[:np.count_nonzero(q >= _SWITCH)]      # q never increases
-    if len(q):      # the log tail starts from the float step below 2^-500
-        qn = float(q[-1])
-        qn *= 1.0 - k1 * qn ** nu
-        lq0 = math.log(qn) if qn > 0.0 else -math.inf
-    m = n + 1 - len(q)
-    lq = np.fromiter(_log_steps(nu, k1, lq0, m), dtype=float, count=m)
-    return QPath(q, lq.astype(np.longdouble))
+    head = np.fromiter(_log_steps(params.nu, params.kappa1, lq0, n), float)
+    lq = np.concatenate((head, np.empty(n + 1 - len(head))))
+    _fatou_steps(params.nu, params.kappa1, lq[len(head) - 1:])
+    lq.flags.writeable = False
+    return QPath(lq)
 
 
 def _log1m(x: float) -> float:
@@ -114,30 +155,28 @@ def _log_q0(s: float, log_x: float) -> float:
     if s == 0.0:
         return -math.inf
     ly = math.log(s) + log_x
-    return ly if ly < _LOG_SWITCH else math.log(-math.expm1(-math.exp(ly)))
+    return ly if ly < _LOG_TINY else math.log(-math.expm1(-math.exp(ly)))
 
 
 def q_iterate(params: LawParams, t: float, n: int) -> QPath:
     """The trajectory q_j = 1 - F_j(t), j = 0..n, from a point t in [0, 1],
-    iterated from log q_0 = log1p(-t).
-
-    The path's `q` holds only its float prefix, the q_j >= 2^-500; read
-    q_j as `power(1.0)[j]` and log q_j as `log(j)`.
-    """
+    iterated from log q_0 = log1p(-t); read log q_j as `log(j)` and q_j,
+    which may underflow, as `power(1.0)[j]`."""
     return _q_steps(params, _log1m(t), n)
 
 
 def _end_logs(params: LawParams, t, n: int):
-    """(log q_0, log q_n) at each point of `t`, a scalar or a grid: from
-    these, q**a is formed as exp(a * log q), where q_n itself may
-    underflow."""
+    """(log q_0, log q_n), n >= 1, at each point of `t`, a scalar or a
+    grid: from these, q**a is formed as exp(a * log q), where q_n itself
+    may underflow."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     ts = np.asarray(t, dtype=float)
     if np.any(ts >= 1.0):
         raise ValueError("t must lie in [0, 1)")
-    paths = [_q_steps(params, _log1m(x), n) for x in ts.ravel()]
-    ends = np.array([(p.log(0), p.log(n)) for p in paths])
-    ends = ends.reshape(ts.shape + (2,))
-    return ends[..., 0], ends[..., 1]
+    lq0 = np.reshape([_log1m(x) for x in ts.ravel()], ts.shape)
+    return lq0, np.reshape([_q_steps(params, y, n).log(n)
+                            for y in lq0.ravel()], ts.shape)
 
 
 def rate_gap(params: LawParams, t, n: int):
@@ -146,8 +185,6 @@ def rate_gap(params: LawParams, t, n: int):
     Tends to 0 as n grows, uniformly over t in [0, 1): the inverse-power
     survival transform accrues kappa1*nu per generation in the limit.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     nu = params.nu
     lq0, lqn = _end_logs(params, t, n)
     return params.kappa1 * nu - (np.exp(-nu * lqn) - np.exp(-nu * lq0)) / n
@@ -160,8 +197,6 @@ def epsilon_term(params: LawParams, t, n: int):
     q_n**nu times the unnormalized rate gap exactly.  Its size is of order
     log(n)/n at t = 0.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     nu = params.nu
     lq0, lqn = _end_logs(params, t, n)
     return (np.exp(nu * lqn) * (params.kappa1 * nu * n + np.exp(-nu * lq0))

@@ -85,13 +85,8 @@ def _weight_cut(params: LawParams, path: QPath) -> int:
     _CUT_NATS, so from there on kappa2 * S_k >= 1076*log(2) + 1 and every
     weight rounds to 0.  The block keeps its extended-precision weights,
     so it is never cut."""
-    m = len(path.q)
-    est = np.empty(m + len(path.lq))
-    np.power(path.q, params.theta, out=est[:m])
-    tail = est[m:]
-    tail[:] = path.lq
-    tail *= params.theta
-    np.exp(tail, out=tail)
+    est = np.multiply(path.logs(), params.theta)
+    np.exp(est, out=est)
     np.cumsum(est, out=est)                     # est[k] estimates S_{k+1}
     c = 1 + int(np.searchsorted(est, _CUT_NATS / params.kappa2))
     return min(max(c, _BLOCK), len(est))
@@ -99,11 +94,9 @@ def _weight_cut(params: LawParams, path: QPath) -> int:
 
 def _renewal_table(params: LawParams, path: QPath) -> RenewalTable:
     """`build_renewal` on the q(0) trajectory `path`, to its horizon."""
-    n1 = len(path.q) + len(path.lq)
+    n1 = len(path.logs())
     c = _weight_cut(params, path)
-    if c < n1:          # copies, so a view keeps no long buffer alive
-        path = QPath(path.q[:c].copy(), path.lq[:max(c - len(path.q), 0)]
-                     .copy())
+    path = path.head(c)
     # formed in place, so that no more than four long-double arrays of
     # the prefix are alive at once
     k2 = np.longdouble(params.kappa2)
@@ -190,12 +183,8 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
         size, top = 2 * m, min(2 * m, n)
         fa = _spectrum(a[:size], size)
         fr = _spectrum(r, size)
-        # u's float64 bits rest on numpy's temporary elision here: from
-        # 256 KiB on, numpy forms this product as multiply(tmp, fa,
-        # out=tmp), and with FMA the imaginary part of a complex product
-        # depends on the operand order, so naming the spectrum or
-        # reordering the level moves u from n = 16385 on
-        au = np.fft.irfft(fa * _spectrum(u[:m], size), size)
+        au = _spectrum(u[:m], size)     # freed as au is rebound
+        au = np.fft.irfft(np.multiply(fa, au, out=au), size)
         hi = _spectrum(f[m:top] + au[m - 1:top - 1], size)
         u[m:top] = np.fft.irfft(fr * hi, size)[:top - m]
         if top < n:

@@ -178,31 +178,24 @@ def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
     else:
         pvals = offspring_split(params, _HEAD_CELLS)
         h = len(pvals) - 1
-        blocks = list(zip(rngs, at, at[1:]))
         tails = np.concatenate([r.binomial(small[a:b], pvals[h])
-                                for r, a, b in blocks])
+                                for r, a, b in zip(rngs, at, at[1:])])
         sums = _table_sums(params.kappa1, rngs, small - tails, bounds=at,
                            nu=nu)
     if crossing:
-        split = _split_sums(params, rngs, pops[big], _within(bounds, big))
-    if nu != 1.0:
-        for r, a, b in blocks:
-            rows = a + np.flatnonzero(tails[a:b])
-            if rows.size:
-                sums[rows] += _tail_sums(params, r, tails[rows], h)
+        split, lb = pops[big], _within(bounds, big)
+    for i, r in enumerate(rngs):
+        if crossing and lb[i + 1] > lb[i]:
+            split[lb[i]:lb[i + 1]] = _split_cell_sums(
+                params, r, split[lb[i]:lb[i + 1]])
+        if nu != 1.0:
+            _tail_sums(params, r, tails[at[i]:at[i + 1]], h,
+                       sums[at[i]:at[i + 1]])
     if not crossing:
         return sums
     out = np.empty_like(pops)
     out[~big], out[big] = sums, split
     return out
-
-
-def _split_sums(params: LawParams, rngs: list, pops: np.ndarray,
-                bounds: list) -> np.ndarray:
-    """`_split_cell_sums` of each block's populations from its stream."""
-    return np.concatenate([_split_cell_sums(params, r, pops[a:b])
-                           for r, a, b in zip(rngs, bounds, bounds[1:])
-                           if b > a])
 
 
 def _split_cell_sums(params: LawParams, rng: np.random.Generator,
@@ -219,10 +212,8 @@ def _split_cell_sums(params: LawParams, rng: np.random.Generator,
     order = np.r_[:j, j + 1:k + 1, j]
     counts = rng.multinomial(pops, pvals[order])
     sums = counts @ np.where(order < k, order, 0)
-    tail = counts[:, np.flatnonzero(order == k)[0]]
-    rows = np.nonzero(tail)[0]
-    if rows.size:
-        sums[rows] += _tail_sums(params, rng, tail[rows], k)
+    _tail_sums(params, rng, counts[:, np.flatnonzero(order == k)[0]], k,
+               sums)
     return sums
 
 
@@ -392,13 +383,16 @@ def _tails(kappa1: float, kappa2: float, gated: bool, nu: float,
 
 
 def _tail_sums(params: LawParams, rng: np.random.Generator,
-               tails: np.ndarray, lowest: int) -> np.ndarray:
-    """Summed draws of X | X >= `lowest` for each count in `tails`
-    (entries >= 1), taken _CHUNK at a time so memory stays bounded."""
-    ends = np.cumsum(tails)
-    starts = ends - tails
+               counts: np.ndarray, lowest: int, sums: np.ndarray) -> None:
+    """Add to `sums`, in place, the summed draws of X | X >= `lowest` for
+    each count in `counts` (entries >= 0), taken _CHUNK at a time so
+    memory stays bounded."""
+    rows = np.flatnonzero(counts)
+    if not rows.size:
+        return
+    ends = np.cumsum(counts[rows])
+    starts = ends - counts[rows]
     total = int(ends[-1])
-    sums = np.zeros(len(tails), dtype=np.int64)
     pos = 0
     while pos < total:
         m = min(_CHUNK, total - pos)
@@ -406,9 +400,8 @@ def _tail_sums(params: LawParams, rng: np.random.Generator,
         i0 = int(np.searchsorted(ends, pos, side="right"))
         i1 = int(np.searchsorted(ends, pos + m - 1, side="right"))
         seg = (np.maximum(starts[i0:i1 + 1], pos) - pos).astype(np.intp)
-        sums[i0:i1 + 1] += np.add.reduceat(draws, seg)
+        sums[rows[i0:i1 + 1]] += np.add.reduceat(draws, seg)
         pos += m
-    return sums
 
 
 def _next_generation(params: LawParams, model: Model, rng,

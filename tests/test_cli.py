@@ -431,6 +431,22 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, line):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, config, want", [
+    (["validate"], "seed 3\n", "gwimm: error: bad config line: 'seed 3'\n"),
+    (["limits", "--s-grid", ","], None,
+     "gwimm: error: empty grid spec ','\n"),
+])
+def test_bad_config_line_and_empty_grid_exit_2(tmp_path, capsys, argv,
+                                                config, want):
+    # a config line with no '=', and a grid with no value
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        argv = [*argv, "--config", str(cfgfile)]
+    rc, out, err = run(argv, capsys)
+    assert (rc, out, err) == (2, "", want)
+
+
 @pytest.mark.parametrize("threads", ["0", "-5"])
 def test_bad_threads_exits_2(capsys, threads):
     rc, out, err = run(["survival", "--threads", threads, "--horizon", "2",

@@ -1,7 +1,9 @@
 """Import layering: the exact-math modules do not depend on the simulator
-or the command line; the argument names a call tracer reads stay put."""
+or the command line; only `pgf` reads the fields of its `QPath`; the
+argument names a call tracer reads stay put."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -35,6 +37,20 @@ def test_exact_math_does_not_import_simulator_or_cli(module):
     for banned in ("gwimm.simulate", "gwimm.cli"):
         assert not any(n == banned or n.startswith(banned + ".")
                        for n in names), (module, banned)
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "pgf.py"),
+                         ids=lambda p: p.stem)
+def test_only_pgf_reads_qpath_fields(path):
+    # the layout of a q-path has one owner: other modules go through its
+    # methods, so the layout can change in one place
+    from gwimm.pgf import QPath
+    fields = {f.name for f in dataclasses.fields(QPath)}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = sorted(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in fields)
+    assert not reads, reads
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -126,6 +126,19 @@ def test_limit_statements_need_finite_nonnegative_s(fn, params, s):
         fn(params, s)
 
 
+def test_limit_functions_against_closed_forms():
+    # exp(-kappa2 s^theta) on R0, (1 + s^nu)^(-sigma) on R1, and the
+    # lambda limit's s = 0 branch
+    strong = LawParams(nu=0.5, theta=0.5, delta=1.0, kappa0=1.0,
+                       kappa1=0.5, kappa2=0.6)        # sigma = 2.4
+    for s in (0.0, 0.3, 1.0, 4.0):
+        assert limit_laplace_heavy_imm(HEAVY_IMM, s) == pytest.approx(
+            math.exp(-HEAVY_IMM.kappa2 * s ** HEAVY_IMM.theta), rel=1e-15)
+        assert limit_balanced_strong(strong, s) == pytest.approx(
+            (1.0 + s ** 0.5) ** -2.4, rel=1e-15)
+    assert lambda_limit(R3, 0.0) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # unstopped-chain statements: H_n and the uniform gamma limits
 

@@ -1,6 +1,7 @@
 """Generating-function iteration, decay-rate gaps, and immigration products."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ HEAVY = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
 
 def test_q_hand_iteration():
     # q_{j+1} = q_j * (1 - kappa1*q_j^nu) from q_0 = 1:
-    # 1, 1/2, 3/8, 39/128 for nu = 1, kappa1 = 1/2
-    q = q_iterate(CANON, 0.0, 3).power(1.0)
-    assert q[0] == 1.0
-    assert q[1] == 0.5
-    assert q[2] == 0.375
-    assert q[3] == pytest.approx(0.3046875, abs=0.0)
-    assert _q_steps(CANON, 0.0, 3).log(3) == math.log(0.3046875)
+    # 1, 1/2, 3/8, 39/128 for nu = 1, kappa1 = 1/2, each held as its log
+    # in float64, so read back to within one float64 ulp
+    want = np.array([1.0, 0.5, 0.375, 0.3046875])
+    q = q_iterate(CANON, 0.0, 3).power(1.0).astype(float)
+    assert np.all(np.abs(q - want) <= np.spacing(want))
+    lq = _q_steps(CANON, 0.0, 3).log(3)
+    assert abs(lq - math.log(0.3046875)) <= np.spacing(abs(lq))
 
 
 def test_q_iterate_matches_direct_composition():
@@ -52,21 +53,70 @@ def test_q_last_is_bitwise_last_of_q_iterate(params, n):
         assert _q_steps(params, math.log1p(-t), 2 * n).log(n) == lqn
 
 
-@pytest.mark.parametrize("kappa1", [0.5, 0.3, 1e-12])
-@pytest.mark.parametrize("t", [0.3, np.array([0.0, 0.3, 0.97, 1.0 - 1e-9])])
-def test_q_nu1_step_is_bitwise_the_general_step(kappa1, t):
-    # at nu = 1 the step leaves out q**nu; pow(x, 1) == x keeps every bit
-    p = LawParams(1.0, 1.0, 1.0, 1.0, kappa1, 1.0)
-    n = 10 ** 5
-    for x in np.atleast_1d(t).tolist():
-        got = q_iterate(p, x, n).power(1.0).astype(float)
-        q = float(got[0])
-        want = [q]
-        for _ in range(n):
-            q = q * (1.0 - kappa1 * q ** p.nu)
-            want.append(q)
-        assert np.array_equal(got.view(np.int64),
-                              np.array(want, dtype=float).view(np.int64))
+def long_double_logs(nu: float, kappa1: float, n: int) -> np.ndarray:
+    """log q_0..log q_n from q_0 = 1, iterated on q itself in long double
+    (64-bit mantissa, range to 1e-4951), an independent route."""
+    one, k1, v = np.longdouble(1.0), np.longdouble(kappa1), np.longdouble(nu)
+    out = np.empty(n + 1, dtype=np.longdouble)
+    q = out[0] = one
+    for j in range(1, n + 1):
+        q = out[j] = q * (one - k1 * q ** v)
+    return np.log(out)
+
+
+@pytest.mark.parametrize("nu, kappa1, n, bound", [
+    (1.0, 0.5, 10 ** 6, 2e-15),
+    (0.5, 0.5, 10 ** 6, 2.5e-15),
+    (0.005, 0.5, 10 ** 6, 2e-14),
+    (1e-138, 1e-3, 2 * 10 ** 4, 5e-15),
+])
+def test_q_kernel_against_long_double_iteration(nu, kappa1, n, bound):
+    # exact log steps while kappa1*q^nu > 2^-8, then the Fatou pass; at
+    # nu = 1e-138 and kappa1 = 1e-3 the pass starts at j = 0
+    p = LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0)
+    ref = long_double_logs(nu, kappa1, n)
+    path = _q_steps(p, 0.0, n)
+    err = np.abs(path.logs() - ref) / np.maximum(1.0, np.abs(ref))
+    assert err.max() <= bound, (err.max(), int(err.argmax()))
+    for a in (1.0, 0.9, 0.5, 1e-3):
+        got = path.power(a)
+        want = np.exp(np.longdouble(a) * ref)
+        assert got.dtype == np.longdouble
+        rel = np.abs(got - want) / want
+        assert np.all(rel <= a * bound * np.maximum(1.0, np.abs(ref))
+                      + 1e-18)
+
+
+def test_q_kernel_far_below_the_float_range():
+    # from log q_0 = -10^5, kappa1*q^nu is 0 in any float format, and
+    # so is every step of log q
+    p = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
+    lq = np.longdouble(-1e5)
+    ref = [lq]
+    for _ in range(2 * 10 ** 4):
+        lq = lq + np.log1p(-np.longdouble(0.5) * np.exp(lq))
+        ref.append(lq)
+    ref = np.array(ref)
+    got = _q_steps(p, -1e5, 2 * 10 ** 4).logs()
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-15
+
+
+def test_q_kernel_where_kappa1_rounds_to_one():
+    # kappa1 = 1/(1 + nu) rounds to 1: q_1 = q_0*(1 - 1) = 0, and q stays 0
+    nu = 5.4621546740691746e-105
+    p = LawParams(nu, 1.0, 1.0, 1.0, 1.0 / (1.0 + nu), 1.0)
+    assert p.kappa1 == 1.0
+    lq = q_iterate(p, 0.0, 2000).logs()
+    assert lq[0] == 0.0 and np.all(lq[1:] == -math.inf)
+
+
+def test_power_at_q_zero_is_zero_without_a_warning():
+    # t = 1 gives q_j = 0 for every j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = q_iterate(HEAVY, 1.0, 3000)
+        for a in (1.0, 0.5, 1e-300):
+            assert np.all(path.power(a) == 0.0)
 
 
 def test_log_q_at_tiny_nu_against_mpmath():

@@ -185,11 +185,11 @@ TINY_NU = LawParams(nu=0.00048339815714850705, theta=0.9655183441874771,
 
 
 @pytest.mark.parametrize("p, n, want", [
-    (CANON, 50, "11a92ef4b79cdf0d"), (CANON, 1000, "a85923897f48135c"),
-    (R3, 50, "ea937d3229aecd37"), (R3, 1000, "64399cde9363a3c3"),
-    (FRAC, 50, "20ab7369e5ec9ac9"), (FRAC, 1000, "3b9593115f3f4114"),
-    (MIXED, 50, "681dfe75e73ba562"), (MIXED, 1000, "f90159dcdeca5ca8"),
-    (TINY_NU, 50, "5063793ca94e140a"), (TINY_NU, 1000, "d95a8785d143d944"),
+    (CANON, 50, "dd9c494fb01f59bf"), (CANON, 1000, "76983d1293a661e0"),
+    (R3, 50, "e97997545375992f"), (R3, 1000, "1fc9f2e740eb71fc"),
+    (FRAC, 50, "a00de5bfedebd4e3"), (FRAC, 1000, "a7524798b6da0c3c"),
+    (MIXED, 50, "966a196ac852c1b9"), (MIXED, 1000, "067d0b8360c409f2"),
+    (TINY_NU, 50, "8bc9e9190fa38249"), (TINY_NU, 1000, "e67272cbb8147f40"),
 ])
 def test_block_tables_digest(p, n, want):
     # u, a, d and gamma0 of tables within the long-double block, pinned
@@ -198,8 +198,8 @@ def test_block_tables_digest(p, n, want):
 
 
 @pytest.mark.parametrize("p, n, want, zero_from", [
-    (R0, 10 ** 5, "0c16d80792311749", 70_470),
-    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 200.0), 20_000, "475970aaad81eeec",
+    (R0, 10 ** 5, "636d8e25c03c350e", 70_470),
+    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 200.0), 20_000, "9d57a858358c729f",
      13),
 ])
 def test_long_tables_digest(p, n, want, zero_from):
@@ -415,11 +415,12 @@ def test_dp_pi_does_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("M, n, mib", [(4096, 2, 12), (16384, 1, 48)])
 def test_dp_memory_peak(M, n, mib):
-    # at M = 4096 the power table is 8 MiB and the product buffer 1 MiB;
-    # at M = 16384 the cap of 64 baby steps keeps the table at 32 MiB
+    # the nu < 1 route: at M = 4096 the power table is 8 MiB and the
+    # product buffer 1 MiB; at M = 16384 the cap of 64 baby steps keeps
+    # the table at 32 MiB
     tracemalloc.start()
     try:
-        dp_distribution(R3, "stopped", n, M=M)
+        dp_distribution(FRAC, "stopped", n, M=M)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -497,6 +498,14 @@ def test_dp_z_and_gated_inside_exact_curves(params):
         lo, hi, dist = u_dp_curve(params, model, n, M=2048, tol=1.0)
         pad = 1e-9 + dist.alias_bound
         assert np.all(lo - pad <= u) and np.all(u <= hi + pad), model
+
+
+@pytest.mark.parametrize("model", ["stopped", "z", "gated"])
+def test_exact_survival_at_horizon_zero(model):
+    # P(X_0 > 0 | X_0 > 0) = 1 alone, for each chain
+    for p in (R3, FRAC):
+        u = ren.exact_survival(p, model, 0)
+        assert u.shape == (1,) and u[0] == 1.0
 
 
 def test_dp_cap_too_small():
@@ -603,6 +612,22 @@ def test_fit_tail_requires_length():
         warnings.simplefilter("error")
         with pytest.raises(InsufficientLengthError, match="u_688 = 0"):
             fit_tail(u, rep)
+
+
+def test_fit_tail_on_r4_divides_out_the_log():
+    # R4 (sigma + delta/nu = 1): u_n ~ K * n^(-1/2) * log n; the fit reads
+    # the slope of log(u / log n), 0.5081 at n = 10^4 and 0.5032 at 10^5
+    p = law(1.0, 1.0, 0.5, 1.0, 0.5, 0.25)
+    rep = classify_regime(p)
+    assert (rep.regime_id, rep.alpha, rep.correction) == ("R4", 0.5, "log")
+    u = build_renewal(p, 10 ** 5).u
+    errs = []
+    for n in (10 ** 4, 10 ** 5):
+        out = fit_tail(u[:n + 1], rep)
+        assert out.constants["K"] > 0.0
+        errs.append(abs(out.fitted_alpha - 0.5))
+    assert errs[1] < errs[0] < 0.01
+    assert errs[1] < 0.004
 
 
 def test_fit_tail_on_real_table():

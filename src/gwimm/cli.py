@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 
 import numpy as np
@@ -37,7 +36,7 @@ from .rng import stream
 _OPTIONS = {
     "nu": (float, 1.0), "theta": (float, 1.0), "delta": (float, 1.0),
     "kappa0": (float, 1.0), "kappa1": (float, 0.5), "kappa2": (float, 1.0),
-    "seed": (int, 0), "threads": (int, None), "reps": (int, 100_000),
+    "seed": (int, 0), "threads": (int, 1), "reps": (int, 100_000),
     "horizon": (int, 50), "nmax": (int, 1000), "cap": (int, 10 ** 9),
     "M": (int, 4096),
     "model": (tuple(m.value for m in Model), "stopped"),
@@ -107,8 +106,6 @@ def _resolve(command: str, cli: dict, config_path: str | None) -> RunConfig:
             values[key] = default
     if file_vals:
         raise ValueError(f"unknown config keys: {sorted(file_vals)}")
-    if values["threads"] is None:
-        values["threads"] = int(os.environ.get("GWI_THREADS", "1"))
     return RunConfig(command=command, values=values)
 
 

@@ -287,16 +287,16 @@ _SWEEPS = {
 THEOREMS = tuple(_SWEEPS)
 
 
-def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
-                      K5: float | None = None) -> LimitCheck:
+def convergence_sweep(params: LawParams, theorem_id: str, s_grid,
+                      n_grid) -> LimitCheck:
     """Deviations of a finite-n quantity from its limit.
 
     `theorem_id`, one of `THEOREMS`, picks the scaling, the regimes (checked
     before any q work), the limit and the finite-n value.  `gamma_*` set
     the normalized weight at its worst k <= n against 1.  The stopped ids
-    share one renewal table; for "balanced_weak" the K5 constant, when
-    needed and not supplied, is fitted from its first 10^5 terms, and the
-    table then runs to max(n_grid[-1], 10^5).  One q(0) trajectory, to the
+    share one renewal table; for "balanced_weak" in R5 the K5 constant
+    of `lambda_limit` is fitted from its first 10^5 terms, and the table
+    then runs to max(n_grid[-1], 10^5).  One q(0) trajectory, to the
     table's length, gives both the table and every q_n(0).
     """
     if theorem_id not in _SWEEPS:
@@ -314,14 +314,14 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid, n_grid,
         raise ValueError("grids need finite s >= 0 and n >= 1")
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
-    fit = limit_fn is None and K5 is None and rep.regime_id == "R5"
+    fit = limit_fn is None and rep.regime_id == "R5"
 
     def limit_column(K5):
         return np.array([lambda_limit(params, s, K5) if limit_fn is None
                          else limit_fn(params, rep, s)
                          for s in s_grid.tolist()])
 
-    limit = None if fit else limit_column(K5)
+    limit = None if fit else limit_column(None)
     n_max = int(n_grid[-1])
     path = table = None
     if value is _stopped:

@@ -24,23 +24,28 @@ master seed no matter how many worker threads participate.  The block
 is the stream unit; the group, up to 8 consecutive blocks stepped in
 lockstep, is the work unit: each generation makes one table lookup for
 the whole group, while every block draws from its own stream exactly
-what it would draw alone, in the same order.  Only the live replicates
-(at most `cap`, and positive unless the model is UNSTOPPED_Z) are
-stepped, kept in block order: the dead and cap-censored ones draw
-nothing, so each generation's draws are the ones a step of the whole
-block would make.
+what it would draw alone, in the same order.  Every draw function takes
+that block form, the group's streams `rngs` and its block bounds, block
+b drawing for entries bounds[b]:bounds[b+1] from rngs[b], and loops over
+the blocks itself.  Only the live replicates (at most `cap`, and
+positive unless the model is UNSTOPPED_Z) are stepped, kept in block
+order: the dead and cap-censored ones draw nothing, so each
+generation's draws are the ones a step of the whole block would make.
+The three models share one sum table unless it folds immigrants in:
+the gate of GATED_W enters the rows only with the immigrants it gates.
 
-`simulate` draws one path; `estimate_survival` is the one batch entry.
-Its `BatchStats` holds every statistic a block counts, all from the same
-paths: the survival row (X_n > 0), the life-period row (no zero through
-n) and the cap-censored row, and with a `scale` the Laplace sums behind
-`BatchStats.conditional_laplace()`.
+`simulate` draws one path, as a group of one block; `estimate_survival`
+is the one batch entry.  Its `BatchStats` holds every statistic a block
+counts, all from the same paths: the survival row (X_n > 0), the
+life-period row (no zero through n) and the cap-censored row, and with
+a `scale` the Laplace sums behind `BatchStats.conditional_laplace()`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -122,24 +127,17 @@ class BatchStats:
         return mean, math.sqrt(var / survivors)
 
 
-def _streams(rng, pops: np.ndarray, bounds):
-    """The blocks' streams and bounds: `rng` alone over all of `pops`
-    where `bounds` is None, else the streams `rng`, rng[b] drawing for
-    pops[bounds[b]:bounds[b+1]]."""
-    return ([rng], [0, len(pops)]) if bounds is None else (rng, bounds)
-
-
 def _within(bounds: list, mask: np.ndarray) -> list:
     """The block bounds of the entries that `mask` picks out."""
     return np.searchsorted(np.flatnonzero(mask), bounds).tolist()
 
 
-def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
-                    kappa2: float = 0.0, gated: bool = False,
-                    bounds: list | None = None) -> np.ndarray:
+def _offspring_sums(params: LawParams, rngs: list, bounds: list,
+                    pops: np.ndarray, kappa2: float = 0.0,
+                    gated: bool = False) -> np.ndarray:
     """Summed offspring for each population in `pops` (entries >= 1, or
-    >= 0 where the table folds immigrants in), drawn from one stream
-    `rng`, or per block from the streams `rng` (`_streams`).
+    >= 0 where the table folds immigrants in), block b's
+    pops[bounds[b]:bounds[b+1]] drawn from its stream rngs[b].
 
     A population w <= _SUM_ROWS draws with one uniform from row w of
     `_sum_table` (`_table_sums`), the exact cdf of a sum of w draws from
@@ -156,8 +154,9 @@ def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
     tail cell where kappa1 <= 1e-12).  Tail-cell individuals are drawn one
     by one, in bounded chunks (`_tail_sums`).  The split gives exactly the
     law of per-individual draws, and the table gives it on a 2**-53 grid.
-    Each block draws its binomials, its table keys, its top-cell second
-    uniforms, its split, then its tail draws.
+    Each kind of draw runs over all the blocks before the next, so each
+    block's stream gives its binomials, table keys, top-cell second
+    uniforms, split multinomial, split tail draws, then head tail draws.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
     K = 32 and nu = 1/2, and 0.8% at H = 8.  A head of H cells gives rows
@@ -167,30 +166,24 @@ def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
     and +6 MiB on the MIXED benchmark), while near the default cap 1e9
     the tail draws dominate, and K = 32 halves the time of K = 16 there.
     """
-    rngs, bounds = _streams(rng, pops, bounds)
     big = pops > _SUM_ROWS
     crossing = big.any()
     small, at = ((pops[~big], _within(bounds, ~big)) if crossing
                  else (pops, bounds))
     nu = params.nu
     if nu == 1.0:
-        sums = _table_sums(params.kappa1, rngs, small, kappa2, gated, at)
+        sums = _table_sums(params.kappa1, rngs, at, small, kappa2, gated)
     else:
         pvals = offspring_split(params, _HEAD_CELLS)
         h = len(pvals) - 1
         tails = np.concatenate([r.binomial(small[a:b], pvals[h])
                                 for r, a, b in zip(rngs, at, at[1:])])
-        sums = _table_sums(params.kappa1, rngs, small - tails, bounds=at,
-                           nu=nu)
+        sums = _table_sums(params.kappa1, rngs, at, small - tails, nu=nu)
     if crossing:
-        split, lb = pops[big], _within(bounds, big)
-    for i, r in enumerate(rngs):
-        if crossing and lb[i + 1] > lb[i]:
-            split[lb[i]:lb[i + 1]] = _split_cell_sums(
-                params, r, split[lb[i]:lb[i + 1]])
-        if nu != 1.0:
-            _tail_sums(params, r, tails[at[i]:at[i + 1]], h,
-                       sums[at[i]:at[i + 1]])
+        split = _split_cell_sums(params, rngs, _within(bounds, big),
+                                 pops[big])
+    if nu != 1.0:
+        _tail_sums(params, rngs, at, tails, h, sums)
     if not crossing:
         return sums
     out = np.empty_like(pops)
@@ -198,22 +191,28 @@ def _offspring_sums(params: LawParams, rng, pops: np.ndarray,
     return out
 
 
-def _split_cell_sums(params: LawParams, rng: np.random.Generator,
+def _split_cell_sums(params: LawParams, rngs: list, bounds: list,
                      pops: np.ndarray) -> np.ndarray:
     """Offspring sums of `pops` by one multinomial over the cells of
-    `offspring_split(params, _SPLIT_CELLS)`.  numpy draws each cell given
-    1 minus the cells before it, which is off by ~k * 2**-53 past the
-    largest cell, so that cell is drawn last; the sum is one product of the
-    counts with the cell values in that order, the tail cell's 0 topped up
-    by its individuals' draws."""
+    `offspring_split(params, _SPLIT_CELLS)`, each block's counts drawn
+    and reduced alone.  numpy draws each cell given 1 minus the cells
+    before it, which is off by ~k * 2**-53 past the largest cell, so that
+    cell is drawn last; the sum is one product of the counts with the
+    cell values in that order, the tail cell's 0 topped up by its
+    individuals' draws once every block has its counts."""
     pvals = offspring_split(params, _SPLIT_CELLS)
     k = len(pvals) - 1
     j = int(np.argmax(pvals))
     order = np.r_[:j, j + 1:k + 1, j]
-    counts = rng.multinomial(pops, pvals[order])
-    sums = counts @ np.where(order < k, order, 0)
-    _tail_sums(params, rng, counts[:, np.flatnonzero(order == k)[0]], k,
-               sums)
+    values = np.where(order < k, order, 0)
+    tail = np.flatnonzero(order == k)[0]
+    sums, tails = np.empty_like(pops), np.empty_like(pops)
+    for r, a, b in zip(rngs, bounds, bounds[1:]):
+        if b > a:
+            counts = r.multinomial(pops[a:b], pvals[order])
+            sums[a:b], tails[a:b] = counts @ values, counts[:, tail]
+            del counts      # one block's count rows alive at a time
+    _tail_sums(params, rngs, bounds, tails, k, sums)
     return sums
 
 
@@ -337,12 +336,12 @@ def _folded(params: LawParams) -> float:
     return 0.0
 
 
-def _table_sums(kappa1: float, rng, pops: np.ndarray, kappa2: float = 0.0,
-                gated: bool = False, bounds: list | None = None,
+def _table_sums(kappa1: float, rngs: list, bounds: list, pops: np.ndarray,
+                kappa2: float = 0.0, gated: bool = False,
                 nu: float = 1.0) -> np.ndarray:
     """Draws from the rows `pops` (0 <= w <= W) of `_sum_table`, one
     uniform each: sums of w kernel draws, plus the folded immigrants.
-    Each block of `_streams` draws its keys, in block order, and one
+    Each block draws its keys from its stream, in block order, and one
     lookup serves them all; then each draws its second uniforms.
 
     The top uniform U = 2**53 - 1 lies past the last key n_w of every
@@ -351,7 +350,6 @@ def _table_sums(kappa1: float, rng, pops: np.ndarray, kappa2: float = 0.0,
     the smallest m >= n_w with P(X > m) < (1 - V) / 2**53 (`_tails`).
     Below the top, (U + V) / 2**53 < 1 - 2**-53 < F(n_w), so the value is
     at most n_w, as the lookup gives it: no value is clipped."""
-    rngs, bounds = _streams(rng, pops, bounds)
     blocks = list(zip(rngs, bounds, bounds[1:]))
     k = np.concatenate([_keys(r, b - a) for r, a, b in blocks])
     x = _lookup(_sum_table(kappa1, kappa2, gated, nu), pops, k)
@@ -382,53 +380,53 @@ def _tails(kappa1: float, kappa2: float, gated: bool, nu: float,
     return np.cumsum(law[offs[w + 1] - offs[w]:d * w + reach][::-1])[::-1]
 
 
-def _tail_sums(params: LawParams, rng: np.random.Generator,
+def _tail_sums(params: LawParams, rngs: list, bounds: list,
                counts: np.ndarray, lowest: int, sums: np.ndarray) -> None:
     """Add to `sums`, in place, the summed draws of X | X >= `lowest` for
-    each count in `counts` (entries >= 0), taken _CHUNK at a time so
-    memory stays bounded."""
-    rows = np.flatnonzero(counts)
-    if not rows.size:
-        return
-    ends = np.cumsum(counts[rows])
-    starts = ends - counts[rows]
-    total = int(ends[-1])
-    pos = 0
-    while pos < total:
-        m = min(_CHUNK, total - pos)
-        draws = sample_offspring(params, rng, m, lowest)
-        i0 = int(np.searchsorted(ends, pos, side="right"))
-        i1 = int(np.searchsorted(ends, pos + m - 1, side="right"))
-        seg = (np.maximum(starts[i0:i1 + 1], pos) - pos).astype(np.intp)
-        sums[rows[i0:i1 + 1]] += np.add.reduceat(draws, seg)
-        pos += m
+    each count in `counts` (entries >= 0), block b's drawn from rngs[b],
+    taken _CHUNK at a time so memory stays bounded."""
+    for r, a, b in zip(rngs, bounds, bounds[1:]):
+        rows = a + np.flatnonzero(counts[a:b])
+        if not rows.size:
+            continue
+        ends = np.cumsum(counts[rows])
+        starts = ends - counts[rows]
+        total = int(ends[-1])
+        pos = 0
+        while pos < total:
+            m = min(_CHUNK, total - pos)
+            draws = sample_offspring(params, r, m, lowest)
+            i0 = int(np.searchsorted(ends, pos, side="right"))
+            i1 = int(np.searchsorted(ends, pos + m - 1, side="right"))
+            seg = (np.maximum(starts[i0:i1 + 1], pos) - pos).astype(np.intp)
+            sums[rows[i0:i1 + 1]] += np.add.reduceat(draws, seg)
+            pos += m
 
 
-def _next_generation(params: LawParams, model: Model, rng,
-                     pops: np.ndarray, bounds: list | None = None
-                     ) -> np.ndarray:
+def _next_generation(params: LawParams, model: Model, rngs: list,
+                     bounds: list, pops: np.ndarray) -> np.ndarray:
     """The populations one generation on from the live `pops`, drawn in
     their order (`pops` is nonempty, and positive unless the model is
-    UNSTOPPED_Z), from one stream `rng` or per block from the streams
-    `rng` (`_streams`).  Each block draws what it would draw alone, in
-    the same order: table keys, second uniforms, the split, immigrants.
+    UNSTOPPED_Z), block b's pops[bounds[b]:bounds[b+1]] from its stream
+    rngs[b].  Each block draws what it would draw alone, in the same
+    order: table keys, second uniforms, the split, immigrants.
 
     Where `_sum_table` folds the immigrants in (`_folded`), a population
     of at most W draws its next value with one uniform in
-    `_offspring_sums`; the other rows draw their immigrants apart."""
-    rngs, bounds = _streams(rng, pops, bounds)
+    `_offspring_sums`; the other rows draw their immigrants apart.  With
+    none folded, a gated chain draws from the other models' table."""
     kappa2 = _folded(params)
     gated = model is Model.GATED_W
     if kappa2 and pops.max() <= _SUM_ROWS:
-        return _table_sums(params.kappa1, rngs, pops, kappa2, gated, bounds)
+        return _table_sums(params.kappa1, rngs, bounds, pops, kappa2, gated)
     apart = pops > _SUM_ROWS if kappa2 else np.ones(pops.size, dtype=bool)
     # a zero population draws no offspring, unless its table row brings
     # in its immigrants
     kids = (pops > 0) | ~apart
     lam = np.zeros_like(pops)
     if kids.any():
-        lam[kids] = _offspring_sums(params, rngs, pops[kids], kappa2, gated,
-                                    _within(bounds, kids))
+        lam[kids] = _offspring_sums(params, rngs, _within(bounds, kids),
+                                    pops[kids], kappa2, gated and kappa2 > 0)
     if gated:
         apart &= lam > 0
     if apart.any():
@@ -477,7 +475,7 @@ def _evolve_group(params: LawParams, model: Model, horizon: int, cap: int,
     counts = np.empty((3, horizon + 1), dtype=np.int64)
     for n in range(horizon + 1):
         if n and live.size:
-            live = _next_generation(params, model, rngs, live, bounds)
+            live = _next_generation(params, model, rngs, bounds, live)
             keep = live > 0 if absorbing else None
             if live.max() > cap:
                 over = live > cap
@@ -486,6 +484,7 @@ def _evolve_group(params: LawParams, model: Model, horizon: int, cap: int,
                 keep = ~over if keep is None else keep & ~over
             if keep is not None:
                 idx, live = idx[keep], live[keep]
+                # binary searches in `idx`; `_within` would scan `keep`
                 bounds = np.searchsorted(idx, starts).tolist()
             if not absorbing:
                 ever_zero[idx[live == 0]] = True
@@ -508,7 +507,8 @@ def _evolve_group(params: LawParams, model: Model, horizon: int, cap: int,
 
 def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
              rng: np.random.Generator | None = None) -> Trajectory:
-    """Simulate a single trajectory up to `horizon` generations."""
+    """Simulate a single trajectory up to `horizon` generations, drawn
+    from `rng` (default `stream(0, 0)`) as a group of one block."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     model = Model(model)
@@ -520,7 +520,7 @@ def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
     path = [int(cur[0])]
     while len(path) <= horizon and path[-1] <= cap:
         if path[-1] or model is Model.UNSTOPPED_Z:
-            cur = _next_generation(params, model, rng, cur)
+            cur = _next_generation(params, model, [rng], [0, 1], cur)
         path.append(int(cur[0]))
     vals = np.array(path, dtype=np.int64)
     censoring = "cap" if path[-1] > cap else None
@@ -532,7 +532,7 @@ def simulate(params: LawParams, model, horizon: int, cap: int = DEFAULT_CAP,
 
 
 def estimate_survival(params: LawParams, model, horizon: int, reps: int,
-                      seed: int, threads: int | None = None,
+                      seed: int, threads: int = 1,
                       cap: int = DEFAULT_CAP,
                       scale: float | None = None) -> BatchStats:
     """Run `reps` replicates to generation `horizon`; every row of
@@ -546,10 +546,10 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
 
     A block of BLOCK replicates is the stream unit: block i draws from
     `stream(seed, i)`, so every result depends on the seed alone.  A
-    group of consecutive blocks is the work unit: `threads` workers
-    (None: one) take groups of min(8, ceil(blocks / threads)) blocks as
-    they become free, and each group steps its blocks in lockstep
-    (`_evolve_group`).
+    group of consecutive blocks is the work unit: groups of
+    min(8, ceil(blocks / threads)) blocks go to min(threads, CPU count)
+    workers as they become free, and each group steps its blocks in
+    lockstep (`_evolve_group`).
     """
     model = Model(model)
     _check_cap(cap)
@@ -559,8 +559,6 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
         raise ValueError("horizon must be >= 0")
     if scale is not None and not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError("scale must be finite and >= 0")
-    if threads is None:
-        threads = 1
     if threads < 1:
         raise ValueError("threads must be >= 1")
     nblocks = -(-reps // BLOCK)
@@ -574,10 +572,11 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
                              [min(BLOCK, reps - i * BLOCK) for i in blocks],
                              scale)
 
-    if len(groups) == 1 or threads == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if len(groups) == 1 or workers == 1:
         results = [one(g) for g in groups]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, groups))
 
     counts = np.sum([r[0] for r in results], axis=0)

@@ -189,6 +189,18 @@ def test_manifest_reproduces_run_byte_identically(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_threads_come_from_the_options_alone(tmp_path, capsys,
+                                             monkeypatch):
+    # the environment supplies no thread count: without --threads the
+    # manifest records the default, 1
+    monkeypatch.setenv("GWI_THREADS", "3")
+    out = tmp_path / "v.txt"
+    rc, _, _ = run(["validate", "--out", str(out)], capsys)
+    assert rc == 0
+    manifest = (tmp_path / "v.txt.manifest").read_text().splitlines()
+    assert "threads=1" in manifest
+
+
 def test_config_file_and_cli_precedence(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("# comment line\nkappa2=0.25\nkappa1=0.5\n")
@@ -414,6 +426,7 @@ def test_module_entry_point():
 
 @pytest.mark.parametrize("command,line", [
     ("verify", "seed = none"),
+    ("survival", "threads = none"),
     ("survival", "M = none"),
     ("validate", "kappa1 = none"),
     ("validate", "format = xml"),

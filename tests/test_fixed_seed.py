@@ -156,12 +156,12 @@ def test_sample_sibuya_digest(delta, want):
 def test_nu1_table_sums_digest():
     p = LawParams(1.0, 1.0, 1.0, 1.0, 0.3, 1.0)
     pops = np.arange(1, 257).repeat(50)
-    assert digest(sim._offspring_sums(p, stream(4, 0), pops)) \
-        == "0b73ea1ee5dce33b"
+    sums = sim._offspring_sums(p, [stream(4, 0)], [0, len(pops)], pops)
+    assert digest(sums) == "0b73ea1ee5dce33b"
 
 
 def test_fractional_table_sums_digest():
     p = LawParams(0.5, 1.0, 1.0, 1.0, 0.5, 1.0)
     pops = np.arange(1, 257).repeat(50)
-    assert digest(sim._offspring_sums(p, stream(4, 0), pops)) \
-        == "515a83e87231f8bd"
+    sums = sim._offspring_sums(p, [stream(4, 0)], [0, len(pops)], pops)
+    assert digest(sums) == "515a83e87231f8bd"

@@ -1,6 +1,7 @@
 """Import layering: the exact-math modules do not depend on the simulator
-or the command line; only `pgf` reads the fields of its `QPath`; the
-argument names a call tracer reads stay put."""
+or the command line; only `pgf` reads the fields of its `QPath`; only
+`simulate` takes a single stream; the argument names a call tracer reads
+stay put."""
 
 import ast
 import dataclasses
@@ -51,6 +52,19 @@ def test_only_pgf_reads_qpath_fields(path):
     reads = sorted(node.attr for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in fields)
     assert not reads, reads
+
+
+def test_only_simulate_takes_one_stream():
+    # the draw functions take the block form alone, the streams and block
+    # bounds of a group; the one-path entry `simulate` makes its stream a
+    # group of one block
+    tree = ast.parse((PACKAGE / "simulate.py").read_text(encoding="utf-8"))
+    takers = sorted(node.name for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and "rng" in {a.arg for a in (*node.args.posonlyargs,
+                                                  *node.args.args,
+                                                  *node.args.kwonlyargs)})
+    assert takers == ["simulate"], takers
 
 
 def unused_imports(path: Path) -> set[str]:

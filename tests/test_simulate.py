@@ -33,6 +33,12 @@ U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
     + math.exp(-1.0) - math.exp(-1.5)
 
 
+def one_block(rng, pops):
+    """The block form of one stream `rng` drawing for all of `pops`: the
+    streams, the bounds and the populations the draw functions take."""
+    return [rng], [0, len(pops)], pops
+
+
 def z_score(stats: BatchStats, n: int, target: float) -> float:
     return (stats.survival()[n] - target) / stats.survival_se()[n]
 
@@ -120,6 +126,37 @@ def test_grouping_does_not_change_any_result(params, model, cap,
         assert alone[1] != alone[0] and alone[2][-1] > 0
 
 
+def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
+    # a thread count past the block count makes every group one block,
+    # and the pool still takes at most one worker per CPU.  The stand-in
+    # pool maps in the calling thread, so no thread is started
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+
+    def run(threads):
+        bs = estimate_survival(CANON, "stopped", 2, 40 * sim.BLOCK, seed=8,
+                               threads=threads)
+        return bs.survival_counts.tolist(), bs.censored_counts.tolist()
+
+    assert run(10 ** 6) == run(1)
+    assert workers == [4]
+
+
 def test_partial_blocks_and_tiny_reps():
     # reps that are not a multiple of the block size, and reps = 1
     bs = estimate_survival(CANON, "stopped", 3, 12_345, seed=1)
@@ -177,7 +214,8 @@ def test_multinomial_split_matches_convolved_law():
                   kappa2=1.0)
     base = offspring_pmf(p, 2).probs
     law = np.convolve(np.convolve(base, base), base)
-    draws = sim._offspring_sums(p, stream(17, 0), np.full(200_000, 3))
+    draws = sim._offspring_sums(p, *one_block(stream(17, 0),
+                                              np.full(200_000, 3)))
     for k in range(7):
         freq = np.mean(draws == k)
         se = math.sqrt(law[k] * (1.0 - law[k]) / 200_000)
@@ -190,7 +228,8 @@ def test_multinomial_split_matches_convolved_law():
     p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
     sizes, n = (1, 3, 50, 500), 50_000
-    draws = sim._offspring_sums(p, stream(19, 0), np.repeat(sizes, n))
+    draws = sim._offspring_sums(p, *one_block(stream(19, 0),
+                                              np.repeat(sizes, n)))
     nmax = 4000
     base = offspring_pmf(p, nmax).probs
     for i, w in enumerate(sizes):
@@ -228,7 +267,7 @@ def test_offspring_sums_match_convolved_law_over_the_box(nu, frac, w):
     p = LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=kappa1,
                   kappa2=1.0)
     n, nmax = 50_000, 2 * w + 8
-    draws = sim._offspring_sums(p, stream(53, 0), np.full(n, w))
+    draws = sim._offspring_sums(p, *one_block(stream(53, 0), np.full(n, w)))
     cdf = np.cumsum(convolution_power(offspring_pmf(p, nmax).probs, w,
                                       nmax))
     freq = np.cumsum(np.bincount(np.minimum(draws, nmax + 1),
@@ -261,8 +300,8 @@ def test_one_step_at_nu1_theta1_matches_convolved_law_over_the_box(
                   kappa1=frac / 2.0, kappa2=kappa2)
     n = 50_000
     nmax = 2 * w + int(kappa2 + 12.0 * math.sqrt(kappa2)) + 40
-    draws = sim._next_generation(p, Model(model), stream(59, 0),
-                                 np.full(n, w))
+    draws = sim._next_generation(p, Model(model),
+                                 *one_block(stream(59, 0), np.full(n, w)))
     base = np.pad(offspring_pmf(p, 2).probs, (0, nmax - 2))
     lw = convolution_power(base, w, nmax)
     k = np.arange(nmax + 1)
@@ -395,8 +434,8 @@ def test_folded_rows_are_the_exact_cdf(k1, k2, gated):
             for big_v in (0.0, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -53):
                 rng = FixedUniforms(np.array([1.0 - 2.0 ** -53]),
                                     np.array([big_v]))
-                m = int(sim._table_sums(k1, rng, np.array([w]), k2,
-                                        gated)[0])
+                m = int(sim._table_sums(k1, *one_block(rng, np.array([w])),
+                                        k2, gated)[0])
                 v = (1.0 - big_v) / 2.0 ** 53
                 assert tail(m) < v <= (tail(m - 1) if m > n else 1), (w, v)
 
@@ -449,7 +488,7 @@ def test_guide_matches_searchsorted_everywhere(k1):
         assert np.all((hint < 0) | (hint == want))
         assert 0.5 < np.mean(hint >= 0) < 1.0
         rng = FixedUniforms(u / 2.0 ** 53, np.zeros(np.count_nonzero(u == top)))
-        got = sim._table_sums(k1, rng, w, kappa2)
+        got = sim._table_sums(k1, *one_block(rng, w), kappa2)
         assert np.array_equal(got, want)
 
 
@@ -476,7 +515,8 @@ def test_nu1_sums_match_convolved_law_across_the_table_edge(k1):
                   kappa2=1.0)
     big = sim._SUM_ROWS
     sizes, n = (1, 3, big, big + 1, 5000), 50_000
-    draws = sim._offspring_sums(p, stream(43, 0), np.repeat(sizes, n))
+    draws = sim._offspring_sums(p, *one_block(stream(43, 0),
+                                              np.repeat(sizes, n)))
     base = offspring_pmf(p, 2).probs
     for i, w in enumerate(sizes):
         nmax = min(2 * w, w + 600) + 1
@@ -553,8 +593,8 @@ def test_fractional_rows_and_top_key_are_exact(nu, frac):
                 for big_v in (0.0, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -53):
                     rng = FixedUniforms(np.array([1.0 - 2.0 ** -53]),
                                         np.array([big_v]))
-                    m = int(sim._table_sums(k1, rng, np.array([w]),
-                                            nu=nu)[0])
+                    m = int(sim._table_sums(
+                        k1, *one_block(rng, np.array([w])), nu=nu)[0])
                     v = (1.0 - big_v) / 2.0 ** 53
                     assert tail(m) < v <= (tail(m - 1) if m > n else 1), \
                         (w, v)
@@ -585,6 +625,16 @@ def test_fractional_table_build_is_bounded(nu, frac):
     assert np.all(np.diff(offs) <= 7 * np.arange(sim._SUM_ROWS + 1))
 
 
+def test_one_sum_table_per_law():
+    # at nu = 1 with no immigrants folded (theta < 1), the gate changes no
+    # row, so the three models share the one plain table
+    p = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 0.7)
+    sim._sum_table.cache_clear()
+    for model in ("stopped", "z", "gated"):
+        estimate_survival(p, model, 5, 2000, seed=4)
+    assert sim._sum_table.cache_info().currsize == 1
+
+
 def test_tail_draws_follow_the_conditional_law():
     # X | X >= K: every draw at least K, frequencies p_k / P(X >= K)
     for nu in (0.5, 0.95):
@@ -612,7 +662,8 @@ def test_split_cells_stop_at_the_table_length():
     assert draws.min() >= 2
     with pytest.raises(ValueError):
         sample_offspring(p, stream(29, 0), 1, lowest=3)
-    sums = sim._offspring_sums(p, stream(29, 1), np.full(1000, 100))
+    sums = sim._offspring_sums(p, *one_block(stream(29, 1),
+                                             np.full(1000, 100)))
     assert np.all(sums >= 0)
 
 
@@ -627,7 +678,8 @@ def test_nu1_split_at_tiny_kappa1_keeps_the_law(k1):
                   kappa2=1.0)
     lam, n, shift = 0.05, 20_000, 4
     w = round(lam / k1)
-    draws = sim._offspring_sums(p, stream(31, 0), np.full(n, w)) - w + shift
+    draws = sim._offspring_sums(p, *one_block(stream(31, 0), np.full(n, w)))
+    draws = draws - w + shift
     law = [math.exp(-2.0 * lam)
            * sum(lam ** (2 * i + abs(d)) / math.factorial(i)
                  / math.factorial(i + abs(d)) for i in range(20))
@@ -654,9 +706,9 @@ def test_chunked_path_is_chunk_size_invariant(monkeypatch):
     p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
     pops = np.array([4, 1, 30, 2, 11, 7])
-    ref = sim._offspring_sums(p, stream(2, 0), pops)
+    ref = sim._offspring_sums(p, *one_block(stream(2, 0), pops))
     monkeypatch.setattr(sim, "_CHUNK", 7)
-    small = sim._offspring_sums(p, stream(2, 0), pops)
+    small = sim._offspring_sums(p, *one_block(stream(2, 0), pops))
     assert np.array_equal(ref, small)
 
 
@@ -669,9 +721,9 @@ def test_tail_path_is_chunk_size_invariant(monkeypatch):
     tails = stream(2, 0).multinomial(
         pops, offspring_split(p, sim._SPLIT_CELLS))[:, -1]
     assert tails.sum() > 20 * 7 and np.count_nonzero(tails) >= 4
-    ref = sim._offspring_sums(p, stream(2, 0), pops)
+    ref = sim._offspring_sums(p, *one_block(stream(2, 0), pops))
     monkeypatch.setattr(sim, "_CHUNK", 7)
-    small = sim._offspring_sums(p, stream(2, 0), pops)
+    small = sim._offspring_sums(p, *one_block(stream(2, 0), pops))
     assert np.array_equal(ref, small)
 
 
@@ -683,8 +735,8 @@ def test_huge_population_keeps_memory_bounded(monkeypatch):
     monkeypatch.setattr(sim, "_CHUNK", 1 << 16)
     tracemalloc.start()
     try:
-        total = sim._offspring_sums(p, stream(37, 0),
-                                    np.array([10 ** 9]))[0]
+        total = sim._offspring_sums(p, *one_block(stream(37, 0),
+                                                  np.array([10 ** 9])))[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -259,6 +259,12 @@ def _verify_checks(cfg: RunConfig):
     lo, hi, _ = u_dp_curve(canon, "stopped", 25, M=512)
     inside = bool(np.all((rt.u[:26] >= lo - 1e-9) & (rt.u[:26] <= hi + 1e-9)))
     yield "dp_bracket_contains_renewal", inside, _fmt(float(hi[25] - lo[25]))
+    for model in ("z", "gated"):
+        u = exact_survival(canon, model, 25)
+        lo, hi, _ = u_dp_curve(canon, model, 25, M=512)
+        inside = bool(np.all((u >= lo - 1e-9) & (u <= hi + 1e-9)))
+        yield (f"dp_bracket_contains_exact_{model}", inside,
+               _fmt(float(hi[25] - lo[25])))
     frac = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5,
                      kappa1=0.5, kappa2=0.3)
     u = build_renewal(frac, 20).u

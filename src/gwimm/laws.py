@@ -38,7 +38,8 @@ _SEED_DIRECT = 1e12      # above this, walk steps fall under float resolution
 _LOG_SEED_MAX = 64.0     # seed exponent clamp: exp(64) is past _HUGE, finite
 _POISSON_LAM_MAX = 1e17  # generator-safe Poisson mean
 _LOG_POISSON_LAM_MAX = math.log(_POISSON_LAM_MAX)
-_THETA_MIN = 1e-300      # below, the stable variates' logs may overflow
+_THETA_MIN = 1e-300      # least theta of `stable_positive`: below it
+                         # (nearly) every draw leaves the float range
 
 
 @dataclass(frozen=True)
@@ -480,44 +481,28 @@ def sample_immigration(params: LawParams, rng: np.random.Generator,
 
     Conditionally on S ~ stable(theta), a Poisson(kappa2**(1/theta) * S)
     count has exactly the generating function exp(-kappa2*(1-s)**theta).
-    theta = 1 short-circuits to plain Poisson(kappa2).
+    theta = 1 short-circuits to plain Poisson(kappa2).  Every other theta
+    forms the mean from logs, log lam = (log kappa2 + theta*log S)/theta,
+    which is finite before the division: where a small theta sends it to
+    -inf or +inf the mean is 0 or the generator cap, its limit law.
     """
     if params.theta == 1.0:
         return rng.poisson(min(params.kappa2, _POISSON_LAM_MAX), size)
-    if params.theta < _THETA_MIN:
-        # log(kappa2**(1/theta) * S) = (log(kappa2/w) + O(theta)) / theta:
-        # the mean is 0 for w > kappa2 and past the cap otherwise, up to
-        # an event of probability O(theta)
-        w = rng.standard_exponential(size)
-        return np.where(w > params.kappa2, 0,
-                        rng.poisson(_POISSON_LAM_MAX, size))
-    log_s = _log_stable(params.theta, rng, size)
-    tiny, huge = sys.float_info.min, sys.float_info.max
-    try:
-        scale = params.kappa2 ** (1.0 / params.theta)
-    except OverflowError:
-        scale = math.inf
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        s = np.exp(log_s)
-        lam = scale * s
-        # where a small theta sends a factor out of the normal floats,
-        # the mean is formed from the logs
-        odd = ~((s >= tiny) & (s <= huge) & (tiny <= scale <= huge))
-        lam[odd] = np.exp(np.minimum(
-            math.log(params.kappa2) / params.theta + log_s[odd],
-            _LOG_POISSON_LAM_MAX))
-    np.minimum(lam, _POISSON_LAM_MAX, out=lam)
-    return rng.poisson(lam)
+    log_lam = math.log(params.kappa2) + _theta_log_stable(params.theta, rng,
+                                                          size)
+    with np.errstate(over="ignore", under="ignore"):
+        log_lam /= params.theta
+        np.minimum(log_lam, _LOG_POISSON_LAM_MAX, out=log_lam)
+        return rng.poisson(np.exp(log_lam))
 
 
 def stable_positive(theta: float, rng: np.random.Generator,
                     size: int) -> np.ndarray:
     """One-sided stable(theta) variates with E exp(-l*S) = exp(-l**theta).
 
-    theta must lie in [1e-300, 1): below 1e-300 (`_THETA_MIN`) the terms
-    of log S overflow and meet as inf - inf, so the draws would be NaN.
-    Well above it S itself leaves the float range: at theta = 1e-3 about
-    half the draws read inf or 0, so `sample_immigration` works with log S.
+    theta must lie in [1e-300, 1) (`_THETA_MIN`).  S leaves the float
+    range well above that bound: at theta = 1e-3 about half the draws read
+    inf or 0, so `sample_immigration` works with theta*log S instead.
     """
     if not _THETA_MIN <= theta <= 1.0:
         raise OutOfRangeError("theta", "1e-300 <= theta <= 1", theta)
@@ -525,25 +510,27 @@ def stable_positive(theta: float, rng: np.random.Generator,
         raise DegenerateThetaError(
             "theta = 1 is the deterministic unit mass; no continuous "
             "one-sided stable component exists")
-    return np.exp(_log_stable(theta, rng, size))
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(_theta_log_stable(theta, rng, size) / theta)
 
 
-def _log_stable(theta: float, rng: np.random.Generator,
-                size: int) -> np.ndarray:
-    """log S for S ~ stable(theta), 0 < theta < 1, finite for theta >=
-    1e-300 where S itself leaves the float range.
+def _theta_log_stable(theta: float, rng: np.random.Generator,
+                      size: int) -> np.ndarray:
+    """theta*log S for S ~ stable(theta), finite for every 0 < theta < 1,
+    where S and log S themselves may leave the float range.
 
-    Uses the product representation on (0, pi) x Exp(1):
+    Uses Kanter's product representation on (0, pi) x Exp(1):
 
-        log S = log sin(theta*u) + r*log sin((1-theta)*u)
-                - log sin(u)/theta - r*log w,        r = (1-theta)/theta.
+        theta*log S = theta*log sin(theta*u) + (1-theta)*log sin((1-theta)*u)
+                      - log sin(u) - (1-theta)*log w,
+
+    with u, w and theta*u clipped at 1e-300, so no sine is 0.
     """
     u = rng.uniform(0.0, math.pi, size)
     w = rng.standard_exponential(size)
     np.clip(u, 1e-300, None, out=u)
     np.clip(w, 1e-300, None, out=w)
-    r = (1.0 - theta) / theta
-    return (np.log(np.sin(theta * u))
-            + r * np.log(np.sin((1.0 - theta) * u))
-            - np.log(np.sin(u)) / theta
-            - r * np.log(w))
+    return (theta * np.log(np.sin(np.maximum(theta * u, 1e-300)))
+            + (1.0 - theta) * np.log(np.sin((1.0 - theta) * u))
+            - np.log(np.sin(u))
+            - (1.0 - theta) * np.log(w))

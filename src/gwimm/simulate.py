@@ -546,10 +546,10 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
 
     A block of BLOCK replicates is the stream unit: block i draws from
     `stream(seed, i)`, so every result depends on the seed alone.  A
-    group of consecutive blocks is the work unit: groups of
-    min(8, ceil(blocks / threads)) blocks go to min(threads, CPU count)
-    workers as they become free, and each group steps its blocks in
-    lockstep (`_evolve_group`).
+    group of consecutive blocks is the work unit: the pool has
+    min(threads, CPU count) workers, groups of min(8, ceil(blocks /
+    workers)) blocks go to them as they become free, and each group
+    steps its blocks in lockstep (`_evolve_group`).
     """
     model = Model(model)
     _check_cap(cap)
@@ -562,7 +562,8 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
     if threads < 1:
         raise ValueError("threads must be >= 1")
     nblocks = -(-reps // BLOCK)
-    width = min(_GROUP, -(-nblocks // threads))
+    workers = min(threads, os.cpu_count() or 1)
+    width = min(_GROUP, -(-nblocks // workers))
     groups = [range(g, min(g + width, nblocks))
               for g in range(0, nblocks, width)]
 
@@ -572,7 +573,6 @@ def estimate_survival(params: LawParams, model, horizon: int, reps: int,
                              [min(BLOCK, reps - i * BLOCK) for i in blocks],
                              scale)
 
-    workers = min(threads, os.cpu_count() or 1)
     if len(groups) == 1 or workers == 1:
         results = [one(g) for g in groups]
     else:

@@ -377,6 +377,21 @@ def test_verify_passes_and_is_thread_invariant(tmp_path, capsys):
     assert "FAIL" not in text.replace("result: PASS", "")
 
 
+def test_verify_pins_the_exact_z_and_gated_curves(capsys):
+    # one line per chain: the exact curve inside the DP brackets
+    lines = set()
+    for threads in (1, 2, 3):
+        rc, out, _ = run(["verify", "--seed", "0", "--threads",
+                          str(threads)], capsys)
+        assert rc == 0
+        lines.add(tuple(line for line in out.splitlines()
+                        if line.startswith("dp_bracket_contains_exact_")))
+    (pins,) = lines
+    assert [p.split(":")[0] for p in pins] == [
+        "dp_bracket_contains_exact_z", "dp_bracket_contains_exact_gated"]
+    assert all(": PASS (" in p for p in pins)
+
+
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=-2 ** 64, max_value=2 ** 64))
 @example(seed=0)

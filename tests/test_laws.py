@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gwimm.errors import DegenerateThetaError, NonPmfError, OutOfRangeError
 from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
@@ -16,6 +16,8 @@ from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         _inverse_cdf_table, _keys, _log_ratio_gamma,
                         _offspring_tail_value, _sibuya_tail_value)
 from gwimm.rng import stream
+
+from conftest import mc_radius
 
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
@@ -406,13 +408,44 @@ def test_immigration_at_small_theta(theta, kappa2):
     assert y.min() >= 0
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(theta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                       exclude_max=True),
+       kappa2=st.floats(min_value=0.0, max_value=8.0, exclude_min=True))
+@example(theta=5e-324, kappa2=1.5)
+@example(theta=1e-305, kappa2=0.7)
+@example(theta=1e-300, kappa2=8.0)
+@example(theta=1e-3, kappa2=2.0)
+@example(theta=0.5, kappa2=0.7)
+@example(theta=1.0 - 2.0 ** -53, kappa2=3.0)
+def test_immigration_frequencies_over_the_box(theta, kappa2):
+    # the frequencies of 0, 1, 2 and >= 3 against the exact table and its
+    # tail mass: 4 comparisons an example at MC_ALPHA each
+    p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    n = 100_000
+    y = sample_immigration(p, stream(7, 0), n)
+    table = immigration_pmf(p, 2)
+    law = np.append(table.probs, table.truncation_mass)
+    freq = np.bincount(np.minimum(y, 3), minlength=4) / n
+    assert np.all(np.abs(freq - law) <= mc_radius(np.clip(law, 0.0, 1.0), n))
+
+
+def test_stable_draws_out_of_the_float_range_read_inf_or_0():
+    # at theta = 1e-3 S leaves the float range on both sides, with no
+    # overflow warning and no NaN
+    s = stable_positive(1e-3, stream(1, 0), 1000)
+    assert np.any(s == 0.0) and np.any(s == math.inf)
+    assert not np.any(np.isnan(s))
+
+
 def test_stable_rejects_degenerate_and_bad_theta():
     rng = stream(0, 0)
     with pytest.raises(DegenerateThetaError):
         stable_positive(1.0, rng, 10)
     with pytest.raises(OutOfRangeError):
         stable_positive(1.5, rng, 10)
-    # below 1e-300 the draws would be NaN (all of them at 5e-324)
+    # below 1e-300 (nearly) every draw leaves the float range
     for theta in (0.0, 5e-324, 1e-301):
         with pytest.raises(OutOfRangeError):
             stable_positive(theta, rng, 10)

@@ -1,7 +1,7 @@
 """Import layering: the exact-math modules do not depend on the simulator
 or the command line; only `pgf` reads the fields of its `QPath`; only
-`simulate` takes a single stream; the argument names a call tracer reads
-stay put."""
+`simulate` takes a single stream; the immigration sampler forks on theta
+only at 1; the argument names a call tracer reads stay put."""
 
 import ast
 import dataclasses
@@ -65,6 +65,29 @@ def test_only_simulate_takes_one_stream():
                                                   *node.args.args,
                                                   *node.args.kwonlyargs)})
     assert takers == ["simulate"], takers
+
+
+def test_immigration_sampler_forks_on_theta_at_one_only():
+    # theta < 1 takes one path for every theta: inside `sample_immigration`
+    # every comparison that involves theta compares it with 1
+    tree = ast.parse((PACKAGE / "laws.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "sample_immigration"]
+
+    def has_theta(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "theta"
+                   or isinstance(n, ast.Name) and n.id == "theta"
+                   for n in ast.walk(node))
+
+    forks = [node for node in ast.walk(fn)
+             if isinstance(node, ast.Compare) and has_theta(node)]
+    assert forks, "no theta comparison parsed"
+    for node in forks:
+        rest = [op for op in (node.left, *node.comparators)
+                if not has_theta(op)]
+        assert rest and all(isinstance(op, ast.Constant) and op.value == 1
+                            for op in rest), ast.unparse(node)
 
 
 def unused_imports(path: Path) -> set[str]:

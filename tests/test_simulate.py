@@ -23,6 +23,8 @@ from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
                             estimate_survival, simulate)
 
+from conftest import mc_radius
+
 CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
 MIXED = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
@@ -108,7 +110,9 @@ def test_thread_count_does_not_change_laplace_bits():
 def test_grouping_does_not_change_any_result(params, model, cap,
                                              monkeypatch):
     # 9 blocks, the last one partial: groups of 8 and 1 on one thread, of
-    # 5 and 4 on two, of 3 on three, each block alone with _GROUP = 1
+    # 5 and 4 on two, of 3 on three, each block alone with _GROUP = 1.
+    # Groups are sized by the worker count, so the host has 3 CPUs here
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
     reps = 8 * sim.BLOCK + 1000
 
     def run(threads):
@@ -126,10 +130,11 @@ def test_grouping_does_not_change_any_result(params, model, cap,
         assert alone[1] != alone[0] and alone[2][-1] > 0
 
 
-def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
-    # a thread count past the block count makes every group one block,
-    # and the pool still takes at most one worker per CPU.  The stand-in
-    # pool maps in the calling thread, so no thread is started
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """Replace the thread pool with a stand-in that maps in the calling
+    thread, so no thread is started; returns the `max_workers` of every
+    pool built."""
     workers = []
 
     class InlinePool:
@@ -146,6 +151,13 @@ def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(sim, "ThreadPoolExecutor", InlinePool)
+    return workers
+
+
+def test_worker_pool_is_bounded_by_the_cpu_count(pool_workers,
+                                                  monkeypatch):
+    # a thread count past the block count still gives the pool at most
+    # one worker per CPU, and the same counts as one thread
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
 
     def run(threads):
@@ -154,7 +166,24 @@ def test_worker_pool_is_bounded_by_the_cpu_count(monkeypatch):
         return bs.survival_counts.tolist(), bs.censored_counts.tolist()
 
     assert run(10 ** 6) == run(1)
-    assert workers == [4]
+    assert pool_workers == [4]
+
+
+def test_groups_are_sized_by_the_workers(pool_workers, monkeypatch):
+    # 8 threads asked on 2 CPUs: 16 blocks in two groups of 8 for the two
+    # workers, not eight groups of 2 sized by the request
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    widths = []
+    evolve = sim._evolve_group
+
+    def spy(params, model, horizon, cap, rngs, *rest):
+        widths.append(len(rngs))
+        return evolve(params, model, horizon, cap, rngs, *rest)
+
+    monkeypatch.setattr(sim, "_evolve_group", spy)
+    estimate_survival(CANON, "stopped", 1, 16 * sim.BLOCK, seed=3, threads=8)
+    assert widths == [8, 8]
+    assert pool_workers == [2]
 
 
 def test_partial_blocks_and_tiny_reps():
@@ -238,20 +267,9 @@ def test_multinomial_split_matches_convolved_law():
         assert_cells_match(row, convolution_power(base, w, nmax), w)
 
 
-# per-comparison false-alarm rate of the Monte Carlo property below: it
-# makes at most 27 * 609 comparisons a run, so a correct sampler fails it
-# with probability below 2e-6 (union bound)
-MC_ALPHA = 1e-10
-
-
-def mc_radius(p, n: int):
-    """Half-width t with P(|p_hat - p| >= t) <= MC_ALPHA for a mean p_hat
-    of n Bernoulli(p) indicators (Bernstein), rigorous at every p."""
-    L = math.log(2.0 / MC_ALPHA)
-    var = p * (1.0 - p)
-    return (L / 3.0 + np.sqrt((L / 3.0) ** 2 + 2.0 * n * L * var)) / n
-
-
+# the Monte Carlo property below makes at most 27 * 609 comparisons a
+# run at MC_ALPHA each, so a correct sampler fails it with probability
+# below 2e-6 (union bound)
 @settings(max_examples=25, deadline=None)
 @given(nu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
        frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),

@@ -256,23 +256,19 @@ def _verify_checks(cfg: RunConfig):
     pin = max(abs(dp.pi[1, 0] - 0.5 * math.exp(-1.0)),
               abs(dp.pi[1, 1] - 0.5 * math.exp(-1.0)))
     yield "dp_one_step_pins", pin < 1e-12, _fmt(pin)
-    lo, hi, _ = u_dp_curve(canon, "stopped", 25, M=512)
-    inside = bool(np.all((rt.u[:26] >= lo - 1e-9) & (rt.u[:26] <= hi + 1e-9)))
-    yield "dp_bracket_contains_renewal", inside, _fmt(float(hi[25] - lo[25]))
-    for model in ("z", "gated"):
-        u = exact_survival(canon, model, 25)
-        lo, hi, _ = u_dp_curve(canon, model, 25, M=512)
-        inside = bool(np.all((u >= lo - 1e-9) & (u <= hi + 1e-9)))
-        yield (f"dp_bracket_contains_exact_{model}", inside,
-               _fmt(float(hi[25] - lo[25])))
     frac = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5,
                      kappa1=0.5, kappa2=0.3)
-    u = build_renewal(frac, 20).u
-    lo, hi, dist = u_dp_curve(frac, "stopped", 20, M=1024)
-    pad = 1e-9 + dist.alias_bound
-    inside = bool(np.all((u >= lo - pad) & (u <= hi + pad)))
-    yield ("dp_fractional_bracket", dist.alias_bound > 0.0 and inside,
-           _fmt(dist.alias_bound))
+    # each exact curve inside its DP bracket, padded by 1e-9 for roundoff;
+    # the detail is its largest distance outside the bracket
+    for name, p, model, n, M in (
+            ("dp_bracket_contains_renewal", canon, "stopped", 25, 512),
+            ("dp_bracket_contains_exact_z", canon, "z", 25, 512),
+            ("dp_bracket_contains_exact_gated", canon, "gated", 25, 512),
+            ("dp_fractional_bracket", frac, "stopped", 20, 1024)):
+        u = exact_survival(p, model, n)
+        lo, hi, _ = u_dp_curve(p, model, n, M=M)
+        inside = bool(np.all((u >= lo - 1e-9) & (u <= hi + 1e-9)))
+        yield name, inside, _fmt(float(np.max(np.r_[lo - u, u - hi, 0.0])))
 
     q3 = float(q_iterate(canon, 0.0, 3).power(1.0)[3])
     yield "q_iteration_pin", abs(q3 - 0.3046875) < 1e-15, _fmt(q3)

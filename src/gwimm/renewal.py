@@ -41,10 +41,9 @@ _BLOCK = 1024                # terms of u solved directly in extended precision
 # kappa2 * S_k past which every weight rounds to 0: 1076*log(2) + 1, where
 # g0_k < 2^-1076/e, and one spare nat for the float64 estimate of S_k
 _CUT_NATS = 1076.0 * math.log(2.0) + 2.0
-# exponents c of the evaluation points 1 + c/ring of the wrap-around bound
-_ALIAS_EXPONENTS = np.array([8.0, 16.0, 24.0, 32.0, 40.0, 48.0])
-_BABY_CAP = 64               # most baby steps of either DP route
-_TILE = 1024                 # spectrum bins per DP matrix product
+_BABY_CAP = 64               # DP baby steps while their rows are short
+_FULL_BABY_CAP = 256         # most DP baby steps once their rows are full
+_BATCH = 2 ** 18             # coefficients of the blocks of one baby product
 _BOUNDARY_TOL = 1e-9         # relative width of every regime boundary
 _BALANCED = ("R1", "R2", "R3", "R4", "R5")    # the regimes of theta = nu
 
@@ -227,65 +226,127 @@ class DpDistribution:
     pi: np.ndarray            # (n+1, cap+1) per-generation distributions
     lost_mass: np.ndarray     # cumulative truncated probability, per generation
     model: Model
-    alias_bound: float        # wrap-around contamination bound (0 when nu = 1)
+    # always 0.0, since no step wraps; the benchmark harness still reads it
+    alias_bound: float = 0.0
 
 
-def _log_poly_at(logc: np.ndarray, logx: np.ndarray) -> np.ndarray:
-    """log of sum_k exp(logc[k]) * x^k at each x of exp(logx), all
-    coefficients nonnegative."""
-    k = np.arange(len(logc))
-    return np.logaddexp.reduce(logc + np.multiply.outer(logx, k), axis=-1)
+def _times(a: np.ndarray, f: np.ndarray, fz: np.ndarray,
+           M: int) -> np.ndarray:
+    """a * f mod x^(M+1) for each row of a, of at most M + 1
+    coefficients, with fz the rfft of f at a size that holds a[:M] * f.
+
+    That product has at most 2M coefficients, so it does not wrap, and
+    a[M] * x^M adds only a[M] * f[0] below x^(M+1)."""
+    size = 2 * (fz.shape[-1] - 1)
+    la = a.shape[-1]
+    out = np.fft.rfft(a[..., :M], size)
+    out *= fz
+    out = np.fft.irfft(out, size)[..., :min(M + 1, min(la, M) + len(f) - 1)]
+    if la > M:
+        out[..., M] += a[..., M] * f[0]
+    return out
 
 
 def _composition_plan(F: np.ndarray, M: int, ring: int):
-    """The operands of `_compose` that the offspring coefficients F
-    (degree 2) fix for a whole run: the rows of F^0..F^(b-1), b =
-    min(64, M/2), padded to 2b - 1 columns; the spectra of F^h at size 4h
-    for h = b, 2b, ..., M/4; and the spectrum of F^(M/2) on the ring.
-    F^b takes one more convolution, and each F^2h one FFT squaring of
-    F^h."""
+    """The operands of `_compose` that the offspring coefficients F fix
+    for a whole run: the rows of F^0..F^(b-1) mod x^(M+1);
+    for h = b, 2b, ..., M/4, F^h mod x^(M+1) and its spectrum at the size
+    of the level's products; F^(M/2) and its spectrum on the ring; and
+    the most blocks of one baby product, about 2^18 coefficients.
+
+    While the rows of F^0..F^63 are shorter than M + 1 (F of low degree,
+    as at nu = 1), b = min(64, M/2) and each row is the last one
+    convolved with F.  Once they are full, the baby product costs
+    M(M + 1) for any b, the rows b FFT products once per call and the
+    levels M/b - 1 per generation, so b = min(256, M/2) (32 MiB of rows
+    at M = 16384), and rows k..2k-1 are rows 0..k-1 times F^k.  b does
+    not depend on the number of generations, so neither does a prefix of
+    pi.  F^2h is one FFT squaring of F^h.
+    """
+    def spectrum(f, la):    # at the least size that holds a[:M] * f
+        return np.fft.rfft(f, 1 << (min(la, M) + len(f) - 2).bit_length())
+
     b = min(_BABY_CAP, M // 2)
-    rows = np.zeros((b, 2 * b - 1))
+    width = min(M + 1, (b - 1) * (len(F) - 1) + 1)
+    if width > M:
+        b = min(M // 2, _FULL_BABY_CAP)
+    rows = np.zeros((b, width))
     rows[0, 0] = 1.0
-    for i in range(1, b):
-        rows[i, :2 * i + 1] = np.convolve(rows[i - 1, :2 * i - 1], F)
-    g, h = np.convolve(rows[-1], F), b
-    spectra = []
+    batch = max(1, _BATCH // width)
+    if width <= M:
+        g = rows[0, :1]
+        for i in range(1, b + 1):
+            g = np.convolve(g, F)[:M + 1]
+            if i < b:
+                rows[i, :len(g)] = g
+    else:
+        # in chunks whose FFT temporaries take about one batch of blocks
+        g, k, chunk = F, 1, max(1, batch // 8)
+        while k < b:
+            gz = np.fft.rfft(g, 2 * M)
+            for lo in range(0, k, chunk):
+                part = rows[lo:min(k, lo + chunk)]
+                rows[k + lo:k + lo + len(part)] = _times(part, g, gz, M)
+            g = _times(g, g, gz, M)
+            k *= 2
+    h, levels = b, []
     while h < M // 2:
-        spectra.append(np.fft.rfft(g, 4 * h))
-        s = np.fft.rfft(g, 8 * h)
-        g = np.fft.irfft(s * s, 8 * h)[:4 * h + 1]
+        levels.append((g, spectrum(g, width)))
+        width = min(M + 1, min(width, M) + len(g) - 1)
+        g = _times(g, g, spectrum(g, len(g)), M)
         h *= 2
-    return rows, spectra, np.fft.rfft(g, ring)
+    return rows, levels, (g, np.fft.rfft(g, ring)), batch
 
 
-def _compose(cur: np.ndarray, rows: np.ndarray, spectra: list,
-             top: np.ndarray, ring: int) -> np.ndarray:
-    """rfft on the ring of Q = sum_{w<M} cur[w+1] * F^w, M = len(cur) - 1,
-    from the operands of `_composition_plan`.
+def _blocks(c: np.ndarray, plan, M: int, k: int) -> np.ndarray:
+    """The block polynomials of the states c, as rows of b, paired level
+    by level until k (1 or 2) remain.  Past one batch of rows, the halves
+    are reduced to one polynomial each, depth first, so one batch and one
+    polynomial per halving are alive at once."""
+    rows, levels, _, batch = plan
+    if len(c) > batch:
+        h = len(c) // 2
+        q = np.concatenate((_blocks(c[:h], plan, M, 1),
+                            _blocks(c[h:], plan, M, 1)))
+        levels = levels[h.bit_length() - 1:]
+    else:
+        q = c @ rows
+    for level in levels:
+        if len(q) == k:
+            break
+        odd = _times(q[1::2], *level, M)    # q_even + F^h * q_odd
+        odd[:, :q.shape[1]] += q[::2]
+        q = odd
+    return q
+
+
+def _compose(cur: np.ndarray, plan, ring: int) -> np.ndarray:
+    """rfft on the ring of a polynomial Q of degree below 2M that agrees
+    with sum_{w<M} cur[w+1] * F^w below x^(M+1), M = len(cur) - 1, from
+    the operands of `_composition_plan`.
 
     Q is composed in coefficient space by divide and conquer over blocks
     of b states (Brent & Kung 1978).  Baby step: one matrix product of
     cur[1:], as M/b rows of b, with the rows of F^0..F^(b-1) gives the
-    block polynomials q_j = sum_i cur[1 + jb + i] * F^i, of degree
-    2(b - 1).  Each level h = b, 2b, ..., M/4 pairs the blocks as
-    q_even + F^h * q_odd, by one batched rfft/irfft of size 4h over all
-    odd blocks; the product has degree 2(2h - 1) < 4h, so nothing wraps.
-    The top level works on the ring: rfft(q_0) + rfft(F^(M/2)) *
-    rfft(q_1), of degree 2(M - 1) < 4M.
+    block polynomials q_j = sum_i cur[1 + jb + i] * F^i.  Each level
+    h = b, 2b, ..., M/4 pairs the blocks as q_even + F^h * q_odd by one
+    batched FFT product (`_times`), cut at M + 1 coefficients.  The top
+    level works on the ring: q_0 + F^(M/2) * q_1, with q_1[M] * F^(M/2)[0]
+    moved into q_0.  No product wraps.  At nu = 1 the blocks at level h
+    have 2h - 1 coefficients, so no product reaches the cut.
 
     Roundoff: every operand, each q and each F^h, is a nonnegative
     polynomial (to rounding) of l1 norm at most 1.  The FFT products are
-    M/(2h) cyclic products of size 4h at each level h, and one of size
-    4M at the top; with those norms each has the forward error bound of
-    Higham (2002, section 24.1).
+    those of the rows, M/(2h) cyclic products at each level h, and one of
+    size 4M at the top; with those norms each has the forward error bound
+    of Higham (2002, section 24.1).
     """
-    q = cur[1:].reshape(-1, len(rows)) @ rows
-    for fh in spectra:
-        size = 2 * (len(fh) - 1)
-        odd = np.fft.irfft(np.fft.rfft(q[1::2], size) * fh, size)
-        odd[:, :q.shape[1]] += q[::2]
-        q = odd[:, :-1]
+    M = len(cur) - 1
+    q = _blocks(cur[1:].reshape(-1, len(plan[0])), plan, M, 2)
+    g, top = plan[2]
+    if q.shape[1] > M:
+        q[0, M] += q[1, M] * g[0]
+        q[1, M] = 0.0
     q0, q1 = np.fft.rfft(q, ring)
     q1 *= top
     q1 += q0
@@ -298,41 +359,21 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
 
     Each step evaluates the one-step transform at the roots of unity of a
     ring of size 4M, then inverts it, one rule for the three chains: the
-    next law is irfft(Bz * (acc + x)) plus cur[0] - x at state 0.  x is 0
-    for the stopped chain, cur[0] for z (the atom takes immigrants), and
-    -P0 for the gated one (P0 = sum_w cur[w] * kappa1^w, the all-zero
-    offspring sums, joins the atom with no immigrants).  The offspring
-    part acc = sum_{w=1..M} cur[w] * Fz^w takes one of two routes, by a
-    property of the law.
+    next law is irfft(Bz * (Fz * Q + x)) plus cur[0] - x at state 0.  x
+    is 0 for the stopped chain, cur[0] for z (the atom takes immigrants),
+    and -P0 for the gated one (P0 = sum_w cur[w] * kappa1^w, the all-zero
+    offspring sums, joins the atom with no immigrants).
 
-    At nu = 1 the offspring law has three atoms, so acc is the spectrum
-    of F * Q, Q = sum_{w<M} cur[w+1] * F^w, a polynomial of exact degree
-    2M.  `_compose` builds Q in coefficient space, in O(M log^2 M) a
-    step; no table of powers is built.
-
-    At nu < 1 the offspring polynomial truncated at M has degree M, so
-    acc is a polynomial of degree M^2 that is only evaluated at the ring
-    points, whose wrap-around the alias bound below covers.  It is
-    evaluated by baby and giant steps (Paterson & Stockmeyer 1973): a
-    table of the powers Fz^1..Fz^b is built once per call, b = sqrt(M)
-    rounded up to a power of two and capped at 64, so b divides M.  The
-    2M + 1 spectrum bins are taken in tiles of 1024, the last tile also
-    taking the odd bin.  Per tile, one real matrix product of the states
-    (as M/b rows of b) with the tile's columns of the table gives the
-    M/b block polynomials there, and a Horner pass in Fz^b over the
-    blocks, top down, combines them while the tile is in cache.  At
-    M = 4096 the table takes 8 MiB and the reused product buffer 1 MiB.
-    Each step does O(M^2) work, almost all of it in the matrix products.
+    The offspring part is F * Q, Q = sum_{w<M} cur[w+1] * F^w, with F
+    the offspring law stripped of its trailing exact zeros (three
+    coefficients at nu = 1).  States 0..M read no coefficient of F^w past
+    x^M, so `_compose` builds Q mod x^(M+1) in coefficient space.  Q has
+    degree below 2M and F and B at most M, so the ring never wraps.  A
+    step costs O(M log^2 M) while the blocks stay short (nu = 1) and
+    O(M^2) once they are full.
 
     Mass that escapes the truncation is tracked in lost_mass, so
     [sum pi, sum pi + lost] brackets the true probability.
-
-    For nu = 1 the step polynomial has degree at most 3M < 4M, so the
-    ring never wraps.  For nu < 1 the mass that wraps in one step is at
-    most the nonnegative step polynomial at a real point x > 1 over
-    x^ring; that bound accumulates over the generations at each of the
-    points x = 1 + c/ring, c in (8, 16, ..., 48), and alias_bound is the
-    least of the totals.  Every total is rigorous, so their minimum is.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -345,6 +386,7 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     bo = immigration_pmf(params, M)
     Fz = np.fft.rfft(fo.probs, ring)
     Bz = np.fft.rfft(bo.probs, ring)
+    plan = _composition_plan(np.trim_zeros(fo.probs, "b"), M, ring)
 
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
@@ -352,47 +394,11 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     pi[0] = g.probs
     lost[0] = g.truncation_mass
 
-    track_alias = params.nu < 1.0
-    alias = np.zeros(len(_ALIAS_EXPONENTS))
-    if track_alias:
-        logx = np.log1p(_ALIAS_EXPONENTS / ring)
-        with np.errstate(divide="ignore"):
-            logF = _log_poly_at(np.log(fo.probs), logx)
-            logB = _log_poly_at(np.log(bo.probs), logx)
-
-        b = min(_BABY_CAP, 1 << (M.bit_length() // 2))
-        powers = np.empty((b, len(Fz)), dtype=complex)
-        powers[0] = Fz
-        for j in range(1, b):
-            np.multiply(powers[j - 1], Fz, out=powers[j])
-        giant = powers[-1]
-        table = powers.view(float)             # (b, 2 * (2M + 1)) real
-        blocks = M // b
-        # 2M is a multiple of the tile or below it, so no tile is one bin
-        edges = [*range(0, 2 * M, _TILE), 2 * M + 1]
-        flat = np.empty(blocks * 2 * (edges[-1] - edges[-2]))  # widest tile
-        acc = np.empty(len(Fz), dtype=complex)
-    else:
-        # the offspring weights past index 2 are exact zeros at nu = 1
-        plan = _composition_plan(fo.probs[:3], M, ring)
-
     p0pow = params.kappa1 ** np.arange(1.0, M + 1)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
-        if track_alias:
-            coef = cur[1:].reshape(blocks, b)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                buf = flat[:blocks * 2 * (hi - lo)].reshape(blocks, -1)
-                np.matmul(coef, table[:, 2 * lo:2 * hi], out=buf)
-                rows = buf.view(complex)
-                part, step = acc[lo:hi], giant[lo:hi]
-                part[:] = rows[-1]
-                for row in rows[-2::-1]:
-                    part *= step
-                    part += row
-        else:
-            acc = _compose(cur, *plan, ring)
-            acc *= Fz
+        acc = _compose(cur, plan, ring)
+        acc *= Fz
         if model is Model.STOPPED_Z:
             x = 0.0
         elif model is Model.UNSTOPPED_Z:
@@ -404,16 +410,9 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
         out[0] += cur[0] - x
         pi[gen] = out
         lost[gen] = max(lost[gen - 1], 1.0 - fsum(out))
-        if track_alias:
-            # a total that overflows carries no information; the least
-            # total is still a bound
-            with np.errstate(divide="ignore", over="ignore"):
-                logS = _log_poly_at(np.log(cur), logF)
-                alias += np.exp(logB + logS - ring * logx)
         if lost[gen] > tol:
             raise CapTooSmallError(gen, lost[gen], tol)
-    return DpDistribution(cap=M, pi=pi, lost_mass=lost, model=model,
-                          alias_bound=float(alias.min()))
+    return DpDistribution(cap=M, pi=pi, lost_mass=lost, model=model)
 
 
 def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,

@@ -15,7 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 from gwimm.cli import main
 from gwimm.laws import LawParams
 from gwimm.limits import THEOREMS
-from gwimm.renewal import u_dp_curve
 
 try:
     import tomllib
@@ -276,19 +275,18 @@ def test_survival_columns_measure_one_quantity(extra, capsys):
 @pytest.mark.parametrize("model", ["z", "gated"])
 def test_survival_exact_column_inside_dp_bracket(model, params, capsys):
     # the exact column of z and gated is finite and inside the DP
-    # bracket, padded by the roundoff allowance and the alias bound
+    # bracket, padded by the roundoff allowance
     law = [f"--{f.name}={getattr(params, f.name)!r}"
            for f in dataclasses.fields(params)]
     rc, out, _ = run(["survival", "--horizon", "6", "--reps", "200",
                       "--M", "1024", "--model", model, *law], capsys)
     assert rc == 0
-    pad = 1e-9 + u_dp_curve(params, model, 6, M=1024)[2].alias_bound
     rows = [ln.split(",") for ln in out.splitlines()
             if not ln.startswith("#")][1:]
     assert len(rows) == 7
     for _, ur, lo, hi, *_ in rows:
         ur, lo, hi = float(ur), float(lo), float(hi)
-        assert math.isfinite(ur) and lo - pad <= ur <= hi + pad
+        assert math.isfinite(ur) and lo - 1e-9 <= ur <= hi + 1e-9
 
 
 def test_simulate_far_sibuya_tail_exits_0(capsys):

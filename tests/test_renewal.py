@@ -35,6 +35,9 @@ R3 = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                kappa2=0.25)
 MIXED = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
                   kappa2=0.7)
+# heavy immigration at small nu: the most mass near the cap of the box laws
+HEAVY = LawParams(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, kappa1=0.8,
+                  kappa2=8.0)
 
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
@@ -258,7 +261,6 @@ def test_dp_one_step_convolution_pin():
     assert dist.pi[1, 0] == pytest.approx(conv[0], abs=1e-12)
     for j in range(1, 10):
         assert dist.pi[1, j] == pytest.approx(conv[j], rel=1e-10)
-    assert dist.alias_bound == 0.0          # nu = 1: kernels are polynomials
 
 
 def test_dp_rows_account_for_all_mass():
@@ -279,86 +281,94 @@ def test_dp_bracket_contains_renewal_solution():
 
 
 def test_dp_bracket_fractional_nu():
-    # nu < 1 exercises the rigorous wrap-around bound
+    # at nu < 1 every offspring coefficient up to M is positive, and the
+    # bracket needs no pad beyond roundoff
     rt = build_renewal(FRAC, 20)
-    dist = dp_distribution(FRAC, "stopped", 20, M=1024)
-    assert dist.alias_bound > 0.0
     lo, hi, _ = u_dp_curve(FRAC, "stopped", 20, M=1024)
-    pad = 1e-9 + dist.alias_bound
     for n in range(21):
-        assert lo[n] - pad <= rt.u[n] <= hi[n] + pad
+        assert lo[n] - 1e-9 <= rt.u[n] <= hi[n] + 1e-9
 
 
 def _per_state_dp(params, model, n, M, tol):
-    """Reference DP: the same recursion with acc(z) = sum_w pi[w] Fz^w
-    evaluated by a Horner pass over the states, one state at a time.
-    Returns (pi, lost_mass, alias_bound)."""
-    ring = 4 * M
+    """Reference DP: the same recursion with the offspring part
+    sum_w pi[w] F^w mod x^(M+1) formed by a Horner pass over the states,
+    one state at a time, by direct convolution with F (its trailing exact
+    zeros stripped).  Returns (pi, lost_mass)."""
     fo, bo = offspring_pmf(params, M), immigration_pmf(params, M)
-    Fz = np.fft.rfft(fo.probs, n=ring)
-    Bz = np.fft.rfft(bo.probs, n=ring)
+    F = np.trim_zeros(fo.probs, "b")
     g = initial_pmf(params, M)
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
     pi[0], lost[0] = g.probs, g.truncation_mass
-    # the wrap-around bound at each evaluation point 1 + c/ring, one at a
-    # time; the least total is the bound
-    logx = [math.log1p(c / ring) for c in ren._ALIAS_EXPONENTS]
-    with np.errstate(divide="ignore"):
-        logF = [ren._log_poly_at(np.log(fo.probs), lx) for lx in logx]
-        logB = [ren._log_poly_at(np.log(bo.probs), lx) for lx in logx]
-    alias = [0.0] * len(logx)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
-        acc = np.zeros(len(Fz), dtype=complex)
+        acc = np.zeros(1)
         for w in range(M, 0, -1):
-            acc += cur[w]
-            acc *= Fz
+            acc[0] += cur[w]
+            acc = np.convolve(acc, F)[:M + 1]
         P0 = float(np.dot(cur[1:], params.kappa1 ** np.arange(1.0, M + 1)))
-        spec, atom = {"stopped": (Bz * acc, cur[0]),
-                      "z": (Bz * (acc + cur[0]), 0.0),
-                      "gated": (Bz * (acc - P0), cur[0] + P0)}[model]
-        out = np.fft.irfft(spec, n=ring)[:M + 1]
+        x = {"stopped": 0.0, "z": cur[0], "gated": -P0}[model]
+        acc[0] += x
+        out = np.convolve(acc, bo.probs)[:M + 1]
         np.clip(out, 0.0, None, out=out)
-        out[0] += atom
+        out[0] += cur[0] - x
         pi[gen] = out
         lost[gen] = max(lost[gen - 1], 1.0 - math.fsum(out.tolist()))
-        if params.nu < 1.0:
-            for i, lx in enumerate(logx):
-                with np.errstate(divide="ignore"):
-                    logS = ren._log_poly_at(np.log(cur), logF[i])
-                alias[i] += math.exp(logB[i] + logS - ring * lx)
         if lost[gen] > tol:
             raise CapTooSmallError(gen, lost[gen], tol)
-    return pi, lost, min(alias)
+    return pi, lost
 
 
 @pytest.mark.parametrize("M", [64, 512])
-@pytest.mark.parametrize("params", [CANON, FRAC], ids=["canon", "frac"])
+@pytest.mark.parametrize("params", [CANON, FRAC, HEAVY],
+                         ids=["canon", "frac", "heavy"])
 @pytest.mark.parametrize("model", ["stopped", "z", "gated"])
 def test_dp_step_matches_per_state_horner(model, params, M):
-    # tol = 1 keeps FRAC's heavy tails from stopping the run at M = 64
+    # tol = 1 keeps the heavy tails from stopping the run at M = 64
     dist = dp_distribution(params, model, 12, M=M, tol=1.0)
-    pi, lost, alias = _per_state_dp(params, model, 12, M, tol=1.0)
+    pi, lost = _per_state_dp(params, model, 12, M, tol=1.0)
     assert np.max(np.abs(dist.pi - pi)) <= 1e-13
     assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
-    assert dist.alias_bound == pytest.approx(alias, rel=1e-12, abs=0.0)
     again = dp_distribution(params, model, 12, M=M, tol=1.0)
     assert again.pi.tobytes() == dist.pi.tobytes()
+    # the plan does not depend on n, so neither does a prefix of pi
+    shorter = dp_distribution(params, model, 3, M=M, tol=1.0)
+    assert shorter.pi.tobytes() == dist.pi[:4].tobytes()
 
 
-@pytest.mark.parametrize("params", [CANON, FRAC], ids=["canon", "frac"])
 @pytest.mark.parametrize("model", ["stopped", "z", "gated"])
-def test_dp_tiles_match_per_state_horner(model, params):
-    # M = 2048 takes 64 baby steps over several spectrum tiles, the last
-    # of which holds the odd bin
-    dist = dp_distribution(params, model, 6, M=2048, tol=1.0)
-    pi, lost, alias = _per_state_dp(params, model, 6, 2048, tol=1.0)
+def test_dp_levels_match_per_state_horner(model):
+    # at nu < 1 and M = 2048 every block is full from the baby step on,
+    # and four levels of truncated products precede the top
+    dist = dp_distribution(MIXED, model, 2, M=2048, tol=1.0)
+    pi, lost = _per_state_dp(MIXED, model, 2, 2048, tol=1.0)
     assert np.max(np.abs(dist.pi - pi)) <= 1e-13
     assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
-    # the alias total weights tail masses of ~1e-5 by up to x^M ~ e^12,
-    # and those masses carry ~1e-17 of FFT noise on either route
-    assert dist.alias_bound == pytest.approx(alias, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("nu, M", [(1.0 - 1e-13, 256), (1.0 - 1e-12, 4096)],
+                         ids=["full-rows", "short-rows"])
+def test_dp_underflowed_offspring_tail_matches_per_state_horner(nu, M):
+    # nu < 1 with kappa1 near the least normal: the offspring weights
+    # underflow to exact zeros past index 15 and 30.  With 15 the baby
+    # rows fill M + 1 = 257 columns; with 30 they stay short of 4097, and
+    # the blocks reach the cut only at the levels
+    p = LawParams(nu, 1.0, 1.0, 1.0, 3e-308, 0.5)
+    dist = dp_distribution(p, "stopped", 3, M=M, tol=1.0)
+    pi, lost = _per_state_dp(p, "stopped", 3, M, tol=1.0)
+    assert np.max(np.abs(dist.pi - pi)) <= 1e-13
+    assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
+
+
+def test_dp_batches_match_one_batch():
+    # past `_BATCH` coefficients the blocks are split in halves and
+    # reduced depth first; that changes no pairing, only which rows share
+    # one FFT call
+    want = dp_distribution(MIXED, "gated", 3, M=1024, tol=1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ren, "_BATCH", 2 * 1025)
+        got = dp_distribution(MIXED, "gated", 3, M=1024, tol=1.0)
+    assert np.max(np.abs(got.pi - want.pi)) <= 1e-16
 
 
 @pytest.mark.parametrize("params, n, M", [
@@ -368,21 +378,35 @@ def test_dp_tiles_match_per_state_horner(model, params):
     ids=["r3-4096", "kappa1-half", "kappa1-1e-12"])
 @pytest.mark.parametrize("model", ["stopped", "z", "gated"])
 def test_dp_composition_matches_per_state_horner(model, params, n, M):
-    # the nu = 1 route at the size `gwimm survival` uses, and at the ends
+    # the nu = 1 law at the size `gwimm survival` uses, and at the ends
     # of kappa1: p1 = 1 - 2*kappa1 is 0 at 1/2, and F is nearly s at 1e-12
     dist = dp_distribution(params, model, n, M=M, tol=1.0)
-    pi, lost, _ = _per_state_dp(params, model, n, M, tol=1.0)
+    pi, lost = _per_state_dp(params, model, n, M, tol=1.0)
     assert np.max(np.abs(dist.pi - pi)) <= 1e-13
     assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
-    assert dist.alias_bound == 0.0
+
+
+@pytest.mark.parametrize("params, M, digests", [
+    (CANON, 256, ("cdf758047c98c80f", "cc5b9c8944a45e30",
+                  "9a12d87847749061")),
+    (R3, 4096, ("221b6b98801c551a", "6ece1693becffc2c",
+                "3a6fed8e7c257f77"))], ids=["canon-256", "r3-4096"])
+def test_dp_unit_nu_digest(params, M, digests):
+    # pins pi and lost mass at nu = 1 bit for bit, for the three chains:
+    # the blocks never reach the cut of M + 1 coefficients there
+    for model, want in zip(("stopped", "z", "gated"), digests):
+        dist = dp_distribution(params, model, 10, M=M)
+        got = hashlib.sha256(dist.pi.tobytes()
+                             + dist.lost_mass.tobytes()).hexdigest()
+        assert got[:16] == want, model
 
 
 def test_dp_fractional_nu_pi_digest():
-    # pins the nu < 1 route (baby and giant steps over spectrum tiles)
-    # bit for bit at M = 4096
+    # pins the nu < 1 composition (full baby rows, truncated levels) bit
+    # for bit at M = 4096
     pi = dp_distribution(FRAC, "stopped", 10, M=4096).pi
     assert hashlib.sha256(pi.tobytes()).hexdigest() == (
-        "dc9bd5a840fffb8eee1d87fe869e3b958f72a44205b5894b8a9c8c864708a88b")
+        "863df2a0eb386a16f36ce3386fb35d1b87ca47581b219b60c6cdb169b1531821")
 
 
 # the pi digests of R3 and FRAC at M = 4096
@@ -415,9 +439,8 @@ def test_dp_pi_does_not_depend_on_blas_threads():
 
 @pytest.mark.parametrize("M, n, mib", [(4096, 2, 12), (16384, 1, 48)])
 def test_dp_memory_peak(M, n, mib):
-    # the nu < 1 route: at M = 4096 the power table is 8 MiB and the
-    # product buffer 1 MiB; at M = 16384 the cap of 64 baby steps keeps
-    # the table at 32 MiB
+    # the nu < 1 law: the baby rows take b(M + 1) coefficients, b at most
+    # 256, and the blocks of one baby product about 2 MiB
     tracemalloc.start()
     try:
         dp_distribution(FRAC, "stopped", n, M=M)
@@ -428,8 +451,8 @@ def test_dp_memory_peak(M, n, mib):
 
 
 def test_dp_composition_memory_peak():
-    # at nu = 1 neither a power table nor a product buffer is built: the
-    # peak is the law arrays and the ring spectra
+    # at nu = 1 the baby rows and blocks are short: the peak is the law
+    # arrays and the ring spectra
     tracemalloc.start()
     try:
         dp_distribution(R3, "stopped", 1, M=16384)
@@ -451,25 +474,46 @@ def test_dp_cap_too_small_at_reference_generation():
 
 @settings(max_examples=150, deadline=None)
 @given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
-       kappa2=st.floats(min_value=0.0, max_value=8.0, exclude_min=True))
+       kappa2=st.floats(min_value=0.0, max_value=8.0, exclude_min=True),
+       model=st.sampled_from(["stopped", "z", "gated"]))
 # the initial tail mass rounded above kappa0 (a lost mass > tol = 1)
 @example(nu=1.0, theta=1.0, delta=1.2065227197986961e-209, kappa0=1.0,
-         frac=1.0, kappa2=1.0)
+         frac=1.0, kappa2=1.0, model="stopped")
 # kappa0 subnormal: the initial law divided by kappa0 was a unit atom
-@example(nu=1.0, theta=1.0, delta=0.75, kappa0=5e-324, frac=1.0, kappa2=1.0)
-# the largest alias bound seen over the box, 1.7e-6: the least total over
-# the evaluation points, on a grid of c in steps of 1/4, is no smaller
-@example(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, frac=1.0, kappa2=8.0)
+@example(nu=1.0, theta=1.0, delta=0.75, kappa0=5e-324, frac=1.0, kappa2=1.0,
+         model="stopped")
+# the law with the most mass near the cap seen over the box, where a
+# step evaluated on the ring wrapped by up to 1.4e-9: each chain
+@example(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, frac=1.0, kappa2=8.0,
+         model="stopped")
+@example(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, frac=1.0, kappa2=8.0,
+         model="z")
+@example(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, frac=1.0, kappa2=8.0,
+         model="gated")
 def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
-                                                frac, kappa2):
+                                                frac, kappa2, model):
     # tol = 1 lets heavy tails widen the bracket instead of raising
     # CapTooSmallError at this small M; the bracket stays rigorous
     p = box_params(nu, theta, delta, kappa0, frac, kappa2)
-    u = build_renewal(p, 10).u
-    lo, hi, dist = u_dp_curve(p, "stopped", 10, M=256, tol=1.0)
-    pad = 1e-9 + dist.alias_bound
-    assert np.all(lo - pad <= u) and np.all(u <= hi + pad)
-    assert dist.alias_bound <= 1e-5
+    u = ren.exact_survival(p, model, 10)
+    lo, hi, _ = u_dp_curve(p, model, 10, M=256, tol=1.0)
+    assert np.all(lo - 1e-9 <= u) and np.all(u <= hi + 1e-9)
+
+
+@pytest.mark.parametrize("params", [FRAC, MIXED, HEAVY],
+                         ids=["frac", "mixed", "heavy"])
+def test_dp_unstopped_law_encloses_transform(params):
+    # every DP mass is at most the true one, and their deficit sums to
+    # at most the lost mass, so for s in [0, 1]
+    # h_n(s) - lost_n <= sum_w pi_n[w] s^w <= h_n(s), to roundoff
+    from gwimm.pgf import h_n
+    dist = dp_distribution(params, "z", 10, M=256, tol=1.0)
+    w = np.arange(257.0)
+    for n in (1, 3, 10):
+        for s in (0.0, 0.25, 0.5, 0.9, 1.0):
+            h = h_n(params, s, n)
+            got = math.fsum((dist.pi[n] * s ** w).tolist())
+            assert h - dist.lost_mass[n] - 1e-12 <= got <= h + 1e-12, (n, s)
 
 
 def test_dp_unstopped_matches_transform_atom():
@@ -495,9 +539,8 @@ def test_dp_z_and_gated_inside_exact_curves(params):
             p1, q_iterate(p1, p1.kappa1, n - 1)).u],
     }
     for model, u in exact.items():
-        lo, hi, dist = u_dp_curve(params, model, n, M=2048, tol=1.0)
-        pad = 1e-9 + dist.alias_bound
-        assert np.all(lo - pad <= u) and np.all(u <= hi + pad), model
+        lo, hi, _ = u_dp_curve(params, model, n, M=2048, tol=1.0)
+        assert np.all(lo - 1e-9 <= u) and np.all(u <= hi + 1e-9), model
 
 
 @pytest.mark.parametrize("model", ["stopped", "z", "gated"])

@@ -186,7 +186,9 @@ def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
     With c_k the series coefficients of kappa2*(1 - (1-s)**theta), the
     weights satisfy n*b_n = sum_k k*c_k*b_{n-k}, b_0 = exp(-kappa2).
     Every term is nonnegative, so the recurrence is cancellation-free;
-    theta = 1 collapses to the exact Poisson(kappa2) table.
+    theta = 1 collapses to the exact Poisson(kappa2) table.  Each step
+    sums only up to the last nonzero c_k, which is c_1 at theta = 1; the
+    terms left out are exact zeros.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -198,9 +200,10 @@ def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
         c[1] = k2 * th
         if nmax >= 2:
             c[2:] = c[1] * ratio_cumprod(th, 1, nmax)
-        kc = c * np.arange(nmax + 1.0)
+        kc = np.trim_zeros(c * np.arange(nmax + 1.0), "b")
         for n in range(1, nmax + 1):
-            b[n] = np.dot(kc[1:n + 1], b[n - 1::-1]) / n
+            k = min(n, len(kc) - 1)
+            b[n] = np.dot(kc[1:k + 1], b[n - k:n][::-1]) / n
     return PmfTable(probs=b, truncation_mass=max(0.0, 1.0 - fsum(b)))
 
 

@@ -14,7 +14,9 @@ from a table of the exact cdfs of sums of w draws from a head kernel
 nu = theta = 1 the rows fold the Poisson immigrants in too, so one
 uniform draws the next value, L_n + Y_n or the gated one.  At nu < 1 the
 kernel is X | X < 8: a binomial first counts the individuals with
-X >= 8, which are drawn one by one.  Larger populations split their
+X >= 8, which are drawn one by one, and a population of up to 4096
+sums the others as rows of the table, one uniform per 256 of them.
+Larger populations, and at nu = 1 those above 256, split their
 individuals over 33 cells by one multinomial, and draw L_n and Y_n
 apart.
 
@@ -23,14 +25,15 @@ counter-derived RNG stream, so results are byte-identical for a given
 master seed no matter how many worker threads participate.  The block
 is the stream unit; the group, up to 8 consecutive blocks stepped in
 lockstep, is the work unit: each generation makes one table lookup for
-the whole group, while every block draws from its own stream exactly
-what it would draw alone, in the same order.  Every draw function takes
-that block form, the group's streams `rngs` and its block bounds, block
-b drawing for entries bounds[b]:bounds[b+1] from rngs[b], and loops over
-the blocks itself.  Only the live replicates (at most `cap`, and
-positive unless the model is UNSTOPPED_Z) are stepped, kept in block
-order: the dead and cap-censored ones draw nothing, so each
-generation's draws are the ones a step of the whole block would make.
+the whole group (at nu < 1, one a block), while every block draws from
+its own stream exactly what it would draw alone, in the same order.
+Every draw function takes that block form, the group's streams `rngs`
+and its block bounds, block b drawing for entries bounds[b]:bounds[b+1]
+from rngs[b], and loops over the blocks itself.  Only the live
+replicates (at most `cap`, and positive unless the model is
+UNSTOPPED_Z) are stepped, kept in block order: the dead and
+cap-censored ones draw nothing, so each generation's draws are the ones
+a step of the whole block would make.
 The three models share one sum table unless it folds immigrants in:
 the gate of GATED_W enters the rows only with the immigrants it gates.
 
@@ -63,6 +66,7 @@ _GROUP = 8               # blocks stepped in lockstep; R3 times alike at 4 to 16
 _CHUNK = 1 << 22         # per-individual draws processed this many at a time
 _SPLIT_CELLS = 32        # K: offspring cells split off by the multinomial
 _SUM_ROWS = 256          # W: populations up to W sum by table lookup
+_ROW_REACH = 16 * _SUM_ROWS   # W2: nu < 1 populations up to W2 sum rows
 _HEAD_CELLS = 8          # H: nu < 1 offspring cells the table sums over
 DEFAULT_CAP = 10 ** 9
 # largest cap: populations, offspring sums and immigrant counts of a
@@ -139,14 +143,15 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     >= 0 where the table folds immigrants in), block b's
     pops[bounds[b]:bounds[b+1]] drawn from its stream rngs[b].
 
-    A population w <= _SUM_ROWS draws with one uniform from row w of
-    `_sum_table` (`_table_sums`), the exact cdf of a sum of w draws from
-    a head kernel.  At nu = 1 the kernel is the offspring law itself, and
-    the rows take in the Poisson(kappa2) immigrants of `_folded` where
-    kappa2 > 0 (added only to a positive sum if `gated`).  At nu < 1 the
-    kernel is X | X < H, H = _HEAD_CELLS: T ~ Binomial(w, P(X >= H))
-    individuals fall in the tail cell, row w - T draws the sum of the
-    others, and the T are drawn from X | X >= H.
+    At nu = 1 a population w <= _SUM_ROWS draws with one uniform from
+    row w of `_sum_table` (`_table_sums`), the exact cdf of a sum of w
+    draws of the offspring law, which takes in the Poisson(kappa2)
+    immigrants of `_folded` where kappa2 > 0 (added only to a positive
+    sum if `gated`).  At nu < 1 a population w <= W2 = _ROW_REACH takes
+    the table too, whose kernel is X | X < H, H = _HEAD_CELLS:
+    T ~ Binomial(w, P(X >= H)) individuals fall in the tail cell, rows of
+    the table sum the other w - T (`_row_sums`: one row up to W, one
+    more per W beyond), and the T are drawn from X | X >= H.
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
@@ -154,23 +159,30 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     tail cell where kappa1 <= 1e-12).  Tail-cell individuals are drawn one
     by one, in bounded chunks (`_tail_sums`).  The split gives exactly the
     law of per-individual draws, and the table gives it on a 2**-53 grid.
-    Each kind of draw runs over all the blocks before the next, so each
-    block's stream gives its binomials, table keys, top-cell second
+    Each block's stream gives its binomials, table keys, top-cell second
     uniforms, split multinomial, split tail draws, then head tail draws.
+    Each kind of draw runs over all the blocks before the next, except
+    that at nu < 1 a block draws its table keys and second uniforms
+    together.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
     K = 32 and nu = 1/2, and 0.8% at H = 8.  A head of H cells gives rows
     of (H-1)*w + 1 values: at H = 32 the table takes 0.7 s to build,
-    against 0.1 s at 8, and MIXED runs no faster.  Above W, K = 64 pays K
-    binomials and a K-wide count row for every large population (+10%
-    and +6 MiB on the MIXED benchmark), while near the default cap 1e9
-    the tail draws dominate, and K = 32 halves the time of K = 16 there.
+    against 0.1 s at 8, and MIXED runs no faster.  On a MIXED block of
+    8192 populations the rows cost 0.3-0.4 us a population at w = 300,
+    against 2.2-2.8 us for the split, and about 0.7 ns an individual
+    more, mostly the tail draws of X >= H: they meet the split between
+    w = 4000 and 5000, hence W2.  At nu = 1 three cells make the split
+    cheap, so it starts at W.  In the split, K = 64 pays K binomials and
+    a K-wide count row for every large population (+10% and +6 MiB on
+    the MIXED benchmark), while near the default cap 1e9 the tail draws
+    dominate, and K = 32 halves the time of K = 16 there.
     """
-    big = pops > _SUM_ROWS
+    nu = params.nu
+    big = pops > (_SUM_ROWS if nu == 1.0 else _ROW_REACH)
     crossing = big.any()
     small, at = ((pops[~big], _within(bounds, ~big)) if crossing
                  else (pops, bounds))
-    nu = params.nu
     if nu == 1.0:
         sums = _table_sums(params.kappa1, rngs, at, small, kappa2, gated)
     else:
@@ -178,7 +190,7 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
         h = len(pvals) - 1
         tails = np.concatenate([r.binomial(small[a:b], pvals[h])
                                 for r, a, b in zip(rngs, at, at[1:])])
-        sums = _table_sums(params.kappa1, rngs, at, small - tails, nu=nu)
+        sums = _row_sums(params.kappa1, nu, rngs, at, small - tails)
     if crossing:
         split = _split_cell_sums(params, rngs, _within(bounds, big),
                                  pops[big])
@@ -189,6 +201,30 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     out = np.empty_like(pops)
     out[~big], out[big] = sums, split
     return out
+
+
+def _row_sums(kappa1: float, nu: float, rngs: list, bounds: list,
+              heads: np.ndarray) -> np.ndarray:
+    """Sums of m draws of the kernel of `_sum_table(kappa1, nu=nu)` for
+    each m in `heads` (0 <= m <= W2), block b's from rngs[b].
+
+    m = W*j + r, 1 <= r <= W (j = r = 0 at m = 0), is the sum of j draws
+    from row W and one from row r, keyed in that order by
+    `_table_sums`, so m <= W draws the one key of row m.  Each block
+    spreads its rows into one array, at most W2/W entries a population,
+    and sums them back alone, so one block's rows are alive at a time."""
+    sums = np.empty_like(heads)
+    for r, a, b in zip(rngs, bounds, bounds[1:]):
+        if b > a:
+            m = heads[a:b]
+            j = np.maximum(m - 1, 0) // _SUM_ROWS
+            ends = np.cumsum(j + 1)
+            rows = np.full(int(ends[-1]), _SUM_ROWS, dtype=np.int64)
+            rows[ends - 1] = m - _SUM_ROWS * j
+            x = _table_sums(kappa1, [r], [0, rows.size], rows, nu=nu)
+            sums[a:b] = np.add.reduceat(x, ends - (j + 1))
+            del rows, x     # one block's rows alive at a time
+    return sums
 
 
 def _split_cell_sums(params: LawParams, rngs: list, bounds: list,
@@ -401,6 +437,7 @@ def _tail_sums(params: LawParams, rngs: list, bounds: list,
             seg = (np.maximum(starts[i0:i1 + 1], pos) - pos).astype(np.intp)
             sums[rows[i0:i1 + 1]] += np.add.reduceat(draws, seg)
             pos += m
+            del draws       # one chunk's draws alive at a time
 
 
 def _next_generation(params: LawParams, model: Model, rngs: list,

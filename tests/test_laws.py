@@ -1,5 +1,6 @@
 """Law tables and samplers against independent series/transform oracles."""
 
+import hashlib
 import math
 import sys
 
@@ -88,6 +89,21 @@ def test_immigration_theta_one_is_poisson():
     for k in range(31):
         poisson = math.exp(-1.0) / math.factorial(k)
         assert table.probs[k] == pytest.approx(poisson, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta, kappa2, want", [
+    (1.0, 0.25, "d33e5fea8ec65203"),
+    (1.0, 7.3, "ba9b55174933672f"),
+    (0.5, 7.3, "2843ce44e346243e"),
+])
+def test_immigration_pmf_bytes_pin(theta, kappa2, want):
+    # each step sums up to the last nonzero series coefficient only (c_1
+    # at theta = 1); the terms left out are exact zeros, so the table
+    # keeps the bytes of the sum over every coefficient
+    p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    probs = immigration_pmf(p, 4096).probs
+    assert hashlib.sha256(probs.tobytes()).hexdigest()[:16] == want
 
 
 def test_immigration_hand_values():

@@ -208,15 +208,26 @@ def test_life_period_below_survival_when_unstopped():
     assert bs.life_counts[12] < bs.survival_counts[12]
 
 
-def convolution_power(base: np.ndarray, w: int, nmax: int) -> np.ndarray:
+def convolution_power(base: np.ndarray, w: int, nmax: int,
+                      fft: bool = False) -> np.ndarray:
     """Law of the sum of w iid draws from `base` on {0, ..., nmax}; exact
-    there as long as `base` holds the law on {0, ..., nmax}."""
+    there as long as `base` holds the law on {0, ..., nmax}.  With `fft`
+    each product is an FFT one of arrays of at most nmax + 1 terms,
+    zero-padded past twice that so none wraps; its roundoff, of order
+    1e-15, lies far below a Monte Carlo radius."""
+    size = 1 << (2 * nmax + 2).bit_length()
+
+    def mul(a, b):
+        if fft:
+            return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size),
+                                size)[:nmax + 1]
+        return np.convolve(a, b)[:nmax + 1]
     out = np.zeros(nmax + 1)
     out[0] = 1.0
     while w:
         if w & 1:
-            out = np.convolve(out, base)[:nmax + 1]
-        base = np.convolve(base, base)[:nmax + 1]
+            out = mul(out, base)
+        base = mul(base, base)
         w >>= 1
     return out
 
@@ -249,11 +260,11 @@ def test_multinomial_split_matches_convolved_law():
         freq = np.mean(draws == k)
         se = math.sqrt(law[k] * (1.0 - law[k]) / 200_000)
         assert abs(freq - law[k]) < 4.0 * se
-    # nu < 1: one multinomial over the head cells and the tail cell, then
-    # per-individual tail draws.  Mixed population sizes in one call; the
-    # tail cell is filled in ~0.1% of the rows for w = 1, ~4% for w = 50
-    # and ~1/3 for w = 500.  The oracle is the w-fold convolution of the
-    # offspring law
+    # nu < 1: a binomial count of the tail cell X >= 8, sum table rows
+    # for the others, then per-individual tail draws.  Mixed population
+    # sizes in one call; the tail cell is filled in ~0.8% of the rows for
+    # w = 1, ~1/3 for w = 50 and nearly all for w = 500, which sums two
+    # rows.  The oracle is the w-fold convolution of the offspring law
     p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
     sizes, n = (1, 3, 50, 500), 50_000
@@ -267,6 +278,38 @@ def test_multinomial_split_matches_convolved_law():
         assert_cells_match(row, convolution_power(base, w, nmax), w)
 
 
+def block_form(seed: int, pops: np.ndarray):
+    """The streams stream(seed, i), the bounds and the populations of
+    `pops` cut into blocks of BLOCK, as the engine steps them."""
+    bounds = [*range(0, len(pops), sim.BLOCK), len(pops)]
+    return ([stream(seed, i) for i in range(len(bounds) - 1)], bounds,
+            pops)
+
+
+# 2 * 43,580 comparisons at MC_ALPHA each: a correct sampler fails with
+# probability below 1e-5 (union bound)
+@pytest.mark.parametrize("nu", [0.5, 0.95])
+def test_row_sums_match_convolved_law_across_both_edges(nu):
+    # nu < 1 populations past W sum several table rows up to W2, and take
+    # the multinomial split past W2; one call mixes both, against the
+    # w-fold convolution of the offspring pmf: the empirical cdf at each
+    # of 0..2w+8
+    p = LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    big = sim._ROW_REACH
+    sizes, n = (257, 512, 513, big, big + 1, 3 * big), 50_000
+    draws = sim._offspring_sums(p, *block_form(47, np.repeat(sizes, n)))
+    for i, w in enumerate(sizes):
+        nmax = 2 * w + 8
+        cdf = np.cumsum(convolution_power(offspring_pmf(p, nmax).probs, w,
+                                          nmax, fft=True))
+        row = draws[i * n:(i + 1) * n]
+        freq = np.cumsum(np.bincount(np.minimum(row, nmax + 1),
+                                     minlength=nmax + 2)[:nmax + 1]) / n
+        assert np.all(np.abs(freq - cdf)
+                      <= mc_radius(np.clip(cdf, 0.0, 1.0), n)), (nu, w)
+
+
 # the Monte Carlo property below makes at most 27 * 609 comparisons a
 # run at MC_ALPHA each, so a correct sampler fails it with probability
 # below 2e-6 (union bound)
@@ -277,9 +320,10 @@ def test_multinomial_split_matches_convolved_law():
 @example(nu=1.0, frac=0.6, w=256)
 @example(nu=1.0, frac=0.6, w=257)
 def test_offspring_sums_match_convolved_law_over_the_box(nu, frac, w):
-    # the summed offspring of w individuals, by table lookup (nu = 1,
-    # w <= 256) or the multinomial split, against the w-fold convolution
-    # of the offspring pmf: the empirical cdf at each of 0..2w+8
+    # the summed offspring of w individuals, by table rows (w <= 256 at
+    # nu = 1, every w here at nu < 1) or the multinomial split, against
+    # the w-fold convolution of the offspring pmf: the empirical cdf at
+    # each of 0..2w+8
     kappa1 = frac / (1.0 + nu)
     assume(kappa1 * nu >= sys.float_info.min)
     p = LawParams(nu=nu, theta=1.0, delta=1.0, kappa0=1.0, kappa1=kappa1,
@@ -557,13 +601,15 @@ def test_thread_count_does_not_change_counts_across_the_table_edge():
 
 
 def test_thread_count_does_not_change_counts_across_the_fractional_edge():
-    # nu < 1 under a heavy initial law: one group holds populations on
-    # both sides of W, so a generation draws binomials, table keys, the
-    # split and tail draws per block
+    # nu < 1 under a heavy initial law: one group holds populations of at
+    # most W (one table row), of W+1..W2 (several rows) and past W2 (the
+    # split), so a generation draws binomials, table keys, the split and
+    # tail draws per block
     p = LawParams(nu=0.5, theta=1.0, delta=0.3, kappa0=1.0, kappa1=0.5,
                   kappa2=1.0)
     first = sample_initial(p, stream(5, 0), sim.BLOCK)
-    assert np.any(first > sim._SUM_ROWS)
+    assert np.any(first > sim._ROW_REACH)
+    assert np.any((first > sim._SUM_ROWS) & (first <= sim._ROW_REACH))
     assert np.any((first > 0) & (first <= sim._SUM_ROWS))
     kw = dict(seed=5, cap=10 ** 6)
     a, *rest = [estimate_survival(p, "stopped", 10, 20_000, threads=t, **kw)
@@ -761,6 +807,26 @@ def test_huge_population_keeps_memory_bounded(monkeypatch):
     assert peak < 64 * (1 << 16)
     # mean 1 per individual; the fluctuations are of order 10^6
     assert abs(total - 10 ** 9) < 10 ** 8
+
+
+def test_row_sums_keep_memory_bounded():
+    # a group of four full blocks of populations at W2: each spreads into
+    # W2/W = 16 table rows a population and draws ~33 tail individuals a
+    # population (X >= 8 has mass 0.8% at nu = 1/2), one block at a time,
+    # so the peak stays under 8 arrays of 16 int64 entries for each
+    # population of one block (about 7.2 of them)
+    p = LawParams(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1.0)
+    pops = np.full(4 * sim.BLOCK, sim._ROW_REACH)
+    sim._offspring_sums(p, *one_block(stream(41, 0), pops[:1]))
+    tracemalloc.start()
+    try:
+        sums = sim._offspring_sums(p, *block_form(41, pops))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (16 * 8 * sim.BLOCK)
+    assert abs(sums.mean() - sim._ROW_REACH) < 0.1 * sim._ROW_REACH
 
 
 def test_model_ordering_in_positivity():

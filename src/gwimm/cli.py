@@ -186,6 +186,8 @@ def cmd_survival(cfg: RunConfig) -> list[str]:
     # starts from the kappa0 = 1 law, as the DP does; u_renewal is the
     # exact curve of that model
     p = cfg.params
+    if cfg.horizon < 1:          # the DP steps at least one generation
+        raise ValueError("horizon must be >= 1")
     u = exact_survival(p, cfg.model, cfg.horizon)
     lo, hi, _dist = u_dp_curve(p, cfg.model, cfg.horizon, M=cfg.M)
     bs = estimate_survival(dataclasses.replace(p, kappa0=1.0), cfg.model,

@@ -41,8 +41,7 @@ _BLOCK = 1024                # terms of u solved directly in extended precision
 # kappa2 * S_k past which every weight rounds to 0: 1076*log(2) + 1, where
 # g0_k < 2^-1076/e, and one spare nat for the float64 estimate of S_k
 _CUT_NATS = 1076.0 * math.log(2.0) + 2.0
-_BABY_CAP = 64               # DP baby steps while their rows are short
-_FULL_BABY_CAP = 256         # most DP baby steps once their rows are full
+_BABY_CAP = 256              # most DP baby steps
 _BATCH = 2 ** 18             # coefficients of the blocks of one baby product
 _BOUNDARY_TOL = 1e-9         # relative width of every regime boundary
 _BALANCED = ("R1", "R2", "R3", "R4", "R5")    # the regimes of theta = nu
@@ -249,46 +248,38 @@ def _times(a: np.ndarray, f: np.ndarray, fz: np.ndarray,
 
 def _composition_plan(F: np.ndarray, M: int, ring: int):
     """The operands of `_compose` that the offspring coefficients F fix
-    for a whole run: the rows of F^0..F^(b-1) mod x^(M+1);
-    for h = b, 2b, ..., M/4, F^h mod x^(M+1) and its spectrum at the size
-    of the level's products; F^(M/2) and its spectrum on the ring; and
-    the most blocks of one baby product, about 2^18 coefficients.
+    for a whole run: the rows of F^0..F^(b-1) mod x^(M+1), b = min(256,
+    M/2); for h = b, 2b, ..., M/4, F^h mod x^(M+1) and its spectrum at
+    the size of the level's products; F^(M/2) and its spectrum on the
+    ring; and the most blocks of one baby product, about 2^18
+    coefficients.
 
-    While the rows of F^0..F^63 are shorter than M + 1 (F of low degree,
-    as at nu = 1), b = min(64, M/2) and each row is the last one
-    convolved with F.  Once they are full, the baby product costs
-    M(M + 1) for any b, the rows b FFT products once per call and the
-    levels M/b - 1 per generation, so b = min(256, M/2) (32 MiB of rows
-    at M = 16384), and rows k..2k-1 are rows 0..k-1 times F^k.  b does
-    not depend on the number of generations, so neither does a prefix of
-    pi.  F^2h is one FFT squaring of F^h.
+    The rows are built by doubling, for every law: rows k..2k-1 are rows
+    0..k-1 times F^k, and F^2k is F^k squared, both with the spectrum of
+    F^k at the least size that holds a row times F^k, which holds the
+    square too (2M once the rows are full).  With full rows the baby
+    product costs M(M + 1) for any b, the rows b FFT products once per
+    call and the levels M/b - 1 per generation, hence b = min(256, M/2)
+    (32 MiB of full rows at M = 16384).  b does not depend on the number
+    of generations, so neither does a prefix of pi.
     """
     def spectrum(f, la):    # at the least size that holds a[:M] * f
         return np.fft.rfft(f, 1 << (min(la, M) + len(f) - 2).bit_length())
 
     b = min(_BABY_CAP, M // 2)
     width = min(M + 1, (b - 1) * (len(F) - 1) + 1)
-    if width > M:
-        b = min(M // 2, _FULL_BABY_CAP)
     rows = np.zeros((b, width))
     rows[0, 0] = 1.0
     batch = max(1, _BATCH // width)
-    if width <= M:
-        g = rows[0, :1]
-        for i in range(1, b + 1):
-            g = np.convolve(g, F)[:M + 1]
-            if i < b:
-                rows[i, :len(g)] = g
-    else:
-        # in chunks whose FFT temporaries take about one batch of blocks
-        g, k, chunk = F, 1, max(1, batch // 8)
-        while k < b:
-            gz = np.fft.rfft(g, 2 * M)
-            for lo in range(0, k, chunk):
-                part = rows[lo:min(k, lo + chunk)]
-                rows[k + lo:k + lo + len(part)] = _times(part, g, gz, M)
-            g = _times(g, g, gz, M)
-            k *= 2
+    # in chunks whose FFT temporaries take about one batch of blocks
+    g, k, chunk = F, 1, max(1, batch // 8)
+    while k < b:
+        gz = spectrum(g, width)
+        for lo in range(0, k, chunk):
+            hi = min(k, lo + chunk)
+            rows[k + lo:k + hi] = _times(rows[lo:hi], g, gz, M)[:, :width]
+        g = _times(g, g, gz, M)
+        k *= 2
     h, levels = b, []
     while h < M // 2:
         levels.append((g, spectrum(g, width)))
@@ -337,9 +328,11 @@ def _compose(cur: np.ndarray, plan, ring: int) -> np.ndarray:
 
     Roundoff: every operand, each q and each F^h, is a nonnegative
     polynomial (to rounding) of l1 norm at most 1.  The FFT products are
-    those of the rows, M/(2h) cyclic products at each level h, and one of
-    size 4M at the top; with those norms each has the forward error bound
-    of Higham (2002, section 24.1).
+    the same list for every law: those of the plan (at each doubling k
+    of the rows, k row products and one squaring; one squaring per
+    level), then per generation M/(2h) cyclic products at each level h
+    and one of size 4M at the top.  With those norms each has the
+    forward error bound of Higham (2002, section 24.1).
     """
     M = len(cur) - 1
     q = _blocks(cur[1:].reshape(-1, len(plan[0])), plan, M, 2)

@@ -482,6 +482,14 @@ def test_bad_threads_exits_2(capsys, threads):
     assert err == "gwimm: error: threads must be >= 1\n"
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_bad_survival_horizon_exits_2(capsys, horizon):
+    # the message names the option, not the argument of a library call
+    rc, out, err = run(["survival", "--horizon", horizon, "--M", "256",
+                        "--reps", "10"], capsys)
+    assert (rc, out, err) == (2, "", "gwimm: error: horizon must be >= 1\n")
+
+
 @pytest.mark.parametrize("command", ["survival", "simulate"])
 @pytest.mark.parametrize("cap", ["0", "9223372036854775807"])
 def test_bad_cap_exits_2(capsys, command, cap):

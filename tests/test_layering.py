@@ -1,7 +1,8 @@
 """Import layering: the exact-math modules do not depend on the simulator
 or the command line; only `pgf` reads the fields of its `QPath`; only
 `simulate` takes a single stream; the immigration sampler forks on theta
-only at 1; the argument names a call tracer reads stay put."""
+only at 1; `renewal` makes no `np.convolve` call; the argument names a
+call tracer reads stay put."""
 
 import ast
 import dataclasses
@@ -88,6 +89,16 @@ def test_immigration_sampler_forks_on_theta_at_one_only():
                 if not has_theta(op)]
         assert rest and all(isinstance(op, ast.Constant) and op.value == 1
                             for op in rest), ast.unparse(node)
+
+
+def test_renewal_makes_no_convolve_call():
+    # the DP builds the baby rows of every offspring law by FFT doubling,
+    # so its roundoff bound has one list of FFT products to cover
+    tree = ast.parse((PACKAGE / "renewal.py").read_text(encoding="utf-8"))
+    calls = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).endswith("convolve")]
+    assert not calls, calls
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -346,28 +346,31 @@ def test_dp_levels_match_per_state_horner(model):
     assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
 
 
-@pytest.mark.parametrize("nu, M", [(1.0 - 1e-13, 256), (1.0 - 1e-12, 4096)],
-                         ids=["full-rows", "short-rows"])
-def test_dp_underflowed_offspring_tail_matches_per_state_horner(nu, M):
+@pytest.mark.parametrize("M", [256, 4096], ids=["full-rows", "short-rows"])
+def test_dp_underflowed_offspring_tail_matches_per_state_horner(M):
     # nu < 1 with kappa1 near the least normal: the offspring weights
-    # underflow to exact zeros past index 15 and 30.  With 15 the baby
-    # rows fill M + 1 = 257 columns; with 30 they stay short of 4097, and
-    # the blocks reach the cut only at the levels
-    p = LawParams(nu, 1.0, 1.0, 1.0, 3e-308, 0.5)
+    # underflow to exact zeros past index 15, so the 256 baby rows have
+    # 255 * 14 + 1 = 3571 columns.  At M = 256 they fill M + 1 = 257; at
+    # M = 4096 they stay short of 4097, and the blocks reach the cut only
+    # at the levels
+    p = LawParams(1.0 - 1e-13, 1.0, 1.0, 1.0, 3e-308, 0.5)
     dist = dp_distribution(p, "stopped", 3, M=M, tol=1.0)
     pi, lost = _per_state_dp(p, "stopped", 3, M, tol=1.0)
     assert np.max(np.abs(dist.pi - pi)) <= 1e-13
     assert np.max(np.abs(dist.lost_mass - lost)) <= 1e-13
 
 
-def test_dp_batches_match_one_batch():
+@pytest.mark.parametrize("params, width", [(MIXED, 1025), (R3, 511)],
+                         ids=["full-rows", "unit-nu"])
+def test_dp_batches_match_one_batch(params, width):
     # past `_BATCH` coefficients the blocks are split in halves and
     # reduced depth first; that changes no pairing, only which rows share
-    # one FFT call
-    want = dp_distribution(MIXED, "gated", 3, M=1024, tol=1.0)
+    # one FFT call.  At M = 1024 the baby rows have `width` columns: full
+    # at nu < 1, 2 * 255 + 1 at nu = 1
+    want = dp_distribution(params, "gated", 3, M=1024, tol=1.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ren, "_BATCH", 2 * 1025)
-        got = dp_distribution(MIXED, "gated", 3, M=1024, tol=1.0)
+        mp.setattr(ren, "_BATCH", 2 * width)
+        got = dp_distribution(params, "gated", 3, M=1024, tol=1.0)
     assert np.max(np.abs(got.pi - want.pi)) <= 1e-16
 
 
@@ -387,13 +390,14 @@ def test_dp_composition_matches_per_state_horner(model, params, n, M):
 
 
 @pytest.mark.parametrize("params, M, digests", [
-    (CANON, 256, ("cdf758047c98c80f", "cc5b9c8944a45e30",
-                  "9a12d87847749061")),
-    (R3, 4096, ("221b6b98801c551a", "6ece1693becffc2c",
-                "3a6fed8e7c257f77"))], ids=["canon-256", "r3-4096"])
+    (CANON, 256, ("55ecfa8970644811", "ecb610b0452a97f2",
+                  "72de899cb6b5df53")),
+    (R3, 4096, ("41af813e5efe7107", "ae5b2362cda5d974",
+                "0fc08aa295483e2e"))], ids=["canon-256", "r3-4096"])
 def test_dp_unit_nu_digest(params, M, digests):
     # pins pi and lost mass at nu = 1 bit for bit, for the three chains:
-    # the blocks never reach the cut of M + 1 coefficients there
+    # the baby rows, built by FFT doubling as at nu < 1, have 2b - 1
+    # columns, and the blocks never reach the cut of M + 1 coefficients
     for model, want in zip(("stopped", "z", "gated"), digests):
         dist = dp_distribution(params, model, 10, M=M)
         got = hashlib.sha256(dist.pi.tobytes()

@@ -181,30 +181,64 @@ def initial_pmf(params: LawParams, nmax: int) -> PmfTable:
 
 
 def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
-    """Immigration law via the exponential-series recurrence.
+    """Immigration law on {0, ..., nmax}; the mass beyond is the float
+    complement of the table's sum.
 
-    With c_k the series coefficients of kappa2*(1 - (1-s)**theta), the
-    weights satisfy n*b_n = sum_k k*c_k*b_{n-k}, b_0 = exp(-kappa2).
-    Every term is nonnegative, so the recurrence is cancellation-free;
-    theta = 1 collapses to the exact Poisson(kappa2) table.  Each step
-    sums only up to the last nonzero c_k, which is c_1 at theta = 1; the
-    terms left out are exact zeros.
+    theta = 1 gives Poisson(kappa2): the long-double table of
+    `_poisson_pmf`, rounded once to float64.  Every other theta takes the
+    exponential-series recurrence: with c_k the series coefficients of
+    kappa2*(1 - (1-s)**theta), the weights satisfy
+    n*b_n = sum_k k*c_k*b_{n-k}, b_0 = exp(-kappa2).  Every term is
+    nonnegative, so the recurrence is cancellation-free.  It runs in
+    float64 while b_0 is a normal float64, and past that (kappa2 > 708.4)
+    in long double, rounded once.  Where exp(-kappa2) leaves even the
+    long-double range (kappa2 > 11355 on x86) the table is all zeros with
+    truncation mass 1.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     th, k2 = params.theta, params.kappa2
-    b = np.zeros(nmax + 1)
-    b[0] = math.exp(-k2)
-    if nmax >= 1:
-        c = np.zeros(nmax + 1)
-        c[1] = k2 * th
-        if nmax >= 2:
-            c[2:] = c[1] * ratio_cumprod(th, 1, nmax)
-        kc = np.trim_zeros(c * np.arange(nmax + 1.0), "b")
-        for n in range(1, nmax + 1):
-            k = min(n, len(kc) - 1)
-            b[n] = np.dot(kc[1:k + 1], b[n - k:n][::-1]) / n
+    b0 = np.exp(-np.longdouble(k2))
+    if b0 < np.finfo(np.longdouble).tiny:
+        return PmfTable(probs=np.zeros(nmax + 1), truncation_mass=1.0)
+    if th == 1.0:
+        b = np.zeros(nmax + 1)
+        pois = _poisson_pmf(k2)[:nmax + 1]
+        b[:len(pois)] = pois
+    else:
+        wide = b0 < sys.float_info.min
+        b = np.zeros(nmax + 1, dtype=np.longdouble if wide else float)
+        b[0] = b0 if wide else math.exp(-k2)
+        if nmax >= 1:
+            c = np.zeros(nmax + 1)
+            c[1] = k2 * th
+            if nmax >= 2:
+                c[2:] = c[1] * ratio_cumprod(th, 1, nmax)
+            kc = (c * np.arange(nmax + 1.0)).astype(b.dtype)
+            for n in range(1, nmax + 1):
+                b[n] = np.dot(kc[1:n + 1], b[:n][::-1]) / n
+        b = b.astype(float)
     return PmfTable(probs=b, truncation_mass=max(0.0, 1.0 - fsum(b)))
+
+
+@lru_cache(maxsize=8)
+def _poisson_pmf(kappa2: float) -> np.ndarray:
+    """Poisson(kappa2) pmf in long double (read-only), up to the first
+    value past kappa2 that is 0 as a float64; the mass beyond is below
+    2**-1070.  kappa2 = 0 gives the unit mass at 0, then 0s.
+
+    exp(-kappa2) must be a normal long double (kappa2 <= 11355 on x86):
+    past that the first weight is 0 and the table never ends."""
+    lam = np.longdouble(kappa2)
+    pmf = np.exp(-lam)[None]
+    while float(pmf[-1]) > 0.0 or len(pmf) - 1 <= kappa2:
+        # 256 more terms at a time, each chunk a product from its first
+        j = np.arange(len(pmf), len(pmf) + 256, dtype=np.longdouble)
+        pmf = np.concatenate((pmf, pmf[-1] * np.cumprod(lam / j)))
+    past = np.arange(len(pmf)) > kappa2
+    pmf = pmf[:np.argmax(past & (pmf.astype(float) == 0.0)) + 1]
+    pmf.flags.writeable = False
+    return pmf
 
 
 def offspring_mean_tail(params: LawParams, n: int) -> float:
@@ -373,8 +407,13 @@ def _tail_inverse(log_amp: float, a: float, v: float, lo: int) -> int:
 
     S(n) = exp(log_amp)*Gamma(n+a)/Gamma(n+1) is decreasing and has the
     exact local ratio S(n+1)/S(n) = (n+a)/(n+1), so after one anchored
-    evaluation the walk from the asymptotic seed costs O(1) steps.  Seeds
-    past _SEED_DIRECT are returned as-is (clipped at the 2**62 sentinel):
+    evaluation the walk from the asymptotic seed, the root of
+    exp(log_amp) * n**(a-1) = v, costs O(1) steps.  The walk only goes
+    up: for both tails (a = 1 - delta, a = -nu) Wendel's inequality
+    Gamma(x+s)/Gamma(x) <= x**s, 0 < s < 1, gives
+    S(n-1) > exp(log_amp) * n**(a-1) >= v for every 2 <= n <= seed, so
+    the answer is at least n = max(floor(seed), lo).  Seeds past
+    _SEED_DIRECT are returned as-is (clipped at the 2**62 sentinel):
     there a +-1 refinement is below float64 resolution anyway.
     """
     log_v = math.log(v)
@@ -383,18 +422,9 @@ def _tail_inverse(log_amp: float, a: float, v: float, lo: int) -> int:
         return int(min(seed, float(_HUGE)))
     n = max(int(seed), lo)
     ls = _log_ratio_gamma(log_amp, a, n)
-    if ls >= log_v:
-        while ls >= log_v:
-            ls += math.log((n + a) / (n + 1.0))
-            n += 1
-    else:
-        while n > lo:
-            prev = ls - math.log((n - 1.0 + a) / n)
-            if prev < log_v:
-                ls = prev
-                n -= 1
-            else:
-                break
+    while ls >= log_v:
+        ls += math.log((n + a) / (n + 1.0))
+        n += 1
     return n
 
 

@@ -11,8 +11,10 @@ L_n is drawn without visiting every individual (see `_offspring_sums`).
 A population of at most 256 draws its offspring sum with one uniform
 from a table of the exact cdfs of sums of w draws from a head kernel
 (`_sum_table`).  At nu = 1 the kernel is the offspring law, and at
-nu = theta = 1 the rows fold the Poisson immigrants in too, so one
-uniform draws the next value, L_n + Y_n or the gated one.  At nu < 1 the
+nu = theta = 1 `_next_generation` draws from rows that fold the Poisson
+immigrants in too, so one uniform draws the next value, L_n + Y_n or
+the gated one; their Poisson weights are `laws._poisson_pmf`, the
+long-double table that the DP's immigration table rounds.  At nu < 1 the
 kernel is X | X < 8: a binomial first counts the individuals with
 X >= 8, which are drawn one by one, and a population of up to 4096
 sums the others as rows of the table, one uniform per 256 of them.
@@ -58,7 +60,7 @@ import numpy as np
 from .errors import DegenerateConditioningError, OutOfRangeError
 from .laws import (LawParams, Model, offspring_split, sample_immigration,
                    sample_initial, sample_offspring, _ONE, _key_table,
-                   _keys, _lookup)
+                   _keys, _lookup, _poisson_pmf)
 from .rng import stream
 
 BLOCK = 8192
@@ -137,21 +139,18 @@ def _within(bounds: list, mask: np.ndarray) -> list:
 
 
 def _offspring_sums(params: LawParams, rngs: list, bounds: list,
-                    pops: np.ndarray, kappa2: float = 0.0,
-                    gated: bool = False) -> np.ndarray:
-    """Summed offspring for each population in `pops` (entries >= 1, or
-    >= 0 where the table folds immigrants in), block b's
-    pops[bounds[b]:bounds[b+1]] drawn from its stream rngs[b].
+                    pops: np.ndarray) -> np.ndarray:
+    """Summed offspring for each population in `pops` (entries >= 1),
+    block b's pops[bounds[b]:bounds[b+1]] drawn from its stream rngs[b].
 
     At nu = 1 a population w <= _SUM_ROWS draws with one uniform from
-    row w of `_sum_table` (`_table_sums`), the exact cdf of a sum of w
-    draws of the offspring law, which takes in the Poisson(kappa2)
-    immigrants of `_folded` where kappa2 > 0 (added only to a positive
-    sum if `gated`).  At nu < 1 a population w <= W2 = _ROW_REACH takes
-    the table too, whose kernel is X | X < H, H = _HEAD_CELLS:
-    T ~ Binomial(w, P(X >= H)) individuals fall in the tail cell, rows of
-    the table sum the other w - T (`_row_sums`: one row up to W, one
-    more per W beyond), and the T are drawn from X | X >= H.
+    row w of the unfolded `_sum_table` (`_table_sums`), the exact cdf of
+    a sum of w draws of the offspring law.  At nu < 1 a population
+    w <= W2 = _ROW_REACH takes the table too, whose kernel is X | X < H,
+    H = _HEAD_CELLS: T ~ Binomial(w, P(X >= H)) individuals fall in the
+    tail cell, rows of the table sum the other w - T (`_row_sums`: one
+    row up to W, one more per W beyond), and the T are drawn from
+    X | X >= H.
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
@@ -184,7 +183,9 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     small, at = ((pops[~big], _within(bounds, ~big)) if crossing
                  else (pops, bounds))
     if nu == 1.0:
-        sums = _table_sums(params.kappa1, rngs, at, small, kappa2, gated)
+        # with every population split, no table is looked up or built
+        sums = _table_sums(params.kappa1, rngs, at, small) if small.size \
+            else small
     else:
         pvals = offspring_split(params, _HEAD_CELLS)
         h = len(pvals) - 1
@@ -331,22 +332,6 @@ def _convolve(kernel: np.ndarray, src: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _poisson_pmf(kappa2: float) -> np.ndarray:
-    """Poisson(kappa2) pmf in long double (read-only), kappa2 < W, up to
-    the first value past kappa2 that is 0 as a float64; the mass beyond
-    is below 2**-1070.  kappa2 = 0 gives the unit mass at 0, then 0s."""
-    lam = np.longdouble(kappa2)
-    pmf = np.exp(-lam)[None]
-    while float(pmf[-1]) > 0.0 or len(pmf) - 1 <= kappa2:
-        j = np.arange(len(pmf), len(pmf) + _SUM_ROWS, dtype=np.longdouble)
-        pmf = np.concatenate((pmf, pmf[-1] * np.cumprod(lam / j)))
-    past = np.arange(len(pmf)) > kappa2
-    pmf = pmf[:np.argmax(past & (pmf.astype(float) == 0.0)) + 1]
-    pmf.flags.writeable = False
-    return pmf
-
-
-@lru_cache(maxsize=8)
 def _head(kappa2: float) -> int:
     """The count h of Poisson(kappa2) cdf keys below 2**53: the values
     0..h-1 before the first whose key reaches 2**53 (0 at kappa2 = 0)."""
@@ -448,22 +433,26 @@ def _next_generation(params: LawParams, model: Model, rngs: list,
     rngs[b].  Each block draws what it would draw alone, in the same
     order: table keys, second uniforms, the split, immigrants.
 
-    Where `_sum_table` folds the immigrants in (`_folded`), a population
-    of at most W draws its next value with one uniform in
-    `_offspring_sums`; the other rows draw their immigrants apart.  With
-    none folded, a gated chain draws from the other models' table."""
+    This is the one place that folds immigrants in.  Where `_sum_table`
+    can (`_folded`), a population of at most W draws its next value, the
+    gated one included, with one uniform of `_table_sums`.  Every other
+    population draws its immigrants apart: the positive ones draw their
+    offspring in `_offspring_sums` first, and a gated chain brings in
+    immigrants only where that sum is positive."""
     kappa2 = _folded(params)
     gated = model is Model.GATED_W
-    if kappa2 and pops.max() <= _SUM_ROWS:
+    fold = pops <= _SUM_ROWS if kappa2 else np.zeros(pops.size, dtype=bool)
+    if fold.all():
         return _table_sums(params.kappa1, rngs, bounds, pops, kappa2, gated)
-    apart = pops > _SUM_ROWS if kappa2 else np.ones(pops.size, dtype=bool)
-    # a zero population draws no offspring, unless its table row brings
-    # in its immigrants
-    kids = (pops > 0) | ~apart
     lam = np.zeros_like(pops)
+    if fold.any():
+        lam[fold] = _table_sums(params.kappa1, rngs, _within(bounds, fold),
+                                pops[fold], kappa2, gated)
+    apart = ~fold
+    kids = apart & (pops > 0)
     if kids.any():
         lam[kids] = _offspring_sums(params, rngs, _within(bounds, kids),
-                                    pops[kids], kappa2, gated and kappa2 > 0)
+                                    pops[kids])
     if gated:
         apart &= lam > 0
     if apart.any():

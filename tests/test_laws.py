@@ -1,6 +1,7 @@
 """Law tables and samplers against independent series/transform oracles."""
 
 import hashlib
+import itertools
 import math
 import sys
 
@@ -15,7 +16,8 @@ from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         sample_initial, sample_offspring, sample_sibuya,
                         stable_positive, _ONE, _SIBUYA_TABLE, _TABLE_CAP,
                         _inverse_cdf_table, _keys, _log_ratio_gamma,
-                        _offspring_tail_value, _sibuya_tail_value)
+                        _offspring_tail_value, _poisson_pmf,
+                        _sibuya_tail_value)
 from gwimm.rng import stream
 
 from conftest import mc_radius
@@ -92,18 +94,58 @@ def test_immigration_theta_one_is_poisson():
 
 
 @pytest.mark.parametrize("theta, kappa2, want", [
-    (1.0, 0.25, "d33e5fea8ec65203"),
-    (1.0, 7.3, "ba9b55174933672f"),
+    (1.0, 0.25, "17b3f7beff751c71"),
+    (1.0, 7.3, "36e415c19f4607c0"),
     (0.5, 7.3, "2843ce44e346243e"),
 ])
 def test_immigration_pmf_bytes_pin(theta, kappa2, want):
-    # each step sums up to the last nonzero series coefficient only (c_1
-    # at theta = 1); the terms left out are exact zeros, so the table
-    # keeps the bytes of the sum over every coefficient
+    # theta = 1 is the long-double Poisson table rounded once; theta < 1
+    # runs the series recurrence in float64 while exp(-kappa2) is a
+    # normal float64, so its bytes are those of the plain recurrence
     p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=kappa2)
     probs = immigration_pmf(p, 4096).probs
     assert hashlib.sha256(probs.tobytes()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("kappa2", [0.25, 7.3, 800.0])
+def test_immigration_theta_one_is_the_rounded_poisson_table(kappa2):
+    # one Poisson kernel: the long-double table, rounded once, cut or
+    # zero-padded to nmax + 1
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    pois = _poisson_pmf(kappa2).astype(float)
+    for nmax in (10, 4096):
+        want = np.zeros(nmax + 1)
+        want[:min(len(pois), nmax + 1)] = pois[:nmax + 1]
+        assert np.array_equal(immigration_pmf(p, nmax).probs, want)
+
+
+@pytest.mark.parametrize("theta, kappa2", [(1.0, 740.0), (0.95, 740.0),
+                                           (1.0, 800.0)])
+def test_immigration_pmf_is_infinitely_divisible(theta, kappa2):
+    # B at kappa2 is B at kappa2/2 squared; here exp(-kappa2) is below
+    # the float64 range, exp(-kappa2/2) is not
+    p, half = (LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0,
+                         kappa1=0.5, kappa2=k) for k in (kappa2, kappa2 / 2))
+    nmax = 1500
+    table, h = immigration_pmf(p, nmax), immigration_pmf(half, nmax).probs
+    np.testing.assert_allclose(table.probs, np.convolve(h, h)[:nmax + 1],
+                               rtol=1e-12, atol=1e-300)
+    assert abs(math.fsum(table.probs.tolist()) + table.truncation_mass
+               - 1.0) <= 1e-12
+    if theta == 1.0:
+        assert table.truncation_mass <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+def test_immigration_past_the_long_double_range_is_all_tail(theta):
+    # exp(-kappa2) is 0 even in long double: zeros and truncation mass 1,
+    # at once (the Poisson series from a zero first weight never ends)
+    p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=1e300)
+    t = immigration_pmf(p, 5)
+    assert not t.probs.any() and t.truncation_mass == 1.0
 
 
 def test_immigration_hand_values():
@@ -139,6 +181,8 @@ def test_initial_mass_accounting(nmax):
 
 
 @settings(max_examples=60, deadline=None)
+@example(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0, kappa2=740.0)
+@example(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, frac=1.0, kappa2=1e300)
 @given(nu=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
        theta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
        delta=st.floats(min_value=sys.float_info.min, max_value=1.0),
@@ -315,22 +359,50 @@ def test_sibuya_far_tail_stays_in_range(delta):
     assert _sibuya_tail_value(delta, 1e-300, 1024) == 2 ** 62
 
 
-def test_tail_inverse_against_brute_walk():
-    # smallest n with S(n) < v, against a direct product walk
-    delta, v = 0.5, 0.01
-    got = _sibuya_tail_value(delta, v, 2)
-    surv, n = 1.0 - delta, 1
-    while surv >= v:
-        n += 1
-        surv *= (n - delta) / n
-    assert got == n
+def first_below(log_sf: np.ndarray, v: float, lo: int):
+    """Smallest n >= lo with exp(log_sf[n]) < v, or None where that n is
+    past the array or a log survival within 1e-9 of log v makes the
+    float comparison a tie."""
+    hits = lo + np.flatnonzero(log_sf[lo:] < math.log(v))
+    if not hits.size:
+        return None
+    n = int(hits[0])
+    near = log_sf[max(n - 1, lo):n + 1] - math.log(v)
+    return None if np.min(np.abs(near)) < 1e-9 else n
 
-    nu, k1, v = 0.5, 0.5, 0.02
-    got = _offspring_tail_value(nu, k1, v, 3)
-    t = offspring_pmf(LawParams(nu, 1.0, 1.0, 1.0, k1, 1.0), 5000)
-    surv = np.cumsum(t.probs[::-1])[::-1]  # surv[k] = P(X >= k)
-    brute = int(np.argmax(t.truncation_mass + surv[1:] < v))  # P(X > n)
-    assert got == brute
+
+def test_tail_inverse_against_brute_walk():
+    # smallest n >= lo with S(n) < v, against long-double survival
+    # products for both tails over a grid: the seed never lies past the
+    # answer (Wendel's inequality), so the upward walk alone finds it
+    j = np.arange(1, 200_001, dtype=np.longdouble)
+    vs = [0.37 * 10.0 ** -k for k in range(1, 9)] + [0.9, 0.5, 0.02, 0.01,
+                                                     1e-12]
+    checked = 0
+    for delta in (0.05, 0.3, 0.5, 0.77, 0.999):
+        # log P(X > n) = sum_{j<=n} log(1 - delta/j), n = 0, 1, ...
+        log_sf = np.concatenate(([0.0], np.cumsum(np.log1p(-delta / j))))
+        for v in vs:
+            for lo in (1, 2, 8, 300):
+                want = first_below(log_sf, v, lo)
+                if want is not None:
+                    assert _sibuya_tail_value(delta, v, lo) == want, \
+                        (delta, v, lo)
+                    checked += 1
+    for nu, k1 in itertools.product((0.05, 0.3, 0.5, 0.77, 0.999),
+                                    (0.4, 0.5)):
+        # P(X > 1) = kappa1*nu and P(X > n)/P(X > n-1) = (n-1-nu)/n
+        steps = np.log((j - nu) / (j + 1))
+        log_sf = np.concatenate(([np.nan, math.log(k1 * nu)],
+                                 math.log(k1 * nu) + np.cumsum(steps)))
+        for v in vs:
+            for lo in (2, 3, 8, 300):
+                want = first_below(log_sf, v, lo)
+                if want is not None:
+                    assert _offspring_tail_value(nu, k1, v, lo) == want, \
+                        (nu, v, lo)
+                    checked += 1
+    assert checked >= 200, checked
 
 
 def offspring_sf(nu: float, kappa1: float, n: int) -> float:

@@ -1,7 +1,8 @@
 """Import layering: the exact-math modules do not depend on the simulator
 or the command line; only `pgf` reads the fields of its `QPath`; only
 `simulate` takes a single stream; the immigration sampler forks on theta
-only at 1; `renewal` makes no `np.convolve` call; the argument names a
+only at 1; `renewal` makes no `np.convolve` call; `simulate` forms no
+Poisson pmf and folds immigrants in one place; the argument names a
 call tracer reads stay put."""
 
 import ast
@@ -99,6 +100,23 @@ def test_renewal_makes_no_convolve_call():
              if isinstance(node, ast.Call)
              and ast.unparse(node.func).endswith("convolve")]
     assert not calls, calls
+
+
+def test_simulate_defines_no_poisson_pmf():
+    # the Poisson table has one kernel, `laws._poisson_pmf`, which the
+    # DP's immigration table and the folded sum table both read
+    tree = ast.parse((PACKAGE / "simulate.py").read_text(encoding="utf-8"))
+    defs = sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and "poisson" in node.name.lower())
+    assert not defs, defs
+
+
+def test_offspring_sums_draws_offspring_alone():
+    # `_next_generation` is the one place that folds immigrants in
+    from gwimm.simulate import _offspring_sums
+    params = list(inspect.signature(_offspring_sums).parameters)
+    assert params == ["params", "rngs", "bounds", "pops"], params
 
 
 def unused_imports(path: Path) -> set[str]:

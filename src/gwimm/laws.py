@@ -38,6 +38,9 @@ _SEED_DIRECT = 1e12      # above this, walk steps fall under float resolution
 _LOG_SEED_MAX = 64.0     # seed exponent clamp: exp(64) is past _HUGE, finite
 _POISSON_LAM_MAX = 1e17  # generator-safe Poisson mean
 _LOG_POISSON_LAM_MAX = math.log(_POISSON_LAM_MAX)
+# the largest kappa2 whose exp(-kappa2) is a normal long double (11355.1 on
+# x86): past it `immigration_pmf` has no table, only truncation mass 1
+KAPPA2_TABLE_MAX = -np.log(np.finfo(np.longdouble).tiny)
 _THETA_MIN = 1e-300      # least theta of `stable_positive`: below it
                          # (nearly) every draw leaves the float range
 
@@ -192,15 +195,15 @@ def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
     nonnegative, so the recurrence is cancellation-free.  It runs in
     float64 while b_0 is a normal float64, and past that (kappa2 > 708.4)
     in long double, rounded once.  Where exp(-kappa2) leaves even the
-    long-double range (kappa2 > 11355 on x86) the table is all zeros with
-    truncation mass 1.
+    long-double range (kappa2 > `KAPPA2_TABLE_MAX`) the table is all
+    zeros with truncation mass 1.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     th, k2 = params.theta, params.kappa2
-    b0 = np.exp(-np.longdouble(k2))
-    if b0 < np.finfo(np.longdouble).tiny:
+    if k2 > KAPPA2_TABLE_MAX:
         return PmfTable(probs=np.zeros(nmax + 1), truncation_mass=1.0)
+    b0 = np.exp(-np.longdouble(k2))
     if th == 1.0:
         b = np.zeros(nmax + 1)
         pois = _poisson_pmf(k2)[:nmax + 1]
@@ -227,8 +230,8 @@ def _poisson_pmf(kappa2: float) -> np.ndarray:
     value past kappa2 that is 0 as a float64; the mass beyond is below
     2**-1070.  kappa2 = 0 gives the unit mass at 0, then 0s.
 
-    exp(-kappa2) must be a normal long double (kappa2 <= 11355 on x86):
-    past that the first weight is 0 and the table never ends."""
+    kappa2 must be at most `KAPPA2_TABLE_MAX`: past that the first weight
+    is 0 and the table never ends."""
     lam = np.longdouble(kappa2)
     pmf = np.exp(-lam)[None]
     while float(pmf[-1]) > 0.0 or len(pmf) - 1 <= kappa2:

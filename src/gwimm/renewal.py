@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapTooSmallError, InsufficientLengthError
-from .laws import (LawParams, Model, immigration_pmf, initial_pmf,
-                   offspring_pmf)
+from .errors import (CapTooSmallError, InsufficientLengthError,
+                     OutOfRangeError)
+from .laws import (KAPPA2_TABLE_MAX, LawParams, Model, immigration_pmf,
+                   initial_pmf, offspring_pmf)
 from .pgf import (QPath, _q_steps, gamma_sequences, q_iterate, theta_sums,
                   theta_tail_bounds)
 from ._num import _spectrum, fsum, round_to_float64
@@ -229,13 +230,21 @@ class DpDistribution:
     alias_bound: float = 0.0
 
 
+def _rfft_for(f: np.ndarray, la: int, M: int) -> np.ndarray:
+    """rfft of f at the least power-of-two size that holds a[:M] * f for
+    a row a of la coefficients, so that `_times` does not wrap."""
+    return np.fft.rfft(f, 1 << (min(la, M) + len(f) - 2).bit_length())
+
+
 def _times(a: np.ndarray, f: np.ndarray, fz: np.ndarray,
            M: int) -> np.ndarray:
     """a * f mod x^(M+1) for each row of a, of at most M + 1
-    coefficients, with fz the rfft of f at a size that holds a[:M] * f.
+    coefficients, with fz the rfft of f at a size that holds a[:M] * f
+    (`_rfft_for`).
 
-    That product has at most 2M coefficients, so it does not wrap, and
-    a[M] * x^M adds only a[M] * f[0] below x^(M+1)."""
+    That product has at most 2M coefficients, so a size of at most 2M
+    holds it and it does not wrap; a[M] * x^M adds only a[M] * f[0]
+    below x^(M+1).  This is the DP's one FFT product."""
     size = 2 * (fz.shape[-1] - 1)
     la = a.shape[-1]
     out = np.fft.rfft(a[..., :M], size)
@@ -246,13 +255,13 @@ def _times(a: np.ndarray, f: np.ndarray, fz: np.ndarray,
     return out
 
 
-def _composition_plan(F: np.ndarray, M: int, ring: int):
-    """The operands of `_compose` that the offspring coefficients F fix
-    for a whole run: the rows of F^0..F^(b-1) mod x^(M+1), b = min(256,
-    M/2); for h = b, 2b, ..., M/4, F^h mod x^(M+1) and its spectrum at
-    the size of the level's products; F^(M/2) and its spectrum on the
-    ring; and the most blocks of one baby product, about 2^18
-    coefficients.
+def _composition_plan(F: np.ndarray, B: np.ndarray, M: int):
+    """The operands of a DP step that the offspring coefficients F and
+    the immigration coefficients B fix for a whole run: the rows of
+    F^0..F^(b-1) mod x^(M+1), b = min(256, M/2); for h = b, 2b, ...,
+    M/2, F^h mod x^(M+1) and its spectrum at the size of the level's
+    products; FB = F * B mod x^(M+1) and its spectrum at 2M; and the
+    most blocks of one baby product, about 2^18 coefficients.
 
     The rows are built by doubling, for every law: rows k..2k-1 are rows
     0..k-1 times F^k, and F^2k is F^k squared, both with the spectrum of
@@ -262,10 +271,11 @@ def _composition_plan(F: np.ndarray, M: int, ring: int):
     call and the levels M/b - 1 per generation, hence b = min(256, M/2)
     (32 MiB of full rows at M = 16384).  b does not depend on the number
     of generations, so neither does a prefix of pi.
-    """
-    def spectrum(f, la):    # at the least size that holds a[:M] * f
-        return np.fft.rfft(f, 1 << (min(la, M) + len(f) - 2).bit_length())
 
+    FFT products, each a `_times` call of at most 2M points: at each
+    doubling k of the rows, k row products and one squaring; one
+    squaring per level below M/2; and F * B.
+    """
     b = min(_BABY_CAP, M // 2)
     width = min(M + 1, (b - 1) * (len(F) - 1) + 1)
     rows = np.zeros((b, width))
@@ -274,112 +284,90 @@ def _composition_plan(F: np.ndarray, M: int, ring: int):
     # in chunks whose FFT temporaries take about one batch of blocks
     g, k, chunk = F, 1, max(1, batch // 8)
     while k < b:
-        gz = spectrum(g, width)
+        gz = _rfft_for(g, width, M)
         for lo in range(0, k, chunk):
             hi = min(k, lo + chunk)
             rows[k + lo:k + hi] = _times(rows[lo:hi], g, gz, M)[:, :width]
         g = _times(g, g, gz, M)
         k *= 2
-    h, levels = b, []
-    while h < M // 2:
-        levels.append((g, spectrum(g, width)))
+    levels = [(g, _rfft_for(g, width, M))]
+    while len(levels) < (M // b).bit_length() - 1:    # h = 2b, ..., M/2
         width = min(M + 1, min(width, M) + len(g) - 1)
-        g = _times(g, g, spectrum(g, len(g)), M)
-        h *= 2
-    return rows, levels, (g, np.fft.rfft(g, ring)), batch
+        g = _times(g, g, _rfft_for(g, len(g), M), M)
+        levels.append((g, _rfft_for(g, width, M)))
+    fb = _times(B, F, _rfft_for(F, len(B), M), M)
+    return rows, levels, (fb, _rfft_for(fb, M + 1, M)), batch
 
 
-def _blocks(c: np.ndarray, plan, M: int, k: int) -> np.ndarray:
+def _blocks(c: np.ndarray, plan, M: int) -> np.ndarray:
     """The block polynomials of the states c, as rows of b, paired level
-    by level until k (1 or 2) remain.  Past one batch of rows, the halves
-    are reduced to one polynomial each, depth first, so one batch and one
+    by level (q_even + F^h * q_odd, one batched `_times` product per
+    level) until one remains.  Past one batch of rows, the halves are
+    reduced to one polynomial each, depth first, so one batch and one
     polynomial per halving are alive at once."""
     rows, levels, _, batch = plan
     if len(c) > batch:
         h = len(c) // 2
-        q = np.concatenate((_blocks(c[:h], plan, M, 1),
-                            _blocks(c[h:], plan, M, 1)))
+        q = np.concatenate((_blocks(c[:h], plan, M), _blocks(c[h:], plan, M)))
         levels = levels[h.bit_length() - 1:]
     else:
         q = c @ rows
     for level in levels:
-        if len(q) == k:
+        if len(q) == 1:
             break
-        odd = _times(q[1::2], *level, M)    # q_even + F^h * q_odd
+        odd = _times(q[1::2], *level, M)
         odd[:, :q.shape[1]] += q[::2]
         q = odd
     return q
-
-
-def _compose(cur: np.ndarray, plan, ring: int) -> np.ndarray:
-    """rfft on the ring of a polynomial Q of degree below 2M that agrees
-    with sum_{w<M} cur[w+1] * F^w below x^(M+1), M = len(cur) - 1, from
-    the operands of `_composition_plan`.
-
-    Q is composed in coefficient space by divide and conquer over blocks
-    of b states (Brent & Kung 1978).  Baby step: one matrix product of
-    cur[1:], as M/b rows of b, with the rows of F^0..F^(b-1) gives the
-    block polynomials q_j = sum_i cur[1 + jb + i] * F^i.  Each level
-    h = b, 2b, ..., M/4 pairs the blocks as q_even + F^h * q_odd by one
-    batched FFT product (`_times`), cut at M + 1 coefficients.  The top
-    level works on the ring: q_0 + F^(M/2) * q_1, with q_1[M] * F^(M/2)[0]
-    moved into q_0.  No product wraps.  At nu = 1 the blocks at level h
-    have 2h - 1 coefficients, so no product reaches the cut.
-
-    Roundoff: every operand, each q and each F^h, is a nonnegative
-    polynomial (to rounding) of l1 norm at most 1.  The FFT products are
-    the same list for every law: those of the plan (at each doubling k
-    of the rows, k row products and one squaring; one squaring per
-    level), then per generation M/(2h) cyclic products at each level h
-    and one of size 4M at the top.  With those norms each has the
-    forward error bound of Higham (2002, section 24.1).
-    """
-    M = len(cur) - 1
-    q = _blocks(cur[1:].reshape(-1, len(plan[0])), plan, M, 2)
-    g, top = plan[2]
-    if q.shape[1] > M:
-        q[0, M] += q[1, M] * g[0]
-        q[1, M] = 0.0
-    q0, q1 = np.fft.rfft(q, ring)
-    q1 *= top
-    q1 += q0
-    return q1
 
 
 def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
                     tol: float = 1e-3) -> DpDistribution:
     """Generation-by-generation law of the chosen model on states {0..M}.
 
-    Each step evaluates the one-step transform at the roots of unity of a
-    ring of size 4M, then inverts it, one rule for the three chains: the
-    next law is irfft(Bz * (Fz * Q + x)) plus cur[0] - x at state 0.  x
-    is 0 for the stopped chain, cur[0] for z (the atom takes immigrants),
-    and -P0 for the gated one (P0 = sum_w cur[w] * kappa1^w, the all-zero
-    offspring sums, joins the atom with no immigrants).
+    One rule serves the three chains, in coefficient space mod x^(M+1):
+    the next law is Q * FB + x * B, plus cur[0] - x at state 0, with B
+    the immigration law, FB = F * B and Q = sum_{w<M} cur[w+1] * F^w.
+    x is 0 for the stopped chain, cur[0] for z (the atom takes
+    immigrants), and -kappa1 * Q(0) for the gated one: the all-zero
+    offspring sums, of mass F(0) * Q(0), join the atom with no
+    immigrants.  F is the offspring law stripped of its trailing exact
+    zeros (three coefficients at nu = 1).  States 0..M read no
+    coefficient past x^M, so every product is cut at M + 1 coefficients.
 
-    The offspring part is F * Q, Q = sum_{w<M} cur[w+1] * F^w, with F
-    the offspring law stripped of its trailing exact zeros (three
-    coefficients at nu = 1).  States 0..M read no coefficient of F^w past
-    x^M, so `_compose` builds Q mod x^(M+1) in coefficient space.  Q has
-    degree below 2M and F and B at most M, so the ring never wraps.  A
-    step costs O(M log^2 M) while the blocks stay short (nu = 1) and
-    O(M^2) once they are full.
+    Q is composed by divide and conquer over blocks of b states (Brent &
+    Kung 1978).  Baby step: one matrix product of cur[1:], as M/b rows
+    of b, with the rows of F^0..F^(b-1) gives the block polynomials
+    q_j = sum_i cur[1 + jb + i] * F^i.  Each level h = b, 2b, ..., M/2
+    pairs the blocks as q_even + F^h * q_odd (`_blocks`).  At nu = 1 the
+    blocks at level h have 2h - 1 coefficients, and a step costs
+    O(M log^2 M); once the rows are full (nu < 1) it costs O(M^2).
+
+    Roundoff: every operand, each q, each F^h, FB and B, is a
+    nonnegative polynomial (to rounding) of l1 norm at most 1.  The FFT
+    products are the same list for every law: those of the plan
+    (`_composition_plan`), then per generation M/(2h) products at each
+    level h = b, ..., M/2 and one 2M product with FB, each of at most 2M
+    points and each with the forward error bound of Higham (2002,
+    section 24.1).
 
     Mass that escapes the truncation is tracked in lost_mass, so
-    [sum pi, sum pi + lost] brackets the true probability.
+    [sum pi, sum pi + lost] brackets the true probability.  kappa2 past
+    `KAPPA2_TABLE_MAX` leaves no immigration table, at any M.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if M < 64 or (M & (M - 1)) != 0:
         raise ValueError("M must be a power of two >= 64")
+    if params.kappa2 > KAPPA2_TABLE_MAX:
+        raise OutOfRangeError(
+            "kappa2", f"kappa2 <= {float(KAPPA2_TABLE_MAX):.1f} for the DP, "
+            "where exp(-kappa2) is a normal long double", params.kappa2)
     model = Model(model)
-    ring = 4 * M
 
-    fo = offspring_pmf(params, M)
-    bo = immigration_pmf(params, M)
-    Fz = np.fft.rfft(fo.probs, ring)
-    Bz = np.fft.rfft(bo.probs, ring)
-    plan = _composition_plan(np.trim_zeros(fo.probs, "b"), M, ring)
+    B = immigration_pmf(params, M).probs
+    plan = _composition_plan(np.trim_zeros(offspring_pmf(params, M).probs,
+                                           "b"), B, M)
 
     pi = np.zeros((n + 1, M + 1))
     lost = np.zeros(n + 1)
@@ -387,18 +375,17 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     pi[0] = g.probs
     lost[0] = g.truncation_mass
 
-    p0pow = params.kappa1 ** np.arange(1.0, M + 1)
     for gen in range(1, n + 1):
         cur = pi[gen - 1]
-        acc = _compose(cur, plan, ring)
-        acc *= Fz
+        q = _blocks(cur[1:].reshape(-1, len(plan[0])), plan, M)[0]
+        out = _times(q, *plan[2], M)
         if model is Model.STOPPED_Z:
             x = 0.0
         elif model is Model.UNSTOPPED_Z:
             x = cur[0]
         else:
-            x = -float(np.dot(cur[1:], p0pow))
-        out = np.fft.irfft(Bz * (acc + x), n=ring)[:M + 1]
+            x = -params.kappa1 * q[0]
+        out += x * B
         np.clip(out, 0.0, None, out=out)
         out[0] += cur[0] - x
         pi[gen] = out

@@ -53,6 +53,18 @@ def test_validate_rejects_infinite_kappa2(capsys):
     assert err.count("\n") == 1
 
 
+def test_survival_kappa2_past_the_immigration_table_exits_2(capsys):
+    # exp(-kappa2) leaves the long-double range: no cap M gives the DP an
+    # immigration table, so the error names kappa2, not M
+    rc, out, err = run(["survival", "--kappa2", "20000", "--M", "4096",
+                        "--horizon", "3"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("gwimm: error: kappa2=20000.0")
+    assert err.count("\n") == 1
+    assert "increase M" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "regime"])
 def test_underflowing_kappa1_nu_is_rejected(command, capsys):
     # kappa1*nu = 0 in float64 used to divide by zero in classify_regime

@@ -390,10 +390,10 @@ def test_dp_composition_matches_per_state_horner(model, params, n, M):
 
 
 @pytest.mark.parametrize("params, M, digests", [
-    (CANON, 256, ("dcda34e65e8c672f", "75c0752610b33fce",
-                  "da56c52f7aa5f7c1")),
-    (R3, 4096, ("41af813e5efe7107", "ae5b2362cda5d974",
-                "0fc08aa295483e2e"))], ids=["canon-256", "r3-4096"])
+    (CANON, 256, ("f6b819dadae46e14", "f638c708853805f9",
+                  "19b460d6124b54ee")),
+    (R3, 4096, ("30253019e696533f", "2324114fd7edf54a",
+                "e2c95044b4fb2eb8"))], ids=["canon-256", "r3-4096"])
 def test_dp_unit_nu_digest(params, M, digests):
     # pins pi and lost mass at nu = 1 bit for bit, for the three chains:
     # the baby rows, built by FFT doubling as at nu < 1, have 2b - 1
@@ -410,7 +410,7 @@ def test_dp_fractional_nu_pi_digest():
     # for bit at M = 4096
     pi = dp_distribution(FRAC, "stopped", 10, M=4096).pi
     assert hashlib.sha256(pi.tobytes()).hexdigest() == (
-        "97917ee6ac1ba0df832f047b2eb6241061022e19387bc29c7c9aa078ada5712a")
+        "27408119738549d7ad81ec8a5e8fe6ed5565275dfab7407db46aeb1de5f6ee67")
 
 
 # the pi digests of R3 and FRAC at M = 4096
@@ -456,14 +456,30 @@ def test_dp_memory_peak(M, n, mib):
 
 def test_dp_composition_memory_peak():
     # at nu = 1 the baby rows and blocks are short: the peak is the law
-    # arrays and the ring spectra
+    # arrays, the level operands and the spectra of one 2M product
     tracemalloc.start()
     try:
         dp_distribution(R3, "stopped", 1, M=16384)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+    assert peak < 5 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("params", [R3, MIXED], ids=["unit-nu", "nu-below-1"])
+@pytest.mark.parametrize("model", ["stopped", "z", "gated"])
+def test_dp_ffts_have_at_most_2m_points(model, params, monkeypatch):
+    # states 0..M read only coefficients 0..M, so no product of the step
+    # or of its plan needs more than 2M points
+    sizes = []
+    for name in ("rfft", "irfft"):
+        def recorded(a, n=None, *args, _fft=getattr(np.fft, name), **kw):
+            sizes.append(n)
+            return _fft(a, n, *args, **kw)
+        monkeypatch.setattr(np.fft, name, recorded)
+    dp_distribution(params, model, 3, M=1024, tol=1.0)
+    assert sizes and None not in sizes
+    assert max(sizes) <= 2 * 1024, max(sizes)
 
 
 def test_dp_cap_too_small_at_reference_generation():

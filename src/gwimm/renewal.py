@@ -36,7 +36,7 @@ from .laws import (KAPPA2_TABLE_MAX, LawParams, Model, immigration_pmf,
                    initial_pmf, offspring_pmf)
 from .pgf import (QPath, _q_steps, gamma_sequences, q_iterate, theta_sums,
                   theta_tail_bounds)
-from ._num import _spectrum, fsum, round_to_float64
+from ._num import _product, _spectrum, fsum, round_to_float64
 
 _BLOCK = 1024                # terms of u solved directly in extended precision
 # kappa2 * S_k past which every weight rounds to 0: 1076*log(2) + 1, where
@@ -182,14 +182,11 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
         size, top = 2 * m, min(2 * m, n)
         fa = _spectrum(a[:size], size)
         fr = _spectrum(r, size)
-        au = _spectrum(u[:m], size)     # freed as au is rebound
-        au = np.fft.irfft(np.multiply(fa, au, out=au), size)
-        hi = _spectrum(f[m:top] + au[m - 1:top - 1], size)
-        u[m:top] = np.fft.irfft(fr * hi, size)[:top - m]
+        au = _product(fa, _spectrum(u[:m], size), m - 1, top - 1)
+        u[m:top] = _product(fr, _spectrum(f[m:top] + au, size), 0, top - m)
         if top < n:
-            ar = np.fft.irfft(fa * fr, size)
-            hi = _spectrum(ar[m - 1:size - 1], size)
-            r = np.concatenate((r, np.fft.irfft(fr * hi, size)[:m]))
+            ar = _product(fa, fr.copy(), m - 1, size - 1)
+            r = np.concatenate((r, _product(fr, _spectrum(ar, size), 0, m)))
         m = size
     return u
 
@@ -244,12 +241,10 @@ def _times(a: np.ndarray, f: np.ndarray, fz: np.ndarray,
 
     That product has at most 2M coefficients, so a size of at most 2M
     holds it and it does not wrap; a[M] * x^M adds only a[M] * f[0]
-    below x^(M+1).  This is the DP's one FFT product."""
-    size = 2 * (fz.shape[-1] - 1)
+    below x^(M+1).  The DP's one FFT product, on plain rfft spectra."""
     la = a.shape[-1]
-    out = np.fft.rfft(a[..., :M], size)
-    out *= fz
-    out = np.fft.irfft(out, size)[..., :min(M + 1, min(la, M) + len(f) - 1)]
+    out = _product(fz, np.fft.rfft(a[..., :M], 2 * (fz.shape[-1] - 1)), 0,
+                   min(M + 1, min(la, M) + len(f) - 1))
     if la > M:
         out[..., M] += a[..., M] * f[0]
     return out
@@ -347,9 +342,9 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
     nonnegative polynomial (to rounding) of l1 norm at most 1.  The FFT
     products are the same list for every law: those of the plan
     (`_composition_plan`), then per generation M/(2h) products at each
-    level h = b, ..., M/2 and one 2M product with FB, each of at most 2M
-    points and each with the forward error bound of Higham (2002,
-    section 24.1).
+    level h = b, ..., M/2 and one 2M product with FB, each a
+    `_num._product` of at most 2M points with the forward error bound of
+    Higham (2002, section 24.1).
 
     Mass that escapes the truncation is tracked in lost_mass, so
     [sum pi, sum pi + lost] brackets the true probability.  kappa2 past

@@ -4,6 +4,21 @@ import math
 
 import numpy as np
 
+from gwimm.laws import LawParams
+
+# The reference laws, by name (nu, theta, delta, kappa0, kappa1, kappa2).
+# A test module imports the ones it reads; `gwimm.cli` and
+# `perfbench/workloads.py` keep their own few under these names, and no
+# name binds two laws across them (tests/test_layering.py).
+LAWS = {
+    "CANON": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),    # R1, sigma = 2
+    "MIXED": LawParams(0.5, 0.5, 0.5, 0.8, 0.5, 0.7),    # nu, theta, delta < 1
+    "R0": LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0),       # theta < nu
+    "R3": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),      # sigma = 1/2
+    "FRAC": LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3),    # R6, nu < theta
+}
+CANON, MIXED, R0, R3, FRAC = LAWS.values()
+
 # per-comparison false-alarm rate of the Monte Carlo properties: each
 # states how many comparisons a run makes, so a union bound gives the
 # chance that a correct sampler fails it

@@ -24,9 +24,9 @@ from gwimm.renewal import (build_renewal, classify_regime, fit_tail,
 from gwimm.rng import stream
 from gwimm.simulate import estimate_survival
 
+from conftest import CANON, FRAC, R0, R3
+
 SEED = 2024
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
     + math.exp(-1.0) - math.exp(-1.5)
@@ -35,20 +35,20 @@ U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
 # state-space recursion at cap 4096 next to a 10^6-replicate simulation
 REGIME_GRID = {
     "R0": LawParams(1.0, 0.9, 1.0, 1.0, 0.5, 0.1),
-    "R1": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
+    "R1": CANON,
     "R2": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
-    "R3": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),
+    "R3": R3,
     "R4": LawParams(1.0, 1.0, 0.875, 0.8, 0.5, 0.0625),
     "R5": LawParams(1.0, 1.0, 0.8, 0.6, 0.5, 0.05),
-    "R6": LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3),
+    "R6": FRAC,
 }
 
 # longer-horizon grid for the tail-exponent fits (one per fitting branch)
 FIT_GRID = {
-    "R0": LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0),
-    "R1": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
+    "R0": R0,
+    "R1": CANON,
     "R2": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
-    "R3": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),
+    "R3": R3,
     "R5": LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25),
     "R6": LawParams(0.5, 1.0, 0.25, 0.5, 0.5, 0.5),
 }
@@ -139,7 +139,7 @@ def test_criterion_3_decay_rate_uniformity_and_epsilon_band():
 def test_criterion_4_stretched_exponential_constant():
     """Fitted decay constant of gamma against its closed form."""
     t0 = time.time()
-    rep = gamma_asymptotics(LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0), 10 ** 6)
+    rep = gamma_asymptotics(R0, 10 ** 6)
     assert rep.branch == "exp-decay"
     assert rep.reference == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     print(f"criterion 4: slope {rep.estimate:.6f} vs {rep.reference:.6f} "
@@ -176,12 +176,11 @@ def test_criterion_5_tail_exponent_fits():
 
 def test_criterion_6_generationwise_limit_checkers():
     """Unstopped-chain deviations shrink in n; stationary transform pins c0."""
-    heavy = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
     ns = (10 ** 3, 10 ** 4, 10 ** 5)
     for theorem_id, p in (("gamma_balanced", CANON),
                           ("unstopped_balanced", CANON),
-                          ("gamma_heavy_immigration", heavy),
-                          ("unstopped_heavy_immigration", heavy)):
+                          ("gamma_heavy_immigration", R0),
+                          ("unstopped_heavy_immigration", R0)):
         chk = convergence_sweep(p, theorem_id, (0.5, 1.0, 2.0), ns)
         assert chk.monotone(), (theorem_id, chk.deviations)
         worst_final = float(chk.deviations[-1].max())
@@ -201,9 +200,9 @@ def test_criterion_7_conditional_limit_sweeps():
     s_grid = [0.5, 1.0, 2.0]
     n_grid = [10 ** 3, 10 ** 4]
     cases = [
-        ("heavy_immigration", LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)),
+        ("heavy_immigration", R0),
         ("balanced_strong", CANON),
-        ("balanced_weak", LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)),
+        ("balanced_weak", R3),
         ("balanced_weak", LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25)),
     ]
     for tid, p in cases:
@@ -216,8 +215,7 @@ def test_criterion_7_conditional_limit_sweeps():
 
     # quadrature self-check of the weak-limit transform on its
     # closed-form branch
-    r3 = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)
-    qerr = max(abs(lambda_limit(r3, float(s)) - 1.0 / (1.0 + float(s)))
+    qerr = max(abs(lambda_limit(R3, float(s)) - 1.0 / (1.0 + float(s)))
                for s in np.linspace(0.05, 3.0, 20))
     print(f"criterion 7 quadrature: {qerr:.2e}")
     assert qerr < 1e-8
@@ -232,16 +230,12 @@ def test_criterion_8_sampler_distributions():
 
     n = 10 ** 6
     cases = [
-        ("offspring", LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
-         sample_offspring, offspring_pmf),
+        ("offspring", CANON, sample_offspring, offspring_pmf),
         ("offspring", LawParams(0.5, 1.0, 1.0, 1.0, 0.5, 1.0),
          sample_offspring, offspring_pmf),
-        ("immigration", LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
-         sample_immigration, immigration_pmf),
-        ("immigration", LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0),
-         sample_immigration, immigration_pmf),
-        ("initial", LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0),
-         sample_initial, initial_pmf),
+        ("immigration", CANON, sample_immigration, immigration_pmf),
+        ("immigration", R0, sample_immigration, immigration_pmf),
+        ("initial", CANON, sample_initial, initial_pmf),
         ("initial", LawParams(1.0, 1.0, 0.5, 0.5, 0.5, 1.0),
          sample_initial, initial_pmf),
     ]

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gwimm.cli import main
-from gwimm.laws import LawParams
 from gwimm.limits import THEOREMS
+
+from conftest import FRAC, R3
 
 try:
     import tomllib
@@ -281,9 +282,7 @@ def test_survival_columns_measure_one_quantity(extra, capsys):
         assert lo - 1e-9 <= ur <= hi + 1e-9
 
 
-@pytest.mark.parametrize("params", [
-    LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),
-    LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3)], ids=["r3", "frac"])
+@pytest.mark.parametrize("params", [R3, FRAC], ids=["r3", "frac"])
 @pytest.mark.parametrize("model", ["z", "gated"])
 def test_survival_exact_column_inside_dp_bracket(model, params, capsys):
     # the exact column of z and gated is finite and inside the DP

@@ -29,11 +29,11 @@ from gwimm.laws import LawParams, sample_offspring, sample_sibuya
 from gwimm.rng import stream
 from gwimm.simulate import estimate_survival, simulate
 
+from conftest import MIXED, R3
+
 sim = importlib.import_module("gwimm.simulate")
 
-MIXED = LawParams(0.5, 0.5, 0.5, 0.8, 0.5, 0.7)
 HALF = LawParams(0.5, 1.0, 0.7, 0.9, 0.4, 0.5)     # nu < 1, theta = 1
-R3 = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)
 NU1_HEAVY = LawParams(1.0, 0.5, 0.5, 0.8, 0.5, 0.7)     # nu = 1, theta < 1
 NU1_WIDE = LawParams(1.0, 1.0, 0.5, 0.8, 0.5, 2.0)      # folded, delta < 1
 

@@ -20,10 +20,7 @@ from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
                         _sibuya_tail_value)
 from gwimm.rng import stream
 
-from conftest import mc_radius
-
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
+from conftest import CANON, R0, mc_radius
 
 
 def binom_coeff(a: float, k: int) -> float:
@@ -150,9 +147,7 @@ def test_immigration_past_the_long_double_range_is_all_tail(theta):
 
 def test_immigration_hand_values():
     # b_0 = exp(-kappa2) and b_1 = kappa2*theta*exp(-kappa2) directly
-    p = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-    t = immigration_pmf(p, 3)
+    t = immigration_pmf(R0, 3)
     assert t.probs[0] == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert t.probs[1] == pytest.approx(0.5 * math.exp(-1.0), rel=1e-14)
 
@@ -326,11 +321,9 @@ def test_poisson_immigration_past_the_generator_limit_is_clamped(kappa2):
 
 
 def test_sample_immigration_heavy_cells():
-    p = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
     n = 200_000
-    draws = sample_immigration(p, stream(14, 0), n)
-    table = immigration_pmf(p, 4).probs
+    draws = sample_immigration(R0, stream(14, 0), n)
+    table = immigration_pmf(R0, 4).probs
     for k in (0, 1, 3):
         freq = np.mean(draws == k)
         se = math.sqrt(table[k] * (1.0 - table[k]) / n)

@@ -1,9 +1,10 @@
 """Import layering: the exact-math modules do not depend on the simulator
 or the command line; only `pgf` reads the fields of its `QPath`; only
 `simulate` takes a single stream; the immigration sampler forks on theta
-only at 1; `renewal` makes no `np.convolve` call; `simulate` forms no
-Poisson pmf and folds immigrants in one place; the argument names a
-call tracer reads stay put."""
+only at 1; only `_num._product` calls irfft, and `renewal` makes no
+`np.convolve` call; `simulate` forms no Poisson pmf and folds immigrants
+in one place; the argument names a call tracer reads stay put; no name
+binds two reference laws."""
 
 import ast
 import dataclasses
@@ -13,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gwimm"
+from gwimm.laws import LawParams
+
+from conftest import LAWS
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gwimm"
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -92,14 +98,31 @@ def test_immigration_sampler_forks_on_theta_at_one_only():
                             for op in rest), ast.unparse(node)
 
 
-def test_renewal_makes_no_convolve_call():
-    # the DP builds the baby rows of every offspring law by FFT doubling,
-    # so its roundoff bound has one list of FFT products to cover
-    tree = ast.parse((PACKAGE / "renewal.py").read_text(encoding="utf-8"))
-    calls = [ast.unparse(node) for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and ast.unparse(node.func).endswith("convolve")]
-    assert not calls, calls
+def calls_to(tree: ast.AST, names: set[str]) -> list[str]:
+    """The calls below `tree` of a function whose last dotted name part
+    is in `names`."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] in names]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_only_num_product_calls_irfft(path):
+    # every FFT product of the DP and the renewal solve is a
+    # `_num._product` call, so one place fixes their float64 bits and
+    # one roundoff bound covers them; the DP builds its baby rows by FFT
+    # doubling, so renewal makes no np.convolve call either
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.stem == "_num":
+        (kernel,) = [node for node in tree.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name == "_product"]
+        assert len(calls_to(kernel, {"irfft"})) == 1
+        assert len(calls_to(tree, {"irfft"})) == 1
+    else:
+        banned = {"irfft", "convolve"} if path.stem == "renewal" else {"irfft"}
+        assert not calls_to(tree, banned), calls_to(tree, banned)
 
 
 def test_simulate_defines_no_poisson_pmf():
@@ -117,6 +140,44 @@ def test_offspring_sums_draws_offspring_alone():
     from gwimm.simulate import _offspring_sums
     params = list(inspect.signature(_offspring_sums).parameters)
     assert params == ["params", "rngs", "bounds", "pops"], params
+
+
+def law_bindings(path: Path) -> list[tuple[str, LawParams]]:
+    """(name, law) for each assignment in a source file of a `LawParams`
+    call with literal arguments to a name.  One-letter names such as p
+    are placeholders, not names of laws."""
+    bound = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and ast.unparse(node.value.func) == "LawParams"):
+            continue
+        try:
+            args = [ast.literal_eval(a) for a in node.value.args]
+            kwargs = {k.arg: ast.literal_eval(k.value)
+                      for k in node.value.keywords}
+        except ValueError:
+            continue                    # a law built from variables
+        bound += [(t.id, LawParams(*args, **kwargs)) for t in node.targets
+                  if isinstance(t, ast.Name) and len(t.id) > 1]
+    return bound
+
+
+def test_no_name_binds_two_laws():
+    # the reference laws have one table, `conftest.LAWS`; `cli` and the
+    # benchmark keep their own few under the same names, and no name,
+    # in any case, stands for two laws
+    files = [*sorted((ROOT / "tests").glob("*.py")), PACKAGE / "cli.py",
+             ROOT / "perfbench" / "workloads.py"]
+    bound = [(name, law, "conftest.LAWS") for name, law in LAWS.items()]
+    bound += [(name, law, path.name) for path in files
+              for name, law in law_bindings(path)]
+    assert {"MIXED", "R0", "R3"} <= {name for name, _, where in bound
+                                     if where == "workloads.py"}
+    first = {}
+    for name, law, where in bound:
+        seen, at = first.setdefault(name.upper(), (law, where))
+        assert law == seen, (name, where, at)
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -21,12 +21,10 @@ from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
                            classify_regime, gamma_asymptotics)
 from gwimm.simulate import estimate_survival
 
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-HEAVY_IMM = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                      kappa2=1.0)
-MIXED = LawParams(nu=1.0, theta=1.0, delta=0.5, kappa0=0.8, kappa1=0.5,
-                  kappa2=1.0)
+from conftest import CANON, R0, R3
+
+DELTA_HALF = LawParams(nu=1.0, theta=1.0, delta=0.5, kappa0=0.8,
+                       kappa1=0.5, kappa2=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ def one_step_oracle(p: LawParams, t: float) -> float:
     return (m1 - m0) / (p.kappa0 * u1)
 
 
-@pytest.mark.parametrize("params", [CANON, MIXED])
+@pytest.mark.parametrize("params", [CANON, DELTA_HALF])
 def test_conditional_transform_one_step(params):
     s = 0.7
     got = conditional_laplace_exact(params, 1, s)
@@ -65,13 +63,13 @@ def test_decomposition_telescopes_to_plain_transform():
     # transform of the positively-started process, which is the plain
     # transform with the kappa0 atom stripped
     n = 12
-    rt = build_renewal(MIXED, n)
-    flat = RenewalTable(params=MIXED, gamma0=rt.gamma0, a=rt.a, d=rt.d,
+    rt = build_renewal(DELTA_HALF, n)
+    flat = RenewalTable(params=DELTA_HALF, gamma0=rt.gamma0, a=rt.a, d=rt.d,
                         u=np.ones_like(rt.u))
-    stripped = dataclasses.replace(MIXED, kappa0=1.0)
+    stripped = dataclasses.replace(DELTA_HALF, kappa0=1.0)
     for s in (0.3, 1.5):
-        t = math.exp(-s * q_iterate(MIXED, 0.0, n).power(1.0)[n])
-        got = conditional_laplace_exact(MIXED, n, s, table=flat)
+        t = math.exp(-s * q_iterate(DELTA_HALF, 0.0, n).power(1.0)[n])
+        got = conditional_laplace_exact(DELTA_HALF, n, s, table=flat)
         assert got == pytest.approx(h_n(stripped, t, n), abs=1e-12)
 
 
@@ -88,10 +86,10 @@ def test_conditional_transform_matches_monte_carlo():
 def test_conditional_transform_matches_monte_carlo_with_atom():
     # kappa0 < 1 exercises the conditioning normalization
     n, s = 10, 0.7
-    exact = conditional_laplace_exact(MIXED, n, s)
-    scale = s * float(q_iterate(MIXED, 0.0, n).power(1.0)[n])
-    value, se = estimate_survival(MIXED, "stopped", n, reps=200_000, seed=5,
-                                  threads=2, cap=100_000,
+    exact = conditional_laplace_exact(DELTA_HALF, n, s)
+    scale = s * float(q_iterate(DELTA_HALF, 0.0, n).power(1.0)[n])
+    value, se = estimate_survival(DELTA_HALF, "stopped", n, reps=200_000,
+                                  seed=5, threads=2, cap=100_000,
                                   scale=scale).conditional_laplace()
     assert abs(value - exact) < 4.0 * se
 
@@ -100,7 +98,7 @@ def test_conditional_transform_table_errors():
     short = build_renewal(CANON, 5)
     with pytest.raises(MissingRenewalError):
         conditional_laplace_exact(CANON, 10, 1.0, table=short)
-    other = build_renewal(MIXED, 20)
+    other = build_renewal(DELTA_HALF, 20)
     with pytest.raises(MissingRenewalError):
         conditional_laplace_exact(CANON, 10, 1.0, table=other)
     with pytest.raises(ValueError):
@@ -109,16 +107,12 @@ def test_conditional_transform_table_errors():
         conditional_laplace_exact(CANON, 0, 1.0)
 
 
-R3 = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-               kappa2=0.25)
-
-
 @pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("fn, params", [
     (lambda p, s: conditional_laplace_exact(p, 5, s), CANON),
     (lambda_limit, R3),
     (limit_balanced_strong, CANON),
-    (limit_laplace_heavy_imm, HEAVY_IMM),
+    (limit_laplace_heavy_imm, R0),
 ])
 def test_limit_statements_need_finite_nonnegative_s(fn, params, s):
     # the rule of convergence_sweep's s grid, in a law of the right regime
@@ -132,8 +126,8 @@ def test_limit_functions_against_closed_forms():
     strong = LawParams(nu=0.5, theta=0.5, delta=1.0, kappa0=1.0,
                        kappa1=0.5, kappa2=0.6)        # sigma = 2.4
     for s in (0.0, 0.3, 1.0, 4.0):
-        assert limit_laplace_heavy_imm(HEAVY_IMM, s) == pytest.approx(
-            math.exp(-HEAVY_IMM.kappa2 * s ** HEAVY_IMM.theta), rel=1e-15)
+        assert limit_laplace_heavy_imm(R0, s) == pytest.approx(
+            math.exp(-R0.kappa2 * s ** R0.theta), rel=1e-15)
         assert limit_balanced_strong(strong, s) == pytest.approx(
             (1.0 + s ** 0.5) ** -2.4, rel=1e-15)
     assert lambda_limit(R3, 0.0) == 1.0
@@ -162,7 +156,7 @@ def test_balanced_checkers_shrink():
 def test_heavy_imm_checkers_shrink():
     for theorem_id in ("gamma_heavy_immigration",
                        "unstopped_heavy_immigration"):
-        d1, d2 = convergence_sweep(HEAVY_IMM, theorem_id, [0.9],
+        d1, d2 = convergence_sweep(R0, theorem_id, [0.9],
                                    [100, 1000]).deviations[:, 0]
         assert d2 < d1
         assert d2 < 0.05
@@ -170,9 +164,9 @@ def test_heavy_imm_checkers_shrink():
 
 def test_checker_regime_guards():
     with pytest.raises(WrongRegimeError):
-        sweep("gamma_balanced")(HEAVY_IMM, 1.0, 10)
+        sweep("gamma_balanced")(R0, 1.0, 10)
     with pytest.raises(WrongRegimeError):
-        sweep("unstopped_balanced")(HEAVY_IMM, 1.0, 10)
+        sweep("unstopped_balanced")(R0, 1.0, 10)
     with pytest.raises(WrongRegimeError):
         sweep("gamma_heavy_immigration")(CANON, 1.0, 10)
     with pytest.raises(WrongRegimeError):
@@ -180,12 +174,10 @@ def test_checker_regime_guards():
     with pytest.raises(WrongRegimeError):
         limit_laplace_heavy_imm(CANON, 1.0)
     with pytest.raises(WrongRegimeError):
-        limit_balanced_strong(HEAVY_IMM, 1.0)
+        limit_balanced_strong(R0, 1.0)
     # sigma < 1 is the weak-limit territory, not the strong one
-    weak = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                     kappa2=0.25)
     with pytest.raises(WrongRegimeError):
-        limit_balanced_strong(weak, 1.0)
+        limit_balanced_strong(R3, 1.0)
 
 
 # each guarded function, an argument it rejects with a plain ValueError
@@ -280,10 +272,8 @@ def test_stationary_pgf_guards():
 
 def test_lambda_limit_closed_form_branch():
     # sigma >= 1 - delta/nu: the integral collapses to (1 + s^nu)^(-1)
-    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=0.25)
     for s in np.linspace(0.05, 3.0, 20):
-        assert lambda_limit(p, float(s)) == \
+        assert lambda_limit(R3, float(s)) == \
             pytest.approx(1.0 / (1.0 + float(s)), abs=1e-8)
 
 
@@ -311,7 +301,7 @@ def test_sweep_strong_branch_monotone():
 
 
 def test_sweep_heavy_branch_monotone():
-    chk = convergence_sweep(HEAVY_IMM, "heavy_immigration", [0.5, 2.0],
+    chk = convergence_sweep(R0, "heavy_immigration", [0.5, 2.0],
                             [200, 1000])
     assert chk.monotone()
     assert np.allclose(chk.limit,
@@ -321,9 +311,7 @@ def test_sweep_heavy_branch_monotone():
 
 def test_sweep_weak_branch_no_constant_needed():
     # sigma = 0.5 >= 1 - delta/nu = 0: closed-form branch, no K5
-    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=0.25)
-    chk = convergence_sweep(p, "balanced_weak", [0.5, 1.0], [200, 1000])
+    chk = convergence_sweep(R3, "balanced_weak", [0.5, 1.0], [200, 1000])
     assert chk.monotone()
     assert np.allclose(chk.limit, [1.0 / 1.5, 0.5], rtol=1e-12)
 
@@ -365,10 +353,10 @@ def test_exact_transform_without_table_iterates_q0_once(monkeypatch,
     # the table and q_n(0) come from one trajectory, and the value is the
     # one a table from build_renewal gives, bit for bit
     n, s = 3000, 0.7
-    want = conditional_laplace_exact(HEAVY_IMM, n, s, scaling,
-                                     table=build_renewal(HEAVY_IMM, n))
+    want = conditional_laplace_exact(R0, n, s, scaling,
+                                     table=build_renewal(R0, n))
     built, iterated = count_tables_and_trajectories(monkeypatch)
-    assert conditional_laplace_exact(HEAVY_IMM, n, s, scaling) == want
+    assert conditional_laplace_exact(R0, n, s, scaling) == want
     assert built == [n] and iterated == [n]
 
 
@@ -403,9 +391,8 @@ def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
 
     for name in ("_q_steps", "_renewal_table", "_gammas", "theta_sums"):
         monkeypatch.setattr("gwimm.limits." + name, no_q_work)
-    r0 = LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
-    wrong = {"balanced_weak": r0, "balanced_strong": r0,
-             "unstopped_balanced": r0, "gamma_balanced": r0,
+    wrong = {"balanced_weak": R0, "balanced_strong": R0,
+             "unstopped_balanced": R0, "gamma_balanced": R0,
              "heavy_immigration": CANON, "unstopped_heavy_immigration": CANON,
              "gamma_heavy_immigration": CANON}
     assert set(wrong) == set(THEOREMS)
@@ -417,8 +404,8 @@ def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
 @pytest.mark.parametrize("theorem_id, params, trajectories", [
     ("unstopped_balanced", CANON, [1000]),
     ("gamma_balanced", CANON, [1000]),
-    ("unstopped_heavy_immigration", HEAVY_IMM, []),
-    ("gamma_heavy_immigration", HEAVY_IMM, [])])
+    ("unstopped_heavy_immigration", R0, []),
+    ("gamma_heavy_immigration", R0, [])])
 def test_unstopped_sweep_builds_no_renewal_table(monkeypatch, theorem_id,
                                                  params, trajectories):
     # q(0) is iterated once, to the last n, and only for the q_n(0) scale

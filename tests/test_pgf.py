@@ -11,10 +11,7 @@ from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
 from gwimm.pgf import (_q_steps, epsilon_term, gamma_sequences, h_n,
                        q_iterate, rate_gap)
 
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-HEAVY = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
-                  kappa2=0.7)
+from conftest import CANON, MIXED
 
 
 def test_q_hand_iteration():
@@ -33,8 +30,8 @@ def test_q_iterate_matches_direct_composition():
     t = 0.3
     s = t
     for _ in range(7):
-        s = float(offspring_pgf(HEAVY, s))
-    assert q_iterate(HEAVY, t, 7).power(1.0)[7] == pytest.approx(1.0 - s,
+        s = float(offspring_pgf(MIXED, s))
+    assert q_iterate(MIXED, t, 7).power(1.0)[7] == pytest.approx(1.0 - s,
                                                                  rel=1e-13)
 
 
@@ -42,7 +39,7 @@ FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
                        kappa1=0.55, kappa2=0.3)
 
 
-@pytest.mark.parametrize("params", [CANON, HEAVY, FRACTIONAL])
+@pytest.mark.parametrize("params", [CANON, MIXED, FRACTIONAL])
 @pytest.mark.parametrize("n", [10, 1000, 20000])
 def test_q_last_is_bitwise_last_of_q_iterate(params, n):
     # the last q on its own: the sweeps read log q_n(0) off one longer
@@ -90,14 +87,13 @@ def test_q_kernel_against_long_double_iteration(nu, kappa1, n, bound):
 def test_q_kernel_far_below_the_float_range():
     # from log q_0 = -10^5, kappa1*q^nu is 0 in any float format, and
     # so is every step of log q
-    p = LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 1.0)
     lq = np.longdouble(-1e5)
     ref = [lq]
     for _ in range(2 * 10 ** 4):
         lq = lq + np.log1p(-np.longdouble(0.5) * np.exp(lq))
         ref.append(lq)
     ref = np.array(ref)
-    got = _q_steps(p, -1e5, 2 * 10 ** 4).logs()
+    got = _q_steps(CANON, -1e5, 2 * 10 ** 4).logs()
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-15
 
 
@@ -114,7 +110,7 @@ def test_power_at_q_zero_is_zero_without_a_warning():
     # t = 1 gives q_j = 0 for every j
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        path = q_iterate(HEAVY, 1.0, 3000)
+        path = q_iterate(MIXED, 1.0, 3000)
         for a in (1.0, 0.5, 1e-300):
             assert np.all(path.power(a) == 0.0)
 
@@ -142,7 +138,7 @@ def test_log_q_at_tiny_nu_against_mpmath():
 
 
 def test_q_monotone_and_positive():
-    q = q_iterate(HEAVY, 0.2, 200).power(1.0)
+    q = q_iterate(MIXED, 0.2, 200).power(1.0)
     assert np.all(np.diff(q) < 0.0)
     assert q[-1] > 0.0
 
@@ -177,9 +173,9 @@ def test_epsilon_is_scaled_rate_gap():
     # epsilon(n, t) = q_n^nu * n * rate_gap(n, t), an exact identity
     for t in (0.0, 0.37, 0.93):
         for n in (2, 17):
-            qn = float(q_iterate(HEAVY, t, n).power(1.0)[n])
-            lhs = float(epsilon_term(HEAVY, t, n))
-            rhs = qn ** HEAVY.nu * n * float(rate_gap(HEAVY, t, n))
+            qn = float(q_iterate(MIXED, t, n).power(1.0)[n])
+            lhs = float(epsilon_term(MIXED, t, n))
+            rhs = qn ** MIXED.nu * n * float(rate_gap(MIXED, t, n))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -195,10 +191,10 @@ def test_gaps_per_step_telescope_to_rate_gap():
     rng = np.random.default_rng(5)
     for t in rng.uniform(0.0, 0.95, 5):
         n = 40
-        inv = np.exp(-HEAVY.nu * q_iterate(HEAVY, float(t), n).logs())
-        gaps = HEAVY.kappa1 * HEAVY.nu - np.diff(inv)
+        inv = np.exp(-MIXED.nu * q_iterate(MIXED, float(t), n).logs())
+        gaps = MIXED.kappa1 * MIXED.nu - np.diff(inv)
         total = math.fsum(gaps.tolist())
-        assert total == pytest.approx(n * float(rate_gap(HEAVY, float(t), n)),
+        assert total == pytest.approx(n * float(rate_gap(MIXED, float(t), n)),
                                       abs=1e-11)
 
 
@@ -224,10 +220,10 @@ def test_h_n_matches_pgf_product():
     s = 0.6
     prod, cur = 1.0, s
     for _ in range(9):
-        prod *= float(immigration_pgf(HEAVY, cur))
-        cur = float(offspring_pgf(HEAVY, cur))
-    ref = float(initial_pgf(HEAVY, cur)) * prod
-    assert h_n(HEAVY, s, 9) == pytest.approx(ref, rel=1e-12)
+        prod *= float(immigration_pgf(MIXED, cur))
+        cur = float(offspring_pgf(MIXED, cur))
+    ref = float(initial_pgf(MIXED, cur)) * prod
+    assert h_n(MIXED, s, 9) == pytest.approx(ref, rel=1e-12)
 
 
 def test_gamma_sequences_structure():
@@ -242,7 +238,7 @@ def test_gamma_sequences_structure():
 
 
 def test_gamma_at_s_one_is_unity():
-    seq = gamma_sequences(HEAVY, 1.0, 6)
+    seq = gamma_sequences(MIXED, 1.0, 6)
     assert np.allclose(seq.gamma, 1.0, atol=1e-15)
     assert np.allclose(seq.log_gamma0, 0.0, atol=1e-15)
 
@@ -252,8 +248,8 @@ def test_h_n_edges():
     # initial-law transform G0(e^-lam)
     assert h_n(CANON, 1.0, 12) == 1.0
     lam = 0.8
-    assert h_n(HEAVY, math.exp(-lam), 0) == pytest.approx(
-        float(initial_pgf(HEAVY, math.exp(-lam))), rel=1e-14)
+    assert h_n(MIXED, math.exp(-lam), 0) == pytest.approx(
+        float(initial_pgf(MIXED, math.exp(-lam))), rel=1e-14)
     with pytest.raises(ValueError):
         h_n(CANON, 1.1, 3)
 

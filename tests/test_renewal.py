@@ -25,19 +25,11 @@ from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
                            u_dp_curve)
 
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-FRAC = LawParams(nu=0.95, theta=1.0, delta=0.9, kappa0=0.5, kappa1=0.5,
-                 kappa2=0.3)
-R0 = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-               kappa2=1.0)
-R3 = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-               kappa2=0.25)
-MIXED = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
-                  kappa2=0.7)
+from conftest import CANON, FRAC, MIXED, R0, R3
+
 # heavy immigration at small nu: the most mass near the cap of the box laws
-HEAVY = LawParams(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, kappa1=0.8,
-                  kappa2=8.0)
+NEAR_CAP = LawParams(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, kappa1=0.8,
+                     kappa2=8.0)
 
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
@@ -320,8 +312,8 @@ def _per_state_dp(params, model, n, M, tol):
 
 
 @pytest.mark.parametrize("M", [64, 512])
-@pytest.mark.parametrize("params", [CANON, FRAC, HEAVY],
-                         ids=["canon", "frac", "heavy"])
+@pytest.mark.parametrize("params", [CANON, FRAC, NEAR_CAP],
+                         ids=["canon", "frac", "near-cap"])
 @pytest.mark.parametrize("model", ["stopped", "z", "gated"])
 def test_dp_step_matches_per_state_horner(model, params, M):
     # tol = 1 keeps the heavy tails from stopping the run at M = 64
@@ -390,10 +382,10 @@ def test_dp_composition_matches_per_state_horner(model, params, n, M):
 
 
 @pytest.mark.parametrize("params, M, digests", [
-    (CANON, 256, ("f6b819dadae46e14", "f638c708853805f9",
-                  "19b460d6124b54ee")),
-    (R3, 4096, ("30253019e696533f", "2324114fd7edf54a",
-                "e2c95044b4fb2eb8"))], ids=["canon-256", "r3-4096"])
+    (CANON, 256, ("78f8a307be0c74d7", "c1e1a4be5c4e5251",
+                  "3105695b4f46d9b2")),
+    (R3, 4096, ("d5617543cf281573", "d53d98f39fb48e76",
+                "e815b752867abb44"))], ids=["canon-256", "r3-4096"])
 def test_dp_unit_nu_digest(params, M, digests):
     # pins pi and lost mass at nu = 1 bit for bit, for the three chains:
     # the baby rows, built by FFT doubling as at nu < 1, have 2b - 1
@@ -410,7 +402,7 @@ def test_dp_fractional_nu_pi_digest():
     # for bit at M = 4096
     pi = dp_distribution(FRAC, "stopped", 10, M=4096).pi
     assert hashlib.sha256(pi.tobytes()).hexdigest() == (
-        "27408119738549d7ad81ec8a5e8fe6ed5565275dfab7407db46aeb1de5f6ee67")
+        "0b89872134ebd8a909ac83e8b63fdc4feb6808c312126516960a77c6098f7a46")
 
 
 # the pi digests of R3 and FRAC at M = 4096
@@ -483,12 +475,10 @@ def test_dp_ffts_have_at_most_2m_points(model, params, monkeypatch):
 
 
 def test_dp_cap_too_small_at_reference_generation():
-    heavy = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                      kappa2=1.0)
     with pytest.raises(CapTooSmallError) as ref:
-        _per_state_dp(heavy, "stopped", 30, 64, tol=1e-3)
+        _per_state_dp(R0, "stopped", 30, 64, tol=1e-3)
     with pytest.raises(CapTooSmallError) as info:
-        dp_distribution(heavy, "stopped", 30, M=64)
+        dp_distribution(R0, "stopped", 30, M=64)
     assert info.value.generation == ref.value.generation
 
 
@@ -520,8 +510,8 @@ def test_renewal_inside_dp_bracket_over_the_box(nu, theta, delta, kappa0,
     assert np.all(lo - 1e-9 <= u) and np.all(u <= hi + 1e-9)
 
 
-@pytest.mark.parametrize("params", [FRAC, MIXED, HEAVY],
-                         ids=["frac", "mixed", "heavy"])
+@pytest.mark.parametrize("params", [FRAC, MIXED, NEAR_CAP],
+                         ids=["frac", "mixed", "near-cap"])
 def test_dp_unstopped_law_encloses_transform(params):
     # every DP mass is at most the true one, and their deficit sums to
     # at most the lost mass, so for s in [0, 1]
@@ -572,10 +562,8 @@ def test_exact_survival_at_horizon_zero(model):
 
 
 def test_dp_cap_too_small():
-    heavy = LawParams(nu=1.0, theta=0.5, delta=1.0, kappa0=1.0, kappa1=0.5,
-                      kappa2=1.0)
     with pytest.raises(CapTooSmallError) as info:
-        dp_distribution(heavy, "stopped", 30, M=64)
+        dp_distribution(R0, "stopped", 30, M=64)
     assert info.value.lost_mass > info.value.tol
 
 

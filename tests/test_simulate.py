@@ -23,12 +23,7 @@ from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
                             estimate_survival, simulate)
 
-from conftest import mc_radius
-
-CANON = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=0.5,
-                  kappa2=1.0)
-MIXED = LawParams(nu=0.5, theta=0.5, delta=0.5, kappa0=0.8, kappa1=0.5,
-                  kappa2=0.7)
+from conftest import CANON, MIXED, mc_radius
 
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \

@@ -55,15 +55,16 @@ def round_to_float64(x: np.ndarray, divisor: float = 1.0) -> np.ndarray:
 
 
 def _spectrum(x: np.ndarray, size: int) -> np.ndarray:
-    """rfft of x zero-padded to `size`, its zero-frequency bin summed in
-    extended precision: the renewal solve's spectra.
+    """rfft of x (a row or a stack of rows) zero-padded to `size`, each
+    row's zero-frequency bin summed in extended precision: the renewal
+    solve's spectra.
 
     That bin is X(1), the sum of the coefficients.  Taken this way it
     carries no FFT roundoff, so a `_product` of two spectra holds the
     sum of the product's coefficients, X(1)*Y(1), to float64 rounding.
     The DP's spectra skip it: 11-12% faster, same bracket violations."""
     f = np.fft.rfft(x, size)
-    f[0] = np.sum(x, dtype=np.longdouble)
+    f[..., 0] = np.sum(x, axis=-1, dtype=np.longdouble)
     return f
 
 

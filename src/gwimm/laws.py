@@ -6,9 +6,10 @@ The three families are fixed by their probability generating functions
     B(s)  = exp(-kappa2 * (1 - s)**theta)       immigration
     G0(s) = 1 - kappa0 * (1 - s)**delta         initial size
 
-All coefficient recurrences below are subtraction-free, and every truncated
-table carries its exact tail mass, so downstream mass accounting never has
-to rely on "1 minus a sum of floats".
+All coefficient recurrences below are subtraction-free.  The offspring
+and initial tables carry their exact closed-form tail mass; the
+immigration law has no closed-form tail, so its table carries the float
+complement 1 - fsum(probs) of its rounded entries.
 """
 
 from __future__ import annotations
@@ -187,41 +188,34 @@ def immigration_pmf(params: LawParams, nmax: int) -> PmfTable:
     """Immigration law on {0, ..., nmax}; the mass beyond is the float
     complement of the table's sum.
 
-    theta = 1 gives Poisson(kappa2): the long-double table of
-    `_poisson_pmf`, rounded once to float64.  Every other theta takes the
-    exponential-series recurrence: with c_k the series coefficients of
-    kappa2*(1 - (1-s)**theta), the weights satisfy
-    n*b_n = sum_k k*c_k*b_{n-k}, b_0 = exp(-kappa2).  Every term is
-    nonnegative, so the recurrence is cancellation-free.  It runs in
-    float64 while b_0 is a normal float64, and past that (kappa2 > 708.4)
-    in long double, rounded once.  Where exp(-kappa2) leaves even the
-    long-double range (kappa2 > `KAPPA2_TABLE_MAX`) the table is all
-    zeros with truncation mass 1.
+    Every table is formed in long double and rounded once to float64.
+    theta = 1 gives Poisson(kappa2), the table of `_poisson_pmf`.  Every
+    other theta takes the exponential-series recurrence
+    n*b_n = sum_k k*c_k*b_{n-k}, b_0 = exp(-kappa2), where the series
+    coefficients c_k of kappa2*(1 - (1-s)**theta) are kappa2 times the
+    Sibuya(theta) weights.  Every term is nonnegative, so the recurrence
+    is cancellation-free.  Where exp(-kappa2) leaves even the long-double
+    range (kappa2 > `KAPPA2_TABLE_MAX`) the table is all zeros with
+    truncation mass 1.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     th, k2 = params.theta, params.kappa2
     if k2 > KAPPA2_TABLE_MAX:
         return PmfTable(probs=np.zeros(nmax + 1), truncation_mass=1.0)
-    b0 = np.exp(-np.longdouble(k2))
+    b = np.zeros(nmax + 1, dtype=np.longdouble)
     if th == 1.0:
-        b = np.zeros(nmax + 1)
         pois = _poisson_pmf(k2)[:nmax + 1]
         b[:len(pois)] = pois
     else:
-        wide = b0 < sys.float_info.min
-        b = np.zeros(nmax + 1, dtype=np.longdouble if wide else float)
-        b[0] = b0 if wide else math.exp(-k2)
-        if nmax >= 1:
-            c = np.zeros(nmax + 1)
-            c[1] = k2 * th
-            if nmax >= 2:
-                c[2:] = c[1] * ratio_cumprod(th, 1, nmax)
-            kc = (c * np.arange(nmax + 1.0)).astype(b.dtype)
-            for n in range(1, nmax + 1):
-                b[n] = np.dot(kc[1:n + 1], b[:n][::-1]) / n
-        b = b.astype(float)
-    return PmfTable(probs=b, truncation_mass=max(0.0, 1.0 - fsum(b)))
+        # k*c_k for k = 1..nmax: the Sibuya weight of k is
+        # -prod_{j<k} (j - theta)/(j + 1)
+        kc = ratio_cumprod(th, 0, nmax) * np.arange(1, nmax + 1) * -k2
+        b[0] = np.exp(-np.longdouble(k2))
+        for n in range(1, nmax + 1):
+            b[n] = np.dot(kc[:n], b[:n][::-1]) / n
+    probs = b.astype(float)
+    return PmfTable(probs=probs, truncation_mass=max(0.0, 1.0 - fsum(probs)))
 
 
 @lru_cache(maxsize=8)

@@ -219,10 +219,8 @@ def exact_survival(params: LawParams, model, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DpDistribution:
-    cap: int
-    pi: np.ndarray            # (n+1, cap+1) per-generation distributions
+    pi: np.ndarray            # (n+1, M+1) per-generation distributions
     lost_mass: np.ndarray     # cumulative truncated probability, per generation
-    model: Model
     # always 0.0, since no step wraps; the benchmark harness still reads it
     alias_bound: float = 0.0
 
@@ -387,7 +385,7 @@ def dp_distribution(params: LawParams, model, n: int, M: int = 4096,
         lost[gen] = max(lost[gen - 1], 1.0 - fsum(out))
         if lost[gen] > tol:
             raise CapTooSmallError(gen, lost[gen], tol)
-    return DpDistribution(cap=M, pi=pi, lost_mass=lost, model=model)
+    return DpDistribution(pi=pi, lost_mass=lost)
 
 
 def u_dp_curve(params: LawParams, model, n: int, M: int = 4096,

@@ -16,8 +16,16 @@ LAWS = {
     "R0": LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 1.0),       # theta < nu
     "R3": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25),      # sigma = 1/2
     "FRAC": LawParams(0.95, 1.0, 0.9, 0.5, 0.5, 0.3),    # R6, nu < theta
+    # the rest of the acceptance grids' regimes
+    "R0_EDGE": LawParams(1.0, 0.9, 1.0, 1.0, 0.5, 0.1),  # theta = 0.9 nu
+    "R2": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),       # sigma = 1
+    "R4": LawParams(1.0, 1.0, 0.875, 0.8, 0.5, 0.0625),  # sigma + delta = 1
+    "R5": LawParams(1.0, 1.0, 0.8, 0.6, 0.5, 0.05),      # sigma + delta < 1
+    "R5_QUARTER": LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25),  # delta = 1/4
+    "R6_HALF": LawParams(0.5, 1.0, 0.25, 0.5, 0.5, 0.5),  # delta/nu = 1/2
 }
-CANON, MIXED, R0, R3, FRAC = LAWS.values()
+CANON, MIXED, R0, R3, FRAC = (LAWS[name] for name in
+                              ("CANON", "MIXED", "R0", "R3", "FRAC"))
 
 # per-comparison false-alarm rate of the Monte Carlo properties: each
 # states how many comparisons a run makes, so a union bound gives the

@@ -7,7 +7,6 @@ well inside the 3-sigma bars they are checked against.
 """
 
 import math
-import subprocess
 import time
 
 import numpy as np
@@ -24,7 +23,7 @@ from gwimm.renewal import (build_renewal, classify_regime, fit_tail,
 from gwimm.rng import stream
 from gwimm.simulate import estimate_survival
 
-from conftest import CANON, FRAC, R0, R3
+from conftest import CANON, LAWS, R0, R3
 
 SEED = 2024
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
@@ -33,25 +32,14 @@ U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
 
 # one parameter set per decay regime, kept cheap enough for a 50-generation
 # state-space recursion at cap 4096 next to a 10^6-replicate simulation
-REGIME_GRID = {
-    "R0": LawParams(1.0, 0.9, 1.0, 1.0, 0.5, 0.1),
-    "R1": CANON,
-    "R2": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
-    "R3": R3,
-    "R4": LawParams(1.0, 1.0, 0.875, 0.8, 0.5, 0.0625),
-    "R5": LawParams(1.0, 1.0, 0.8, 0.6, 0.5, 0.05),
-    "R6": FRAC,
-}
+REGIME_GRID = {regime: LAWS[name] for regime, name in (
+    ("R0", "R0_EDGE"), ("R1", "CANON"), ("R2", "R2"), ("R3", "R3"),
+    ("R4", "R4"), ("R5", "R5"), ("R6", "FRAC"))}
 
 # longer-horizon grid for the tail-exponent fits (one per fitting branch)
-FIT_GRID = {
-    "R0": R0,
-    "R1": CANON,
-    "R2": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.5),
-    "R3": R3,
-    "R5": LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25),
-    "R6": LawParams(0.5, 1.0, 0.25, 0.5, 0.5, 0.5),
-}
+FIT_GRID = {regime: LAWS[name] for regime, name in (
+    ("R0", "R0"), ("R1", "CANON"), ("R2", "R2"), ("R3", "R3"),
+    ("R5", "R5_QUARTER"), ("R6", "R6_HALF"))}
 
 
 def test_criterion_1_regime_grid_survival_routes():
@@ -203,7 +191,7 @@ def test_criterion_7_conditional_limit_sweeps():
         ("heavy_immigration", R0),
         ("balanced_strong", CANON),
         ("balanced_weak", R3),
-        ("balanced_weak", LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25)),
+        ("balanced_weak", LAWS["R5_QUARTER"]),
     ]
     for tid, p in cases:
         chk = convergence_sweep(p, tid, s_grid, n_grid)

@@ -93,16 +93,42 @@ def test_immigration_theta_one_is_poisson():
 @pytest.mark.parametrize("theta, kappa2, want", [
     (1.0, 0.25, "17b3f7beff751c71"),
     (1.0, 7.3, "36e415c19f4607c0"),
-    (0.5, 7.3, "2843ce44e346243e"),
+    (0.5, 7.3, "91c2fdda6f9ebb34"),
 ])
 def test_immigration_pmf_bytes_pin(theta, kappa2, want):
     # theta = 1 is the long-double Poisson table rounded once; theta < 1
-    # runs the series recurrence in float64 while exp(-kappa2) is a
-    # normal float64, so its bytes are those of the plain recurrence
+    # is the long-double series recurrence rounded once, its bytes fixed
+    # by the summation order of each step's dot product
     p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
                   kappa2=kappa2)
     probs = immigration_pmf(p, 4096).probs
     assert hashlib.sha256(probs.tobytes()).hexdigest()[:16] == want
+
+
+@pytest.mark.parametrize("theta, kappa2", [(0.5, 7.3), (0.3, 0.7),
+                                           (0.9, 40.0)])
+def test_immigration_pmf_is_rounded_once(theta, kappa2):
+    # the series recurrence in 40 digits from the same float64 theta and
+    # kappa2: every normal entry of the table is that value rounded once,
+    # up to the long-double recurrence's own drift, within 2**-52
+    mpmath = pytest.importorskip("mpmath")
+    nmax = 250
+    p = LawParams(nu=1.0, theta=theta, delta=1.0, kappa0=1.0, kappa1=0.5,
+                  kappa2=kappa2)
+    probs = immigration_pmf(p, nmax).probs
+    with mpmath.workdps(40):
+        th, k2 = mpmath.mpf(theta), mpmath.mpf(kappa2)
+        kc, w = [], mpmath.mpf(1)
+        for k in range(1, nmax + 1):
+            w *= (k - 1 - th) / k
+            kc.append(-k2 * w * k)
+        b = [mpmath.exp(-k2)]
+        for n in range(1, nmax + 1):
+            b.append(mpmath.fsum(kc[k] * b[n - 1 - k] for k in range(n)) / n)
+        normal = probs >= sys.float_info.min
+        assert normal.sum() > 100
+        for x, want in zip(probs[normal], np.array(b)[normal]):
+            assert abs(mpmath.mpf(float(x)) / want - 1) <= mpmath.mpf(2) ** -52
 
 
 @pytest.mark.parametrize("kappa2", [0.25, 7.3, 800.0])

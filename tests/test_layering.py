@@ -142,24 +142,36 @@ def test_offspring_sums_draws_offspring_alone():
     assert params == ["params", "rngs", "bounds", "pops"], params
 
 
+def literal_law(node: ast.AST) -> LawParams | None:
+    """The law of a `LawParams` call with literal arguments, else None."""
+    if not (isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "LawParams"):
+        return None
+    try:
+        args = [ast.literal_eval(a) for a in node.args]
+        kwargs = {k.arg: ast.literal_eval(k.value) for k in node.keywords}
+    except ValueError:
+        return None                     # a law built from variables
+    return LawParams(*args, **kwargs)
+
+
 def law_bindings(path: Path) -> list[tuple[str, LawParams]]:
-    """(name, law) for each assignment in a source file of a `LawParams`
-    call with literal arguments to a name.  One-letter names such as p
-    are placeholders, not names of laws."""
+    """(name, law) for each literal `LawParams` call in a source file that
+    is assigned to a name or stored under a string key of a dict display.
+    One-letter names such as p are placeholders, not names of laws."""
     bound = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if not (isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-                and ast.unparse(node.value.func) == "LawParams"):
+        if isinstance(node, ast.Assign):
+            pairs = [(t.id, node.value) for t in node.targets
+                     if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.Dict):
+            pairs = [(k.value, v) for k, v in zip(node.keys, node.values)
+                     if isinstance(k, ast.Constant)
+                     and isinstance(k.value, str)]
+        else:
             continue
-        try:
-            args = [ast.literal_eval(a) for a in node.value.args]
-            kwargs = {k.arg: ast.literal_eval(k.value)
-                      for k in node.value.keywords}
-        except ValueError:
-            continue                    # a law built from variables
-        bound += [(t.id, LawParams(*args, **kwargs)) for t in node.targets
-                  if isinstance(t, ast.Name) and len(t.id) > 1]
+        bound += [(name, law) for name, value in pairs
+                  if len(name) > 1 and (law := literal_law(value))]
     return bound
 
 
@@ -195,11 +207,12 @@ def unused_imports(path: Path) -> set[str]:
     return bound - used
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"),
-                         ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py"))), ids=lambda p: p.stem)
 def test_no_unused_imports(path):
-    # deletions tend to leave their imports behind
+    # deletions tend to leave their imports behind, in the package and in
+    # its tests
     assert not unused_imports(path), sorted(unused_imports(path))
 
 

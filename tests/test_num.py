@@ -107,9 +107,13 @@ def test_product_against_long_double_convolve(size, kind):
         assert_product(np.fft.rfft(x[:m], size), np.fft.rfft(ys, size), 0,
                        m + 1, x[:m], ys, size)
     # the renewal solve's middle window: A * u[:m] wraps only below
-    # m - 1, `_spectrum` spectra (of one row each)
+    # m - 1, `_spectrum` spectra of one row, of rows stacked one by one,
+    # and of a 3-row stack, whose zero bins are the sums of its rows
     assert_product(_spectrum(x, size), _spectrum(y[:m], size), m - 1,
                    size - 1, x, y[:m], size)
     assert_product(_spectrum(x, size),
                    np.stack([_spectrum(row, size) for row in rows[:, :m]]),
                    m - 1, size - 1, x, rows[:, :m], size)
+    stack = np.stack((y, y[::-1], x))[:, :m]
+    assert_product(_spectrum(x, size), _spectrum(stack, size), m - 1,
+                   size - 1, x, stack, size)

@@ -19,7 +19,9 @@ passes 1076*log(2) + 1 every weight lies below 2^-1076 and is an exact
 0.0 in float64.  Under heavy immigration (theta < nu) S_k grows like
 k^(1 - theta/nu), and this happens within a finite prefix: from
 k = 70,470 on at nu = delta = 1, theta = 1/2, kappa1 = 1/2, kappa2 = 1.
-The weights are formed in extended precision only on that prefix.
+The weights are formed in extended precision only on that prefix, and
+once they vanish the solve slides fixed blocks instead of doubling
+(`_solve`).
 """
 
 from __future__ import annotations
@@ -69,8 +71,10 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     docstring), and rounded once to float64, so the table is bit for bit
     the one built over the whole range.  u solves u = f + x*A(x)*u with
     f = d/kappa0, by one route for every n_max (`_solve`), so u[:k] does
-    not depend on n_max beyond the last complete doubling level at or
-    below k.
+    not depend on n_max beyond the last complete level or block at or
+    below k.  The doubling levels end at 1024, 2048, 4096, ..., up to
+    the first, L, at or past the index from which the weights are exact
+    zeros; blocks of L terms then end at 2L, 3L, ...
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -107,13 +111,17 @@ def _renewal_table(params: LawParams, path: QPath) -> RenewalTable:
     g0 *= -k2
     np.exp(g0, out=g0)
     a = np.multiply(qt, -k2)
-    del qt
     np.expm1(a, out=a)
     np.negative(a, out=a)
     a *= g0
-    d = np.longdouble(params.kappa0) * g0
-    d *= path.power(params.delta)
+    # qt becomes q^delta, kept as q^theta when the exponents agree (every
+    # balanced law with delta = theta) rather than formed twice
+    if params.delta != params.theta:
+        qt = path.power(params.delta)
     del path
+    d = np.longdouble(params.kappa0) * g0
+    d *= qt
+    del qt
     # the block keeps extended-precision weights, copied because rounding
     # works in place; d / kappa0 is divided in extended precision and
     # rounded once, before d itself is, so a subnormal kappa0 costs no
@@ -162,9 +170,20 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
 
     mod x^m.  Each product is cyclic of size 2m: A*u[:m] wraps only into
     coefficients below m - 1, which are not read, and the others never
-    wrap.  The last level is cut at len(f).  Every term is a sum of
-    nonnegative products, and a complete level reads only complete
-    levels, so a prefix of u does not depend on len(f).
+    wrap.  The doubling stops at the first level m at or past the reach
+    of the weights, the index from which f and a are exact zeros.  From
+    there no weight reaches back more than m terms, so blocks of m terms
+    slide to len(f) on the level's spectra of a[:2m] and R[:m]:
+
+        u[s:s+m] = R[:m] * (f[s:s+m] + (x*A*u[s-m:s])[m:2m]),
+        s = m, 2m, ...,
+
+    four FFTs of 2m points a block, the first block being the level's own
+    step.  For weights of reach c the solve costs O(n log c).  The last
+    level or block is cut at len(f), and the last level skips R.  Every
+    term is a sum of nonnegative products, and a complete level or block
+    reads only complete ones, so u[:k] does not depend on len(f) beyond
+    the last complete level or block at or below k.
     """
     n, b = len(f), len(f_blk)
     u = np.empty(n)
@@ -174,21 +193,29 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
     u[:b] = np.minimum.accumulate(_solve_direct(f_blk, a_blk))
     if n == b:
         return u
+    # f and a are exact zeros from index `reach` on (n if they never
+    # vanish), found with no index array
+    reach = n - int(np.argmax(((f != 0.0) | (a != 0.0))[::-1]))
     unit = np.zeros(b, dtype=np.longdouble)
     unit[0] = 1.0
     r = _solve_direct(unit, a_blk).astype(float)
     m = b
-    while m < n:
-        size, top = 2 * m, min(2 * m, n)
+    while True:
+        size = 2 * m
         fa = _spectrum(a[:size], size)
         fr = _spectrum(r, size)
-        au = _product(fa, _spectrum(u[:m], size), m - 1, top - 1)
-        u[m:top] = _product(fr, _spectrum(f[m:top] + au, size), 0, top - m)
-        if top < n:
-            ar = _product(fa, fr.copy(), m - 1, size - 1)
-            r = np.concatenate((r, _product(fr, _spectrum(ar, size), 0, m)))
+        stop = n if reach <= m else min(size, n)
+        for s in range(m, stop, m):
+            top = min(s + m, n)
+            au = _product(fa, _spectrum(u[s - m:s], size), m - 1,
+                          top - s + m - 1)
+            u[s:top] = _product(fr, _spectrum(f[s:top] + au, size), 0,
+                                top - s)
+        if stop == n:
+            return u
+        ar = _product(fa, fr.copy(), m - 1, size - 1)
+        r = np.concatenate((r, _product(fr, _spectrum(ar, size), 0, m)))
         m = size
-    return u
 
 
 def exact_survival(params: LawParams, model, n: int) -> np.ndarray:
@@ -448,6 +475,20 @@ def classify_regime(params: LawParams) -> RegimeReport:
     return RegimeReport("UNCOVERED", None, "none", sigma)
 
 
+def _line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line of y on x, from the
+    centred sums of products; the package's one least-squares kernel.
+
+    Where the spread of x squares to 0 (x constant, or n^-beta below
+    1e-160 for a large beta) the line is flat through the mean of y, the
+    minimum-norm solution of that rank-one problem."""
+    xm, ym = np.mean(x), np.mean(y)
+    dx = x - xm
+    ss = np.sum(dx * dx)
+    slope = np.sum(dx * (y - ym)) / ss if ss > 0.0 else 0.0
+    return float(slope), float(ym - slope * xm)
+
+
 def fit_tail(u: np.ndarray, regime: RegimeReport) -> RegimeReport:
     """Least-squares tail read-off of the survival sequence.
 
@@ -474,8 +515,7 @@ def fit_tail(u: np.ndarray, regime: RegimeReport) -> RegimeReport:
         y = np.log(v[dec] / np.log(n[dec]))
     else:
         y = np.log(v[dec])
-    slope = np.polyfit(logn, y, 1)[0]
-    fitted = -slope
+    fitted = -_line(logn, y)[0]
 
     consts: dict = {}
     sigma = regime.sigma
@@ -494,9 +534,7 @@ def fit_tail(u: np.ndarray, regime: RegimeReport) -> RegimeReport:
             (scaled.max() - scaled.min()) / scaled.mean())
     elif beta is not None and beta > 0.0:
         z = v[wide] * n[wide] ** regime.alpha
-        basis = np.vstack([np.ones(z.size), n[wide] ** (-beta)]).T
-        coef, *_ = np.linalg.lstsq(basis, z, rcond=None)
-        consts["K"] = float(coef[0])
+        consts["K"] = _line(n[wide] ** (-beta), z)[1]
         consts["beta"] = beta
     elif regime.alpha is not None:
         z = v[dec] * n[dec] ** regime.alpha
@@ -543,9 +581,11 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     neglog = float(params.kappa2) * S[:-1]      # -log gamma0_n at n
 
     ns = np.unique(np.geomspace(max(10, n_max // 10), n_max, 200).astype(int))
+    # the lines are fitted to S and scaled by kappa2, so that a subnormal
+    # or huge kappa2 neither underflows nor overflows their sums
     if regime.regime_id == "R0":
         x = ns.astype(float) ** (1.0 - th / nu)
-        slope = float(np.polyfit(x, neglog[ns].astype(float), 1)[0])
+        slope = params.kappa2 * _line(x, S[ns].astype(float))[0]
         c2 = (params.kappa1 ** (-th / nu) * params.kappa2
               * nu ** (1.0 - th / nu) / (nu - th))
         return GammaReport("exp-decay", slope, reference=c2,
@@ -561,7 +601,7 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     interval = (math.exp(-params.kappa2 * (float(S[J]) + hi_tail)),
                 math.exp(-params.kappa2 * (float(S[J]) + lo_tail)))
     x = ns.astype(float) ** (1.0 - th / nu)
-    intercept = float(np.polyfit(x, neglog[ns].astype(float), 1)[1])
+    intercept = params.kappa2 * _line(x, S[ns].astype(float))[1]
     est = math.exp(-intercept)
     cauchy = abs(math.exp(-float(neglog[J])) -
                  math.exp(-float(neglog[J // 2])))

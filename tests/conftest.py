@@ -23,6 +23,10 @@ LAWS = {
     "R5": LawParams(1.0, 1.0, 0.8, 0.6, 0.5, 0.05),      # sigma + delta < 1
     "R5_QUARTER": LawParams(1.0, 1.0, 0.25, 1.0, 0.5, 0.25),  # delta = 1/4
     "R6_HALF": LawParams(0.5, 1.0, 0.25, 0.5, 0.5, 0.5),  # delta/nu = 1/2
+    # laws whose renewal weights are exact zeros early: from k = 1,209
+    # and from k = 13
+    "R0_STEEP": LawParams(1.0, 0.5, 1.0, 1.0, 0.5, 8.0),
+    "R1_STEEP": LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 200.0),
 }
 CANON, MIXED, R0, R3, FRAC = (LAWS[name] for name in
                               ("CANON", "MIXED", "R0", "R3", "FRAC"))

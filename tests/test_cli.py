@@ -104,6 +104,11 @@ SIZE_ARGS = {
 @example(command="regime", model="stopped", theorem="balanced_strong",
          nmax=1000, nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, frac=5e-324,
          kappa2=1.0)
+# beta = sigma - 1 = 255: n^-beta underflows over the fitted range, and
+# the spread of the K fit's abscissa squares to 0
+@example(command="regime", model="z", theorem="heavy_immigration",
+         nmax=1000, nu=0.0078125, theta=0.0078125, delta=1.0, kappa0=1.0,
+         frac=1.0, kappa2=1.0)
 # a Sibuya draw far in the tail used to overflow math.exp
 @example(command="simulate", model="stopped", theorem="balanced_strong",
          nmax=1000, nu=1.0, theta=1.0, delta=0.001, kappa0=1.0, frac=1.0,

@@ -2,9 +2,9 @@
 or the command line; only `pgf` reads the fields of its `QPath`; only
 `simulate` takes a single stream; the immigration sampler forks on theta
 only at 1; only `_num._product` calls irfft, and `renewal` makes no
-`np.convolve` call; `simulate` forms no Poisson pmf and folds immigrants
-in one place; the argument names a call tracer reads stay put; no name
-binds two reference laws."""
+`np.convolve` call and fits no line by a numpy solver; `simulate` forms
+no Poisson pmf and folds immigrants in one place; the argument names a
+call tracer reads stay put; no name binds two reference laws."""
 
 import ast
 import dataclasses
@@ -123,6 +123,17 @@ def test_only_num_product_calls_irfft(path):
     else:
         banned = {"irfft", "convolve"} if path.stem == "renewal" else {"irfft"}
         assert not calls_to(tree, banned), calls_to(tree, banned)
+
+
+def test_renewal_fits_lines_with_one_kernel():
+    # every least-squares fit of `renewal` is a `_line` call, centred
+    # sums of products: no numpy solver and no polyfit
+    tree = ast.parse((PACKAGE / "renewal.py").read_text(encoding="utf-8"))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    banned = names & {"linalg", "polyfit", "lstsq"}
+    assert not banned, sorted(banned)
 
 
 def test_simulate_defines_no_poisson_pmf():

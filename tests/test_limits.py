@@ -21,7 +21,7 @@ from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
                            classify_regime, gamma_asymptotics)
 from gwimm.simulate import estimate_survival
 
-from conftest import CANON, R0, R3
+from conftest import CANON, LAWS, R0, R3
 
 DELTA_HALF = LawParams(nu=1.0, theta=1.0, delta=0.5, kappa0=0.8,
                        kappa1=0.5, kappa2=1.0)
@@ -278,8 +278,7 @@ def test_lambda_limit_closed_form_branch():
 
 
 def test_lambda_limit_needs_constant_below_breakpoint():
-    p = LawParams(nu=1.0, theta=1.0, delta=0.8, kappa0=0.6, kappa1=0.5,
-                  kappa2=0.05)      # sigma = 0.1 < 1 - 0.8
+    p = LAWS["R5"]      # sigma = 0.1 < 1 - 0.8
     with pytest.raises(MissingConstantError):
         lambda_limit(p, 1.0)
     val = lambda_limit(p, 1.0, K5=2.0)
@@ -340,8 +339,7 @@ def test_sweep_weak_branch_builds_one_renewal_table(monkeypatch):
     # K5 is fitted on a length-10^5 table; a grid ending at 10^5 reuses it,
     # and the q(0) trajectory of the table gives every q_n(0)
     built, iterated = count_tables_and_trajectories(monkeypatch)
-    p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
-                  kappa2=0.25)
+    p = LAWS["R5_QUARTER"]
     chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 5])
     assert built == [10 ** 5] and iterated == [10 ** 5]
     assert np.all(np.isfinite(chk.limit))
@@ -364,8 +362,7 @@ def test_sweep_weak_branch_fits_on_its_one_table(monkeypatch):
     # a grid ending below 10^5 still builds one table, of 10^5 terms,
     # and the sweep evaluates every n on it
     built, iterated = count_tables_and_trajectories(monkeypatch)
-    p = LawParams(nu=1.0, theta=1.0, delta=0.25, kappa0=1.0, kappa1=0.5,
-                  kappa2=0.25)
+    p = LAWS["R5_QUARTER"]
     chk = convergence_sweep(p, "balanced_weak", [1.0], [1000, 10 ** 4])
     assert built == [10 ** 5] and iterated == [10 ** 5]
     assert chk.monotone() and np.all(chk.deviations < 0.05)

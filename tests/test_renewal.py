@@ -25,7 +25,7 @@ from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
                            u_dp_curve)
 
-from conftest import CANON, FRAC, MIXED, R0, R3
+from conftest import CANON, FRAC, LAWS, MIXED, R0, R3
 
 # heavy immigration at small nu: the most mass near the cap of the box laws
 NEAR_CAP = LawParams(nu=0.25, theta=0.55, delta=0.5, kappa0=1.0, kappa1=0.8,
@@ -104,20 +104,69 @@ def test_fft_route_on_ill_conditioned_r0(monkeypatch, n, bound):
     assert np.max(np.abs(fft - ref) / ref) < bound
 
 
-def complete_levels(n_max: int) -> int:
-    """End of the last complete doubling level within n_max + 1 terms."""
-    end = ren._BLOCK
-    while 2 * end <= n_max + 1:
-        end *= 2
+@pytest.mark.parametrize("name", ["R0_STEEP", "R1_STEEP"])
+def test_block_route_against_long_double(monkeypatch, name):
+    # weights that vanish from k = 1,209 and from k = 13: past 2048 and
+    # 1024 terms u comes from fixed blocks, not doubling levels.  The
+    # bound, 1.5e-12, is the doubling route's on R0 at the same length;
+    # the blocks read 1.0e-12 and 3.9e-13
+    p, n = LAWS[name], 16383
+    rt = build_renewal(p, n)
+    assert not np.any(rt.a[2048:]) and not np.any(rt.d[2048:])
+    monkeypatch.setattr(ren, "_BLOCK", n + 1)
+    ref = build_renewal(p, n).u
+    assert np.max(np.abs(rt.u - ref) / ref) < 1.5e-12
+
+
+def reach(rt) -> int:
+    """An index from which the weights a and d/kappa0 of a table are
+    exact zeros: the first zero of gamma0, which bounds both, or the
+    table's length if there is none."""
+    zero = rt.gamma0 == 0.0
+    return int(np.argmax(zero)) if zero.any() else len(zero)
+
+
+@pytest.mark.parametrize("p, n", [(R0, 10 ** 6), (LAWS["R0_STEEP"], 20_000),
+                                  (LAWS["R1_STEEP"], 20_000)],
+                         ids=["R0", "R0_STEEP", "R1_STEEP"])
+def test_block_spectra_stay_at_twice_the_reach(monkeypatch, p, n):
+    # past the reach the solve slides blocks of the level L it reached,
+    # the first power of two >= max(reach, _BLOCK), so no spectrum has
+    # more than 2L points: 2^18 on R0 at 10^6, where doubling would go
+    # on to 2^20.  On these laws the first zero of gamma0 gives L
+    sizes, spectrum = [], ren._spectrum
+
+    def recording(x, size):
+        sizes.append(size)
+        return spectrum(x, size)
+
+    monkeypatch.setattr(ren, "_spectrum", recording)
+    rt = build_renewal(p, n)
+    assert max(sizes) == 2 << (max(reach(rt), ren._BLOCK) - 1).bit_length()
+    if p is R0:
+        assert max(sizes) == 2 ** 18
+
+
+def complete_levels(n_max: int, c: int) -> int:
+    """End of the last complete doubling level or block within n_max + 1
+    terms, for weights that vanish from index c on: the levels end at
+    b, 2b, 4b, ..., up to the first level L >= c, and the blocks at 2L,
+    3L, ..."""
+    end = level = ren._BLOCK
+    while level < c:
+        level *= 2
+    while end + min(end, level) <= n_max + 1:
+        end += min(end, level)
     return min(end, n_max + 1)
 
 
-@pytest.mark.parametrize("p", [R0, R3, FRAC], ids=["R0", "R3", "FRAC"])
+@pytest.mark.parametrize("p", [R0, R3, FRAC, LAWS["R0_STEEP"]],
+                         ids=["R0", "R3", "FRAC", "R0_STEEP"])
 def test_u_prefix_does_not_depend_on_n_max(p):
-    big = build_renewal(p, 10 ** 5).u
-    for n in (0, 1023, 1024, 2046, 2047, 2048, 5000, 70_000):
-        end = complete_levels(n)
-        assert np.array_equal(build_renewal(p, n).u[:end], big[:end])
+    big = build_renewal(p, 10 ** 5)
+    for n in (0, 1023, 1024, 2046, 2047, 2048, 5000, 7000, 70_000):
+        end = complete_levels(n, reach(big))
+        assert np.array_equal(build_renewal(p, n).u[:end], big.u[:end])
 
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -140,9 +189,9 @@ def box_params(nu, theta, delta, kappa0, frac, kappa2) -> LawParams:
 def test_u_prefix_is_stable_over_the_box(nu, theta, delta, kappa0, frac,
                                          kappa2, n):
     p = box_params(nu, theta, delta, kappa0, frac, kappa2)
-    end = complete_levels(n)
-    big = build_renewal(p, 10 ** 5).u
-    assert np.array_equal(build_renewal(p, n).u[:end], big[:end])
+    big = build_renewal(p, 10 ** 5)
+    end = complete_levels(n, reach(big))
+    assert np.array_equal(build_renewal(p, n).u[:end], big.u[:end])
 
 
 @settings(max_examples=100, deadline=None)
@@ -194,13 +243,14 @@ def test_block_tables_digest(p, n, want):
 
 @pytest.mark.parametrize("p, n, want, zero_from", [
     (R0, 10 ** 5, "636d8e25c03c350e", 70_470),
-    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 200.0), 20_000, "9d57a858358c729f",
-     13),
+    (LAWS["R1_STEEP"], 20_000, "195717c7ae6705b9", 13),
 ])
 def test_long_tables_digest(p, n, want, zero_from):
     # tables whose weights vanish: R0's past the block, so its extended
     # precision stops short of n; the other's inside it, so it stops at
-    # the block's end.  Pinned at the code that built every weight
+    # the block's end.  Pinned at the code that built every weight.
+    # R0's u comes from doubling levels alone (its weights reach past the
+    # level of 65,536), the other's from blocks of 1024 terms
     rt = build_renewal(p, n)
     assert table_digest(rt) == want
     assert np.nonzero(rt.gamma0 == 0.0)[0][0] == zero_from
@@ -591,13 +641,13 @@ def law(nu, th, dl, k0, k1, k2):
 
 
 @pytest.mark.parametrize("params,rid,alpha,corr", [
-    (law(1.0, 0.9, 1.0, 1.0, 0.5, 0.1), "R0", 0.0, "none"),
-    (law(1.0, 1.0, 1.0, 1.0, 0.5, 1.0), "R1", 0.0, "none"),
-    (law(1.0, 1.0, 1.0, 1.0, 0.5, 0.5), "R2", 0.0, "inverse-log"),
-    (law(1.0, 1.0, 1.0, 1.0, 0.5, 0.25), "R3", 0.5, "none"),
-    (law(1.0, 1.0, 0.875, 0.8, 0.5, 0.0625), "R4", 0.875, "log"),
-    (law(1.0, 1.0, 0.8, 0.6, 0.5, 0.05), "R5", 0.8, "none"),
-    (law(0.95, 1.0, 0.9, 0.5, 0.5, 0.3), "R6", 0.9 / 0.95, "none"),
+    (LAWS["R0_EDGE"], "R0", 0.0, "none"),
+    (CANON, "R1", 0.0, "none"),
+    (LAWS["R2"], "R2", 0.0, "inverse-log"),
+    (R3, "R3", 0.5, "none"),
+    (LAWS["R4"], "R4", 0.875, "log"),
+    (LAWS["R5"], "R5", 0.8, "none"),
+    (FRAC, "R6", 0.9 / 0.95, "none"),
     (law(0.5, 1.0, 0.5, 0.5, 0.5, 0.5), "UNCOVERED", None, "none"),
     # sigma = kappa2/(kappa1*nu) overflows to inf: far above 1, not near it
     (law(1.0, 1.0, 1.0, 1.0, 0.5, 1e308), "R1", 0.0, "none"),
@@ -627,6 +677,28 @@ def test_classifier_boundary_tolerance():
 
 # ---------------------------------------------------------------------------
 # tail fitting
+
+
+def test_line_is_the_least_squares_line():
+    # the tail fits' one kernel against numpy's solver, on the abscissas
+    # the fits use: log n over a decade and n^-beta over two
+    rng = np.random.default_rng(3)
+    n = np.arange(10 ** 4, 10 ** 6 + 1, 7, dtype=float)
+    for x in (np.log(n), n ** -0.1, n ** -1.0):
+        y = 0.3 - 2.0 * x + 1e-6 * rng.standard_normal(x.size)
+        slope, intercept = ren._line(x, y)
+        want = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(want[0], rel=1e-9)
+        assert intercept == pytest.approx(want[1], rel=1e-12)
+    assert ren._line(n, 5.0 - 0.5 * n) == pytest.approx((-0.5, 5.0),
+                                                          rel=1e-12)
+    # the spread of x squares to 0: a flat line through the mean of y,
+    # numpy's minimum-norm answer, with no division by zero
+    for x in (n ** -60.0, np.zeros(n.size)):
+        y = 0.6 + 1e-6 * rng.standard_normal(x.size)
+        want = np.linalg.lstsq(np.vstack([np.ones(x.size), x]).T, y,
+                               rcond=None)[0]
+        assert ren._line(x, y) == (0.0, pytest.approx(want[0], rel=1e-14))
 
 
 def test_fit_tail_synthetic_power_law():
@@ -682,9 +754,8 @@ def test_fit_tail_on_r4_divides_out_the_log():
 
 
 def test_fit_tail_on_real_table():
-    p = law(1.0, 1.0, 1.0, 1.0, 0.5, 0.25)      # sigma = 1/2, alpha = 1/2
-    rep = classify_regime(p)
-    out = fit_tail(build_renewal(p, 10 ** 4).u, rep)
+    rep = classify_regime(R3)                   # sigma = 1/2, alpha = 1/2
+    out = fit_tail(build_renewal(R3, 10 ** 4).u, rep)
     assert out.fitted_alpha == pytest.approx(0.5, abs=0.05)
     assert out.constants["K"] > 0.0
 
@@ -694,11 +765,22 @@ def test_fit_tail_on_real_table():
 
 
 def test_gamma_exp_decay_branch():
-    p = law(1.0, 0.5, 1.0, 1.0, 0.5, 1.0)
-    rep = gamma_asymptotics(p, 10 ** 5)
+    rep = gamma_asymptotics(R0, 10 ** 5)
     assert rep.branch == "exp-decay"
     assert rep.reference == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
     assert rep.rel_error < 0.15
+
+
+@pytest.mark.parametrize("kappa2", [5e-324, 1e300])
+def test_gamma_exp_decay_branch_at_extreme_kappa2(kappa2):
+    # -log gamma0 = kappa2 * S with S_n close to n: the line is fitted to
+    # S and scaled, so a subnormal or huge kappa2 neither underflows nor
+    # overflows its sums
+    p = LawParams(1.0, 1e-300, 1.0, 1.0, 0.5, kappa2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gamma_asymptotics(p, 5000)
+    assert rep.rel_error < 1e-12
 
 
 def test_gamma_power_branch():

@@ -23,7 +23,7 @@ from gwimm.rng import stream
 from gwimm.simulate import (BatchStats, Model, Trajectory,
                             estimate_survival, simulate)
 
-from conftest import CANON, MIXED, mc_radius
+from conftest import CANON, MIXED, R3, mc_radius
 
 U1 = 0.5 * math.exp(-1.0) + 1.0 - math.exp(-1.0)
 U2 = 0.375 * math.exp(-1.5) + (1.0 - math.exp(-1.0)) * U1 \
@@ -96,7 +96,7 @@ def test_thread_count_does_not_change_laplace_bits():
 
 @pytest.mark.parametrize("params, model, cap", [
     # folded nu = theta = 1 table: one lookup per group and generation
-    (LawParams(1.0, 1.0, 1.0, 1.0, 0.5, 0.25), "stopped", sim.DEFAULT_CAP),
+    (R3, "stopped", sim.DEFAULT_CAP),
     # nu = 1 populations crossing 256: table, split and immigrants apart
     (LawParams(1.0, 1.0, 0.5, 0.8, 0.5, 2.0), "gated", 10 ** 4),
     # nu < 1 and the "no zero so far" row of the unstopped chain

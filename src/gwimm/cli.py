@@ -1,13 +1,16 @@
 """Command-line surface.
 
-Subcommands wrap the library modules: `validate`, `pmf`, `simulate`,
-`survival`, `regime`, `limits`, `verify`.  Options resolve in the order
-command line > config file (plain key=value lines, '#' comments) >
-built-in defaults, and every run with --out also writes `<out>.manifest`
-holding the fully resolved configuration, so a run can be reproduced
-byte-identically with `--config <manifest>`.
+One parser takes the command, `validate`, `pmf`, `simulate`,
+`survival`, `regime`, `limits` or `verify`, and the options, before
+or after it.  Options resolve in the order command line > config file
+(plain key=value lines, '#' comments) > built-in defaults; a flag's
+text and a config line's are converted by one function, so they are
+checked alike and their errors name the option.  Every run with --out
+also writes `<out>.manifest` holding the fully resolved configuration,
+so a run can be reproduced byte-identically with `--config <manifest>`.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error;
+every error, an unknown flag or command too, is one line on stderr.
 """
 
 from __future__ import annotations
@@ -78,18 +81,28 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _cast(key: str, kind, raw: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"option {key} needs {kind.__name__} values, "
+                         f"got {raw!r}") from None
+
+
 def _config_value(key: str, raw: str):
+    """The value of option `key` from its text, a flag's or a config
+    line's alike."""
     kind, default = _OPTIONS[key]
     if raw == "none":
         if default is not None:
-            raise ValueError(f"config key {key} cannot be none")
+            raise ValueError(f"option {key} cannot be none")
         return None
     if isinstance(kind, tuple):
         if raw not in kind:
-            raise ValueError(f"config key {key} must be one of "
+            raise ValueError(f"option {key} must be one of "
                              f"{', '.join(kind)}, got {raw!r}")
         return raw
-    return kind(raw)
+    return _cast(key, kind, raw)
 
 
 def _resolve(command: str, cli: dict, config_path: str | None) -> RunConfig:
@@ -99,11 +112,8 @@ def _resolve(command: str, cli: dict, config_path: str | None) -> RunConfig:
     for key, (_kind, default) in _OPTIONS.items():
         raw = file_vals.pop(key, None)
         if cli.get(key) is not None:
-            values[key] = cli[key]
-        elif raw is not None:
-            values[key] = _config_value(key, raw)
-        else:
-            values[key] = default
+            raw = cli[key]
+        values[key] = default if raw is None else _config_value(key, raw)
     if file_vals:
         raise ValueError(f"unknown config keys: {sorted(file_vals)}")
     return RunConfig(command=command, values=values)
@@ -138,8 +148,9 @@ def _write_out(cfg: RunConfig, body: list[str]) -> None:
         sys.stderr.write(manifest)
 
 
-def _parse_grid(spec: str, cast):
-    vals = [cast(tok) for tok in spec.split(",") if tok.strip()]
+def _parse_grid(cfg: RunConfig, key: str, cast):
+    spec = cfg.values[key]
+    vals = [_cast(key, cast, tok) for tok in spec.split(",") if tok.strip()]
     if not vals:
         raise ValueError(f"empty grid spec {spec!r}")
     return vals
@@ -224,8 +235,8 @@ def cmd_regime(cfg: RunConfig) -> list[str]:
 def cmd_limits(cfg: RunConfig) -> list[str]:
     p = cfg.params
     chk = convergence_sweep(p, cfg.theorem,
-                            _parse_grid(cfg.s_grid, float),
-                            _parse_grid(cfg.n_grid, int))
+                            _parse_grid(cfg, "s_grid", float),
+                            _parse_grid(cfg, "n_grid", int))
     lines = [f"# theorem={chk.theorem_id}",
              f"# monotone={'yes' if chk.monotone() else 'no'}",
              "n,s,computed,limit,deviation"]
@@ -313,39 +324,22 @@ def _verify_checks(cfg: RunConfig):
     yield "mc_fractional_survival", z < 4.0, _fmt(z)
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[list[str], bool]:
+# the last line of a failed `verify`, which makes the run exit 1
+_FAILED = "result: FAIL"
+
+
+def cmd_verify(cfg: RunConfig) -> list[str]:
     lines = []
     all_ok = True
     for name, ok, detail in _verify_checks(cfg):
         lines.append(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
         all_ok &= ok
-    lines.append(f"result: {'PASS' if all_ok else 'FAIL'}")
-    return lines, all_ok
+    lines.append("result: PASS" if all_ok else _FAILED)
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gwimm",
-        description="critical branching with heavy-tailed immigration, "
-                    "stopped at zero")
-    parser.add_argument("--version", action="version",
-                        version=f"gwimm {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "pmf", "simulate", "survival", "regime",
-                 "limits", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", default=None)
-        for key, (kind, _default) in _OPTIONS.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(kind, tuple):
-                sp.add_argument(flag, dest=key, choices=kind, default=None)
-            else:
-                sp.add_argument(flag, dest=key, type=kind, default=None)
-    return parser
 
 
 _COMMANDS = {
@@ -355,7 +349,32 @@ _COMMANDS = {
     "survival": (cmd_survival, "csv"),
     "regime": (cmd_regime, "report"),
     "limits": (cmd_limits, "csv"),
+    "verify": (cmd_verify, "report"),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # every option is read as text and converted by `_config_value`, as
+    # a config line is; a choice option lists its values in the help
+    parser = _Parser(
+        prog="gwimm",
+        description="critical branching with heavy-tailed immigration, "
+                    "stopped at zero")
+    parser.add_argument("--version", action="version",
+                        version=f"gwimm {__version__}")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", default=None)
+    for key, (kind, _default) in _OPTIONS.items():
+        metavar = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                   else None)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            metavar=metavar, default=None)
+    return parser
 
 
 def _reformat(lines: list[str], natural: str, wanted: str | None) -> list[str]:
@@ -371,16 +390,13 @@ def _reformat(lines: list[str], natural: str, wanted: str | None) -> list[str]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _resolve(args.command, vars(args), args.config)
-        if args.command == "verify":
-            lines, ok = cmd_verify(cfg)
-            _write_out(cfg, lines)
-            return 0 if ok else 1
         fn, natural = _COMMANDS[args.command]
-        _write_out(cfg, _reformat(fn(cfg), natural, cfg.values["format"]))
-        return 0
+        lines = fn(cfg)
+        _write_out(cfg, _reformat(lines, natural, cfg.values["format"]))
+        return 1 if lines[-1] == _FAILED else 0
     except (GwimmError, ValueError, OSError, MemoryError) as exc:
         sys.stderr.write(f"gwimm: error: {exc or type(exc).__name__}\n")
         return 2

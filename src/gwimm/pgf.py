@@ -223,10 +223,12 @@ def theta_tail_bounds(params: LawParams, lq):
 
     The increments of q**-nu lie between kappa1*nu and kappa1*nu*C with
     C = (1 - kappa1*q**nu)**(-nu-1), so comparing the sum with integrals
-    of x**(theta/nu - 1) gives both bounds.
+    of x**(theta/nu - 1) gives both bounds.  Where kappa1*q**nu rounds
+    to 1, C is inf, without a warning, and lo = 0 is still a bound.
     """
     nu, th, k1 = params.nu, params.theta, params.kappa1
-    c = (1.0 - k1 * np.exp(nu * lq)) ** (-nu - 1.0)
+    with np.errstate(divide="ignore"):
+        c = (1.0 - k1 * np.exp(nu * lq)) ** (-nu - 1.0)
     q_rel = np.exp((th - nu) * lq)                  # q**(theta - nu)
     lo = q_rel / (k1 * c * (th - nu))
     hi = np.exp(th * lq) + q_rel / (k1 * (th - nu))

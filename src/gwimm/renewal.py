@@ -585,19 +585,30 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     # or huge kappa2 neither underflows nor overflows their sums
     if regime.regime_id == "R0":
         x = ns.astype(float) ** (1.0 - th / nu)
-        slope = params.kappa2 * _line(x, S[ns].astype(float))[0]
-        c2 = (params.kappa1 ** (-th / nu) * params.kappa2
-              * nu ** (1.0 - th / nu) / (nu - th))
-        return GammaReport("exp-decay", slope, reference=c2,
-                           rel_error=abs(slope - c2) / c2)
+        slope = _line(x, S[ns].astype(float))[0]
+        # c2 / kappa2: the error is relative, so it is formed before the
+        # scaling by a subnormal kappa2 can round both to 0
+        ref = params.kappa1 ** (-th / nu) * nu ** (1.0 - th / nu) / (nu - th)
+        return GammaReport("exp-decay", params.kappa2 * slope,
+                           reference=params.kappa2 * ref,
+                           rel_error=abs(slope - ref) / ref)
     if regime.regime_id in _BALANCED:
-        scaled = (np.exp(-neglog[ns].astype(float))
-                  * ns.astype(float) ** regime.sigma)
+        # log(gamma0_n * n^sigma) in extended precision: n^sigma alone
+        # overflows float64 once sigma*log10(n) > 308, and sigma itself
+        # once kappa1*nu is tiny; the estimate reads inf only where the
+        # product is beyond float64
+        sigma = params.kappa2 / (np.longdouble(params.kappa1) * nu)
+        logs = sigma * np.log(ns.astype(np.longdouble)) - neglog[ns]
+        with np.errstate(over="ignore"):
+            estimate = float(np.exp(logs[-1]))
+        scaled = np.exp(logs - logs.max())
         drift = float((scaled.max() - scaled.min()) / scaled.mean())
-        return GammaReport("power", float(scaled[-1]), drift=drift)
+        return GammaReport("power", estimate, drift=drift)
     # theta > nu: gamma0 converges to c0 > 0
     J = n_max
-    lo_tail, hi_tail = theta_tail_bounds(params, path.log(J))
+    # Python floats: a product past float64 reads inf, and its bound 0,
+    # without a warning
+    lo_tail, hi_tail = map(float, theta_tail_bounds(params, path.log(J)))
     interval = (math.exp(-params.kappa2 * (float(S[J]) + hi_tail)),
                 math.exp(-params.kappa2 * (float(S[J]) + lo_tail)))
     x = ns.astype(float) ** (1.0 - th / nu)

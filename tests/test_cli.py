@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gwimm import cli
 from gwimm.cli import main
 from gwimm.limits import THEOREMS
 
@@ -515,3 +516,78 @@ def test_bad_cap_exits_2(capsys, command, cap):
     assert out == ""
     assert err.startswith("gwimm: error: cap=")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("validate", "seed", "abc"),            # an int
+    ("validate", "nu", "abc"),              # a float
+    ("survival", "model", "zz"),            # a choice
+    ("validate", "seed", "none"),           # none where it is not allowed
+    ("limits", "n_grid", "1e3"),            # a grid entry
+])
+def test_bad_value_from_flag_or_config_line_exits_2_naming_it(
+        tmp_path, capsys, command, key, value):
+    # flags and config lines share one converter, so they fail alike
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    flag = run([command, "--" + key.replace("_", "-"), value], capsys)
+    line = run([command, "--config", str(cfgfile)], capsys)
+    assert flag == line
+    rc, out, err = flag
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"gwimm: error: option {key} ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--kappa9", "1"],          # an unknown flag
+    ["validate", "--seed"],                 # a flag without its value
+    ["kappa"],                              # an unknown command
+    [],                                     # no command
+    ["--seed", "3"],
+])
+def test_parser_errors_exit_2_with_one_line(argv, capsys):
+    # `main` returns 2, and argparse never exits on its own
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("gwimm: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if flag == "--help":
+        assert "--model {z,stopped,gated}" in out
+    else:
+        assert out.startswith("gwimm ")
+
+
+def test_options_may_come_before_the_command(capsys):
+    assert run(["--kappa2", "0.5", "validate"], capsys) \
+        == run(["validate", "--kappa2", "0.5"], capsys)
+
+
+def test_out_none_writes_to_stdout(tmp_path, monkeypatch, capsys):
+    # `none` unsets out and format on the command line, as in a config file
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(["validate", "--out", "none", "--format", "none"],
+                       capsys)
+    assert rc == 0 and "valid: yes" in out
+    assert "out=none" in err.splitlines()
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("ok", [True, False])
+def test_verify_takes_format_and_exits_1_on_a_failed_check(monkeypatch,
+                                                           capsys, ok):
+    monkeypatch.setattr(cli, "_verify_checks",
+                        lambda cfg: iter([("pin", True, "0.0"),
+                                          ("bound", ok, "1e-3")]))
+    rc, out, _ = run(["verify", "--format", "csv"], capsys)
+    verdict = "PASS" if ok else "FAIL"
+    assert rc == (0 if ok else 1)
+    assert out.splitlines() == ["pin,PASS (0.0)", f"bound,{verdict} (1e-3)",
+                                f"result,{verdict}"]

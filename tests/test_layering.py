@@ -2,9 +2,10 @@
 or the command line; only `pgf` reads the fields of its `QPath`; only
 `simulate` takes a single stream; the immigration sampler forks on theta
 only at 1; only `_num._product` calls irfft, and `renewal` makes no
-`np.convolve` call and fits no line by a numpy solver; `simulate` forms
-no Poisson pmf and folds immigrants in one place; the argument names a
-call tracer reads stay put; no name binds two reference laws."""
+`np.convolve` call and fits no line by a numpy solver; `cli` converts
+every option in one place; `simulate` forms no Poisson pmf and folds
+immigrants in one place; the argument names a call tracer reads stay
+put; no name binds two reference laws."""
 
 import ast
 import dataclasses
@@ -134,6 +135,21 @@ def test_renewal_fits_lines_with_one_kernel():
              if isinstance(node, (ast.Attribute, ast.Name))}
     banned = names & {"linalg", "polyfit", "lstsq"}
     assert not banned, sorted(banned)
+
+
+def test_cli_converts_every_option_in_one_place():
+    # one parser reads every option as text, and `_config_value` converts
+    # it as it converts a config line: no argument but the command takes
+    # a type or choices, and there are no subparsers
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "add_argument"]
+    assert calls, "no add_argument call parsed"
+    typed = [ast.unparse(node) for node in calls
+             if {k.arg for k in node.keywords} & {"type", "choices"}
+             and ast.unparse(node.args[0]) != "'command'"]
+    assert not typed, typed
+    assert not calls_to(tree, {"add_subparsers", "add_parser"})
 
 
 def test_simulate_defines_no_poisson_pmf():

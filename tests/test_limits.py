@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,15 @@ def test_stationary_pgf_edges_and_c0():
     assert lo - 1e-9 <= val <= hi + 1e-9
     mono = [stationary_pgf(p, s) for s in (0.0, 0.3, 0.6, 0.9)]
     assert np.all(np.diff(mono) > 0.0)
+
+
+def test_stationary_pgf_where_kappa1_q_nu_rounds_to_1():
+    # nu = 1e-17 and kappa1 = 1: the tail bound's C is inf, which left a
+    # divide-by-zero warning; the lower bound 0 still holds
+    p = LawParams(1e-17, 0.5, 0.5, 1.0, 1.0, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert stationary_pgf(p, 0.5) == pytest.approx(0.70219, abs=1e-5)
 
 
 def test_stationary_pgf_guards():

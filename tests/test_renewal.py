@@ -20,7 +20,7 @@ ren = importlib.import_module("gwimm.renewal")
 from gwimm.errors import CapTooSmallError, InsufficientLengthError
 from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
                         offspring_pmf)
-from gwimm.pgf import gamma_sequences, q_iterate
+from gwimm.pgf import gamma_sequences, q_iterate, theta_sums
 from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
                            u_dp_curve)
@@ -116,6 +116,28 @@ def test_block_route_against_long_double(monkeypatch, name):
     monkeypatch.setattr(ren, "_BLOCK", n + 1)
     ref = build_renewal(p, n).u
     assert np.max(np.abs(rt.u - ref) / ref) < 1.5e-12
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.999])
+@pytest.mark.parametrize("b", [32, 64])
+def test_blocks_read_the_window_before_them(monkeypatch, b, rho):
+    # weights of reach 40 with total mass rho: from a direct block of 32
+    # terms one doubling level reaches 64, from 64 none does, and blocks
+    # of 64 slide to 4096.  u falls from 1 to 1.2e-9 (rho = 0.99) or to
+    # 0.129, so a block that read any window of u but u[s-m:s] would be
+    # far off (4.3e8 and 6.3 relative for u[:m]); the blocks read 1.2e-14
+    # to 2.0e-13
+    monkeypatch.setattr(ren, "_BLOCK", b)
+    n, c = 4096, 40
+    k = np.arange(n)
+    f = np.where(k < c, np.ldexp(1.0, -k), 0.0)
+    a = np.where(k < c, rho * np.ldexp(1.0, -(k + 1)) / (1.0 - 2.0 ** -c),
+                 0.0)
+    f_ld, a_ld = f.astype(np.longdouble), a.astype(np.longdouble)
+    ref = ren._solve_direct(f_ld, a_ld)
+    assert np.all(np.diff(ref) <= 0.0)
+    u = ren._solve(f_ld[:b].copy(), a_ld[:b].copy(), f, a)
+    assert np.max(np.abs(u - ref) / ref) < 1e-12
 
 
 def reach(rt) -> int:
@@ -788,6 +810,58 @@ def test_gamma_power_branch():
     assert rep.branch == "power"
     assert rep.drift < 0.02
     assert rep.estimate > 0.0
+
+
+@pytest.mark.parametrize("kappa2, n_max, estimate, drift", [
+    (30.0, 10 ** 6, None, None),              # sigma = 60: n^sigma was inf
+    (60.0, 10 ** 5, 2.5001e53, 0.119),
+    (400.0, 10 ** 5, math.inf, None),         # c1 itself is past float64
+])
+def test_gamma_power_branch_past_float64(kappa2, n_max, estimate, drift):
+    # gamma0_n * n^sigma is formed in the log domain; the float64 product
+    # read nan where n^sigma overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gamma_asymptotics(law(1.0, 1.0, 1.0, 1.0, 0.5, kappa2), n_max)
+    assert rep.branch == "power" and math.isfinite(rep.drift)
+    if estimate is None:
+        assert 0.0 < rep.estimate < math.inf
+    else:
+        assert rep.estimate == pytest.approx(estimate, rel=1e-4)
+    if drift is not None:
+        assert rep.drift == pytest.approx(drift, rel=1e-2)
+
+
+def test_gamma_power_branch_log_form_matches_the_product():
+    # at sigma = 50 and n = 10^6 the float64 product gamma0_n * n^sigma
+    # (1.8e22) still fits, and the log form agrees with it
+    p, n = law(1.0, 1.0, 1.0, 1.0, 0.5, 25.0), 10 ** 6
+    S = theta_sums(p, 0.0, n)[2]
+    product = math.exp(-float(p.kappa2 * S[n])) * float(n) ** 50
+    assert gamma_asymptotics(p, n).estimate == pytest.approx(product,
+                                                             rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
+       kappa2=KAPPA2, balanced=st.booleans())
+@example(nu=1e-10, theta=5e-11, delta=1.0, kappa0=1.0, frac=0.5,
+         kappa2=5e-324, balanced=False)
+@example(nu=0.5, theta=1.0, delta=1.0, kappa0=1.0, frac=0.75,
+         kappa2=1e308, balanced=False)
+def test_gamma_asymptotics_over_the_box(nu, theta, delta, kappa0, frac,
+                                        kappa2, balanced):
+    # no warning, and a finite drift on the two branches that report one;
+    # half the draws take theta = nu, the power branch.  The examples:
+    # c2 underflowed to 0 under a subnormal kappa2 (a ZeroDivisionError),
+    # and kappa2 times the tail bound overflowed (a RuntimeWarning)
+    p = box_params(nu, nu if balanced else theta, delta, kappa0, frac,
+                   kappa2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gamma_asymptotics(p, 2000)
+    assert (rep.drift is None) == (rep.branch == "exp-decay")
+    assert rep.drift is None or math.isfinite(rep.drift)
 
 
 @pytest.mark.parametrize("n_max", [0, 3, 5, 9])

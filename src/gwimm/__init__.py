@@ -21,7 +21,7 @@ from .laws import (LawParams, PmfTable, immigration_pgf, immigration_pmf,
                    offspring_pgf, offspring_pmf, sample_immigration,
                    sample_initial, sample_offspring, sample_sibuya,
                    stable_positive)
-from .pgf import (GammaSequence, QPath, epsilon_term, gamma_sequences, h_n,
+from .pgf import (GammaSequence, epsilon_term, gamma_sequences, h_n,
                   q_iterate, rate_gap)
 from .simulate import (BatchStats, Model, Trajectory, estimate_survival,
                        simulate)

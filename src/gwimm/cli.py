@@ -28,7 +28,7 @@ from .laws import (LawParams, immigration_pmf, initial_pmf, offspring_pmf,
                    offspring_pgf)
 from .limits import (THEOREMS, conditional_laplace_exact, convergence_sweep,
                      lambda_limit)
-from .pgf import epsilon_term, q_iterate
+from .pgf import _power, epsilon_term, q_iterate
 from .renewal import (build_renewal, classify_regime, dp_distribution,
                       exact_survival, fit_tail, u_dp_curve)
 from .simulate import Model, estimate_survival, simulate
@@ -283,12 +283,12 @@ def _verify_checks(cfg: RunConfig):
         inside = bool(np.all((u >= lo - 1e-9) & (u <= hi + 1e-9)))
         yield name, inside, _fmt(float(np.max(np.r_[lo - u, u - hi, 0.0])))
 
-    q3 = float(q_iterate(canon, 0.0, 3).power(1.0)[3])
+    q3 = float(_power(q_iterate(canon, 0.0, 3), 1.0)[3])
     yield "q_iteration_pin", abs(q3 - 0.3046875) < 1e-15, _fmt(q3)
     # each step adds kappa1*nu*[1, C0] to q^-nu, C0 = (1 - kappa1)^(-nu-1),
     # which brackets log q_n; q_n itself underflows float64 long before
     tiny = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
-    lq = q_iterate(tiny, 0.0, 10 ** 5).log(10 ** 5)
+    lq = float(q_iterate(tiny, 0.0, 10 ** 5)[10 ** 5])
     lo, hi = (-math.log1p(1e5 * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))
     yield "q_log_enclosure", lo <= lq <= hi, _fmt(lq)
     eps = epsilon_term(canon, 0.0, 3)

@@ -24,13 +24,14 @@ import numpy as np
 from .errors import (MissingConstantError, MissingRenewalError,
                      TolUnreachableError, WrongRegimeError)
 from .laws import LawParams
-from .pgf import (QPath, _gammas, _log1m, _log_q0, _q_steps, theta_sums,
+from .pgf import (_gammas, _log1m, _log_q0, _q_steps, theta_sums,
                   theta_tail_bounds)
 from .renewal import (RegimeReport, RenewalTable, _BALANCED,
                       _renewal_table, classify_regime, fit_tail)
 from ._num import fsum, gauss_legendre_panels
 
 _STATIONARY_CHUNK = 1 << 16     # q-trajectory terms per pass
+_SCALINGS = ("by_qn", "by_n_inv_theta")
 
 # the regimes of each limit statement, and what they need
 _HEAVY = (("R0",), "theta < nu")
@@ -56,17 +57,15 @@ def _check_s(s: float) -> None:     # the rule of convergence_sweep's grid
 
 
 def _log_scales(params: LawParams, ns, scaling: str,
-                path: QPath | None = None) -> list[float]:
-    """log x for each n of `ns`: x = q_n(0) for "by_qn", read off the q(0)
-    trajectory `path` (iterated to max(ns) when not given), and
-    x = n^{-1/theta} for "by_n_inv_theta"."""
-    if scaling == "by_qn":
-        if path is None:
-            path = _q_steps(params, 0.0, max(ns))
-        return [path.log(n) for n in ns]
+                path: np.ndarray | None = None) -> list[float]:
+    """log x for each n of `ns`: x = n^{-1/theta} for "by_n_inv_theta",
+    and x = q_n(0) for "by_qn", read off the log-q(0) path `path`
+    (iterated to max(ns) when not given)."""
     if scaling == "by_n_inv_theta":
         return [-math.log(n) / params.theta for n in ns]
-    raise ValueError("scaling must be 'by_qn' or 'by_n_inv_theta'")
+    if path is None:
+        path = _q_steps(params, 0.0, max(ns))
+    return path[ns].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +88,7 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
     while True:
         n = min(_STATIONARY_CHUNK, max_iter - j0)
         path, _, S = theta_sums(params, lq0, n)
-        lo, hi = theta_tail_bounds(params, path.logs())
+        lo, hi = theta_tail_bounds(params, path)
         width = params.kappa2 * (hi - lo)
         tight = np.nonzero(width <= tol)[0]
         if tight.size:
@@ -100,7 +99,7 @@ def stationary_pgf(params: LawParams, s: float, tol: float = 1e-9,
             raise TolUnreachableError(
                 f"enclosure width {width[-1]:.2e} > tol {tol:.1e} "
                 f"after {max_iter} terms")
-        head, lq0, j0 = head + S[n], path.log(n), j0 + n
+        head, lq0, j0 = head + S[n], float(path[n]), j0 + n
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +124,8 @@ def conditional_laplace_exact(params: LawParams, n: int, s: float,
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_s(s)
+    if scaling not in _SCALINGS:
+        raise ValueError(f"scaling {scaling!r} is not one of {_SCALINGS}")
     path = None if table is not None else _q_steps(params, 0.0, n)
     log_x, = _log_scales(params, [n], scaling, path)
     if table is None:
@@ -146,7 +147,7 @@ def _conditional_laplace(params: LawParams, table: RenewalTable, n: int,
         g0 = np.exp((-params.kappa2 * S[:-1]).astype(float))  # gamma_k^(0)(t)
     # conditioning on a positive start strips the kappa0 atom: the initial
     # transform becomes 1 - (1-x)^delta, so no kappa0 appears here
-    xi1 = g0[n] * math.exp(params.delta * path.log(n)) / table.u[n]
+    xi1 = g0[n] * math.exp(params.delta * float(path[n])) / table.u[n]
     w = g0[:-1] * (-np.expm1(-params.kappa2 * qt[:-1].astype(float)))
     xi2 = fsum(table.u[n - 1::-1] * w / table.u[n])
     return 1.0 - xi1 - xi2
@@ -306,12 +307,13 @@ def convergence_sweep(params: LawParams, theorem_id: str, s_grid,
     try:        # an n beyond int64 fails the check like any other
         s_grid = np.asarray(s_grid, dtype=float)
         n_grid = np.asarray(n_grid, dtype=int)
-        ok = (np.all(np.isfinite(s_grid) & (s_grid >= 0.0))
+        ok = (s_grid.size and n_grid.size
+              and np.all(np.isfinite(s_grid) & (s_grid >= 0.0))
               and np.all(n_grid >= 1))
     except OverflowError:
         ok = False
     if not ok:
-        raise ValueError("grids need finite s >= 0 and n >= 1")
+        raise ValueError("grids need finite s >= 0 and n >= 1, one at least")
     if np.any(np.diff(s_grid) <= 0) or np.any(np.diff(n_grid) <= 0):
         raise ValueError("grids must be strictly increasing")
     fit = limit_fn is None and rep.regime_id == "R5"

@@ -29,31 +29,12 @@ _FATOU_CHUNK = 1 << 15        # entries of the Fatou pass formed in cache
 _LOG_TINY = math.log(2.0 ** -500)   # log q_0 = log(s*x) below this
 
 
-@dataclass(frozen=True)
-class QPath:
-    """One trajectory q_0..q_n of `_q_steps`, held as log q_j in one
-    float64 array (read-only); -inf where q_j = 0."""
-
-    lq: np.ndarray
-
-    def power(self, a: float) -> np.ndarray:
-        """q_j**a for j = 0..n, a > 0, as exp(a*log q_j) in long double;
-        0 where q_j = 0."""
-        out = self.lq.astype(np.longdouble)
-        out *= a
-        return np.exp(out, out=out)
-
-    def log(self, j: int) -> float:
-        """log q_j."""
-        return float(self.lq[j])
-
-    def logs(self) -> np.ndarray:
-        """log q_j for j = 0..n."""
-        return self.lq
-
-    def head(self, k: int) -> QPath:
-        """q_0..q_{k-1}, a copy if shorter, so the rest can be freed."""
-        return QPath(self.lq[:k].copy()) if k < len(self.lq) else self
+def _power(path: np.ndarray, a: float) -> np.ndarray:
+    """q_j**a for j = 0..n, a > 0, from the log-q path of `_q_steps`, as
+    exp(a*log q_j) in long double; 0 where q_j = 0."""
+    out = path.astype(np.longdouble)
+    out *= a
+    return np.exp(out, out=out)
 
 
 def _log_steps(nu: float, k1: float, lq: float, n: int):
@@ -130,16 +111,17 @@ def _fatou_steps(nu: float, k1: float, lq: np.ndarray) -> None:
         w += lq[0]
 
 
-def _q_steps(params: LawParams, lq0: float, n: int) -> QPath:
-    """log q_0..log q_n from log q_0 = lq0: `_log_steps` while
-    kappa1*q**nu > 2^-8, then `_fatou_steps` from the last of them."""
+def _q_steps(params: LawParams, lq0: float, n: int) -> np.ndarray:
+    """The path log q_0..log q_n from log q_0 = lq0, one read-only float64
+    array, -inf where q_j = 0: `_log_steps` while kappa1*q**nu > 2^-8,
+    then `_fatou_steps` from the last of them."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     head = np.fromiter(_log_steps(params.nu, params.kappa1, lq0, n), float)
     lq = np.concatenate((head, np.empty(n + 1 - len(head))))
     _fatou_steps(params.nu, params.kappa1, lq[len(head) - 1:])
     lq.flags.writeable = False
-    return QPath(lq)
+    return lq
 
 
 def _log1m(x: float) -> float:
@@ -158,10 +140,11 @@ def _log_q0(s: float, log_x: float) -> float:
     return ly if ly < _LOG_TINY else math.log(-math.expm1(-math.exp(ly)))
 
 
-def q_iterate(params: LawParams, t: float, n: int) -> QPath:
+def q_iterate(params: LawParams, t: float, n: int) -> np.ndarray:
     """The trajectory q_j = 1 - F_j(t), j = 0..n, from a point t in [0, 1],
-    iterated from log q_0 = log1p(-t); read log q_j as `log(j)` and q_j,
-    which may underflow, as `power(1.0)[j]`."""
+    iterated from log q_0 = log1p(-t), as the read-only array of log q_j
+    of `_q_steps`.  q_j itself, which may underflow, is
+    `_power(path, 1.0)[j]`."""
     return _q_steps(params, _log1m(t), n)
 
 
@@ -175,7 +158,7 @@ def _end_logs(params: LawParams, t, n: int):
     if np.any(ts >= 1.0):
         raise ValueError("t must lie in [0, 1)")
     lq0 = np.reshape([_log1m(x) for x in ts.ravel()], ts.shape)
-    return lq0, np.reshape([_q_steps(params, y, n).log(n)
+    return lq0, np.reshape([_q_steps(params, y, n)[n]
                             for y in lq0.ravel()], ts.shape)
 
 
@@ -207,12 +190,12 @@ def theta_sums(params: LawParams, lq0: float, n: int):
     """The q-trajectory from log q_0 = lq0, its powers q_j**theta and
     S_k = sum_{j<k} q_j**theta.
 
-    Returns (path, qt, S): the `QPath` of q_0..q_n, qt for j = 0..n, and S
-    for k = 0..n+1 with S_0 = 0.  qt and S are in extended precision,
+    Returns (path, qt, S): the log-q array of q_0..q_n, qt for j = 0..n,
+    and S for k = 0..n+1 with S_0 = 0.  qt and S are in extended precision,
     which keeps S accurate to ~1e-15 relative at n = 1e6.
     """
     path = _q_steps(params, lq0, n)
-    qt = path.power(params.theta)
+    qt = _power(path, params.theta)
     S = np.concatenate((np.zeros(1, dtype=np.longdouble), np.cumsum(qt)))
     return path, qt, S
 
@@ -253,7 +236,7 @@ def _gammas(params: LawParams, lq0: float, n: int):
     path, _, S = theta_sums(params, lq0, n)
     with np.errstate(over="ignore"):    # beyond float64 it reads -inf
         log_gamma0 = (-params.kappa2 * S[:-1]).astype(float)
-    qd = path.power(params.delta).astype(float)
+    qd = _power(path, params.delta).astype(float)
     return log_gamma0, (1.0 - params.kappa0 * qd) * np.exp(log_gamma0)
 
 

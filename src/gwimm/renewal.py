@@ -36,7 +36,7 @@ from .errors import (CapTooSmallError, InsufficientLengthError,
                      OutOfRangeError)
 from .laws import (KAPPA2_TABLE_MAX, LawParams, Model, immigration_pmf,
                    initial_pmf, offspring_pmf)
-from .pgf import (QPath, _q_steps, gamma_sequences, q_iterate, theta_sums,
+from .pgf import (_power, _q_steps, gamma_sequences, q_iterate, theta_sums,
                   theta_tail_bounds)
 from ._num import _product, _spectrum, fsum, round_to_float64
 
@@ -81,29 +81,29 @@ def build_renewal(params: LawParams, n_max: int) -> RenewalTable:
     return _renewal_table(params, _q_steps(params, 0.0, n_max))
 
 
-def _weight_cut(params: LawParams, path: QPath) -> int:
+def _weight_cut(params: LawParams, path: np.ndarray) -> int:
     """The first k with E_k >= _CUT_NATS / kappa2, clamped to
     [_BLOCK, n + 1], where E_k is a float64 estimate of S_k =
     sum_{j<k} q_j**theta.  Its roundoff is far below the spare nat of
     _CUT_NATS, so from there on kappa2 * S_k >= 1076*log(2) + 1 and every
     weight rounds to 0.  The block keeps its extended-precision weights,
     so it is never cut."""
-    est = np.multiply(path.logs(), params.theta)
+    est = np.multiply(path, params.theta)
     np.exp(est, out=est)
     np.cumsum(est, out=est)                     # est[k] estimates S_{k+1}
     c = 1 + int(np.searchsorted(est, _CUT_NATS / params.kappa2))
     return min(max(c, _BLOCK), len(est))
 
 
-def _renewal_table(params: LawParams, path: QPath) -> RenewalTable:
-    """`build_renewal` on the q(0) trajectory `path`, to its horizon."""
-    n1 = len(path.logs())
+def _renewal_table(params: LawParams, path: np.ndarray) -> RenewalTable:
+    """`build_renewal` on the log-q(0) path `path`, to its horizon."""
+    n1 = len(path)
     c = _weight_cut(params, path)
-    path = path.head(c)
+    path = path[:c]
     # formed in place, so that no more than four long-double arrays of
     # the prefix are alive at once
     k2 = np.longdouble(params.kappa2)
-    qt = path.power(params.theta)
+    qt = _power(path, params.theta)
     # g0_k = exp(-kappa2 * S_k), S_0 = 0
     g0 = np.empty(c, dtype=np.longdouble)
     g0[0] = 0.0
@@ -117,7 +117,7 @@ def _renewal_table(params: LawParams, path: QPath) -> RenewalTable:
     # qt becomes q^delta, kept as q^theta when the exponents agree (every
     # balanced law with delta = theta) rather than formed twice
     if params.delta != params.theta:
-        qt = path.power(params.delta)
+        qt = _power(path, params.delta)
     del path
     d = np.longdouble(params.kappa0) * g0
     d *= qt
@@ -608,7 +608,7 @@ def gamma_asymptotics(params: LawParams, n_max: int) -> GammaReport:
     J = n_max
     # Python floats: a product past float64 reads inf, and its bound 0,
     # without a warning
-    lo_tail, hi_tail = map(float, theta_tail_bounds(params, path.log(J)))
+    lo_tail, hi_tail = map(float, theta_tail_bounds(params, float(path[J])))
     interval = (math.exp(-params.kappa2 * (float(S[J]) + hi_tail)),
                 math.exp(-params.kappa2 * (float(S[J]) + lo_tail)))
     x = ns.astype(float) ** (1.0 - th / nu)

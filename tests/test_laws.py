@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import platform
 import sys
 
 import numpy as np
@@ -10,13 +11,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gwimm.errors import DegenerateThetaError, NonPmfError, OutOfRangeError
-from gwimm.laws import (LawParams, immigration_pgf, immigration_pmf,
-                        initial_pgf, initial_pmf, offspring_mean_tail,
-                        offspring_pgf, offspring_pmf, sample_immigration,
-                        sample_initial, sample_offspring, sample_sibuya,
-                        stable_positive, _ONE, _SIBUYA_TABLE, _TABLE_CAP,
-                        _inverse_cdf_table, _keys, _log_ratio_gamma,
-                        _offspring_tail_value, _poisson_pmf,
+from gwimm.laws import (KAPPA2_TABLE_MAX, LawParams, immigration_pgf,
+                        immigration_pmf, initial_pgf, initial_pmf,
+                        offspring_mean_tail, offspring_pgf, offspring_pmf,
+                        sample_immigration, sample_initial, sample_offspring,
+                        sample_sibuya, stable_positive, _ONE, _SIBUYA_TABLE,
+                        _TABLE_CAP, _inverse_cdf_table, _keys,
+                        _log_ratio_gamma, _offspring_tail_value, _poisson_pmf,
                         _sibuya_tail_value)
 from gwimm.rng import stream
 
@@ -88,6 +89,20 @@ def test_immigration_theta_one_is_poisson():
     for k in range(31):
         poisson = math.exp(-1.0) / math.factorial(k)
         assert table.probs[k] == pytest.approx(poisson, rel=1e-12)
+
+
+X86_64_LINUX = (sys.platform.startswith("linux")
+                and platform.machine() in ("x86_64", "AMD64"))
+
+
+@pytest.mark.skipif(not X86_64_LINUX, reason="long double is not the x87 "
+                    "format here; README's Platform section lists what moves")
+def test_long_double_is_x87_on_x86_64_linux():
+    # the pinned digests and the long-double accuracy figures assume the
+    # 80-bit x87 format: a 64-bit mantissa, and exp(-kappa2) normal up to
+    # kappa2 = 11355.1
+    assert np.finfo(np.longdouble).nmant == 63
+    assert 11355.1 < KAPPA2_TABLE_MAX < 11355.2
 
 
 @pytest.mark.parametrize("theta, kappa2, want", [

@@ -17,7 +17,7 @@ from gwimm.limits import (THEOREMS, LimitCheck, conditional_laplace_exact,
                           convergence_sweep, lambda_limit,
                           limit_balanced_strong, limit_laplace_heavy_imm,
                           stationary_pgf)
-from gwimm.pgf import _q_steps, h_n, q_iterate
+from gwimm.pgf import _power, _q_steps, h_n, q_iterate
 from gwimm.renewal import (RenewalTable, _renewal_table, build_renewal,
                            classify_regime, gamma_asymptotics)
 from gwimm.simulate import estimate_survival
@@ -50,7 +50,7 @@ def one_step_oracle(p: LawParams, t: float) -> float:
 def test_conditional_transform_one_step(params):
     s = 0.7
     got = conditional_laplace_exact(params, 1, s)
-    t = math.exp(-s * q_iterate(params, 0.0, 1).power(1.0)[1])
+    t = math.exp(-s * _power(q_iterate(params, 0.0, 1), 1.0)[1])
     assert got == pytest.approx(one_step_oracle(params, t), abs=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_decomposition_telescopes_to_plain_transform():
                         u=np.ones_like(rt.u))
     stripped = dataclasses.replace(DELTA_HALF, kappa0=1.0)
     for s in (0.3, 1.5):
-        t = math.exp(-s * q_iterate(DELTA_HALF, 0.0, n).power(1.0)[n])
+        t = math.exp(-s * _power(q_iterate(DELTA_HALF, 0.0, n), 1.0)[n])
         got = conditional_laplace_exact(DELTA_HALF, n, s, table=flat)
         assert got == pytest.approx(h_n(stripped, t, n), abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_decomposition_telescopes_to_plain_transform():
 def test_conditional_transform_matches_monte_carlo():
     n, s = 30, 1.0
     exact = conditional_laplace_exact(CANON, n, s)
-    scale = s * float(q_iterate(CANON, 0.0, n).power(1.0)[n])
+    scale = s * float(_power(q_iterate(CANON, 0.0, n), 1.0)[n])
     value, se = estimate_survival(CANON, "stopped", n, reps=100_000,
                                   seed=12, threads=2,
                                   scale=scale).conditional_laplace()
@@ -88,7 +88,7 @@ def test_conditional_transform_matches_monte_carlo_with_atom():
     # kappa0 < 1 exercises the conditioning normalization
     n, s = 10, 0.7
     exact = conditional_laplace_exact(DELTA_HALF, n, s)
-    scale = s * float(q_iterate(DELTA_HALF, 0.0, n).power(1.0)[n])
+    scale = s * float(_power(q_iterate(DELTA_HALF, 0.0, n), 1.0)[n])
     value, se = estimate_survival(DELTA_HALF, "stopped", n, reps=200_000,
                                   seed=5, threads=2, cap=100_000,
                                   scale=scale).conditional_laplace()
@@ -106,6 +106,22 @@ def test_conditional_transform_table_errors():
         conditional_laplace_exact(CANON, 10, 1.0, scaling="bogus")
     with pytest.raises(ValueError):
         conditional_laplace_exact(CANON, 0, 1.0)
+
+
+def forbid_q_work(monkeypatch):
+    """Make every q iteration `limits` can reach raise."""
+    def no_q_work(*args):
+        raise AssertionError("q work before the argument check")
+
+    for name in ("_q_steps", "_renewal_table", "_gammas", "theta_sums"):
+        monkeypatch.setattr("gwimm.limits." + name, no_q_work)
+
+
+def test_conditional_transform_checks_the_scaling_before_any_q_work(
+        monkeypatch):
+    forbid_q_work(monkeypatch)
+    with pytest.raises(ValueError, match="scaling"):
+        conditional_laplace_exact(CANON, 10 ** 6, 1.0, "bogus")
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -1.0])
@@ -378,7 +394,8 @@ def test_sweep_weak_branch_fits_on_its_one_table(monkeypatch):
     assert chk.monotone() and np.all(chk.deviations < 0.05)
 
 
-def test_sweep_grid_validation():
+def test_sweep_grid_validation(monkeypatch):
+    forbid_q_work(monkeypatch)
     with pytest.raises(ValueError):
         convergence_sweep(CANON, "balanced_strong", [1.0, 0.5], [10, 100])
     with pytest.raises(ValueError):
@@ -387,17 +404,14 @@ def test_sweep_grid_validation():
         convergence_sweep(CANON, "no-such-theorem", [0.5], [10])
     for s_grid, n_grid in (([math.nan, 1.0], [10]), ([-1.0, 1.0], [10]),
                            ([1.0, math.inf], [10]), ([1.0], [0, 10]),
-                           ([1.0], [-5]), ([1.0], [1, 10 ** 20])):
+                           ([1.0], [-5]), ([1.0], [1, 10 ** 20]),
+                           ([], [10]), ([1.0], [])):
         with pytest.raises(ValueError, match="finite s >= 0 and n >= 1"):
             convergence_sweep(CANON, "balanced_strong", s_grid, n_grid)
 
 
 def test_sweep_checks_the_regime_before_any_q_work(monkeypatch):
-    def no_q_work(*args):
-        raise AssertionError("q work before the regime check")
-
-    for name in ("_q_steps", "_renewal_table", "_gammas", "theta_sums"):
-        monkeypatch.setattr("gwimm.limits." + name, no_q_work)
+    forbid_q_work(monkeypatch)
     wrong = {"balanced_weak": R0, "balanced_strong": R0,
              "unstopped_balanced": R0, "gamma_balanced": R0,
              "heavy_immigration": CANON, "unstopped_heavy_immigration": CANON,

@@ -8,8 +8,8 @@ import pytest
 
 from gwimm.laws import (LawParams, immigration_pgf, initial_pgf,
                         offspring_pgf)
-from gwimm.pgf import (_q_steps, epsilon_term, gamma_sequences, h_n,
-                       q_iterate, rate_gap)
+from gwimm.pgf import (_log1m, _power, _q_steps, epsilon_term,
+                       gamma_sequences, h_n, q_iterate, rate_gap)
 
 from conftest import CANON, MIXED
 
@@ -19,9 +19,9 @@ def test_q_hand_iteration():
     # 1, 1/2, 3/8, 39/128 for nu = 1, kappa1 = 1/2, each held as its log
     # in float64, so read back to within one float64 ulp
     want = np.array([1.0, 0.5, 0.375, 0.3046875])
-    q = q_iterate(CANON, 0.0, 3).power(1.0).astype(float)
+    q = _power(q_iterate(CANON, 0.0, 3), 1.0).astype(float)
     assert np.all(np.abs(q - want) <= np.spacing(want))
-    lq = _q_steps(CANON, 0.0, 3).log(3)
+    lq = _q_steps(CANON, 0.0, 3)[3]
     assert abs(lq - math.log(0.3046875)) <= np.spacing(abs(lq))
 
 
@@ -31,8 +31,8 @@ def test_q_iterate_matches_direct_composition():
     s = t
     for _ in range(7):
         s = float(offspring_pgf(MIXED, s))
-    assert q_iterate(MIXED, t, 7).power(1.0)[7] == pytest.approx(1.0 - s,
-                                                                 rel=1e-13)
+    assert _power(q_iterate(MIXED, t, 7), 1.0)[7] == pytest.approx(
+        1.0 - s, rel=1e-13)
 
 
 FRACTIONAL = LawParams(nu=0.7, theta=0.9, delta=0.4, kappa0=1.0,
@@ -46,8 +46,8 @@ def test_q_last_is_bitwise_last_of_q_iterate(params, n):
     # trajectory, which must hold the q_n of a trajectory cut at n bit for
     # bit
     for t in (0.0, 0.3, 0.97):
-        lqn = q_iterate(params, t, n).log(n)
-        assert _q_steps(params, math.log1p(-t), 2 * n).log(n) == lqn
+        lqn = q_iterate(params, t, n)[n]
+        assert _q_steps(params, math.log1p(-t), 2 * n)[n] == lqn
 
 
 def long_double_logs(nu: float, kappa1: float, n: int) -> np.ndarray:
@@ -73,10 +73,10 @@ def test_q_kernel_against_long_double_iteration(nu, kappa1, n, bound):
     p = LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0)
     ref = long_double_logs(nu, kappa1, n)
     path = _q_steps(p, 0.0, n)
-    err = np.abs(path.logs() - ref) / np.maximum(1.0, np.abs(ref))
+    err = np.abs(path - ref) / np.maximum(1.0, np.abs(ref))
     assert err.max() <= bound, (err.max(), int(err.argmax()))
     for a in (1.0, 0.9, 0.5, 1e-3):
-        got = path.power(a)
+        got = _power(path, a)
         want = np.exp(np.longdouble(a) * ref)
         assert got.dtype == np.longdouble
         rel = np.abs(got - want) / want
@@ -93,7 +93,7 @@ def test_q_kernel_far_below_the_float_range():
         lq = lq + np.log1p(-np.longdouble(0.5) * np.exp(lq))
         ref.append(lq)
     ref = np.array(ref)
-    got = _q_steps(CANON, -1e5, 2 * 10 ** 4).logs()
+    got = _q_steps(CANON, -1e5, 2 * 10 ** 4)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 5e-15
 
 
@@ -102,7 +102,7 @@ def test_q_kernel_where_kappa1_rounds_to_one():
     nu = 5.4621546740691746e-105
     p = LawParams(nu, 1.0, 1.0, 1.0, 1.0 / (1.0 + nu), 1.0)
     assert p.kappa1 == 1.0
-    lq = q_iterate(p, 0.0, 2000).logs()
+    lq = q_iterate(p, 0.0, 2000)
     assert lq[0] == 0.0 and np.all(lq[1:] == -math.inf)
 
 
@@ -112,7 +112,23 @@ def test_power_at_q_zero_is_zero_without_a_warning():
         warnings.simplefilter("error")
         path = q_iterate(MIXED, 1.0, 3000)
         for a in (1.0, 0.5, 1e-300):
-            assert np.all(path.power(a) == 0.0)
+            assert np.all(_power(path, a) == 0.0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 1.0])
+def test_paths_are_read_only_float64(t):
+    # one path is shared by every reader, so none may write it
+    for path in (q_iterate(MIXED, t, 300), _q_steps(MIXED, _log1m(t), 300)):
+        assert path.dtype == np.float64 and not path.flags.writeable
+
+
+def test_power_leaves_its_path_bit_for_bit():
+    # a writeable copy, so a write in place would show
+    path = _q_steps(FRACTIONAL, 0.0, 3000).copy()
+    before = path.tobytes()
+    for a in (1.0, FRACTIONAL.theta, FRACTIONAL.delta):
+        _power(path, a)
+    assert path.tobytes() == before
 
 
 def test_log_q_at_tiny_nu_against_mpmath():
@@ -134,11 +150,11 @@ def test_log_q_at_tiny_nu_against_mpmath():
                 lq += inc
             total += math.fsum(block)
             lq = float(total)
-    assert abs(_q_steps(p, 0.0, n).log(n) - lq) < 1e-9
+    assert abs(_q_steps(p, 0.0, n)[n] - lq) < 1e-9
 
 
 def test_q_monotone_and_positive():
-    q = q_iterate(MIXED, 0.2, 200).power(1.0)
+    q = _power(q_iterate(MIXED, 0.2, 200), 1.0)
     assert np.all(np.diff(q) < 0.0)
     assert q[-1] > 0.0
 
@@ -173,7 +189,7 @@ def test_epsilon_is_scaled_rate_gap():
     # epsilon(n, t) = q_n^nu * n * rate_gap(n, t), an exact identity
     for t in (0.0, 0.37, 0.93):
         for n in (2, 17):
-            qn = float(q_iterate(MIXED, t, n).power(1.0)[n])
+            qn = float(_power(q_iterate(MIXED, t, n), 1.0)[n])
             lhs = float(epsilon_term(MIXED, t, n))
             rhs = qn ** MIXED.nu * n * float(rate_gap(MIXED, t, n))
             assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -191,7 +207,7 @@ def test_gaps_per_step_telescope_to_rate_gap():
     rng = np.random.default_rng(5)
     for t in rng.uniform(0.0, 0.95, 5):
         n = 40
-        inv = np.exp(-MIXED.nu * q_iterate(MIXED, float(t), n).logs())
+        inv = np.exp(-MIXED.nu * q_iterate(MIXED, float(t), n))
         gaps = MIXED.kappa1 * MIXED.nu - np.diff(inv)
         total = math.fsum(gaps.tolist())
         assert total == pytest.approx(n * float(rate_gap(MIXED, float(t), n)),
@@ -204,9 +220,9 @@ def test_q_iterate_holds_log_q_where_q_underflows():
     p = LawParams(0.005, 0.0025, 0.0025, 1.0, 0.5, 0.5)
     n = 10 ** 5
     path = q_iterate(p, 0.0, n)
-    assert np.all(np.isfinite(path.logs()))
+    assert np.all(np.isfinite(path))
     lo, hi = (-math.log1p(n * 0.0025 * c) / 0.005 for c in (2 ** 1.005, 1))
-    assert lo <= path.log(n) <= hi
+    assert lo <= path[n] <= hi
 
 
 def test_h_n_hand_value():
@@ -232,7 +248,7 @@ def test_gamma_sequences_structure():
     # gamma_2^(0)(0) = exp(-(q_0 + q_1)) = exp(-1.5)
     assert seq.log_gamma0[2] == pytest.approx(-1.5, abs=1e-14)
     assert np.all(np.diff(seq.log_gamma0) < 0.0)
-    q = q_iterate(CANON, 0.0, 4).power(1.0).astype(float)
+    q = _power(q_iterate(CANON, 0.0, 4), 1.0).astype(float)
     expect = (1.0 - q) * np.exp(seq.log_gamma0)
     assert np.allclose(seq.gamma, expect, rtol=1e-14)
 

@@ -20,7 +20,7 @@ ren = importlib.import_module("gwimm.renewal")
 from gwimm.errors import CapTooSmallError, InsufficientLengthError
 from gwimm.laws import (LawParams, immigration_pmf, initial_pmf,
                         offspring_pmf)
-from gwimm.pgf import gamma_sequences, q_iterate, theta_sums
+from gwimm.pgf import _q_steps, gamma_sequences, q_iterate, theta_sums
 from gwimm.renewal import (RegimeReport, build_renewal, classify_regime,
                            dp_distribution, fit_tail, gamma_asymptotics,
                            u_dp_curve)
@@ -297,6 +297,18 @@ def test_cut_changes_no_bit_over_the_box(nu, theta, delta, kappa0, frac,
     for x, y in zip((got.u, got.a, got.d, got.gamma0),
                     (want.u, want.a, want.d, want.gamma0)):
         assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("name, n", [("R0", 10 ** 5), ("FRAC", 3000)])
+def test_table_leaves_its_path_bit_for_bit(name, n):
+    # a sweep reads its q_n(0) scales off the path after the table is
+    # built from it; R0's weights are cut inside the path, FRAC's q^delta
+    # is formed apart from q^theta.  A writeable copy, so a write shows
+    path = _q_steps(LAWS[name], 0.0, n).copy()
+    assert (ren._weight_cut(LAWS[name], path) < n + 1) == (name == "R0")
+    before = path.tobytes()
+    ren._renewal_table(LAWS[name], path)
+    assert path.tobytes() == before
 
 
 def test_series_inverse_route_with_subnormal_kappa0():

@@ -1,5 +1,6 @@
 """Import layering: the exact-math modules do not depend on the simulator
-or the command line; only `simulate` takes a single stream; the
+or the command line; only `pgf` writes into a q path; only `simulate`
+takes a single stream; the
 immigration sampler forks on theta only at 1; only `_num._product` calls
 irfft, and `renewal` makes no `np.convolve` call and fits no line by a
 numpy solver; `cli` converts every option in one place; `simulate` forms
@@ -45,6 +46,69 @@ def test_exact_math_does_not_import_simulator_or_cli(module):
     for banned in ("gwimm.simulate", "gwimm.cli"):
         assert not any(n == banned or n.startswith(banned + ".")
                        for n in names), (module, banned)
+
+
+_IN_PLACE = {"fill", "itemset", "put", "resize", "setflags", "sort"}
+
+
+def writes_to(tree: ast.AST, name: str) -> list[str]:
+    """Source of every statement or call in `tree` that may write into the
+    array bound to `name`: an item store, an augmented assignment, an
+    `out=` target, an in-place method or a change of its flags."""
+    def is_name(node):
+        return isinstance(node, ast.Name) and node.id == name
+
+    def base(node):
+        while isinstance(node, (ast.Subscript, ast.Attribute)):
+            node = node.value
+        return node
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                if ((isinstance(node, ast.AugAssign) or not is_name(t))
+                        and is_name(base(t))):
+                    found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (any(k.arg == "out" and is_name(base(k.value))
+                    for k in node.keywords)
+                    or isinstance(f, ast.Attribute) and f.attr in _IN_PLACE
+                    and is_name(f.value)):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "pgf.py"),
+                         ids=lambda p: p.stem)
+def test_only_pgf_writes_a_q_path(path):
+    # a q path is shared: `convergence_sweep` reads its q_n(0) scales off
+    # the path it built the renewal table from, so outside `pgf` a `path`
+    # is only read or rebound, never written, even where its read-only
+    # flag would not catch it (a copy, a view made writeable)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not writes_to(tree, "path"), writes_to(tree, "path")
+
+
+def test_writes_to_sees_every_write():
+    src = """
+path[0] = 1.0
+path[:3] += 2
+path *= 0.5
+path.flags.writeable = True
+np.exp(path, out=path)
+np.exp(x, out=path[:4])
+path.setflags(write=True)
+path.sort()
+path = path[:4]
+y = path[3]
+z = np.exp(path)
+"""
+    assert len(writes_to(ast.parse(src), "path")) == 8
 
 
 def test_only_simulate_takes_one_stream():

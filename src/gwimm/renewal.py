@@ -183,7 +183,8 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
     level or block is cut at len(f), and the last level skips R.  Every
     term is a sum of nonnegative products, and a complete level or block
     reads only complete ones, so u[:k] does not depend on len(f) beyond
-    the last complete level or block at or below k.
+    the last complete level or block at or below k.  The true u is at
+    most 1, so u past the block is capped at 1 once nothing reads it.
     """
     n, b = len(f), len(f_blk)
     u = np.empty(n)
@@ -212,6 +213,7 @@ def _solve(f_blk: np.ndarray, a_blk: np.ndarray, f: np.ndarray,
             u[s:top] = _product(fr, _spectrum(f[s:top] + au, size), 0,
                                 top - s)
         if stop == n:
+            np.minimum(u[b:], 1.0, out=u[b:])
             return u
         ar = _product(fa, fr.copy(), m - 1, size - 1)
         r = np.concatenate((r, _product(fr, _spectrum(ar, size), 0, m)))

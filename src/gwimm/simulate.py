@@ -19,8 +19,8 @@ kernel is X | X < 8: a binomial first counts the individuals with
 X >= 8, which are drawn one by one, and a population of up to 4096
 sums the others as rows of the table, one uniform per 256 of them.
 Larger populations, and at nu = 1 those above 256, split their
-individuals over 33 cells by one multinomial, and draw L_n and Y_n
-apart.
+individuals by one multinomial over the cells 0..31 (0..2 at nu = 1)
+and a tail cell, and draw L_n and Y_n apart.
 
 Replicates run in fixed-size blocks of 8192, each block on its own
 counter-derived RNG stream, so results are byte-identical for a given
@@ -143,14 +143,13 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     """Summed offspring for each population in `pops` (entries >= 1),
     block b's pops[bounds[b]:bounds[b+1]] drawn from its stream rngs[b].
 
-    At nu = 1 a population w <= _SUM_ROWS draws with one uniform from
-    row w of the unfolded `_sum_table` (`_table_sums`), the exact cdf of
-    a sum of w draws of the offspring law.  At nu < 1 a population
-    w <= W2 = _ROW_REACH takes the table too, whose kernel is X | X < H,
-    H = _HEAD_CELLS: T ~ Binomial(w, P(X >= H)) individuals fall in the
-    tail cell, rows of the table sum the other w - T (`_row_sums`: one
-    row up to W, one more per W beyond), and the T are drawn from
-    X | X >= H.
+    A population w up to W = _SUM_ROWS at nu = 1, W2 = _ROW_REACH below,
+    sums rows of `_sum_table`, whose kernel (`_kernel`) leaves out a cell
+    {X >= h}: T ~ Binomial(w, P(X >= h)) individuals fall in it, rows of
+    the table sum the other w - T (`_row_sums`: one row up to W, one more
+    per W beyond), and the T are drawn from X | X >= h.  The kernel is
+    X | X < H, H = _HEAD_CELLS, at nu < 1, and at nu = 1 the offspring
+    law, so P(X >= 3) = 0 and w <= W draws one key of row w.
     Every other population takes one multinomial over the cells
     0, ..., K-1 and a tail cell {X >= K}, K = _SPLIT_CELLS (conditional
     binomials, Devroye 1986, XI.1, vectorised over the replicates; at
@@ -161,8 +160,7 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     Each block's stream gives its binomials, table keys, top-cell second
     uniforms, split multinomial, split tail draws, then head tail draws.
     Each kind of draw runs over all the blocks before the next, except
-    that at nu < 1 a block draws its table keys and second uniforms
-    together.
+    that a block draws its table keys and second uniforms together.
 
     P(X >= K) falls like K**-(1+nu): about 0.08% of the individuals at
     K = 32 and nu = 1/2, and 0.8% at H = 8.  A head of H cells gives rows
@@ -177,26 +175,18 @@ def _offspring_sums(params: LawParams, rngs: list, bounds: list,
     the MIXED benchmark), while near the default cap 1e9 the tail draws
     dominate, and K = 32 halves the time of K = 16 there.
     """
-    nu = params.nu
-    big = pops > (_SUM_ROWS if nu == 1.0 else _ROW_REACH)
+    _, h, mass = _kernel(params.nu, params.kappa1)
+    big = pops > (_SUM_ROWS if params.nu == 1.0 else _ROW_REACH)
     crossing = big.any()
     small, at = ((pops[~big], _within(bounds, ~big)) if crossing
                  else (pops, bounds))
-    if nu == 1.0:
-        # with every population split, no table is looked up or built
-        sums = _table_sums(params.kappa1, rngs, at, small) if small.size \
-            else small
-    else:
-        pvals = offspring_split(params, _HEAD_CELLS)
-        h = len(pvals) - 1
-        tails = np.concatenate([r.binomial(small[a:b], pvals[h])
-                                for r, a, b in zip(rngs, at, at[1:])])
-        sums = _row_sums(params.kappa1, nu, rngs, at, small - tails)
+    tails = np.concatenate([r.binomial(small[a:b], mass)
+                            for r, a, b in zip(rngs, at, at[1:])])
+    sums = _row_sums(params.kappa1, params.nu, rngs, at, small - tails)
     if crossing:
         split = _split_cell_sums(params, rngs, _within(bounds, big),
                                  pops[big])
-    if nu != 1.0:
-        _tail_sums(params, rngs, at, tails, h, sums)
+    _tail_sums(params, rngs, at, tails, h, sums)
     if not crossing:
         return sums
     out = np.empty_like(pops)
@@ -253,17 +243,23 @@ def _split_cell_sums(params: LawParams, rngs: list, bounds: list,
     return sums
 
 
-def _kernel(nu: float, kappa1: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _kernel(nu: float, kappa1: float) -> tuple:
     """The law on 0..d, in long double, that row w of `_sum_table` sums
-    w draws of: at nu = 1 the offspring law (k1, 1 - 2*k1, k1); at
-    nu < 1 the offspring law given X < H, H the head cell count of
-    `offspring_split(., _HEAD_CELLS)`, which may be 1 (X < 1: d = 0)."""
+    w draws of, the cell h it leaves out and P(X >= h) (cached, read-only):
+    at nu = 1 the offspring law (k1, 1 - 2*k1, k1), 3 and 0; at nu < 1 the
+    offspring law given X < h, h the head cell count of
+    `offspring_split(., _HEAD_CELLS)` (1 gives d = 0), and its tail cell."""
     if nu == 1.0:
         k1 = np.longdouble(kappa1)
-        return np.array([k1, 1 - 2 * k1, k1])
-    head = offspring_split(LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
-                           _HEAD_CELLS)[:-1].astype(np.longdouble)
-    return head / head.sum()
+        kernel, h, mass = np.array([k1, 1 - 2 * k1, k1]), 3, 0.0
+    else:
+        pvals = offspring_split(LawParams(nu, 1.0, 1.0, 1.0, kappa1, 1.0),
+                                _HEAD_CELLS)
+        head, mass = pvals[:-1].astype(np.longdouble), pvals[-1]
+        kernel, h = head / head.sum(), len(head)
+    kernel.flags.writeable = False
+    return kernel, h, mass
 
 
 @lru_cache(maxsize=8)
@@ -279,7 +275,7 @@ def _sum_table(kappa1: float, kappa2: float = 0.0, gated: bool = False,
     by a few long-double ulps; row 0 is empty.  The rows are keyed one
     at a time, so no long-double row outlives its keys.
     """
-    kernel = _kernel(nu, kappa1)
+    kernel = _kernel(nu, kappa1)[0]
     d, h = len(kernel) - 1, _head(kappa2)
     laws = _fold_laws(kernel, kappa2, gated, d * _SUM_ROWS + h)
     return _key_table(np.cumsum(law[:d * w + h])
@@ -393,7 +389,7 @@ def _tails(kappa1: float, kappa2: float, gated: bool, nu: float,
     n_w its key count, summed in long double from the far end of the
     law, which reaches past every Poisson weight that is nonzero as a
     float64.  Formed only when a draw needs it, for that row alone."""
-    kernel = _kernel(nu, kappa1)
+    kernel = _kernel(nu, kappa1)[0]
     d, reach = len(kernel) - 1, len(_poisson_pmf(kappa2))
     offs = _sum_table(kappa1, kappa2, gated, nu)[1]
     laws = _fold_laws(kernel, kappa2, gated, d * _SUM_ROWS + reach)

@@ -4,7 +4,8 @@ takes a single stream; the
 immigration sampler forks on theta only at 1; only `_num._product` calls
 irfft, and `renewal` makes no `np.convolve` call and fits no line by a
 numpy solver; `cli` converts every option in one place; `simulate` forms
-no Poisson pmf and folds immigrants in one place; the argument names a
+no Poisson pmf, folds immigrants in one place and sums offspring below
+the split by one route at every nu; the argument names a
 call tracer reads stay put; no name binds two reference laws."""
 
 import ast
@@ -215,6 +216,33 @@ def test_offspring_sums_draws_offspring_alone():
     from gwimm.simulate import _offspring_sums
     params = list(inspect.signature(_offspring_sums).parameters)
     assert params == ["params", "rngs", "bounds", "pops"], params
+
+
+def test_offspring_sums_takes_one_route_below_the_split():
+    # every nu sums its populations below the split threshold by the same
+    # route, and the cell the sum table leaves out is formed once, with
+    # the table's kernel: `_offspring_sums` compares nu with 1 at most
+    # once (for that threshold), and only `_kernel` reads _HEAD_CELLS
+    tree = ast.parse((PACKAGE / "simulate.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "_offspring_sums"]
+
+    def is_nu(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "nu"
+                or isinstance(node, ast.Name) and node.id == "nu")
+
+    forks = [ast.unparse(node) for node in ast.walk(fn)
+             if isinstance(node, ast.Compare)
+             and any(is_nu(op) for op in (node.left, *node.comparators))
+             and any(isinstance(op, ast.Constant) and op.value == 1
+                     for op in (node.left, *node.comparators))]
+    assert len(forks) <= 1, forks
+    readers = sorted({getattr(top, "name", "<module>") for top in tree.body
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Name)
+                      and node.id == "_HEAD_CELLS"
+                      and isinstance(node.ctx, ast.Load)})
+    assert readers == ["_kernel"], readers
 
 
 def literal_law(node: ast.AST) -> LawParams | None:

@@ -238,6 +238,26 @@ def test_u_on_the_block_is_a_survival_curve_over_the_box(
     assert np.all(np.diff(u) <= 0.0)
 
 
+@settings(max_examples=15, deadline=None)
+@given(nu=UNIT, theta=UNIT, delta=DELTA, kappa0=UNIT, frac=UNIT,
+       kappa2=KAPPA2, n=st.integers(min_value=1024, max_value=20_000))
+def test_u_past_the_block_stays_at_most_one_over_the_box(
+        nu, theta, delta, kappa0, frac, kappa2, n):
+    # the upper bound only: where u falls far below the roundoff of the
+    # FFT products it may read below 0 (ROADMAP item 4)
+    u = build_renewal(box_params(nu, theta, delta, kappa0, frac, kappa2),
+                      n).u
+    assert u[0] == 1.0
+    assert np.all(u <= 1.0)
+
+
+def test_u_flat_at_one_stays_at_most_one():
+    # R1_STEEP's u stays within 1e-12 of 1 to n = 20,000; uncapped, the
+    # blocks put 16,645 entries above 1, by up to 3.9e-13
+    u = build_renewal(LAWS["R1_STEEP"], 20_000).u
+    assert u.max() == 1.0 and u.min() > 1.0 - 1e-12
+
+
 def table_digest(rt) -> str:
     h = hashlib.sha256()
     for x in (rt.u, rt.a, rt.d, rt.gamma0):
@@ -265,14 +285,15 @@ def test_block_tables_digest(p, n, want):
 
 @pytest.mark.parametrize("p, n, want, zero_from", [
     (R0, 10 ** 5, "636d8e25c03c350e", 70_470),
-    (LAWS["R1_STEEP"], 20_000, "195717c7ae6705b9", 13),
+    (LAWS["R1_STEEP"], 20_000, "46dc90571bf792bc", 13),
 ])
 def test_long_tables_digest(p, n, want, zero_from):
     # tables whose weights vanish: R0's past the block, so its extended
     # precision stops short of n; the other's inside it, so it stops at
     # the block's end.  Pinned at the code that built every weight.
     # R0's u comes from doubling levels alone (its weights reach past the
-    # level of 65,536), the other's from blocks of 1024 terms
+    # level of 65,536), the other's from blocks of 1024 terms, flat at 1
+    # and capped there
     rt = build_renewal(p, n)
     assert table_digest(rt) == want
     assert np.nonzero(rt.gamma0 == 0.0)[0][0] == zero_from

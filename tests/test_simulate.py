@@ -746,6 +746,27 @@ def test_nu1_split_at_tiny_kappa1_keeps_the_law(k1):
     assert_cells_match(draws, np.array(law), k1)
 
 
+@pytest.mark.parametrize("k1", [0.5, 1e-13])
+def test_nu1_offspring_sums_are_table_sums_draw_for_draw(k1):
+    # at nu = 1 the table's kernel is the whole offspring law, so the tail
+    # count is Binomial(w, 0), which draws nothing, and w <= W draws the
+    # one key of row w and its second uniform from its own block's
+    # stream, as one `_table_sums` lookup over the group does.  At 1e-13
+    # the split's tail cell {X >= 2} has mass kappa1, which the kernel
+    # already holds
+    p = LawParams(nu=1.0, theta=1.0, delta=1.0, kappa0=1.0, kappa1=k1,
+                  kappa2=1.0)
+    pops = np.random.default_rng(5).permutation(
+        np.tile(np.arange(1, sim._SUM_ROWS + 1), 3))
+    bounds = [0, 200, 500, len(pops)]
+    mine, ref = ([stream(59, i) for i in range(3)] for _ in range(2))
+    got = sim._offspring_sums(p, mine, bounds, pops)
+    assert np.array_equal(got, sim._table_sums(k1, ref, bounds, pops))
+    # the Philox state holds arrays, so compare its printed form
+    assert ([repr(r.bit_generator.state) for r in mine]
+            == [repr(r.bit_generator.state) for r in ref])
+
+
 def test_tail_cell_draws_where_the_table_cdf_rounds_to_one():
     # nu near 1 and a tiny kappa1: cum[2] rounds to 1, so only the exact
     # tail mass P(X >= 3) can condition the draws of the tail cell
